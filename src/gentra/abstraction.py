@@ -17,14 +17,15 @@ the transition-level simulation.  All checks are sample-based: reports say
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import MappingError, ProjectionError, ReconstructionError, TransitionError
 from .gentra4cp import DEFAULT_GUARDS, GenericEvent, make_semantics, validate
 from .palm import PALM_EVENT_TYPES, PalmState, PalmSolverState
 from .semantics import Action, ObservationalSemantics, extract, reconstruct, first_divergence, transition_holds
-from .state import FullState, SearchTreeState, SolverState
+from .state import FullState, SolverState
 from .trace import ActualPayload, Trace, VirtualPayload
 
 
@@ -411,32 +412,18 @@ def palm_profile() -> ParamProjection:
     )
 
 
+_generic_fields = attrgetter(*(f.name for f in fields(SolverState)))
+
+
 def _map_palm_solver(s: PalmSolverState) -> SolverState:
-    return SolverState(
-        variables=s.variables,
-        constraints=s.constraints,
-        domains=s.domains,
-        initial_domains=s.initial_domains,
-        active=s.active,
-        solved=frozenset(),
-        rejected=s.rejected,
-        sleeping=s.sleeping,
-        pending=s.q_tail,
-        current_event=s.q_head,
-    )
+    return SolverState(*_generic_fields(s))
 
 
 def map_palm_state(full: PalmState) -> FullState:
-    """The identity-like state map: the nine shared parameters carry over,
-    the selected event becomes the scheduled one, and the queue tail becomes
-    the pending event pool (head and tail together are the pending events of
-    the generic machine)."""
-    tree = SearchTreeState(
-        nodes=full.tree.nodes,
-        snapshots=tuple((n, _map_palm_solver(s)) for n, s in full.tree.snapshots),
-        depths=full.tree.depths,
-        current=full.tree.current,
-    )
+    """The identity-like state map: every generic parameter carries over
+    (the queue tail is the pending pool, the selected head the scheduled
+    event) and the explanations are dropped."""
+    tree = replace(full.tree, snapshots=tuple((n, _map_palm_solver(s)) for n, s in full.tree.snapshots))
     return FullState(solver=_map_palm_solver(full.solver), tree=tree)
 
 

@@ -166,10 +166,6 @@ def parse_declaration(text: str, index_base: int = 1):
     return None, text.strip()
 
 
-def render_declaration(decl: ConstraintDecl) -> str:
-    return decl.render()
-
-
 def _parse_event_token(tok: _Tok) -> SolverEvent:
     if tok.kind == "word" and tok.text == "bot":
         return BOTTOM
@@ -466,7 +462,7 @@ def serialize_event(ev: GenericEvent, mx: int = DEFAULT_MX) -> str:
     elif ev.type == "newConstraint":
         parts.append(ev.constraint)
         if ev.decl is not None:
-            parts.append(render_declaration(ev.decl))
+            parts.append(ev.decl.render())
         elif ev.decl_text is not None:
             parts.append(ev.decl_text)
     elif ev.type in ("post", "deactivate", "suspend", "solved"):

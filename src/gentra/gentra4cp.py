@@ -246,7 +246,7 @@ def _step_restore(full: FullState, act: Action) -> FullState:
     return replace(full, solver=s2)
 
 
-def _step_reduce(full: FullState, act: Action, strict: bool) -> FullState:
+def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullState:
     cid, var = act.get("constraint"), act.get("variable")
     removed, generated, cause = act.get("removed"), act.get("generated", ()), act.get("cause")
     s = full.solver
@@ -262,7 +262,8 @@ def _step_reduce(full: FullState, act: Action, strict: bool) -> FullState:
     return replace(full, solver=s2)
 
 
-def _retire(full: FullState, act: Action, rule: str) -> tuple[SolverState, str, SolverEvent]:
+def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
+    """The retired constraint and the active pairs left without it."""
     cid = act.get("constraint")
     s = full.solver
     pair_event = s.active_event(cid)
@@ -270,29 +271,31 @@ def _retire(full: FullState, act: Action, rule: str) -> tuple[SolverState, str, 
     cause = act.get("cause")
     if cause is not None:
         _need(pair_event == cause, rule, f"({cid}, {cause}) is not the active pair")
-    s2 = replace(s, active=tuple(p for p in s.active if p[0] != cid))
-    return s2, cid, pair_event
+    return cid, tuple(p for p in s.active if p[0] != cid)
 
 
 def _step_suspend(full: FullState, act: Action) -> FullState:
-    s2, cid, _ = _retire(full, act, "suspend")
-    return replace(full, solver=replace(s2, sleeping=s2.sleeping | {cid}))
+    cid, active = _retire(full, act, "suspend")
+    s = full.solver
+    return replace(full, solver=replace(s, active=active, sleeping=s.sleeping | {cid}))
 
 
 def _step_solved(full: FullState, act: Action) -> FullState:
-    s2, cid, _ = _retire(full, act, "solved")
-    decl = full.solver.declaration(cid)
+    cid, active = _retire(full, act, "solved")
+    s = full.solver
+    decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
-    _need(decl.entailed(full.solver.domain_map()), "solved", f"{cid} is not entailed")
-    return replace(full, solver=replace(s2, solved=s2.solved | {cid}))
+    _need(decl.entailed(s.domain_map()), "solved", f"{cid} is not entailed")
+    return replace(full, solver=replace(s, active=active, solved=s.solved | {cid}))
 
 
 def _step_reject(full: FullState, act: Action) -> FullState:
-    s2, cid, _ = _retire(full, act, "reject")
-    decl = full.solver.declaration(cid)
+    cid, active = _retire(full, act, "reject")
+    s = full.solver
+    decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
-    _need(decl.falsified(full.solver.domain_map()), "reject", f"{cid} is not falsified")
-    return replace(full, solver=replace(s2, rejected=s2.rejected | {cid}))
+    _need(decl.falsified(s.domain_map()), "reject", f"{cid} is not falsified")
+    return replace(full, solver=replace(s, active=active, rejected=s.rejected | {cid}))
 
 
 def _step_awake(full: FullState, act: Action) -> FullState:
@@ -318,40 +321,37 @@ def _step_schedule(full: FullState, act: Action) -> FullState:
     return replace(full, solver=s2)
 
 
+RULES = {
+    "newVariable": _step_new_variable,
+    "newConstraint": _step_new_constraint,
+    "post": _step_post,
+    "newChild": _step_new_child,
+    "jumpTo": _step_jump_to,
+    "solution": _step_solution,
+    "failure": _step_failure,
+    "deactivate": _step_deactivate,
+    "restore": _step_restore,
+    "reduce": _step_reduce,
+    "suspend": _step_suspend,
+    "solved": _step_solved,
+    "reject": _step_reject,
+    "awake": _step_awake,
+    "schedule": _step_schedule,
+}
+STRICT_RULES = {**RULES, "reduce": lambda full, act: _step_reduce(full, act, strict=True)}
+
+
+def apply_rule(rules, full: FullState, action: Action) -> FullState:
+    """Apply the rule ``rules`` maps the action's kind to."""
+    rule = rules.get(action.kind)
+    if rule is None:
+        raise TransitionError(action.kind, "unknown rule")
+    return rule(full, action)
+
+
 def step(full: FullState, action: Action, *, strict_reduce: bool = False) -> FullState:
     """Apply one transition rule; raises TransitionError when conditions fail."""
-    kind = action.kind
-    if kind == "newVariable":
-        return _step_new_variable(full, action)
-    if kind == "newConstraint":
-        return _step_new_constraint(full, action)
-    if kind == "post":
-        return _step_post(full, action)
-    if kind == "newChild":
-        return _step_new_child(full, action)
-    if kind == "jumpTo":
-        return _step_jump_to(full, action)
-    if kind == "solution":
-        return _step_solution(full, action)
-    if kind == "failure":
-        return _step_failure(full, action)
-    if kind == "deactivate":
-        return _step_deactivate(full, action)
-    if kind == "restore":
-        return _step_restore(full, action)
-    if kind == "reduce":
-        return _step_reduce(full, action, strict_reduce)
-    if kind == "suspend":
-        return _step_suspend(full, action)
-    if kind == "solved":
-        return _step_solved(full, action)
-    if kind == "reject":
-        return _step_reject(full, action)
-    if kind == "awake":
-        return _step_awake(full, action)
-    if kind == "schedule":
-        return _step_schedule(full, action)
-    raise TransitionError(kind, "unknown rule")
+    return apply_rule(STRICT_RULES if strict_reduce else RULES, full, action)
 
 
 # extraction: transition -> attribute record
@@ -402,76 +402,95 @@ def _fail(rule, text):
     raise ReconstructionError(rule, text)
 
 
+def _active_cause(full: FullState, ev: GenericEvent) -> SolverEvent:
+    """The event of the record's active pair, checked against the recorded cause."""
+    pair_event = full.solver.active_event(ev.constraint)
+    if pair_event is None:
+        _fail(ev.type, f"{ev.constraint} is not active")
+    if ev.cause is not None and not pair_event.matches(ev.cause.kind, ev.cause.variable):
+        _fail(ev.type, "recorded cause does not match the active pair")
+    return pair_event
+
+
+def _read_jump(full: FullState, ev: GenericEvent) -> Action:
+    if ev.node2 is not None and ev.node2 != full.tree.current:
+        _fail(ev.type, f"origin node {ev.node2} is not the current node")
+    return Action.of(ev.type, node=ev.node)
+
+
+def _read_restore(full: FullState, ev: GenericEvent) -> Action:
+    gen = tuple(SolverEvent(e.kind, e.variable) for e in ev.generated or ())
+    return Action.of(ev.type, variable=ev.variable, values=ev.domain, generated=gen)
+
+
+def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
+    cause = _active_cause(full, ev)
+    gen = tuple(SolverEvent(e.kind, e.variable, ev.constraint) for e in ev.generated or ())
+    return Action.of(ev.type, constraint=ev.constraint, variable=ev.variable,
+                     removed=ev.domain, generated=gen, cause=cause)
+
+
+def _read_awake(full: FullState, ev: GenericEvent) -> Action:
+    current = full.solver.current_event
+    if ev.cause is None or ev.cause.kind == "bot":
+        cause = BOTTOM
+    elif current is not None and current.matches(ev.cause.kind, ev.cause.variable):
+        cause = current
+    else:
+        _fail(ev.type, "recorded cause is not the scheduled event")
+    return Action.of(ev.type, constraint=ev.constraint, cause=cause)
+
+
+def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
+    event = next((e for e in full.solver.pending if e.matches(ev.event.kind, ev.event.variable)), None)
+    if event is None:
+        _fail(ev.type, f"no pending event matches {ev.event.kind} {ev.event.variable}")
+    if ev.constraint is not None:
+        return Action.of(ev.type, event=event, witness=ev.constraint)
+    return Action.of(ev.type, event=event)
+
+
+# record readers: the action each record type encodes, read against the
+# pre-state (solver events are serialized without their originating
+# constraint; the origin is recovered from the active pair for causes and
+# from the pending pool for scheduled events)
+READERS = {
+    "newVariable": lambda full, ev: Action.of(ev.type, variable=ev.variable, domain=ev.domain),
+    "newConstraint": lambda full, ev: Action.of(ev.type, constraint=ev.constraint, decl=ev.decl),
+    **dict.fromkeys(("post", "deactivate", "suspend", "solved"),
+                    lambda full, ev: Action.of(ev.type, constraint=ev.constraint)),
+    **dict.fromkeys(("newChild", "solution", "failure"), lambda full, ev: Action.of(ev.type, node=ev.node)),
+    "jumpTo": _read_jump,
+    "restore": _read_restore,
+    "reduce": _read_reduce,
+    "reject": lambda full, ev: Action.of(ev.type, constraint=ev.constraint, cause=_active_cause(full, ev)),
+    "awake": _read_awake,
+    "schedule": _read_schedule,
+}
+
+
+def replay_record(full: FullState, ev: GenericEvent, readers, rules) -> tuple[Action, FullState]:
+    """Read the action a record encodes with ``readers`` and apply it under ``rules``."""
+    problem = shape_error(ev, strict=False)
+    if problem:
+        _fail(ev.type, problem)
+    read = readers.get(ev.type)
+    if read is None:
+        _fail(ev.type, "event type outside the rule set")
+    action = read(full, ev)
+    try:
+        return action, apply_rule(rules, full, action)
+    except TransitionError as exc:
+        raise ReconstructionError(exc.rule, exc.condition) from exc
+
+
 def reconstruct_event(full: FullState, ev: GenericEvent, *, strict_reduce: bool = False) -> tuple[Action, FullState]:
     """Rebuild the transition one record encodes and apply it.
 
-    Solver events are serialized without their originating constraint; the
-    origin is recovered by matching against the replayed state (the active
-    pair for causes, the pending queue for scheduled events), so replay
-    yields structurally identical states to the original run.
+    Replay recovers every serialized-away origin from the replayed state, so
+    it yields structurally identical states to the original run.
     """
-    s = full.solver
-    kind = ev.type
-    problem = shape_error(ev, strict=False)
-    if problem:
-        _fail(kind, problem)
-
-    if kind == "newVariable":
-        action = Action.of(kind, variable=ev.variable, domain=ev.domain)
-    elif kind == "newConstraint":
-        action = Action.of(kind, constraint=ev.constraint, decl=ev.decl)
-    elif kind in ("post", "deactivate", "suspend", "solved"):
-        action = Action.of(kind, constraint=ev.constraint)
-    elif kind in ("newChild", "solution", "failure"):
-        action = Action.of(kind, node=ev.node)
-    elif kind == "jumpTo":
-        if ev.node2 is not None and ev.node2 != full.tree.current:
-            _fail(kind, f"origin node {ev.node2} is not the current node")
-        action = Action.of(kind, node=ev.node)
-    elif kind == "restore":
-        gen = tuple(SolverEvent(e.kind, e.variable) for e in ev.generated or ())
-        action = Action.of(kind, variable=ev.variable, values=ev.domain, generated=gen)
-    elif kind == "reduce":
-        pair_event = s.active_event(ev.constraint)
-        if pair_event is None:
-            _fail(kind, f"{ev.constraint} is not active")
-        if ev.cause is not None and not pair_event.matches(ev.cause.kind, ev.cause.variable):
-            _fail(kind, "recorded cause does not match the active pair")
-        gen = tuple(SolverEvent(e.kind, e.variable, ev.constraint) for e in ev.generated or ())
-        action = Action.of(kind, constraint=ev.constraint, variable=ev.variable,
-                           removed=ev.domain, generated=gen, cause=pair_event)
-    elif kind in ("reject", "awake"):
-        if kind == "reject":
-            cause = s.active_event(ev.constraint)
-            if cause is None:
-                _fail(kind, f"{ev.constraint} is not active")
-            if ev.cause is not None and not cause.matches(ev.cause.kind, ev.cause.variable):
-                _fail(kind, "recorded cause does not match the active pair")
-        else:
-            if ev.cause is None or ev.cause.kind == "bot":
-                cause = BOTTOM
-            elif s.current_event is not None and s.current_event.matches(ev.cause.kind, ev.cause.variable):
-                cause = s.current_event
-            else:
-                _fail(kind, "recorded cause is not the scheduled event")
-        action = Action.of(kind, constraint=ev.constraint, cause=cause)
-    elif kind == "schedule":
-        matches = [e for e in s.pending if e.matches(ev.event.kind, ev.event.variable)]
-        if not matches:
-            _fail(kind, f"no pending event matches {ev.event.kind} {ev.event.variable}")
-        event = matches[0]
-        if ev.constraint is not None:
-            action = Action.of(kind, event=event, witness=ev.constraint)
-        else:
-            action = Action.of(kind, event=event)
-    else:
-        _fail(kind, "unknown event type")
-
-    try:
-        new = step(full, action, strict_reduce=strict_reduce)
-    except TransitionError as exc:
-        raise ReconstructionError(exc.rule, exc.condition) from exc
-    return action, new
+    return replay_record(full, ev, READERS, STRICT_RULES if strict_reduce else RULES)
 
 
 # semantics bundle and parameter tables

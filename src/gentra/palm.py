@@ -1,12 +1,14 @@
 """An explanation-based solver simulator with repair backtracking.
 
-This machine differs from the snapshot prototype in three ways: at most one
-constraint is active at a time, the pending solver events form an explicit
-queue whose head is the one selected event, and every value removal carries
-an *explanation*, the set of store constraints justifying it.  There is no
-jump rule and no solved rule: search undoes decisions by deactivating the
-responsible constraint and restoring exactly the values whose explanations
-mention a relaxed constraint.
+The machine is the generic one of ``gentra4cp`` without the jump and solved
+rules, and with six rules of its own.  At most one constraint is active at
+a time (post); the pending solver events form a queue whose selected head
+is the scheduled event, and waking starts only from an idle state (awake,
+schedule); every value removal carries an *explanation*, the set of store
+constraints justifying it (reduce); rejection needs an emptied domain
+(reject).  Search undoes decisions by deactivating the responsible
+constraint and restoring exactly the values whose explanations mention a
+relaxed constraint (restore).
 
 The element constraint is read 0-based here; ``palm_solve`` rebases its
 input accordingly.
@@ -17,19 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .constraints import ConstraintDecl
-from .errors import GentraError, ReconstructionError, SolveLimitError, StateInvariantError, TransitionError
+from .errors import GentraError, ReconstructionError, StateInvariantError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
-from .gentra4cp import GenericEvent
+from .gentra4cp import READERS, RULES, GenericEvent, _need, apply_rule, extract_event, replay_record
 from .semantics import Action, ObservationalSemantics
-from .solver import Problem, SolveLimits
-from .state import (
-    BOTTOM,
-    SearchTreeState,
-    SolverEvent,
-    awake_condition,
-    initial_tree,
+from .solver import (
+    Problem,
+    SolveLimits,
+    SolveResult,
+    _close_solution,
+    _fresh_events,
+    _next_alternatives,
+    _Run,
 )
-from .trace import ActualPayload, Trace, VirtualPayload
+from .state import FullState, SolverEvent, SolverState, awake_condition, initial_tree, store
+from .trace import Trace
 
 PALM_EVENT_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "solution", "failure",
@@ -46,59 +50,17 @@ class PalmAssertionError(GentraError):
         super().__init__(f"{prop} failed at event {index}: {detail}")
 
 
-def _lookup(pairs, key):
-    for k, v in pairs:
-        if k == key:
-            return v
-    return None
-
-
 @dataclass(frozen=True)
-class PalmSolverState:
-    """Propagation state: single active pair, event queue split into head/tail,
-    and the explanation map.  Explanations are stored per removal: each entry
-    pairs a (variable, removed value set) with the constraint set justifying
-    the removal, so wide interval removals never get enumerated value by
-    value."""
+class PalmSolverState(SolverState):
+    """The generic solver state plus the explanation map.
 
-    variables: tuple[str, ...] = ()
-    constraints: tuple[tuple[str, ConstraintDecl | None], ...] = ()
-    domains: tuple[tuple[str, FiniteDomain], ...] = ()
-    initial_domains: tuple[tuple[str, FiniteDomain], ...] = ()
-    active: tuple[tuple[str, SolverEvent], ...] = ()
-    rejected: frozenset = frozenset()
-    sleeping: frozenset = frozenset()
-    q_head: SolverEvent | None = None
-    q_tail: tuple[SolverEvent, ...] = ()
+    ``pending`` is the queue tail and ``current_event`` the selected queue
+    head; ``solved`` stays empty.  Explanations are stored per removal: each
+    entry pairs a (variable, removed value set) with the constraint set
+    justifying the removal, so wide interval removals never get enumerated
+    value by value."""
+
     explanations: tuple[tuple[str, FiniteDomain, frozenset], ...] = ()
-
-    def domain(self, var):
-        d = _lookup(self.domains, var)
-        if d is None:
-            raise StateInvariantError(f"undeclared variable {var!r}")
-        return d
-
-    def initial_domain(self, var):
-        d = _lookup(self.initial_domains, var)
-        if d is None:
-            raise StateInvariantError(f"undeclared variable {var!r}")
-        return d
-
-    def declaration(self, cid):
-        return _lookup(self.constraints, cid)
-
-    def is_declared(self, cid):
-        return any(k == cid for k, _ in self.constraints)
-
-    def domain_map(self):
-        return dict(self.domains)
-
-    @property
-    def active_ids(self):
-        return frozenset(c for c, _ in self.active)
-
-    def active_event(self, cid):
-        return _lookup(self.active, cid)
 
     def explanation_of(self, var, value) -> frozenset | None:
         for v, vals, expl in self.explanations:
@@ -106,32 +68,10 @@ class PalmSolverState:
                 return expl
         return None
 
-    def with_domain(self, var, dom):
-        return replace(self, domains=tuple((k, dom if k == var else v) for k, v in self.domains))
-
-    def push_events(self, events):
-        fresh = [e for e in events if e not in self.q_tail]
-        if not fresh:
-            return self
-        return replace(self, q_tail=self.q_tail + tuple(fresh))
-
-
-def palm_store(state: PalmSolverState) -> frozenset:
-    parts = [state.active_ids, state.sleeping, state.rejected]
-    union: set = set()
-    total = 0
-    for p in parts:
-        total += len(p)
-        union |= p
-    if len(union) != total:
-        raise StateInvariantError("store parts are not pairwise disjoint")
-    return frozenset(union)
-
 
 @dataclass(frozen=True)
-class PalmState:
+class PalmState(FullState):
     solver: PalmSolverState
-    tree: SearchTreeState
 
 
 def palm_initial_state() -> PalmState:
@@ -159,29 +99,9 @@ def palm_watchers(state: PalmSolverState, event: SolverEvent) -> list[str]:
     return [c for c in sorted(state.sleeping) if dependence(state, c, event)]
 
 
-def choice_point_palm(state: PalmSolverState) -> bool:
-    return not state.active and not state.q_tail and not state.rejected
-
-
-def solution_state_palm(state: PalmSolverState) -> bool:
-    if state.rejected:
-        return False
-    sigma = palm_store(state)
-    domains = state.domain_map()
-    constrained: set = set()
-    for cid in sigma:
-        decl = state.declaration(cid)
-        if decl is None:
-            return False
-        constrained.update(decl.variables)
-    if any(not domains[v].is_singleton() for v in constrained):
-        return False
-    return all(state.declaration(cid).entailed(domains) for cid in sorted(sigma))
-
-
 def broken_values(state: PalmSolverState, var: str) -> FiniteDomain:
     """Removed values of ``var`` whose explanation mentions a relaxed constraint."""
-    sigma = palm_store(state)
+    sigma = store(state)
     out = EMPTY_DOMAIN
     for v, vals, expl in state.explanations:
         if v == var and not expl <= sigma:
@@ -189,145 +109,78 @@ def broken_values(state: PalmSolverState, var: str) -> FiniteDomain:
     return out
 
 
-# transition rules
+# transition rules: the generic ones, minus jump and solved, with six
+# overrides that add single activation, explanations and repair
 
 
-def _need(cond, rule, text):
-    if not cond:
-        raise TransitionError(rule, text)
+def _post(full: PalmState, act: Action) -> PalmState:
+    new = RULES["post"](full, act)
+    _need(not full.solver.active, "post", "another constraint is active")
+    return new
 
 
-def _node_event(full: PalmState, act: Action, rule: str, pred) -> PalmState:
-    node = act.get("node")
-    _need(node not in full.tree.nodes, rule, f"node {node} already exists")
-    _need(pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
-    depth = full.tree.depth(full.tree.current) + 1
-    return replace(full, tree=full.tree.with_node(node, full.solver, depth))
+def _restore(full: PalmState, act: Action) -> PalmState:
+    """Only values whose explanation broke may come back; their explanations go."""
+    var, values = act.get("variable"), act.get("values")
+    new = RULES["restore"](full, act)
+    _need(not values.is_empty(), "restore", "nothing to restore")
+    _need(values.issubset(broken_values(full.solver, var)), "restore",
+          "restored values are not explained by relaxed constraints")
+    kept = []
+    for v, vals, expl in full.solver.explanations:
+        if v == var:
+            vals = vals.subtract(values)
+            if vals.is_empty():
+                continue
+        kept.append((v, vals, expl))
+    return replace(new, solver=replace(new.solver, explanations=tuple(kept)))
+
+
+def _reduce(full: PalmState, act: Action) -> PalmState:
+    """A nonempty removal while nothing is rejected, recorded with its explanation."""
+    s = full.solver
+    explanation = act.get("explanation")
+    _need(not s.rejected, "reduce", "a constraint is rejected")
+    new = RULES["reduce"](full, act)
+    _need(not act.get("removed").is_empty(), "reduce", "nothing to remove")
+    _need(explanation is not None and explanation <= store(s), "reduce",
+          "explanation is not a set of store constraints")
+    entry = (act.get("variable"), act.get("removed"), explanation)
+    return replace(new, solver=replace(new.solver, explanations=new.solver.explanations + (entry,)))
+
+
+def _reject(full: PalmState, act: Action) -> PalmState:
+    """Rejection needs an emptied domain, not just falsity."""
+    new = RULES["reject"](full, act)
+    decl = full.solver.declaration(act.get("constraint"))
+    _need(any(full.solver.domain(v).is_empty() for v in decl.variables), "reject",
+          "no variable of the constraint has an empty domain")
+    return new
+
+
+def _idle(rule):
+    """The generic rule, fired only with nothing active and nothing rejected."""
+    def apply(full: PalmState, act: Action) -> PalmState:
+        _need(not full.solver.active, act.kind, "a constraint is active")
+        _need(not full.solver.rejected, act.kind, "a constraint is rejected")
+        return rule(full, act)
+    return apply
+
+
+PALM_RULES = {
+    **{kind: RULES[kind] for kind in PALM_EVENT_TYPES},
+    "post": _post,
+    "restore": _restore,
+    "reduce": _reduce,
+    "reject": _reject,
+    "awake": _idle(RULES["awake"]),
+    "schedule": _idle(RULES["schedule"]),
+}
 
 
 def palm_step(full: PalmState, action: Action) -> PalmState:
     """Apply one rule of the explanation-based machine."""
-    s = full.solver
-    kind = action.kind
-
-    if kind == "newVariable":
-        var, dom = action.get("variable"), action.get("domain")
-        _need(var not in s.variables, kind, f"{var} already declared")
-        s2 = replace(s, variables=s.variables + (var,),
-                     domains=s.domains + ((var, dom),),
-                     initial_domains=s.initial_domains + ((var, dom),))
-        return replace(full, solver=s2)
-
-    if kind == "newConstraint":
-        cid, decl = action.get("constraint"), action.get("decl")
-        _need(not s.is_declared(cid), kind, f"{cid} already declared")
-        if decl is not None:
-            missing = [v for v in decl.variables if v not in s.variables]
-            _need(not missing, kind, f"undeclared variables {missing}")
-        return replace(full, solver=replace(s, constraints=s.constraints + ((cid, decl),)))
-
-    if kind == "post":
-        cid = action.get("constraint")
-        _need(s.is_declared(cid), kind, f"{cid} not declared")
-        _need(cid not in palm_store(s), kind, f"{cid} already in the store")
-        _need(not s.active, kind, "another constraint is active")
-        return replace(full, solver=replace(s, active=((cid, BOTTOM),)))
-
-    if kind == "newChild":
-        return _node_event(full, action, kind, choice_point_palm)
-
-    if kind == "solution":
-        return _node_event(full, action, kind, solution_state_palm)
-
-    if kind == "failure":
-        return _node_event(full, action, kind, lambda st: bool(st.rejected))
-
-    if kind == "deactivate":
-        cid = action.get("constraint")
-        _need(cid in palm_store(s), kind, f"{cid} not in the store")
-        s2 = replace(s, active=tuple(p for p in s.active if p[0] != cid),
-                     sleeping=s.sleeping - {cid}, rejected=s.rejected - {cid})
-        return replace(full, solver=s2)
-
-    if kind == "restore":
-        var, values = action.get("variable"), action.get("values")
-        generated = action.get("generated", ())
-        _need(var in s.variables, kind, f"{var} not declared")
-        _need(not values.is_empty(), kind, "nothing to restore")
-        _need(values.disjoint(s.domain(var)), kind, "restored values are still in the domain")
-        broken = broken_values(s, var)
-        _need(values.issubset(broken), kind, "restored values are not explained by relaxed constraints")
-        kept = []
-        for v, vals, expl in s.explanations:
-            if v == var:
-                vals = vals.subtract(values)
-                if vals.is_empty():
-                    continue
-            kept.append((v, vals, expl))
-        s2 = s.with_domain(var, s.domain(var).union(values))
-        s2 = replace(s2, explanations=tuple(kept))
-        s2 = s2.push_events(generated)
-        return replace(full, solver=s2)
-
-    if kind == "reduce":
-        cid, var = action.get("constraint"), action.get("variable")
-        removed, generated, cause = action.get("removed"), action.get("generated", ()), action.get("cause")
-        explanation = action.get("explanation")
-        _need(not s.rejected, kind, "a constraint is rejected")
-        _need(s.active == ((cid, cause),), kind, f"({cid}, {cause}) is not the single active pair")
-        decl = s.declaration(cid)
-        _need(decl is not None, kind, f"no declaration recorded for {cid}")
-        _need(var in decl.variables, kind, f"{var} is not a variable of {cid}")
-        _need(not removed.is_empty(), kind, "nothing to remove")
-        _need(removed.issubset(s.domain(var)), kind, "removed values are not all in the domain")
-        _need(explanation is not None and explanation <= palm_store(s), kind,
-              "explanation is not a set of store constraints")
-        s2 = s.with_domain(var, s.domain(var).subtract(removed)).push_events(generated)
-        new_expl = s2.explanations + ((var, removed, explanation),)
-        return replace(full, solver=replace(s2, explanations=new_expl))
-
-    if kind == "suspend":
-        cid = action.get("constraint")
-        pair = s.active_event(cid)
-        _need(pair is not None, kind, f"{cid} is not active")
-        s2 = replace(s, active=(), sleeping=s.sleeping | {cid})
-        return replace(full, solver=s2)
-
-    if kind == "reject":
-        cid = action.get("constraint")
-        pair = s.active_event(cid)
-        _need(pair is not None, kind, f"{cid} is not active")
-        cause = action.get("cause")
-        if cause is not None:
-            _need(pair == cause, kind, "recorded cause does not match the active pair")
-        decl = s.declaration(cid)
-        _need(decl is not None, kind, f"no declaration recorded for {cid}")
-        _need(any(s.domain(v).is_empty() for v in decl.variables), kind,
-              "no variable of the constraint has an empty domain")
-        return replace(full, solver=replace(s, active=(), rejected=s.rejected | {cid}))
-
-    if kind == "awake":
-        cid, cause = action.get("constraint"), action.get("cause")
-        _need(not s.active, kind, "another constraint is active")
-        _need(not s.rejected, kind, "a constraint is rejected")
-        _need(cid in s.sleeping, kind, f"{cid} is not sleeping")
-        _need(cause == BOTTOM or cause == s.q_head, kind,
-              "waking event is neither bot nor the queue head")
-        _need(dependence(s, cid, cause), kind, f"{cid} does not depend on {cause}")
-        return replace(full, solver=replace(s, active=((cid, cause),), sleeping=s.sleeping - {cid}))
-
-    if kind == "schedule":
-        event = action.get("event")
-        _need(not s.active, kind, "a constraint is active")
-        _need(not s.rejected, kind, "a constraint is rejected")
-        _need(event in s.q_tail, kind, f"{event} is not queued")
-        _need(bool(s.sleeping), kind, "no sleeping constraint")
-        _need(bool(palm_watchers(s, event)), kind, "no sleeping constraint depends on the event")
-        idx = s.q_tail.index(event)
-        s2 = replace(s, q_head=event, q_tail=s.q_tail[:idx] + s.q_tail[idx + 1:])
-        return replace(full, solver=s2)
-
-    raise TransitionError(kind, "unknown rule")
+    return apply_rule(PALM_RULES, full, action)
 
 
 # extraction and reconstruction (the trace dialect keeps explanations and
@@ -349,94 +202,26 @@ def wake_kind_of(old: FiniteDomain, new: FiniteDomain) -> str:
 
 
 def palm_extract(full: PalmState, action: Action, new: PalmState) -> GenericEvent:
-    kind = action.kind
-    depth = new.tree.depth(new.tree.current)
-    s, s2 = full.solver, new.solver
-    if kind == "newVariable":
-        var = action.get("variable")
-        return GenericEvent(kind, depth, variable=var, domain=s2.domain(var))
-    if kind == "newConstraint":
-        cid = action.get("constraint")
-        return GenericEvent(kind, depth, constraint=cid, decl=s2.declaration(cid))
-    if kind in ("post", "deactivate", "suspend"):
-        return GenericEvent(kind, depth, constraint=action.get("constraint"))
-    if kind in ("newChild", "solution", "failure"):
-        return GenericEvent(kind, depth, node=action.get("node"))
-    if kind == "restore":
-        var = action.get("variable")
-        values = s2.domain(var).subtract(s.domain(var))
-        return GenericEvent(kind, depth, variable=var, domain=values,
-                            generated=s2.q_tail[len(s.q_tail):] or None)
-    if kind == "reduce":
-        var = action.get("variable")
-        old, cur = s.domain(var), s2.domain(var)
-        return GenericEvent(kind, depth, constraint=action.get("constraint"), variable=var,
-                            domain=old.subtract(cur), generated=s2.q_tail[len(s.q_tail):],
-                            cause=action.get("cause"),
-                            explanation=tuple(sorted(action.get("explanation"))),
-                            wake_kind=wake_kind_of(old, cur))
-    if kind in ("reject", "awake"):
-        return GenericEvent(kind, depth, constraint=action.get("constraint"), cause=action.get("cause"))
-    if kind == "schedule":
-        return GenericEvent(kind, depth, event=action.get("event"))
-    raise TransitionError(kind, "unknown rule")
+    ev = extract_event(full, action, new)
+    if action.kind != "reduce":
+        return ev
+    var = action.get("variable")
+    return replace(ev, explanation=tuple(sorted(action.get("explanation"))),
+                   wake_kind=wake_kind_of(full.solver.domain(var), new.solver.domain(var)))
+
+
+def _read_reduce(full: PalmState, ev: GenericEvent) -> Action:
+    action = READERS["reduce"](full, ev)
+    if ev.explanation is None:
+        raise ReconstructionError("reduce", "reduce record carries no explanation")
+    return action.replace(explanation=frozenset(ev.explanation))
+
+
+PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}
 
 
 def palm_reconstruct(full: PalmState, ev: GenericEvent) -> tuple[Action, PalmState]:
-    s = full.solver
-    kind = ev.type
-
-    def fail(text):
-        raise ReconstructionError(kind, text)
-
-    if kind == "newVariable":
-        action = Action.of(kind, variable=ev.variable, domain=ev.domain)
-    elif kind == "newConstraint":
-        action = Action.of(kind, constraint=ev.constraint, decl=ev.decl)
-    elif kind in ("post", "deactivate", "suspend"):
-        action = Action.of(kind, constraint=ev.constraint)
-    elif kind in ("newChild", "solution", "failure"):
-        action = Action.of(kind, node=ev.node)
-    elif kind == "restore":
-        gen = tuple(SolverEvent(e.kind, e.variable) for e in ev.generated or ())
-        action = Action.of(kind, variable=ev.variable, values=ev.domain, generated=gen)
-    elif kind == "reduce":
-        pair = s.active_event(ev.constraint)
-        if pair is None:
-            fail(f"{ev.constraint} is not active")
-        if ev.cause is not None and not pair.matches(ev.cause.kind, ev.cause.variable):
-            fail("recorded cause does not match the active pair")
-        if ev.explanation is None:
-            fail("reduce record carries no explanation")
-        gen = tuple(SolverEvent(e.kind, e.variable, ev.constraint) for e in ev.generated or ())
-        action = Action.of(kind, constraint=ev.constraint, variable=ev.variable, removed=ev.domain,
-                           generated=gen, cause=pair, explanation=frozenset(ev.explanation))
-    elif kind == "reject":
-        pair = s.active_event(ev.constraint)
-        if pair is None:
-            fail(f"{ev.constraint} is not active")
-        action = Action.of(kind, constraint=ev.constraint, cause=pair)
-    elif kind == "awake":
-        if ev.cause is None or ev.cause.kind == "bot":
-            cause = BOTTOM
-        elif s.q_head is not None and s.q_head.matches(ev.cause.kind, ev.cause.variable):
-            cause = s.q_head
-        else:
-            fail("recorded cause is not the queue head")
-        action = Action.of(kind, constraint=ev.constraint, cause=cause)
-    elif kind == "schedule":
-        matches = [e for e in s.q_tail if e.matches(ev.event.kind, ev.event.variable)]
-        if not matches:
-            fail(f"no queued event matches {ev.event.kind} {ev.event.variable}")
-        action = Action.of(kind, event=matches[0])
-    else:
-        fail("event type outside the dialect")
-
-    try:
-        new = palm_step(full, action)
-    except TransitionError as exc:
-        raise ReconstructionError(exc.rule, exc.condition) from exc
-    return action, new
+    return replay_record(full, ev, PALM_READERS, PALM_RULES)
 
 
 def is_palm_initial(full: PalmState) -> bool:
@@ -462,12 +247,12 @@ def make_palm_semantics() -> ObservationalSemantics:
 def check_palm_invariants(state: PalmSolverState, check_explanations: bool = True) -> None:
     if len(state.active) > 1:
         raise StateInvariantError("more than one active pair")
-    palm_store(state)
+    sigma = store(state)
+    domains = state.domain_map()
     for var, vals, expl in state.explanations:
-        if not vals.disjoint(state.domain(var)):
+        if not vals.disjoint(domains[var]):
             raise StateInvariantError(f"explained values of {var} are still in its domain")
     if check_explanations:
-        sigma = palm_store(state)
         for var, vals, expl in state.explanations:
             if not expl <= sigma:
                 raise StateInvariantError(f"an explanation for {var} mentions relaxed constraints")
@@ -479,53 +264,34 @@ def check_palm_invariants(state: PalmSolverState, check_explanations: bool = Tru
 @dataclass
 class _Frame:
     alternatives: tuple[ConstraintDecl, ...]
-    position: int
     index: int = 0
     bc: str | None = None
 
 
 @dataclass(frozen=True)
-class PalmSolveResult:
-    solutions: tuple
-    events: tuple[GenericEvent, ...]
-    virtual: Trace
+class PalmSolveResult(SolveResult):
     property_log: tuple
 
-    @property
-    def actual_trace(self) -> Trace:
-        return Trace(self.virtual.initial_state, tuple(ActualPayload(e) for e in self.events))
 
-    def solution_dicts(self):
-        return [dict(s) for s in self.solutions]
+class _PalmRun(_Run):
+    """The generic run context plus the property log and the invariant checks."""
 
-
-class _PalmRun:
     def __init__(self, limits: SolveLimits, problem_ids: frozenset = frozenset()):
-        self.full = palm_initial_state()
-        self.limits = limits
+        super().__init__(limits, start=palm_initial_state())
         self.problem_ids = problem_ids
-        self.events: list[GenericEvent] = []
-        self.steps: list[VirtualPayload] = []
         self.log: list[tuple] = []
-        self.next_node = 1
-        self.next_branch = 1
 
-    @property
-    def solver(self):
-        return self.full.solver
+    def apply(self, action: Action) -> tuple[PalmState, GenericEvent]:
+        self._assert_properties(len(self.events), action)
+        new = palm_step(self.full, action)
+        return new, palm_extract(self.full, action, new)
 
     def emit(self, action: Action) -> None:
-        if len(self.events) >= self.limits.max_events:
-            raise SolveLimitError(f"event budget {self.limits.max_events} exceeded", self.events)
         index = len(self.events)
-        self._assert_properties(index, action)
-        new = palm_step(self.full, action)
-        self.events.append(palm_extract(self.full, action, new))
-        self.steps.append(VirtualPayload(action, new))
-        self.full = new
+        super().emit(action)
         relaxing = action.kind in ("deactivate", "restore", "failure")
         try:
-            check_palm_invariants(new.solver, check_explanations=not relaxing)
+            check_palm_invariants(self.solver, check_explanations=not relaxing)
         except StateInvariantError as exc:
             raise PalmAssertionError(index, "state-invariant", str(exc)) from exc
 
@@ -552,53 +318,18 @@ class _PalmRun:
             if not ok:
                 raise PalmAssertionError(index, "p3", f"empty domain without falsified({cid})")
 
-    def fresh_node(self) -> int:
-        if self.next_node > self.limits.max_nodes:
-            raise SolveLimitError(f"node budget {self.limits.max_nodes} exceeded", self.events)
-        n = self.next_node
-        self.next_node += 1
-        return n
-
-    def fresh_branch_id(self) -> str:
-        cid = f"bc{self.next_branch}"
-        self.next_branch += 1
-        return cid
-
 
 def _problem_watches(run: _PalmRun, var: str) -> bool:
+    """Does a problem constraint observe ``var``?  Change notifications are
+    queued only then: branch constraints may be relaxed permanently, so events
+    only they could consume would sit in the queue forever; problem
+    constraints always come back to the store, which keeps every queued event
+    consumable."""
     return any(
         decl is not None and var in decl.variables
         for cid, decl in run.solver.constraints
         if cid in run.problem_ids
     )
-
-
-def _observed_events(run: _PalmRun, cid, var, old, new):
-    """Queue a change notification only when a problem constraint observes it.
-
-    Branch constraints may be relaxed permanently, so events only they could
-    consume would sit in the queue forever; problem constraints always come
-    back to the store, which keeps every queued event consumable.
-    """
-    if not _problem_watches(run, var):
-        return ()
-    out = []
-    for kind in ("dom", "min", "max", "val"):
-        if kind == "dom":
-            fire = old != new
-        elif new.is_empty():
-            fire = False
-        elif kind == "min":
-            fire = new.min_value() != old.min_value()
-        elif kind == "max":
-            fire = new.max_value() != old.max_value()
-        else:
-            fire = new.is_singleton() and not old.is_singleton()
-        if fire:
-            ev = SolverEvent(kind, var, cid)
-            if ev not in run.solver.q_tail:
-                out.append(ev)
-    return tuple(out)
 
 
 def _explanation_for(run: _PalmRun, cid: str, var: str) -> frozenset:
@@ -624,7 +355,8 @@ def _handle_palm_active(run: _PalmRun, cid: str, cause: SolverEvent) -> None:
                 continue
             new = old.subtract(removed)
             run.emit(Action.of("reduce", constraint=cid, variable=var, removed=removed,
-                               generated=_observed_events(run, cid, var, old, new), cause=cause,
+                               generated=_fresh_events(run, var, old, new, cid) if _problem_watches(run, var) else (),
+                               cause=cause,
                                explanation=_explanation_for(run, cid, var)))
             changed = True
             if new.is_empty():
@@ -646,8 +378,8 @@ def palm_propagate(run: _PalmRun) -> None:
             cid, cause = s.active[0]
             _handle_palm_active(run, cid, cause)
             continue
-        if skip < len(s.q_tail):
-            event = s.q_tail[skip]
+        if skip < len(s.pending):
+            event = s.pending[skip]
             woken = palm_watchers(s, event)
             if not woken:
                 skip += 1
@@ -673,23 +405,9 @@ def _emit_restores(run: _PalmRun) -> None:
         gen = ()
         if _problem_watches(run, var):
             ev = SolverEvent("dom", var)
-            if ev not in run.solver.q_tail:
+            if ev not in run.solver.pending:
                 gen = (ev,)
         run.emit(Action.of("restore", variable=var, values=values, generated=gen))
-
-
-def _next_palm_choice(run: _PalmRun, strategy, position):
-    if position >= len(strategy):
-        return None
-    kind, payload = strategy[position]
-    if kind == "branch":
-        return tuple(payload)
-    dom = run.solver.domain(payload)
-    if dom.is_empty():
-        return None
-    if dom.size() > 4096:
-        raise SolveLimitError(f"labelling {payload} over {dom.size()} values", run.events)
-    return tuple(ConstraintDecl.eqc(payload, v) for v in dom.values())
 
 
 def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> PalmSolveResult:
@@ -725,7 +443,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> PalmSolve
     def advance() -> bool:
         while frames:
             frame = frames[-1]
-            if frame.bc is not None and frame.bc in palm_store(run.solver):
+            if frame.bc is not None and frame.bc in store(run.solver):
                 run.emit(Action.of("deactivate", constraint=frame.bc))
                 _emit_restores(run)
             frame.index += 1
@@ -743,7 +461,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> PalmSolve
             # drop postings queued for the abandoned alternative, keeping
             # problem constraints that still await their return to the store
             for cid, _decl in posts:
-                if cid in problem_ids and cid not in repost and cid not in palm_store(run.solver):
+                if cid in problem_ids and cid not in repost and cid not in store(run.solver):
                     repost.append(cid)
             posts.clear()
             c_rej = sorted(run.solver.rejected)[0]
@@ -761,21 +479,13 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> PalmSolve
             run.emit(Action.of("post", constraint=cid))
             palm_propagate(run)
             continue
-        position = frames[-1].position + 1 if frames else 0
-        alternatives = _next_palm_choice(run, strategy, position)
+        alternatives = _next_alternatives(run, strategy, len(frames))
         if alternatives is not None:
             run.emit(Action.of("newChild", node=run.fresh_node()))
-            frames.append(_Frame(alternatives, position))
+            frames.append(_Frame(alternatives))
             enter_alternative(frames[-1])
             continue
-        if solution_state_palm(run.solver):
-            run.emit(Action.of("solution", node=run.fresh_node()))
-            assignment = tuple(
-                (v, run.solver.domain(v).singleton_value())
-                for v in run.solver.variables
-                if run.solver.domain(v).is_singleton()
-            )
-            solutions.append(assignment)
+        _close_solution(run, solutions)
         if not advance():
             break
 

@@ -189,28 +189,3 @@ def check_faithful(os: ObservationalSemantics, samples: Iterable[Trace]) -> Fait
         pos = first_divergence(t, back)
         entries.append(FaithfulnessEntry(i, pos is None, divergence=pos))
     return FaithfulnessReport(tuple(entries))
-
-
-def extraction_from_reconstruction(os: ObservationalSemantics,
-                                   candidates: Callable[[Any], Iterable[Any]]):
-    """Derive an extraction function by inverting ``reconstruct_local``.
-
-    Searches the caller-supplied candidate records for the unique one that
-    reconstructs to the given transition.  Only suitable for tests: the
-    candidate space must be finite and must contain the right record.
-    """
-
-    def derived(state: Any, action: Action, successor: Any) -> Any:
-        hits = []
-        for record in candidates(state):
-            try:
-                got_action, got_state = os.reconstruct_local(state, record)
-            except ReconstructionError:
-                continue
-            if got_action == action and got_state == successor:
-                hits.append(record)
-        if len(hits) != 1:
-            raise TransitionError(os.name, f"reconstruction inversion found {len(hits)} candidates")
-        return hits[0]
-
-    return derived

@@ -20,7 +20,7 @@ from .errors import ProblemError, SolveLimitError, TransitionError
 from .fdomain import FiniteDomain
 from .gentra4cp import GenericEvent, extract_event, generated_events, step
 from .semantics import Action
-from .state import BOTTOM, SolverEvent, initial_state, solution_state, watchers
+from .state import BOTTOM, FullState, SolverEvent, initial_state, solution_state, watchers
 from .trace import ActualPayload, Trace, VirtualPayload
 
 
@@ -88,8 +88,8 @@ class SolveResult:
 class _Run:
     """Mutable run context: applies rules, collects both trace views."""
 
-    def __init__(self, limits: SolveLimits, strict_reduce: bool):
-        self.full = initial_state()
+    def __init__(self, limits: SolveLimits, strict_reduce: bool = False, start: FullState | None = None):
+        self.full = start if start is not None else initial_state()
         self.limits = limits
         self.strict_reduce = strict_reduce
         self.events: list[GenericEvent] = []
@@ -97,11 +97,16 @@ class _Run:
         self.next_node = 1
         self.next_branch = 1
 
+    def apply(self, action: Action) -> tuple[FullState, GenericEvent]:
+        """The successor state and the record of one rule application."""
+        new = step(self.full, action, strict_reduce=self.strict_reduce)
+        return new, extract_event(self.full, action, new)
+
     def emit(self, action: Action) -> None:
         if len(self.events) >= self.limits.max_events:
             raise SolveLimitError(f"event budget {self.limits.max_events} exceeded", self.events)
-        new = step(self.full, action, strict_reduce=self.strict_reduce)
-        self.events.append(extract_event(self.full, action, new))
+        new, record = self.apply(action)
+        self.events.append(record)
         self.steps.append(VirtualPayload(action, new))
         self.full = new
 
@@ -209,52 +214,69 @@ def _post_and_propagate(run: _Run, cid: str, decl: ConstraintDecl) -> None:
 
 
 def _next_alternatives(run: _Run, strategy, position: int):
-    """The alternatives of the next pending choice, or None when exhausted.
+    """The alternatives of the choice at ``position``, or None when exhausted.
 
     An explicit disjunction contributes its listed constraints; a labelled
     variable contributes one equality per value of its current domain (a
-    fixed variable still opens a one-alternative choice).
+    fixed variable still opens a one-alternative choice, an emptied one is a
+    dead end).
     """
-    while position < len(strategy):
-        kind, payload = strategy[position]
-        if kind == "branch":
-            return tuple(payload), position
-        dom = run.solver.domain(payload)
-        if dom.is_empty():
-            return None, position  # nothing to enumerate; treat as a dead end
-        if dom.size() > 4096:
-            raise SolveLimitError(f"labelling {payload} over {dom.size()} values", run.events)
-        return tuple(ConstraintDecl.eqc(payload, v) for v in dom.values()), position
-    return None, position
+    if position >= len(strategy):
+        return None
+    kind, payload = strategy[position]
+    if kind == "branch":
+        return tuple(payload)
+    dom = run.solver.domain(payload)
+    if dom.is_empty():
+        return None
+    if dom.size() > 4096:
+        raise SolveLimitError(f"labelling {payload} over {dom.size()} values", run.events)
+    return tuple(ConstraintDecl.eqc(payload, v) for v in dom.values())
 
 
-def _search(run: _Run, strategy, position: int, solutions: list) -> None:
-    if run.solver.rejected:
-        run.emit(Action.of("failure", node=run.fresh_node()))
+def _close_solution(run: _Run, solutions: list) -> None:
+    """At a solution state, close the branch with a solution leaf and record
+    the fixed assignment; anywhere else the branch is an unlabelled dead end."""
+    if not solution_state(run.solver):
         return
-    alternatives, position = _next_alternatives(run, strategy, position)
-    if alternatives is None:
-        if solution_state(run.solver):
-            run.emit(Action.of("solution", node=run.fresh_node()))
-            assignment = tuple(
-                (v, run.solver.domain(v).singleton_value())
-                for v in run.solver.variables
-                if run.solver.domain(v).is_singleton()
-            )
-            solutions.append(assignment)
-        # not a solution and nothing left to decide: an unlabelled dead end
-        return
-    choice = run.fresh_node()
-    run.emit(Action.of("newChild", node=choice))
-    for i, decl in enumerate(alternatives):
-        if i > 0:
-            if run.full.tree.current == choice:
+    run.emit(Action.of("solution", node=run.fresh_node()))
+    solutions.append(tuple((v, d.singleton_value()) for v, d in run.solver.domains if d.is_singleton()))
+
+
+@dataclass
+class _Choice:
+    node: int
+    alternatives: tuple[ConstraintDecl, ...]
+    index: int = 0
+
+
+def _search(run: _Run, strategy, solutions: list) -> None:
+    """Depth-first search with one frame per open choice; the choice at
+    depth d decides strategy position d."""
+    frames: list[_Choice] = []
+    while True:
+        if run.solver.rejected:
+            run.emit(Action.of("failure", node=run.fresh_node()))
+        else:
+            alternatives = _next_alternatives(run, strategy, len(frames))
+            if alternatives is None:
+                _close_solution(run, solutions)
+            else:
+                frames.append(_Choice(run.fresh_node(), alternatives))
+                run.emit(Action.of("newChild", node=frames[-1].node))
+        while frames and frames[-1].index == len(frames[-1].alternatives):
+            frames.pop()
+        if not frames:
+            return
+        frame = frames[-1]
+        if frame.index > 0:
+            if run.full.tree.current == frame.node:
                 # the previous alternative ended without a leaf node; open a
                 # marker child so the jump target differs from the current node
                 run.emit(Action.of("newChild", node=run.fresh_node()))
-            run.emit(Action.of("jumpTo", node=choice))
-        _post_and_propagate(run, run.fresh_branch_id(), decl)
-        _search(run, strategy, position + 1, solutions)
+            run.emit(Action.of("jumpTo", node=frame.node))
+        frame.index += 1
+        _post_and_propagate(run, run.fresh_branch_id(), frame.alternatives[frame.index - 1])
 
 
 def solve(problem: Problem, limits: SolveLimits | None = None, *,
@@ -277,6 +299,6 @@ def solve(problem: Problem, limits: SolveLimits | None = None, *,
     strategy = [("branch", alts) for alts in problem.branches]
     strategy += [("label", v) for v in problem.labels]
     solutions: list = []
-    _search(run, strategy, 0, solutions)
+    _search(run, strategy, solutions)
     virtual = Trace(start, tuple(run.steps))
     return SolveResult(solutions=tuple(solutions), events=tuple(run.events), virtual=virtual)

@@ -54,12 +54,6 @@ def _lookup(pairs, key):
     return None
 
 
-def _set_pair(pairs, key, value):
-    if _lookup(pairs, key) is None:
-        return pairs + ((key, value),)
-    return tuple((k, value if k == key else v) for k, v in pairs)
-
-
 @dataclass(frozen=True)
 class SolverState:
     """The propagation half of the machine state."""
@@ -108,7 +102,8 @@ class SolverState:
     # updates
 
     def with_domain(self, var: str, dom: FiniteDomain) -> "SolverState":
-        return replace(self, domains=_set_pair(self.domains, var, dom))
+        """Rebind the domain of a declared variable."""
+        return replace(self, domains=tuple((k, dom if k == var else d) for k, d in self.domains))
 
     def push_events(self, events) -> "SolverState":
         fresh = [e for e in events if e not in self.pending]
@@ -117,24 +112,34 @@ class SolverState:
         return replace(self, pending=self.pending + tuple(fresh))
 
 
+# States share their declaration tuple until the next newConstraint, so the
+# ids of the last tuple asked about are kept; the tuple itself is held so
+# that an identity match is never a stale one.
+_last_declared: tuple = ((), frozenset())
+
+
+def _declared_ids(constraints) -> frozenset:
+    global _last_declared
+    last = _last_declared
+    if last[0] is not constraints:
+        last = _last_declared = (constraints, frozenset(c for c, _ in constraints))
+    return last[1]
+
+
 def store(state: SolverState) -> frozenset:
     """The constraint store: every constraint currently taken into account.
 
     Validates that the four parts partition the store and stay within the
     declared constraints.
     """
-    parts = [state.active_ids, state.sleeping, state.solved, state.rejected]
-    total = 0
-    union: set = set()
-    for p in parts:
-        total += len(p)
-        union |= p
-    if len(union) != total:
+    active = state.active_ids
+    union = active | state.sleeping | state.solved | state.rejected
+    if len(union) != len(active) + len(state.sleeping) + len(state.solved) + len(state.rejected):
         raise StateInvariantError("store parts are not pairwise disjoint")
-    undeclared = {c for c in union if not state.is_declared(c)}
+    undeclared = union - _declared_ids(state.constraints)
     if undeclared:
         raise StateInvariantError(f"store contains undeclared constraints {sorted(undeclared)}")
-    return frozenset(union)
+    return union
 
 
 @dataclass(frozen=True)
@@ -237,7 +242,7 @@ def awake_condition(state: SolverState, cid: str, event: SolverEvent) -> bool:
     """
     if cid not in state.sleeping:
         return False
-    if event == BOTTOM or event.kind == "bot":
+    if event.kind == "bot":
         return True
     decl = state.declaration(cid)
     if decl is None:

@@ -1,4 +1,5 @@
-"""Shared test helpers: an independent brute-force oracle and random inputs.
+"""Shared test helpers: an independent brute-force oracle, random inputs, and
+an extraction derived by inverting reconstruction.
 
 The oracle never touches the propagation machinery: it re-implements each
 constraint's relation directly on integers and enumerates total assignments
@@ -9,9 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Any, Callable, Iterable
 
 from gentra.constraints import ConstraintDecl
+from gentra.errors import ReconstructionError, TransitionError
 from gentra.fdomain import FiniteDomain
+from gentra.semantics import Action, ObservationalSemantics
 from gentra.solver import Problem
 from gentra.trace import Trace, VirtualPayload
 
@@ -126,3 +130,28 @@ def random_trace(rng: random.Random, max_events: int = 6) -> Trace:
 
 def random_trace_set(rng: random.Random, max_traces: int = 5, max_events: int = 6) -> list[Trace]:
     return [random_trace(rng, max_events) for _ in range(rng.randint(0, max_traces))]
+
+
+def extraction_from_reconstruction(os: ObservationalSemantics,
+                                   candidates: Callable[[Any], Iterable[Any]]):
+    """Derive an extraction function by inverting ``reconstruct_local``.
+
+    Searches the caller-supplied candidate records for the unique one that
+    reconstructs to the given transition.  The candidate space must be
+    finite and must contain the right record.
+    """
+
+    def derived(state: Any, action: Action, successor: Any) -> Any:
+        hits = []
+        for record in candidates(state):
+            try:
+                got_action, got_state = os.reconstruct_local(state, record)
+            except ReconstructionError:
+                continue
+            if got_action == action and got_state == successor:
+                hits.append(record)
+        if len(hits) != 1:
+            raise TransitionError(os.name, f"reconstruction inversion found {len(hits)} candidates")
+        return hits[0]
+
+    return derived

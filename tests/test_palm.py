@@ -16,12 +16,11 @@ from gentra.palm import (
     palm_initial_state,
     palm_solve,
     palm_step,
-    solution_state_palm,
     wake_kind_of,
 )
 from gentra.semantics import Action, check_faithful
 from gentra.solver import Problem, SolveLimits
-from gentra.state import BOTTOM, SolverEvent, awake_condition
+from gentra.state import BOTTOM, SolverEvent, awake_condition, solution_state
 
 from support import oracle_solutions, random_problem, solutions_as_set
 
@@ -129,16 +128,16 @@ def test_awake_and_schedule_queue_discipline():
                   explanation=frozenset({"c1"})),
         Action.of("suspend", constraint="c1"),
     ], start=scripted_state())
-    ev = full.solver.q_tail[0]
+    ev = full.solver.pending[0]
     with pytest.raises(TransitionError):  # not selected yet
         palm_step(full, Action.of("awake", constraint="c1", cause=ev))
     selected = palm_step(full, Action.of("schedule", event=ev))
-    assert selected.solver.q_head == ev and selected.solver.q_tail == ()
+    assert selected.solver.current_event == ev and selected.solver.pending == ()
     woken = palm_step(selected, Action.of("awake", constraint="c1", cause=ev))
     assert woken.solver.active == (("c1", ev),)
     # a second schedule overwrites the head
     full2 = run_palm([Action.of("suspend", constraint="c1")], start=woken)
-    assert full2.solver.q_head == ev
+    assert full2.solver.current_event == ev
 
 
 def test_wake_kind_annotations():
@@ -205,7 +204,7 @@ def test_dependence_matches_wake_condition(element_run):
             continue
         s = stepped.state.solver
         for cid in sorted(s.sleeping):
-            for ev in s.q_tail + ((s.q_head,) if s.q_head else ()):
+            for ev in s.pending + ((s.current_event,) if s.current_event else ()):
                 assert dependence(s, cid, ev) == awake_condition(s, cid, ev)
 
 
@@ -259,7 +258,7 @@ def test_solution_state_matches_generic_reading(element_run):
     assert seen_solution
     for stepped in element_run.virtual.events:
         if stepped.action.kind == "solution":
-            pre = solution_state_palm  # the rule enforced it; re-check the predicate
+            pre = solution_state  # the rule enforced it; re-check the predicate
             node = stepped.action.get("node")
             snap = stepped.state.tree.snapshot(node)
             assert pre(snap)

@@ -10,12 +10,13 @@ from gentra.semantics import (
     ObservationalSemantics,
     check_faithful,
     extract,
-    extraction_from_reconstruction,
     first_divergence,
     reconstruct,
     transition_holds,
 )
 from gentra.trace import ActualPayload, Trace, VirtualPayload
+
+from support import extraction_from_reconstruction
 
 
 def _apply(state, action):

@@ -2,6 +2,7 @@
 trace compliance of everything emitted."""
 
 import random
+import sys
 
 import pytest
 
@@ -208,6 +209,25 @@ def test_node_limit():
     p = Problem(variables=(("x", FiniteDomain.interval(0, 7)),), labels=("x",))
     with pytest.raises(SolveLimitError):
         solve(p, SolveLimits(max_nodes=1))
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_the_python_stack():
+    names = tuple(f"v{i}" for i in range(300))
+    p = Problem(variables=tuple((v, FiniteDomain.of([1])) for v in names), labels=names)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        res = solve(p, SolveLimits(max_events=10_000, max_nodes=1_000))
+    finally:
+        sys.setrecursionlimit(old)
+    assert res.solution_dicts() == [dict.fromkeys(names, 1)]
 
 
 def test_problem_validation_errors():
