@@ -17,15 +17,14 @@ the transition-level simulation.  All checks are sample-based: reports say
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import MappingError, ProjectionError, ReconstructionError, TransitionError
 from .gentra4cp import DEFAULT_GUARDS, GenericEvent, make_semantics, validate
-from .palm import PALM_EVENT_TYPES, PalmState, PalmSolverState
+from .palm import PALM_EVENT_TYPES, PalmState
 from .semantics import Action, ObservationalSemantics, extract, reconstruct, first_divergence, transition_holds
-from .state import FullState, SolverState
+from .state import FullState
 from .trace import ActualPayload, Trace, VirtualPayload
 
 
@@ -412,19 +411,10 @@ def palm_profile() -> ParamProjection:
     )
 
 
-_generic_fields = attrgetter(*(f.name for f in fields(SolverState)))
-
-
-def _map_palm_solver(s: PalmSolverState) -> SolverState:
-    return SolverState(*_generic_fields(s))
-
-
 def map_palm_state(full: PalmState) -> FullState:
-    """The identity-like state map: every generic parameter carries over
-    (the queue tail is the pending pool, the selected head the scheduled
-    event) and the explanations are dropped."""
-    tree = replace(full.tree, snapshots=tuple((n, _map_palm_solver(s)) for n, s in full.tree.snapshots))
-    return FullState(solver=_map_palm_solver(full.solver), tree=tree)
+    """The state map: shares the solver state and tree, drops the
+    explanation table."""
+    return FullState(solver=full.solver, tree=full.tree)
 
 
 def _strip_explanation(action: Action) -> Action:

@@ -173,12 +173,15 @@ def parse_domain(text: str, mx: int = DEFAULT_MX) -> FiniteDomain:
     parts = []
     for chunk in body.split(","):
         chunk = chunk.strip()
-        if "-" in chunk:
-            lo_txt, hi_txt = chunk.split("-", 1)
-            lo = int(lo_txt)
-            hi = mx if hi_txt.strip() == "mx" else int(hi_txt)
-        else:
-            lo = hi = mx if chunk == "mx" else int(chunk)
+        try:
+            if "-" in chunk:
+                lo_txt, hi_txt = chunk.split("-", 1)
+                lo = int(lo_txt)
+                hi = mx if hi_txt.strip() == "mx" else int(hi_txt)
+            else:
+                lo = hi = mx if chunk == "mx" else int(chunk)
+        except ValueError:
+            raise GentraError(f"not an integer or interval in domain literal {text!r}: {chunk!r}") from None
         if lo > hi:
             raise GentraError(f"descending interval in domain literal: {chunk!r}")
         parts.append((lo, hi))

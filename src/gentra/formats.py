@@ -223,7 +223,10 @@ class _EventParser:
 
     def _node(self, tok: _Tok, line_no: int) -> int:
         if tok.kind == "call" and tok.name == "node":
-            return int(tok.body)
+            try:
+                return int(tok.body)
+            except ValueError:
+                raise TraceSyntaxError(f"expected node(k), got {tok.text!r}", line=line_no) from None
         if tok.kind == "int":
             self.note(line_no, f"bare node id {tok.text}")
             return int(tok.text)
@@ -412,7 +415,15 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
         if line.lstrip().startswith("#"):
             m = _HEADER_RE.match(line.strip())
             if m:
-                header.append((m.group(1), m.group(2).strip()))
+                key, value = m.group(1), m.group(2).strip()
+                header.append((key, value))
+                if key == "dialect":
+                    dialect = value
+                elif key == "mx":
+                    try:
+                        mx = int(value)
+                    except ValueError:
+                        raise TraceSyntaxError(f"mx header is not an integer: {value!r}", line=line_no) from None
             continue
         if _LINE_RE.match(line):
             logical.append((line_no, line))
@@ -424,12 +435,6 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
             prev_no, prev = logical[-1]
             logical[-1] = (prev_no, prev + " " + line.strip())
             continuation_notes.append(f"line {line_no}: continuation joined to line {prev_no}")
-
-    for key, value in header:
-        if key == "dialect":
-            dialect = value
-        elif key == "mx":
-            mx = int(value)
 
     parser = _EventParser(mode, dialect, mx)
     events = []

@@ -10,6 +10,10 @@ constraints justifying it (reduce); rejection needs an emptied domain
 constraint and restoring exactly the values whose explanations mention a
 relaxed constraint (restore).
 
+The state is the generic full state with the explanation table beside it
+(``PalmState``): the solver part and every tree snapshot are generic solver
+states, so mapping to the generic format drops the table and nothing else.
+
 The element constraint is read 0-based here; ``palm_solve`` rebases its
 input accordingly.
 """
@@ -51,14 +55,14 @@ class PalmAssertionError(GentraError):
 
 
 @dataclass(frozen=True)
-class PalmSolverState(SolverState):
-    """The generic solver state plus the explanation map.
+class PalmState(FullState):
+    """The generic full state plus the explanation table.
 
-    ``pending`` is the queue tail and ``current_event`` the selected queue
-    head; ``solved`` stays empty.  Explanations are stored per removal: each
-    entry pairs a (variable, removed value set) with the constraint set
-    justifying the removal, so wide interval removals never get enumerated
-    value by value."""
+    The solver part and every tree snapshot are plain ``SolverState``s;
+    snapshots need no explanations, since the machine never jumps back to
+    one.  Explanations are stored per removal: each entry pairs a
+    (variable, removed value set) with the constraint set justifying the
+    removal, so wide interval removals never get enumerated value by value."""
 
     explanations: tuple[tuple[str, FiniteDomain, frozenset], ...] = ()
 
@@ -69,17 +73,12 @@ class PalmSolverState(SolverState):
         return None
 
 
-@dataclass(frozen=True)
-class PalmState(FullState):
-    solver: PalmSolverState
-
-
 def palm_initial_state() -> PalmState:
-    solver = PalmSolverState()
+    solver = SolverState()
     return PalmState(solver=solver, tree=initial_tree(solver))
 
 
-def dependence(state: PalmSolverState, cid: str, event: SolverEvent) -> bool:
+def dependence(state: SolverState, cid: str, event: SolverEvent) -> bool:
     """Does the sleeping constraint depend on (react to) the event?
 
     Deliberately a separate definition from the generic wake condition; runs
@@ -95,15 +94,15 @@ def dependence(state: PalmSolverState, cid: str, event: SolverEvent) -> bool:
     return event.variable in decl.variables
 
 
-def palm_watchers(state: PalmSolverState, event: SolverEvent) -> list[str]:
+def palm_watchers(state: SolverState, event: SolverEvent) -> list[str]:
     return [c for c in sorted(state.sleeping) if dependence(state, c, event)]
 
 
-def broken_values(state: PalmSolverState, var: str) -> FiniteDomain:
+def broken_values(full: PalmState, var: str) -> FiniteDomain:
     """Removed values of ``var`` whose explanation mentions a relaxed constraint."""
-    sigma = store(state)
+    sigma = store(full.solver)
     out = EMPTY_DOMAIN
-    for v, vals, expl in state.explanations:
+    for v, vals, expl in full.explanations:
         if v == var and not expl <= sigma:
             out = out.union(vals)
     return out
@@ -124,16 +123,16 @@ def _restore(full: PalmState, act: Action) -> PalmState:
     var, values = act.get("variable"), act.get("values")
     new = RULES["restore"](full, act)
     _need(not values.is_empty(), "restore", "nothing to restore")
-    _need(values.issubset(broken_values(full.solver, var)), "restore",
+    _need(values.issubset(broken_values(full, var)), "restore",
           "restored values are not explained by relaxed constraints")
     kept = []
-    for v, vals, expl in full.solver.explanations:
+    for v, vals, expl in full.explanations:
         if v == var:
             vals = vals.subtract(values)
             if vals.is_empty():
                 continue
         kept.append((v, vals, expl))
-    return replace(new, solver=replace(new.solver, explanations=tuple(kept)))
+    return replace(new, explanations=tuple(kept))
 
 
 def _reduce(full: PalmState, act: Action) -> PalmState:
@@ -146,7 +145,7 @@ def _reduce(full: PalmState, act: Action) -> PalmState:
     _need(explanation is not None and explanation <= store(s), "reduce",
           "explanation is not a set of store constraints")
     entry = (act.get("variable"), act.get("removed"), explanation)
-    return replace(new, solver=replace(new.solver, explanations=new.solver.explanations + (entry,)))
+    return replace(new, explanations=new.explanations + (entry,))
 
 
 def _reject(full: PalmState, act: Action) -> PalmState:
@@ -244,16 +243,17 @@ def make_palm_semantics() -> ObservationalSemantics:
 # run-level property checks
 
 
-def check_palm_invariants(state: PalmSolverState, check_explanations: bool = True) -> None:
-    if len(state.active) > 1:
+def check_palm_invariants(full: PalmState, check_explanations: bool = True) -> None:
+    s = full.solver
+    if len(s.active) > 1:
         raise StateInvariantError("more than one active pair")
-    sigma = store(state)
-    domains = state.domain_map()
-    for var, vals, expl in state.explanations:
+    sigma = store(s)
+    domains = s.domain_map()
+    for var, vals, expl in full.explanations:
         if not vals.disjoint(domains[var]):
             raise StateInvariantError(f"explained values of {var} are still in its domain")
     if check_explanations:
-        for var, vals, expl in state.explanations:
+        for var, vals, expl in full.explanations:
             if not expl <= sigma:
                 raise StateInvariantError(f"an explanation for {var} mentions relaxed constraints")
 
@@ -291,7 +291,7 @@ class _PalmRun(_Run):
         super().emit(action)
         relaxing = action.kind in ("deactivate", "restore", "failure")
         try:
-            check_palm_invariants(self.solver, check_explanations=not relaxing)
+            check_palm_invariants(self.full, check_explanations=not relaxing)
         except StateInvariantError as exc:
             raise PalmAssertionError(index, "state-invariant", str(exc)) from exc
 
@@ -337,7 +337,7 @@ def _explanation_for(run: _PalmRun, cid: str, var: str) -> frozenset:
     its filtering consulted."""
     decl = run.solver.declaration(cid)
     out = {cid}
-    for v, _vals, expl in run.solver.explanations:
+    for v, _vals, expl in run.full.explanations:
         if v in decl.variables and v != var:
             out |= expl
     return frozenset(out)
@@ -399,7 +399,7 @@ def _emit_restores(run: _PalmRun) -> None:
     """Return every value whose justification broke; each restored variable
     announces one dom event, provided a problem constraint observes it."""
     for var in run.solver.variables:
-        values = broken_values(run.solver, var)
+        values = broken_values(run.full, var)
         if values.is_empty():
             continue
         gen = ()

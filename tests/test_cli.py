@@ -149,5 +149,19 @@ def test_lenient_validate_of_fixture(runner):
     assert "FAIL validate" in result.output
 
 
+@pytest.mark.parametrize("text", [
+    "# dialect: palm\n1[0]newVariable v1 [1,]\n",
+    "# dialect: palm\n# mx: abc\n1[0]newVariable v1 [0-mx]\n",
+], ids=["domain", "mx-header"])
+@pytest.mark.parametrize("command", ["validate", "check-compliance"])
+def test_malformed_numbers_are_parse_errors(runner, tmp_path, command, text):
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2, result.output
+    assert "parse error" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_usage_error_exit_code(runner):
     assert runner.invoke(main, ["validate", "/nonexistent/file"]).exit_code == 2

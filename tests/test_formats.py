@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gentra.constraints import ConstraintDecl
-from gentra.errors import ProblemError, TraceShapeError, TraceSyntaxError
+from gentra.errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
 from gentra.fdomain import FiniteDomain, parse_domain
 from gentra.formats import (
     diff_events,
@@ -224,6 +224,26 @@ def test_strict_rejects_foreign_idioms():
         parse_trace("1[0]failure", mode="strict")
     with pytest.raises(TraceSyntaxError):
         parse_trace("1[0]reduce c1 v1 gen{} [0] bot max", mode="strict")  # dialect extra
+
+
+@pytest.mark.parametrize("text", [
+    "1[0]newVariable v1 [1,]",
+    "1[0]newVariable v1 [,1]",
+    "1[0]newVariable v1 [1-]",
+    "1[0]newVariable v1 [a]",
+    "1[0]newVariable v1 [1-2-3]",
+    "# mx: abc\n1[0]newVariable v1 [0-mx]",
+    "1[0]newChild node(a)",
+], ids=["trailing-comma", "leading-comma", "open-interval", "letter", "two-dashes", "mx-header", "node-id"])
+def test_malformed_numbers_raise_gentra_errors(text):
+    with pytest.raises(GentraError):
+        parse_trace(text, mode="strict")
+
+
+def test_mx_header_error_names_its_line():
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace("# solver: fd\n# mx: abc\n", mode="strict")
+    assert info.value.line == 2
 
 
 def test_chrono_must_be_consecutive():

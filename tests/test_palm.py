@@ -20,7 +20,7 @@ from gentra.palm import (
 )
 from gentra.semantics import Action, check_faithful
 from gentra.solver import Problem, SolveLimits
-from gentra.state import BOTTOM, SolverEvent, awake_condition, solution_state
+from gentra.state import BOTTOM, SolverEvent, SolverState, awake_condition, solution_state
 
 from support import oracle_solutions, random_problem, solutions_as_set
 
@@ -65,8 +65,8 @@ def test_reduce_records_explanations():
     full = palm_step(full, Action.of("reduce", constraint="c1", variable="x", removed=removed,
                                      generated=(), cause=BOTTOM, explanation=frozenset({"c1"})))
     assert full.solver.domain("x") == FiniteDomain.of([3])
-    assert full.solver.explanation_of("x", 0) == frozenset({"c1"})
-    assert full.solver.explanation_of("x", 3) is None
+    assert full.explanation_of("x", 0) == frozenset({"c1"})
+    assert full.explanation_of("x", 3) is None
 
 
 def test_reduce_requires_nonempty_and_explained():
@@ -110,15 +110,15 @@ def test_restore_scans_broken_explanations():
                   generated=(), cause=BOTTOM, explanation=frozenset({"c1"})),
         Action.of("suspend", constraint="c1"),
     ], start=scripted_state())
-    assert broken_values(full.solver, "x").is_empty()
+    assert broken_values(full, "x").is_empty()
     relaxed = palm_step(full, Action.of("deactivate", constraint="c1"))
-    assert broken_values(relaxed.solver, "x") == parse_domain("[0-1]")
+    assert broken_values(relaxed, "x") == parse_domain("[0-1]")
     with pytest.raises(TransitionError):  # more than the broken values
         palm_step(relaxed, Action.of("restore", variable="x", values=parse_domain("[0-2]")))
     restored = palm_step(relaxed, Action.of("restore", variable="x", values=parse_domain("[0-1]")))
     assert restored.solver.domain("x") == FiniteDomain.interval(0, 5)
-    assert restored.solver.explanations == ()
-    check_palm_invariants(restored.solver)
+    assert restored.explanations == ()
+    check_palm_invariants(restored)
 
 
 def test_awake_and_schedule_queue_discipline():
@@ -194,8 +194,18 @@ def test_state_invariants_along_run(element_run):
     for stepped in element_run.virtual.events:
         s = stepped.state.solver
         assert len(s.active) <= 1
-        for var, vals, expl in s.explanations:
+        for var, vals, expl in stepped.state.explanations:
             assert vals.disjoint(s.domain(var))
+
+
+def test_snapshots_are_generic_and_the_map_shares_them(element_run):
+    from gentra.abstraction import map_palm_state
+    states = [element_run.virtual.initial_state] + [ev.state for ev in element_run.virtual.events]
+    for s in states:
+        for n in s.tree.nodes:
+            assert type(s.tree.snapshot(n)) is SolverState
+        mapped = map_palm_state(s)
+        assert mapped.solver is s.solver and mapped.tree is s.tree
 
 
 def test_dependence_matches_wake_condition(element_run):
