@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Mapping
 from .errors import MappingError, ProjectionError, ReconstructionError, TransitionError
 from .gentra4cp import DEFAULT_GUARDS, GenericEvent, make_semantics, validate
 from .palm import PALM_EVENT_TYPES, PalmState
-from .semantics import Action, ObservationalSemantics, extract, reconstruct, first_divergence, transition_holds
+from .semantics import Action, ObservationalSemantics, extract, replay_divergence, transition_holds
 from .state import FullState
 from .trace import ActualPayload, Trace, VirtualPayload
 
@@ -561,7 +561,8 @@ def commutation_check(os_c: ObservationalSemantics, os_d: ObservationalSemantics
     reconstructing at the derived level must equal mapping the virtual trace
     directly.  (The actual-trace route has to start with extraction at the
     concrete level and end with reconstruction at the derived level; the
-    reverse order does not type-check.)
+    reverse order does not type-check.)  The derived-level replay is compared
+    with the direct route step by step as it goes (:func:`replay_divergence`).
     """
     violations = []
     samples = list(samples)
@@ -576,11 +577,10 @@ def commutation_check(os_c: ObservationalSemantics, os_d: ObservationalSemantics
             mapped_records = map_events(tuple(p.record for p in actual.events))
             mapped_actual = Trace(mapping.map_state(actual.initial_state),
                                   tuple(ActualPayload(r) for r in mapped_records))
-            via_actual = reconstruct(os_d, mapped_actual)
+            pos = replay_divergence(os_d, mapped_actual, direct)
         except (TransitionError, ReconstructionError, MappingError) as exc:
             violations.append(SimulationViolation(ti, getattr(exc, "index", None), str(exc)))
             continue
-        pos = first_divergence(direct, via_actual)
         if pos is not None:
             violations.append(SimulationViolation(ti, pos, "the two routes disagree"))
     return CommutationReport(len(samples), tuple(violations))

@@ -740,7 +740,8 @@ def validate(events, *, os: ObservationalSemantics | None = None,
     and the guard-check log.
     """
     os = os or make_semantics()
-    full = initial if initial is not None else initial_state()
+    start = initial if initial is not None else initial_state()
+    full = start
     steps = []
     events = list(events)
     for i, ev in enumerate(events):
@@ -757,7 +758,6 @@ def validate(events, *, os: ObservationalSemantics | None = None,
                     False, i, error=ValidationError(i, ev.type, f"depth {ev.depth} != current node depth {expected}"))
         steps.append((action, new))
         full = new
-    start = initial if initial is not None else initial_state()
     virtual = Trace(start, tuple(VirtualPayload(a, s) for a, s in steps))
     guard_report = check_guard_steps(start, steps, guards)
     return ValidationReport(guard_report.ok, len(events), virtual=virtual, guard_report=guard_report)

@@ -111,6 +111,22 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
     return Trace(vtrace.initial_state, tuple(records))
 
 
+def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> VirtualPayload:
+    """Replay record ``i`` from ``state``: the step it encodes, or the
+    :class:`ReconstructionError` that ``reconstruct`` reports for it."""
+    if not isinstance(ev, ActualPayload):
+        raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=i)
+    if not os.is_record(ev.record):
+        raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
+    try:
+        action, successor = os.reconstruct_local(state, ev.record)
+    except ReconstructionError as exc:
+        raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
+    if not transition_holds(os, state, action, successor):
+        raise ReconstructionError(os.name, "reconstructed step violates the transition relation", index=i)
+    return VirtualPayload(action, successor)
+
+
 def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
     """Replay an actual trace into the virtual trace it encodes."""
     if not os.is_initial(atrace.initial_state):
@@ -118,19 +134,40 @@ def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
     state = atrace.initial_state
     steps = []
     for i, ev in enumerate(atrace.events):
-        if not isinstance(ev, ActualPayload):
-            raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=i)
-        if not os.is_record(ev.record):
-            raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
-        try:
-            action, successor = os.reconstruct_local(state, ev.record)
-        except ReconstructionError as exc:
-            raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
-        if not transition_holds(os, state, action, successor):
-            raise ReconstructionError(os.name, "reconstructed step violates the transition relation", index=i)
-        steps.append(VirtualPayload(action, successor))
-        state = successor
+        step = _replay_step(os, state, i, ev)
+        steps.append(step)
+        state = step.state
     return Trace(atrace.initial_state, tuple(steps))
+
+
+def replay_divergence(os: ObservationalSemantics, atrace: Trace, reference: Trace) -> int | None:
+    """``first_divergence(reference, reconstruct(os, atrace))`` in one pass.
+
+    Each replayed step is compared with the reference step as soon as it is
+    built.  While the two agree, replay goes on from the reference's own
+    state, which equals the replayed one: the next successor then shares
+    every unchanged field with the next reference state, so comparing them
+    costs what changed rather than the size of the state.  After the first
+    divergence replay goes on along its own chain, as ``reconstruct`` does,
+    so a later record that does not replay still raises its
+    :class:`ReconstructionError`.
+    """
+    if not os.is_initial(atrace.initial_state):
+        raise ReconstructionError(os.name, "initial state not in the initial-state set")
+    refs = reference.events
+    pos = None if reference.initial_state == atrace.initial_state else -1
+    state = atrace.initial_state if pos is not None else reference.initial_state
+    for i, ev in enumerate(atrace.events):
+        step = _replay_step(os, state, i, ev)
+        state = step.state
+        if pos is None:
+            if i == len(refs) or refs[i] != step:
+                pos = i
+            else:
+                state = refs[i].state
+    if pos is None and atrace.size < len(refs):
+        pos = atrace.size
+    return pos
 
 
 def first_divergence(a: Trace, b: Trace) -> int | None:
@@ -178,14 +215,21 @@ class FaithfulnessReport:
 
 
 def check_faithful(os: ObservationalSemantics, samples: Iterable[Trace]) -> FaithfulnessReport:
-    """Verify reconstruct(extract(t)) == t on each sample virtual trace."""
+    """Verify reconstruct(extract(t)) == t on each sample virtual trace.
+
+    The replay and the comparison run in one pass (:func:`replay_divergence`):
+    replay continues from ``t``'s own state while the steps agree, so each
+    comparison meets the objects the two states share and stops at what the
+    step changed, instead of walking two unshared state chains.  Errors and
+    divergence positions are those of ``first_divergence(t, reconstruct(os,
+    extract(os, t)))``.
+    """
     entries = []
     for i, t in enumerate(samples):
         try:
-            back = reconstruct(os, extract(os, t))
+            pos = replay_divergence(os, extract(os, t), t)
         except (TransitionError, ReconstructionError) as exc:
             entries.append(FaithfulnessEntry(i, False, detail=str(exc), divergence=exc.index))
             continue
-        pos = first_divergence(t, back)
         entries.append(FaithfulnessEntry(i, pos is None, divergence=pos))
     return FaithfulnessReport(tuple(entries))

@@ -113,6 +113,18 @@ def random_problem(rng: random.Random, max_vars: int = 4, universe: int = 8) -> 
                    branches=branches, labels=tuple(names))
 
 
+def ladder(k: int) -> Problem:
+    """The path-colouring ladder: k variables over 0..2, ``neq`` on each
+    consecutive pair, all labelled."""
+    names = tuple(f"x{i}" for i in range(k))
+    return Problem(
+        variables=tuple((n, FiniteDomain.interval(0, 2)) for n in names),
+        constraints=tuple((f"c{i}", ConstraintDecl.neq(a, b))
+                          for i, (a, b) in enumerate(zip(names, names[1:]))),
+        labels=names,
+    )
+
+
 def solutions_as_set(result) -> set:
     return {tuple(sorted(assignment)) for assignment in result.solutions}
 

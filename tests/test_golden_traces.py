@@ -12,27 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from gentra.constraints import ConstraintDecl
-from gentra.fdomain import FiniteDomain
 from gentra.formats import document_for_events, parse_problem, serialize_trace
 from gentra.palm import palm_solve
 from gentra.solver import Problem, SolveLimits, solve
 
-from support import random_problem
+from support import ladder, random_problem
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
 RANDOM_SEED = 20261018
-
-
-def ladder(k: int) -> Problem:
-    names = tuple(f"x{i}" for i in range(k))
-    return Problem(
-        variables=tuple((n, FiniteDomain.interval(0, 2)) for n in names),
-        constraints=tuple((f"c{i}", ConstraintDecl.neq(a, b))
-                          for i, (a, b) in enumerate(zip(names, names[1:]))),
-        labels=names,
-    )
 
 
 def problems() -> dict[str, Problem]:

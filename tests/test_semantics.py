@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gentra.errors import ReconstructionError, TransitionError
 from gentra.semantics import (
@@ -12,6 +13,7 @@ from gentra.semantics import (
     extract,
     first_divergence,
     reconstruct,
+    replay_divergence,
     transition_holds,
 )
 from gentra.trace import ActualPayload, Trace, VirtualPayload
@@ -58,6 +60,27 @@ def lossy_counter_os():
         apply=_apply,
         extract_local=lambda s, a, s2: (a.kind, 1 if a.kind == "inc" else -1),
         reconstruct_local=_reconstruct,
+        is_initial=lambda s: s == 0,
+    )
+
+
+def floored_lossy_counter_os():
+    """Lossy extraction, and a reconstruction that refuses to go below zero:
+    a replay that has drifted from the trace can fail where the trace
+    itself would not."""
+
+    def reconstruct_local(state, record):
+        action, successor = _reconstruct(state, record)
+        if successor < 0:
+            raise ReconstructionError(action.kind, "counter below zero")
+        return action, successor
+
+    return ObservationalSemantics(
+        name="floored-lossy-counter",
+        action_kinds=frozenset({"inc", "dec"}),
+        apply=_apply,
+        extract_local=lambda s, a, s2: (a.kind, 1 if a.kind == "inc" else -1),
+        reconstruct_local=reconstruct_local,
         is_initial=lambda s: s == 0,
     )
 
@@ -170,3 +193,73 @@ def test_extraction_inversion_needs_unique_candidate():
     derived = extraction_from_reconstruction(os, lambda s: [])
     with pytest.raises(TransitionError):
         derived(0, Action.of("inc", amount=1), 1)
+
+
+def _two_pass_entry(os, t):
+    """The faithfulness verdict built the long way: extract, reconstruct the
+    whole trace, then compare."""
+    try:
+        back = reconstruct(os, extract(os, t))
+    except (TransitionError, ReconstructionError) as exc:
+        return False, exc.index, str(exc)
+    pos = first_divergence(t, back)
+    return pos is None, pos, ""
+
+
+def _corrupt(t, index, how):
+    """``t`` with one step or the initial state made invalid."""
+    if how == "initial":
+        return Trace(t.initial_state + 1, t.events)
+    events = list(t.events)
+    ev = events[index]
+    if how == "state":
+        events[index] = VirtualPayload(ev.action, ev.state + 1)
+    else:
+        events[index] = VirtualPayload(ev.action.replace(amount=0), ev.state)
+    return Trace(t.initial_state, tuple(events))
+
+
+SEMANTICS = {"counter": counter_os, "lossy": lossy_counter_os, "floored": floored_lossy_counter_os}
+
+
+@given(st.sampled_from(sorted(SEMANTICS)), st.integers(0, 2**32 - 1), st.integers(0, 8),
+       st.none() | st.tuples(st.integers(0, 7), st.sampled_from(["state", "action", "initial"])))
+def test_one_pass_check_matches_extract_reconstruct_compare(os_name, seed, steps, corruption):
+    os = SEMANTICS[os_name]()
+    t = random_walk(random.Random(seed), steps=steps)
+    if corruption is not None and steps:
+        index, how = corruption
+        t = _corrupt(t, index % steps, how)
+    entry = check_faithful(os, [t]).entries[0]
+    assert (entry.ok, entry.divergence, entry.detail) == _two_pass_entry(os, t)
+
+
+def test_replay_keeps_its_own_chain_after_a_divergence():
+    # the lossy replay drifts at step 0 (inc 1, not inc 3) and then runs
+    # below zero at step 2, where the trace itself stays at 1
+    steps = [("inc", 3), ("dec", 1), ("dec", 1), ("dec", 1)]
+    state, events = 0, []
+    for kind, amount in steps:
+        state = _apply(state, Action.of(kind, amount=amount))
+        events.append(VirtualPayload(Action.of(kind, amount=amount), state))
+    t = Trace(0, tuple(events))
+    os = floored_lossy_counter_os()
+    assert first_divergence(t, reconstruct(lossy_counter_os(), extract(os, t))) == 0
+    entry = check_faithful(os, [t]).entries[0]
+    assert (entry.ok, entry.divergence) == (False, 2)
+    assert "counter below zero" in entry.detail
+    assert (entry.ok, entry.divergence, entry.detail) == _two_pass_entry(os, t)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6), st.integers(-1, 1))
+def test_replay_divergence_matches_first_divergence(seed, ref_steps, actual_steps, start_shift):
+    # the reference and the replayed trace may differ in their initial
+    # states (position -1), in their lengths (position min(size)) or in
+    # any step
+    os = counter_os()
+    rng = random.Random(seed)
+    reference = random_walk(rng, steps=ref_steps)
+    walk = random_walk(rng, steps=actual_steps) if rng.random() < 0.5 else reference
+    actual = extract(os, Trace(0, walk.events[:actual_steps]))
+    reference = Trace(reference.initial_state + start_shift, reference.events)
+    assert replay_divergence(os, actual, reference) == first_divergence(reference, reconstruct(os, actual))
