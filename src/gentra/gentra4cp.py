@@ -31,7 +31,7 @@ foreign traces), and the run-level guard checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constraints import ConstraintDecl
 from .errors import ReconstructionError, TransitionError
@@ -44,6 +44,7 @@ from .state import (
     SolverState,
     awake_condition,
     choice_point,
+    evolve,
     failure_state,
     initial_state,
     schedulable,
@@ -165,13 +166,13 @@ def _step_new_variable(full: FullState, act: Action) -> FullState:
     var, dom = act.get("variable"), act.get("domain")
     s = full.solver
     _need(var not in s.variables, "newVariable", f"{var} already declared")
-    s2 = replace(
+    s2 = evolve(
         s,
         variables=s.variables + (var,),
-        domains=s.domains + ((var, dom),),
-        initial_domains=s.initial_domains + ((var, dom),),
+        domains={**s.domains, var: dom},
+        initial_domains={**s.initial_domains, var: dom},
     )
-    return replace(full, solver=s2)
+    return evolve(full, solver=s2)
 
 
 def _step_new_constraint(full: FullState, act: Action) -> FullState:
@@ -181,7 +182,7 @@ def _step_new_constraint(full: FullState, act: Action) -> FullState:
     if decl is not None:
         missing = [v for v in decl.variables if v not in s.variables]
         _need(not missing, "newConstraint", f"undeclared variables {missing}")
-    return replace(full, solver=replace(s, constraints=s.constraints + ((cid, decl),)))
+    return evolve(full, solver=evolve(s, constraints=s.constraints.with_entry(cid, decl)))
 
 
 def _step_post(full: FullState, act: Action) -> FullState:
@@ -189,15 +190,15 @@ def _step_post(full: FullState, act: Action) -> FullState:
     s = full.solver
     _need(s.is_declared(cid), "post", f"{cid} not declared")
     _need(cid not in store(s), "post", f"{cid} already in the store")
-    return replace(full, solver=replace(s, active=s.active + ((cid, BOTTOM),)))
+    return evolve(full, solver=evolve(s, active=s.active + ((cid, BOTTOM),)))
 
 
 def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullState:
     node = act.get("node")
-    _need(node not in full.tree.nodes, rule, f"node {node} already exists")
+    _need(not full.tree.has_node(node), rule, f"node {node} already exists")
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
     depth = full.tree.depth(full.tree.current) + 1
-    return replace(full, tree=full.tree.with_node(node, full.solver, depth))
+    return evolve(full, tree=full.tree.with_node(node, full.solver, depth))
 
 
 def _step_new_child(full: FullState, act: Action) -> FullState:
@@ -214,7 +215,7 @@ def _step_failure(full: FullState, act: Action) -> FullState:
 
 def _step_jump_to(full: FullState, act: Action) -> FullState:
     node = act.get("node")
-    _need(node in full.tree.nodes, "jumpTo", f"unknown node {node}")
+    _need(full.tree.has_node(node), "jumpTo", f"unknown node {node}")
     _need(node != full.tree.current, "jumpTo", "target is already the current node")
     snap = full.tree.snapshot(node)
     _need(choice_point(snap), "jumpTo", f"node {node} is not a choice point")
@@ -225,14 +226,14 @@ def _step_deactivate(full: FullState, act: Action) -> FullState:
     cid = act.get("constraint")
     s = full.solver
     _need(cid in store(s), "deactivate", f"{cid} not in the store")
-    s2 = replace(
+    s2 = evolve(
         s,
         active=tuple(p for p in s.active if p[0] != cid),
         sleeping=s.sleeping - {cid},
         solved=s.solved - {cid},
         rejected=s.rejected - {cid},
     )
-    return replace(full, solver=s2)
+    return evolve(full, solver=s2)
 
 
 def _step_restore(full: FullState, act: Action) -> FullState:
@@ -243,7 +244,7 @@ def _step_restore(full: FullState, act: Action) -> FullState:
     _need(values.disjoint(s.domain(var)), "restore", "restored values are still in the domain")
     _need(values.issubset(s.initial_domain(var)), "restore", "restored values exceed the initial domain")
     s2 = s.with_domain(var, s.domain(var).union(values)).push_events(generated)
-    return replace(full, solver=s2)
+    return evolve(full, solver=s2)
 
 
 def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullState:
@@ -258,8 +259,8 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
     _need(removed.issubset(s.domain(var)), "reduce", "removed values are not all in the domain")
     s2 = s.with_domain(var, s.domain(var).subtract(removed)).push_events(generated)
     if strict:
-        s2 = replace(s2, active=tuple(p for p in s2.active if p[0] != cid))
-    return replace(full, solver=s2)
+        s2 = evolve(s2, active=tuple(p for p in s2.active if p[0] != cid))
+    return evolve(full, solver=s2)
 
 
 def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
@@ -277,7 +278,7 @@ def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
 def _step_suspend(full: FullState, act: Action) -> FullState:
     cid, active = _retire(full, act, "suspend")
     s = full.solver
-    return replace(full, solver=replace(s, active=active, sleeping=s.sleeping | {cid}))
+    return evolve(full, solver=evolve(s, active=active, sleeping=s.sleeping | {cid}))
 
 
 def _step_solved(full: FullState, act: Action) -> FullState:
@@ -286,7 +287,7 @@ def _step_solved(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
     _need(decl.entailed(s.domain_map()), "solved", f"{cid} is not entailed")
-    return replace(full, solver=replace(s, active=active, solved=s.solved | {cid}))
+    return evolve(full, solver=evolve(s, active=active, solved=s.solved | {cid}))
 
 
 def _step_reject(full: FullState, act: Action) -> FullState:
@@ -295,7 +296,7 @@ def _step_reject(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
     _need(decl.falsified(s.domain_map()), "reject", f"{cid} is not falsified")
-    return replace(full, solver=replace(s, active=active, rejected=s.rejected | {cid}))
+    return evolve(full, solver=evolve(s, active=active, rejected=s.rejected | {cid}))
 
 
 def _step_awake(full: FullState, act: Action) -> FullState:
@@ -305,8 +306,8 @@ def _step_awake(full: FullState, act: Action) -> FullState:
     _need(cause == BOTTOM or cause == s.current_event, "awake",
           "waking event is neither bot nor the scheduled event")
     _need(awake_condition(s, cid, cause), "awake", f"{cid} does not watch {cause}")
-    s2 = replace(s, active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
-    return replace(full, solver=s2)
+    s2 = evolve(s, active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
+    return evolve(full, solver=s2)
 
 
 def _step_schedule(full: FullState, act: Action) -> FullState:
@@ -317,8 +318,8 @@ def _step_schedule(full: FullState, act: Action) -> FullState:
     if witness is not None:
         _need(awake_condition(s, witness, event), "schedule", f"{witness} does not react to the event")
     idx = s.pending.index(event)
-    s2 = replace(s, pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
-    return replace(full, solver=s2)
+    s2 = evolve(s, pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
+    return evolve(full, solver=s2)
 
 
 RULES = {
@@ -583,14 +584,10 @@ def reset_parameters(full: FullState, params: frozenset) -> FullState:
     """Pin the given parameters back to their initial (empty) values."""
     blank = SolverState()
     solver_updates = {p: getattr(blank, p) for p in params if p in _SOLVER_PARAMS}
-    solver = replace(full.solver, **solver_updates) if solver_updates else full.solver
+    solver = evolve(full.solver, **solver_updates) if solver_updates else full.solver
     tree = full.tree
-    if "snapshots" in params or any(p in _SOLVER_PARAMS for p in params):
-        snaps = tuple(
-            (n, replace(s, **{p: getattr(blank, p) for p in params if p in _SOLVER_PARAMS}))
-            for n, s in tree.snapshots
-        )
-        tree = replace(tree, snapshots=snaps)
+    if solver_updates:
+        tree = tree.with_snapshots(lambda snap: evolve(snap, **solver_updates))
     return FullState(solver=solver, tree=tree)
 
 

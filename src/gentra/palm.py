@@ -20,7 +20,7 @@ input accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError
@@ -36,7 +36,7 @@ from .solver import (
     _next_alternatives,
     _Run,
 )
-from .state import FullState, SolverEvent, SolverState, awake_condition, initial_tree, store
+from .state import FullState, SolverEvent, SolverState, awake_condition, evolve, initial_tree, store
 from .trace import Trace
 
 PALM_EVENT_TYPES = (
@@ -54,21 +54,23 @@ class PalmAssertionError(GentraError):
         super().__init__(f"{prop} failed at event {index}: {detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PalmState(FullState):
     """The generic full state plus the explanation table.
 
     The solver part and every tree snapshot are plain ``SolverState``s;
     snapshots need no explanations, since the machine never jumps back to
-    one.  Explanations are stored per removal: each entry pairs a
-    (variable, removed value set) with the constraint set justifying the
-    removal, so wide interval removals never get enumerated value by value."""
+    one.  Explanations are stored per removal and keyed by variable: each
+    variable maps to its entries in insertion order, each pairing a removed
+    value set with the constraint set justifying the removal, so wide
+    interval removals never get enumerated value by value.  The map is
+    shared between states, never mutated."""
 
-    explanations: tuple[tuple[str, FiniteDomain, frozenset], ...] = ()
+    explanations: dict[str, tuple[tuple[FiniteDomain, frozenset], ...]] = field(default_factory=dict, hash=False)
 
     def explanation_of(self, var, value) -> frozenset | None:
-        for v, vals, expl in self.explanations:
-            if v == var and value in vals:
+        for vals, expl in self.explanations.get(var, ()):
+            if value in vals:
                 return expl
         return None
 
@@ -102,8 +104,8 @@ def broken_values(full: PalmState, var: str) -> FiniteDomain:
     """Removed values of ``var`` whose explanation mentions a relaxed constraint."""
     sigma = store(full.solver)
     out = EMPTY_DOMAIN
-    for v, vals, expl in full.explanations:
-        if v == var and not expl <= sigma:
+    for vals, expl in full.explanations.get(var, ()):
+        if not expl <= sigma:
             out = out.union(vals)
     return out
 
@@ -126,13 +128,16 @@ def _restore(full: PalmState, act: Action) -> PalmState:
     _need(values.issubset(broken_values(full, var)), "restore",
           "restored values are not explained by relaxed constraints")
     kept = []
-    for v, vals, expl in full.explanations:
-        if v == var:
-            vals = vals.subtract(values)
-            if vals.is_empty():
-                continue
-        kept.append((v, vals, expl))
-    return replace(new, explanations=tuple(kept))
+    for vals, expl in full.explanations.get(var, ()):
+        vals = vals.subtract(values)
+        if not vals.is_empty():
+            kept.append((vals, expl))
+    table = dict(full.explanations)
+    if kept:
+        table[var] = tuple(kept)
+    else:
+        table.pop(var, None)
+    return evolve(new, explanations=table)
 
 
 def _reduce(full: PalmState, act: Action) -> PalmState:
@@ -144,8 +149,9 @@ def _reduce(full: PalmState, act: Action) -> PalmState:
     _need(not act.get("removed").is_empty(), "reduce", "nothing to remove")
     _need(explanation is not None and explanation <= store(s), "reduce",
           "explanation is not a set of store constraints")
-    entry = (act.get("variable"), act.get("removed"), explanation)
-    return replace(new, explanations=new.explanations + (entry,))
+    var, table = act.get("variable"), new.explanations
+    entry = (act.get("removed"), explanation)
+    return evolve(new, explanations={**table, var: table.get(var, ()) + (entry,)})
 
 
 def _reject(full: PalmState, act: Action) -> PalmState:
@@ -243,17 +249,27 @@ def make_palm_semantics() -> ObservationalSemantics:
 # run-level property checks
 
 
-def check_palm_invariants(full: PalmState, check_explanations: bool = True) -> None:
+def check_palm_invariants(full: PalmState, check_explanations: bool = True, touched=None) -> None:
+    """At most one active pair, a well-formed store, explained values out of
+    their variable's domain and, unless ``check_explanations`` is off (as
+    after a relaxing step), every explanation within the store.
+
+    With ``touched``, only the entries of those variables are checked: the
+    caller vouches that every other entry passed in an earlier state, that
+    neither it nor its variable's domain changed since, and that the store
+    did not shrink.
+    """
     s = full.solver
     if len(s.active) > 1:
         raise StateInvariantError("more than one active pair")
     sigma = store(s)
-    domains = s.domain_map()
-    for var, vals, expl in full.explanations:
+    table, domains = full.explanations, s.domain_map()
+    entries = [(var, entry) for var in (table if touched is None else touched) for entry in table.get(var, ())]
+    for var, (vals, _expl) in entries:
         if not vals.disjoint(domains[var]):
             raise StateInvariantError(f"explained values of {var} are still in its domain")
     if check_explanations:
-        for var, vals, expl in full.explanations:
+        for var, (_vals, expl) in entries:
             if not expl <= sigma:
                 raise StateInvariantError(f"an explanation for {var} mentions relaxed constraints")
 
@@ -280,6 +296,7 @@ class _PalmRun(_Run):
         super().__init__(limits, start=palm_initial_state())
         self.problem_ids = problem_ids
         self.log: list[tuple] = []
+        self.relaxed = False
 
     def apply(self, action: Action) -> tuple[PalmState, GenericEvent]:
         self._assert_properties(len(self.events), action)
@@ -290,8 +307,14 @@ class _PalmRun(_Run):
         index = len(self.events)
         super().emit(action)
         relaxing = action.kind in ("deactivate", "restore", "failure")
+        # a step changes only the entries and the domain of the variable it
+        # names; the first non-relaxing step after a relaxing one checks every
+        # entry, since the store shrank under them
+        var = action.get("variable")
+        touched = None if self.relaxed and not relaxing else (() if var is None else (var,))
+        self.relaxed = relaxing
         try:
-            check_palm_invariants(self.full, check_explanations=not relaxing)
+            check_palm_invariants(self.full, check_explanations=not relaxing, touched=touched)
         except StateInvariantError as exc:
             raise PalmAssertionError(index, "state-invariant", str(exc)) from exc
 
@@ -325,11 +348,8 @@ def _problem_watches(run: _PalmRun, var: str) -> bool:
     only they could consume would sit in the queue forever; problem
     constraints always come back to the store, which keeps every queued event
     consumable."""
-    return any(
-        decl is not None and var in decl.variables
-        for cid, decl in run.solver.constraints
-        if cid in run.problem_ids
-    )
+    return any(decl is not None and var in decl.variables
+               for decl in map(run.solver.declaration, run.problem_ids))
 
 
 def _explanation_for(run: _PalmRun, cid: str, var: str) -> frozenset:
@@ -337,9 +357,10 @@ def _explanation_for(run: _PalmRun, cid: str, var: str) -> frozenset:
     its filtering consulted."""
     decl = run.solver.declaration(cid)
     out = {cid}
-    for v, _vals, expl in run.full.explanations:
-        if v in decl.variables and v != var:
-            out |= expl
+    for v in decl.variables:
+        if v != var:
+            for _vals, expl in run.full.explanations.get(v, ()):
+                out |= expl
     return frozenset(out)
 
 
@@ -399,6 +420,8 @@ def _emit_restores(run: _PalmRun) -> None:
     """Return every value whose justification broke; each restored variable
     announces one dom event, provided a problem constraint observes it."""
     for var in run.solver.variables:
+        if var not in run.full.explanations:
+            continue
         values = broken_values(run.full, var)
         if values.is_empty():
             continue

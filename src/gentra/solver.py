@@ -21,7 +21,7 @@ from .fdomain import FiniteDomain
 from .gentra4cp import GenericEvent, extract_event, generated_events, step
 from .semantics import Action
 from .state import BOTTOM, FullState, SolverEvent, initial_state, solution_state, watchers
-from .trace import ActualPayload, Trace, VirtualPayload
+from .trace import Trace, VirtualPayload
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,6 @@ class SolveResult:
     solutions: tuple[Assignment, ...]
     events: tuple[GenericEvent, ...]
     virtual: Trace
-
-    @property
-    def actual_trace(self) -> Trace:
-        return Trace(self.virtual.initial_state, tuple(ActualPayload(e) for e in self.events))
 
     def solution_dicts(self) -> list[dict[str, int]]:
         return [dict(s) for s in self.solutions]
@@ -240,7 +236,7 @@ def _close_solution(run: _Run, solutions: list) -> None:
     if not solution_state(run.solver):
         return
     run.emit(Action.of("solution", node=run.fresh_node()))
-    solutions.append(tuple((v, d.singleton_value()) for v, d in run.solver.domains if d.is_singleton()))
+    solutions.append(tuple((v, d.singleton_value()) for v, d in run.solver.domains.items() if d.is_singleton()))
 
 
 @dataclass

@@ -3,15 +3,19 @@
 The solver side tracks declared variables and constraints, current and
 initial domains, and the constraint store partitioned into active pairs,
 sleeping, solved, and rejected constraints, plus a FIFO of pending solver
-events and the one most recently scheduled event.  The search side is an
-append-only node set with per-node solver-state snapshots and depths.
+events and the one most recently scheduled event.  The search side is a
+store of nodes, each with its solver-state snapshot and depth, shared
+append-only by every tree state that sees a prefix of it.
 
-Everything is immutable; updates return new values.
+Every read is keyed: domains are maps from variable, and declarations and
+nodes are ``Entries``, prefixes of a shared append-only store, so a lookup
+costs the same however long the run has grown.  Everything is immutable or
+append-only; updates return new values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from .constraints import ConstraintDecl
@@ -19,6 +23,19 @@ from .errors import StateInvariantError
 from .fdomain import FiniteDomain
 
 EVENT_KINDS = ("dom", "min", "max", "val")
+
+
+def evolve(state, **changes):
+    """A copy of a frozen, slotted state with ``changes`` applied.
+
+    ``dataclasses.replace`` without the trip through ``__init__``: the copy
+    keeps the class and every field the changes do not name, so a
+    ``PalmState`` keeps its explanation table.
+    """
+    new = object.__new__(state.__class__)
+    for name in state.__match_args__:
+        object.__setattr__(new, name, changes[name] if name in changes else getattr(state, name))
+    return new
 
 
 @dataclass(frozen=True)
@@ -47,21 +64,95 @@ class SolverEvent:
 BOTTOM = SolverEvent("bot")
 
 
-def _lookup(pairs, key):
-    for k, v in pairs:
-        if k == key:
-            return v
-    return None
+class _Store:
+    """The entries behind every ``Entries`` that shares them."""
+
+    __slots__ = ("keys", "values", "index")
+
+    def __init__(self, keys, values):
+        self.keys = list(keys)
+        self.values = list(values)
+        # the first position of each key (built right to left, so it wins)
+        self.index = dict(zip(reversed(self.keys), range(len(self.keys) - 1, -1, -1)))
 
 
-@dataclass(frozen=True)
+class Entries:
+    """An immutable sequence of (key, value) pairs with lookup by key in O(1).
+
+    It is the first n entries of a store it shares with the values it was
+    derived from.  Appending at the end of the store extends the store in
+    place; appending to a shorter prefix shares the entry stored next when it
+    is the same one, and forks a copy of the prefix otherwise, so two
+    different successors of one value never see each other's entries.
+    Equality is by content.
+    """
+
+    __slots__ = ("_store", "_size")
+
+    def __init__(self, pairs=()):
+        pairs = tuple(pairs)
+        self._store = _Store((k for k, _ in pairs), (v for _, v in pairs))
+        self._size = len(pairs)
+
+    def get(self, key, default=None):
+        i = self._store.index.get(key, self._size)
+        return self._store.values[i] if i < self._size else default
+
+    def __contains__(self, key) -> bool:
+        return self._store.index.get(key, self._size) < self._size
+
+    def covers(self, keys) -> bool:
+        """Is every one of ``keys`` a key of these entries?"""
+        try:
+            return max(map(self._store.index.__getitem__, keys), default=-1) < self._size
+        except KeyError:
+            return False
+
+    def with_entry(self, key, value) -> "Entries":
+        store, n = self._store, self._size
+        if len(store.keys) == n:
+            store.keys.append(key)
+            store.values.append(value)
+            store.index.setdefault(key, n)
+        elif not (store.keys[n] == key and (store.values[n] is value or store.values[n] == value)):
+            store = _Store(store.keys[:n] + [key], store.values[:n] + [value])
+        new = object.__new__(Entries)
+        new._store, new._size = store, n + 1
+        return new
+
+    def keys(self) -> tuple:
+        return tuple(self._store.keys[:self._size])
+
+    def __iter__(self):
+        return zip(self._store.keys[:self._size], self._store.values[:self._size])
+
+    def __eq__(self, other):
+        if not isinstance(other, Entries):
+            return NotImplemented
+        n, a, b = self._size, self._store, other._store
+        return n == other._size and (a is b or (a.keys[:n] == b.keys[:n] and a.values[:n] == b.values[:n]))
+
+    def __hash__(self):
+        return hash(self.keys())
+
+    def __repr__(self) -> str:
+        return f"Entries({tuple(self)!r})"
+
+
+@dataclass(frozen=True, slots=True)
 class SolverState:
-    """The propagation half of the machine state."""
+    """The propagation half of the machine state.
+
+    ``constraints`` maps each declared constraint to its declaration (None
+    when the record gave none); ``domains`` and ``initial_domains`` map each
+    declared variable to its domain.  The keyed fields also accept (key,
+    value) pairs.  Their maps are shared between states, never mutated.
+    """
 
     variables: tuple[str, ...] = ()
-    constraints: tuple[tuple[str, ConstraintDecl | None], ...] = ()
-    domains: tuple[tuple[str, FiniteDomain], ...] = ()
-    initial_domains: tuple[tuple[str, FiniteDomain], ...] = ()
+    constraints: Entries = field(default_factory=Entries)
+    domains: dict[str, FiniteDomain] = field(default_factory=dict, hash=False)
+    initial_domains: dict[str, FiniteDomain] = field(default_factory=dict, hash=False)
     active: tuple[tuple[str, SolverEvent], ...] = ()
     solved: frozenset = frozenset()
     rejected: frozenset = frozenset()
@@ -69,61 +160,58 @@ class SolverState:
     pending: tuple[SolverEvent, ...] = ()
     current_event: SolverEvent | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.constraints, Entries):
+            object.__setattr__(self, "constraints", Entries(self.constraints))
+        for name in ("domains", "initial_domains"):
+            if not isinstance(getattr(self, name), dict):
+                object.__setattr__(self, name, dict(getattr(self, name)))
+
     # accessors
 
     def domain(self, var: str) -> FiniteDomain:
-        d = _lookup(self.domains, var)
+        d = self.domains.get(var)
         if d is None:
             raise StateInvariantError(f"undeclared variable {var!r}")
         return d
 
     def initial_domain(self, var: str) -> FiniteDomain:
-        d = _lookup(self.initial_domains, var)
+        d = self.initial_domains.get(var)
         if d is None:
             raise StateInvariantError(f"undeclared variable {var!r}")
         return d
 
     def declaration(self, cid: str) -> ConstraintDecl | None:
-        return _lookup(self.constraints, cid)
+        return self.constraints.get(cid)
 
     def is_declared(self, cid: str) -> bool:
-        return any(k == cid for k, _ in self.constraints)
+        return cid in self.constraints
 
     def domain_map(self) -> dict[str, FiniteDomain]:
-        return dict(self.domains)
+        """The domains by variable: the state's own map, to be read only."""
+        return self.domains
 
     @property
     def active_ids(self) -> frozenset:
         return frozenset(c for c, _ in self.active)
 
     def active_event(self, cid: str) -> SolverEvent | None:
-        return _lookup(self.active, cid)
+        for c, event in self.active:
+            if c == cid:
+                return event
+        return None
 
     # updates
 
     def with_domain(self, var: str, dom: FiniteDomain) -> "SolverState":
         """Rebind the domain of a declared variable."""
-        return replace(self, domains=tuple((k, dom if k == var else d) for k, d in self.domains))
+        return evolve(self, domains={**self.domains, var: dom})
 
     def push_events(self, events) -> "SolverState":
         fresh = [e for e in events if e not in self.pending]
         if not fresh:
             return self
-        return replace(self, pending=self.pending + tuple(fresh))
-
-
-# States share their declaration tuple until the next newConstraint, so the
-# ids of the last tuple asked about are kept; the tuple itself is held so
-# that an identity match is never a stale one.
-_last_declared: tuple = ((), frozenset())
-
-
-def _declared_ids(constraints) -> frozenset:
-    global _last_declared
-    last = _last_declared
-    if last[0] is not constraints:
-        last = _last_declared = (constraints, frozenset(c for c, _ in constraints))
-    return last[1]
+        return evolve(self, pending=self.pending + tuple(fresh))
 
 
 def store(state: SolverState) -> frozenset:
@@ -136,51 +224,68 @@ def store(state: SolverState) -> frozenset:
     union = active | state.sleeping | state.solved | state.rejected
     if len(union) != len(active) + len(state.sleeping) + len(state.solved) + len(state.rejected):
         raise StateInvariantError("store parts are not pairwise disjoint")
-    undeclared = union - _declared_ids(state.constraints)
-    if undeclared:
-        raise StateInvariantError(f"store contains undeclared constraints {sorted(undeclared)}")
+    if not state.constraints.covers(union):
+        undeclared = sorted(c for c in union if c not in state.constraints)
+        raise StateInvariantError(f"store contains undeclared constraints {undeclared}")
     return union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchTreeState:
-    """Creation-ordered nodes with solver-state snapshots and depths."""
+    """Creation-ordered nodes with solver-state snapshots and depths.
 
-    nodes: tuple[int, ...]
-    snapshots: tuple[tuple[int, Any], ...]
-    depths: tuple[tuple[int, int], ...]
+    ``entries`` maps each node to its (snapshot, depth); ``nodes``,
+    ``snapshots`` and ``depths`` read them back as tuples.
+    """
+
+    entries: Entries
     current: int
 
-    def snapshot(self, node: int) -> Any:
-        s = _lookup(self.snapshots, node)
-        if s is None:
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return self.entries.keys()
+
+    @property
+    def snapshots(self) -> tuple[tuple[int, Any], ...]:
+        return tuple((n, snap) for n, (snap, _) in self.entries)
+
+    @property
+    def depths(self) -> tuple[tuple[int, int], ...]:
+        return tuple((n, depth) for n, (_, depth) in self.entries)
+
+    def has_node(self, node: int) -> bool:
+        return node in self.entries
+
+    def _entry(self, node: int) -> tuple[Any, int]:
+        entry = self.entries.get(node)
+        if entry is None:
             raise StateInvariantError(f"unknown node {node}")
-        return s
+        return entry
+
+    def snapshot(self, node: int) -> Any:
+        return self._entry(node)[0]
 
     def depth(self, node: int) -> int:
-        d = _lookup(self.depths, node)
-        if d is None:
-            raise StateInvariantError(f"unknown node {node}")
-        return d
+        return self._entry(node)[1]
 
     def with_node(self, node: int, snapshot: Any, depth: int) -> "SearchTreeState":
-        return SearchTreeState(
-            nodes=self.nodes + (node,),
-            snapshots=self.snapshots + ((node, snapshot),),
-            depths=self.depths + ((node, depth),),
-            current=node,
-        )
+        return SearchTreeState(self.entries.with_entry(node, (snapshot, depth)), node)
 
     def jumped_to(self, node: int) -> "SearchTreeState":
-        return replace(self, current=node)
+        return SearchTreeState(self.entries, node)
+
+    def with_snapshots(self, update) -> "SearchTreeState":
+        """The same tree with ``update`` applied to every snapshot."""
+        return SearchTreeState(Entries((n, (update(snap), depth)) for n, (snap, depth) in self.entries),
+                               self.current)
 
 
 def initial_tree(snapshot: Any) -> SearchTreeState:
     """A fresh tree whose root (node 0, depth 0) snapshots the initial state."""
-    return SearchTreeState(nodes=(0,), snapshots=((0, snapshot),), depths=((0, 0),), current=0)
+    return SearchTreeState(Entries(((0, (snapshot, 0)),)), current=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullState:
     """Solver state plus search-tree state: what one trace event transforms."""
 

@@ -94,6 +94,29 @@ def test_store_examples():
         store(broken)
 
 
+def test_sibling_successors_keep_their_own_nodes_and_declarations():
+    full = base_state()
+    left = step(full, Action.of("newChild", node=1))
+    right = step(full, Action.of("newChild", node=2))
+    assert left.tree.nodes == (0, 1) and not left.tree.has_node(2)
+    assert right.tree.nodes == (0, 2) and not right.tree.has_node(1)
+    assert left != right
+    # applying the first action again shares the stored node; the sibling forked
+    again = step(full, Action.of("newChild", node=1))
+    assert again == left and again.tree.entries._store is left.tree.entries._store
+    assert right.tree.entries._store is not left.tree.entries._store
+    # a forked store equals a shared one with the same content
+    fresh = base_state()
+    step(fresh, Action.of("newChild", node=2))
+    forked = step(fresh, Action.of("newChild", node=1))
+    assert forked.tree.entries._store is not left.tree.entries._store
+    assert forked == left and forked.tree.snapshots == left.tree.snapshots
+    declared = [step(full, Action.of("newConstraint", constraint=c, decl=None)) for c in ("c8", "c9")]
+    assert declared[0].solver.is_declared("c8") and not declared[0].solver.is_declared("c9")
+    assert declared[1].solver.is_declared("c9") and not declared[1].solver.is_declared("c8")
+    assert declared[0] != declared[1]
+
+
 def test_reduce_example_values():
     full = run_actions([
         Action.of("newVariable", variable="v1", domain=full_domain()),
@@ -363,7 +386,7 @@ def test_monotone_reduction_between_jumps(element_run):
     prev = initial_state()
     for stepped in element_run.virtual.events:
         if stepped.action.kind not in ("restore", "jumpTo", "newVariable"):
-            for var, dom in stepped.state.solver.domains:
+            for var, dom in stepped.state.solver.domains.items():
                 assert dom.issubset(prev.solver.domain(var))
         prev = stepped.state
 
@@ -376,7 +399,7 @@ def test_jump_restores_snapshot_exactly(element_run):
             node = stepped.action.get("node")
             assert stepped.state.solver == prev.tree.snapshot(node)
             # every domain equals its snapshot value after the jump
-            for var, dom in stepped.state.solver.domains:
+            for var, dom in stepped.state.solver.domains.items():
                 assert dom == prev.tree.snapshot(node).domain(var)
             seen = True
         prev = stepped.state

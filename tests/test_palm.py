@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gentra.constraints import ConstraintDecl
-from gentra.errors import TransitionError
+from gentra.errors import StateInvariantError, TransitionError
 from gentra.fdomain import DEFAULT_MX, FiniteDomain, format_domain, full_domain, parse_domain
 from gentra.palm import (
     PalmState,
@@ -20,9 +20,9 @@ from gentra.palm import (
 )
 from gentra.semantics import Action, check_faithful
 from gentra.solver import Problem, SolveLimits
-from gentra.state import BOTTOM, SolverEvent, SolverState, awake_condition, solution_state
+from gentra.state import BOTTOM, SolverEvent, SolverState, awake_condition, evolve, solution_state
 
-from support import oracle_solutions, random_problem, solutions_as_set
+from support import ladder, oracle_solutions, random_problem, solutions_as_set
 
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
 
@@ -117,7 +117,7 @@ def test_restore_scans_broken_explanations():
         palm_step(relaxed, Action.of("restore", variable="x", values=parse_domain("[0-2]")))
     restored = palm_step(relaxed, Action.of("restore", variable="x", values=parse_domain("[0-1]")))
     assert restored.solver.domain("x") == FiniteDomain.interval(0, 5)
-    assert restored.explanations == ()
+    assert restored.explanations == {}
     check_palm_invariants(restored)
 
 
@@ -194,8 +194,65 @@ def test_state_invariants_along_run(element_run):
     for stepped in element_run.virtual.events:
         s = stepped.state.solver
         assert len(s.active) <= 1
-        for var, vals, expl in stepped.state.explanations:
-            assert vals.disjoint(s.domain(var))
+        for var, entries in stepped.state.explanations.items():
+            for vals, expl in entries:
+                assert vals.disjoint(s.domain(var))
+
+
+def test_incremental_invariant_check_agrees_with_the_full_one(monkeypatch):
+    import gentra.palm as palm
+
+    original = palm.check_palm_invariants
+    calls = []
+
+    def side_by_side(full, check_explanations=True, touched=None):
+        outcomes = []
+        for scope in (None, touched):
+            try:
+                original(full, check_explanations, scope)
+                outcomes.append(None)
+            except StateInvariantError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (touched, outcomes)
+        calls.append((check_explanations, touched))
+        original(full, check_explanations, touched)
+
+    monkeypatch.setattr(palm, "check_palm_invariants", side_by_side)
+    rng = random.Random(11)
+    problems = [ladder(4), ladder(5)] + [random_problem(rng) for _ in range(20)]
+    full_checks = steps = 0
+    for problem in problems:
+        calls.clear()
+        palm_solve(problem, CORPUS_LIMITS)
+        # a full check exactly on the first non-relaxing step after a relaxing one
+        for (was_checked, _), (checked, touched) in zip([(True, ())] + calls, calls):
+            assert (touched is None) == (checked and not was_checked)
+        full_checks += sum(touched is None for _, touched in calls)
+        steps += len(calls)
+    assert 0 < full_checks < steps / 10
+
+
+def test_both_invariant_checks_catch_corrupted_tables():
+    reduced = run_palm([
+        Action.of("reduce", constraint="c1", variable="x", removed=parse_domain("[0-1]"),
+                  generated=(), cause=BOTTOM, explanation=frozenset({"c1"})),
+        Action.of("suspend", constraint="c1"),
+    ], start=scripted_state())
+    # an explained value back in its domain
+    back = evolve(reduced, solver=reduced.solver.with_domain("x", FiniteDomain.interval(0, 5)))
+    # after c1 is relaxed and x repaired, a removal explained by c1
+    repaired = run_palm([
+        Action.of("deactivate", constraint="c1"),
+        Action.of("restore", variable="x", values=parse_domain("[0-1]")),
+    ], start=reduced)
+    stale = evolve(repaired, solver=repaired.solver.with_domain("x", parse_domain("[0-4]")),
+                   explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
+    check_palm_invariants(reduced, touched=("x",))
+    check_palm_invariants(repaired)
+    for corrupted, text in ((back, "still in its domain"), (stale, "mentions relaxed constraints")):
+        for touched in (None, ("x",)):
+            with pytest.raises(StateInvariantError, match=text):
+                check_palm_invariants(corrupted, touched=touched)
 
 
 def test_snapshots_are_generic_and_the_map_shares_them(element_run):
