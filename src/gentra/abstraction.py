@@ -89,18 +89,18 @@ def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalS
             raise TransitionError(action.kind, f"action outside projection {proj.name}")
         return os.apply(state, action)
 
-    def reconstruct_local(state, record):
+    def read_action(state, record):
         kind = getattr(record, "type", None)
         if kind not in proj.kept_kinds:
             raise ReconstructionError(kind, f"event type outside projection {proj.name}")
-        return os.reconstruct_local(state, record)
+        return os.read_action(state, record)
 
     return replace(
         os,
         name=f"{os.name}/{proj.name}",
         action_kinds=frozenset(proj.kept_kinds),
         apply=apply,
-        reconstruct_local=reconstruct_local,
+        read_action=read_action,
         parameters=tuple(p for p in os.parameters if p in proj.kept_params),
         param_deps={k: v for k, v in os.param_deps.items() if k in proj.kept_params},
         action_reads={k: v for k, v in os.action_reads.items() if k in proj.kept_kinds},

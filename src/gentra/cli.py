@@ -23,14 +23,12 @@ from .formats import (
     parse_trace,
     serialize_trace,
 )
-from .gentra4cp import make_semantics, validate as validate_events
+from .gentra4cp import DEFAULT_GUARDS, GUARD_NAMES, make_semantics, validate as validate_events
 from .palm import make_palm_semantics, palm_initial_state, palm_solve
 from .semantics import reconstruct
 from .solver import solve as fd_solve
 from .state import store
 from .trace import ActualPayload, Trace
-
-_ALL_GUARDS = ("g1", "g2", "g3", "g4", "g5")
 
 
 def _read(path: str) -> str:
@@ -50,12 +48,12 @@ def _guard_tuple(text: str | None, default):
         return default
     text = text.strip().lower()
     m = re.fullmatch(r"g(\d)\.\.g(\d)", text)
-    if m:  # range form, e.g. g1..g5
+    if m:  # range form, e.g. g3..g5
         lo, hi = int(m.group(1)), int(m.group(2))
         guards = tuple(f"g{i}" for i in range(lo, hi + 1))
     else:
         guards = tuple(g.strip() for g in text.split(",") if g.strip())
-    bad = [g for g in guards if g not in _ALL_GUARDS]
+    bad = [g for g in guards if g not in GUARD_NAMES]
     if bad:
         click.echo(f"unknown guards {bad}", err=True)
         sys.exit(2)
@@ -103,7 +101,7 @@ def solve_cmd(problem, trace_out, strict_reduce, use_palm, mx):
 @main.command("validate")
 @click.argument("trace", type=click.Path(exists=True, dir_okay=False))
 @click.option("--profile", type=click.Choice(["generic", "palm"]), default="generic")
-@click.option("--guards", default=None, help="comma-separated guard list, e.g. g1,g2,g3")
+@click.option("--guards", default=None, help="comma-separated guard list, e.g. g3,g4")
 @click.option("--lenient", is_flag=True, help="accept foreign trace idioms")
 @click.option("--strict-reduce", is_flag=True, help="replay under the strict reduce rule")
 @click.option("--mx", type=int, default=DEFAULT_MX)
@@ -114,7 +112,7 @@ def validate_cmd(trace, profile, guards, lenient, strict_reduce, mx):
     for dev in doc.deviations:
         click.echo(f"NOTE deviation {dev}")
     os = make_semantics(strict_reduce=strict_reduce)
-    default_guards = _ALL_GUARDS if profile == "palm" else ("g1", "g2", "g3")
+    default_guards = GUARD_NAMES if profile == "palm" else DEFAULT_GUARDS
     if profile == "palm":
         os = project(os, palm_profile())
     report = validate_events(doc.events, os=os, guards=_guard_tuple(guards, default_guards))
@@ -187,7 +185,7 @@ def check_compliance_cmd(trace, lenient, mx):
     except GentraError as exc:
         click.echo(f"FAIL map-palm: {exc}")
         sys.exit(1)
-    report = validate_events(mapped, os=projected, guards=_ALL_GUARDS)
+    report = validate_events(mapped, os=projected, guards=GUARD_NAMES)
     for line in report.lines():
         click.echo(line)
     ok = ok and report.ok

@@ -25,8 +25,8 @@ Propagation events narrate domain filtering:
 
 This module implements each rule as a state transformer with explicit
 precondition checks, the extraction of attribute records from transitions,
-the reconstruction of transitions from records (used to replay and validate
-foreign traces), and the run-level guard checks.
+the reading of the action each record encodes (replay applies it to
+validate foreign traces), and the run-level guard checks.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .constraints import ConstraintDecl
 from .errors import ReconstructionError, TransitionError
 from .fdomain import FiniteDomain
-from .semantics import Action, ObservationalSemantics
+from .semantics import Action, ObservationalSemantics, replay
 from .state import (
     BOTTOM,
     FullState,
@@ -60,8 +60,8 @@ CONTROL_TYPES = (
 PROPAGATION_TYPES = ("reduce", "suspend", "solved", "reject", "awake", "schedule")
 EVENT_TYPES = CONTROL_TYPES + PROPAGATION_TYPES
 
-GUARD_NAMES = ("g1", "g2", "g3", "g4", "g5")
-DEFAULT_GUARDS = ("g1", "g2", "g3")
+GUARD_NAMES = ("g3", "g4", "g5")
+DEFAULT_GUARDS = ("g3",)
 
 
 @dataclass(frozen=True)
@@ -470,28 +470,19 @@ READERS = {
 }
 
 
-def replay_record(full: FullState, ev: GenericEvent, readers, rules) -> tuple[Action, FullState]:
-    """Read the action a record encodes with ``readers`` and apply it under ``rules``."""
+def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
+    """The action a record encodes in ``full``, read with ``readers``.
+
+    Reading recovers every serialized-away origin from the replayed state, so
+    replay yields structurally identical states to the original run.
+    """
     problem = shape_error(ev, strict=False)
     if problem:
         _fail(ev.type, problem)
     read = readers.get(ev.type)
     if read is None:
         _fail(ev.type, "event type outside the rule set")
-    action = read(full, ev)
-    try:
-        return action, apply_rule(rules, full, action)
-    except TransitionError as exc:
-        raise ReconstructionError(exc.rule, exc.condition) from exc
-
-
-def reconstruct_event(full: FullState, ev: GenericEvent, *, strict_reduce: bool = False) -> tuple[Action, FullState]:
-    """Rebuild the transition one record encodes and apply it.
-
-    Replay recovers every serialized-away origin from the replayed state, so
-    it yields structurally identical states to the original run.
-    """
-    return replay_record(full, ev, READERS, STRICT_RULES if strict_reduce else RULES)
+    return read(full, ev)
 
 
 # semantics bundle and parameter tables
@@ -609,17 +600,13 @@ def make_semantics(*, strict_reduce: bool = False) -> ObservationalSemantics:
     def apply(full, action):
         return step(full, action, strict_reduce=strict_reduce)
 
-    def reconstruct_local(full, record):
-        return reconstruct_event(full, record, strict_reduce=strict_reduce)
-
     return ObservationalSemantics(
         name="gentra4cp" + ("-strict" if strict_reduce else ""),
         action_kinds=frozenset(EVENT_TYPES),
         apply=apply,
         extract_local=extract_event,
-        reconstruct_local=reconstruct_local,
+        read_action=read_record,
         is_initial=is_initial,
-        is_state=lambda s: isinstance(s, FullState),
         is_record=lambda r: isinstance(r, GenericEvent),
         parameters=PARAMETERS,
         param_deps={k: frozenset(v) for k, v in PARAM_DEPS.items()},
@@ -663,23 +650,20 @@ class GuardReport:
 def check_guard_steps(initial: FullState, steps, guards=DEFAULT_GUARDS) -> GuardReport:
     """Evaluate the run-level guards on the state each event fires in.
 
-    g1: a solution state has no rejected constraint.
-    g2: an event fires in a failure state exactly when a rejection is present.
     g3: reduce fires only while nothing is rejected.
     g4/g5: awake/schedule fire only while nothing is rejected and nothing is
     active (the single-activation discipline profiles opt into).
+
+    Names outside ``GUARD_NAMES`` are ignored; the report lists the guards
+    it evaluated.
     """
-    guards = tuple(guards)
+    guards = tuple(g for g in guards if g in GUARD_NAMES)
     steps = list(steps)
     violations = []
     pre = initial
     for i, (action, post) in enumerate(steps):
         s = pre.solver
         kind = action.kind
-        if "g1" in guards and solution_state(s) and s.rejected:
-            violations.append(GuardViolation(i, "g1", "solution state with rejected constraints"))
-        if "g2" in guards and failure_state(s) != bool(s.rejected):
-            violations.append(GuardViolation(i, "g2", "failure predicate disagrees with the rejected set"))
         if "g3" in guards and kind == "reduce" and s.rejected:
             violations.append(GuardViolation(i, "g3", "reduce while a constraint is rejected"))
         if "g4" in guards and kind == "awake" and (s.rejected or s.active):
@@ -728,8 +712,7 @@ class ValidationReport:
 
 
 def validate(events, *, os: ObservationalSemantics | None = None,
-             guards=DEFAULT_GUARDS, check_depth: bool = True,
-             initial: FullState | None = None) -> ValidationReport:
+             guards=DEFAULT_GUARDS) -> ValidationReport:
     """Replay an actual event sequence from the initial state.
 
     Reports the first event whose reconstruction fails (with the rule and
@@ -737,7 +720,7 @@ def validate(events, *, os: ObservationalSemantics | None = None,
     and the guard-check log.
     """
     os = os or make_semantics()
-    start = initial if initial is not None else initial_state()
+    start = initial_state()
     full = start
     steps = []
     events = list(events)
@@ -745,14 +728,13 @@ def validate(events, *, os: ObservationalSemantics | None = None,
         if ev.type not in os.action_kinds:
             return ValidationReport(False, i, error=ValidationError(i, ev.type, "event type outside the profile"))
         try:
-            action, new = os.reconstruct_local(full, ev)
+            action, new = replay(os, full, ev)
         except ReconstructionError as exc:
             return ValidationReport(False, i, error=ValidationError(i, exc.rule, exc.condition))
-        if check_depth:
-            expected = new.tree.depth(new.tree.current)
-            if ev.depth != expected:
-                return ValidationReport(
-                    False, i, error=ValidationError(i, ev.type, f"depth {ev.depth} != current node depth {expected}"))
+        expected = new.tree.depth(new.tree.current)
+        if ev.depth != expected:
+            return ValidationReport(
+                False, i, error=ValidationError(i, ev.type, f"depth {ev.depth} != current node depth {expected}"))
         steps.append((action, new))
         full = new
     virtual = Trace(start, tuple(VirtualPayload(a, s) for a, s in steps))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
-from .gentra4cp import READERS, RULES, GenericEvent, _need, apply_rule, extract_event, replay_record
+from .gentra4cp import READERS, RULES, GenericEvent, _need, apply_rule, extract_event, read_record
 from .semantics import Action, ObservationalSemantics
 from .solver import (
     Problem,
@@ -84,16 +84,15 @@ def dependence(state: SolverState, cid: str, event: SolverEvent) -> bool:
     """Does the sleeping constraint depend on (react to) the event?
 
     Deliberately a separate definition from the generic wake condition; runs
-    assert the two agree on every evaluated pair.
+    assert the two agree on every evaluated pair.  A constraint declared
+    without a declaration depends on no variable.
     """
     if cid not in state.sleeping:
         return False
     if event.kind == "bot":
         return True
     decl = state.declaration(cid)
-    if decl is None:
-        raise StateInvariantError(f"no declaration recorded for {cid!r}")
-    return event.variable in decl.variables
+    return decl is not None and event.variable in decl.variables
 
 
 def palm_watchers(state: SolverState, event: SolverEvent) -> list[str]:
@@ -225,10 +224,6 @@ def _read_reduce(full: PalmState, ev: GenericEvent) -> Action:
 PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}
 
 
-def palm_reconstruct(full: PalmState, ev: GenericEvent) -> tuple[Action, PalmState]:
-    return replay_record(full, ev, PALM_READERS, PALM_RULES)
-
-
 def is_palm_initial(full: PalmState) -> bool:
     return full == palm_initial_state()
 
@@ -239,9 +234,8 @@ def make_palm_semantics() -> ObservationalSemantics:
         action_kinds=frozenset(PALM_EVENT_TYPES),
         apply=palm_step,
         extract_local=palm_extract,
-        reconstruct_local=palm_reconstruct,
+        read_action=lambda full, ev: read_record(full, ev, PALM_READERS),
         is_initial=is_palm_initial,
-        is_state=lambda s: isinstance(s, PalmState),
         is_record=lambda r: isinstance(r, GenericEvent),
     )
 

@@ -56,8 +56,11 @@ class ObservationalSemantics:
     ``apply`` realizes the transition function and must raise
     :class:`TransitionError` outside its domain, which doubles as the
     membership test for the transition relation.  ``extract_local`` maps a
-    transition to its attribute record; ``reconstruct_local`` maps a record
-    back to the action and successor state.  The static parameter tables
+    transition to its attribute record; ``read_action`` reads back the
+    action a record encodes in a given state, raising
+    :class:`ReconstructionError` when it encodes none.  Replaying a record
+    is reading its action and applying it (:func:`replay`), so a replayed
+    step is a transition by construction.  The static parameter tables
     (``param_deps``, ``action_reads``, ``action_writes``) document which
     state parameters each rule's updates touch; the projection machinery
     consumes them.
@@ -67,9 +70,8 @@ class ObservationalSemantics:
     action_kinds: frozenset
     apply: Callable[[Any, Action], Any]
     extract_local: Callable[[Any, Action, Any], Any]
-    reconstruct_local: Callable[[Any, Any], tuple[Action, Any]]
+    read_action: Callable[[Any, Any], Action]
     is_initial: Callable[[Any], bool]
-    is_state: Callable[[Any], bool] = _always
     is_record: Callable[[Any], bool] = _always
     parameters: tuple[str, ...] = ()
     param_deps: Mapping[str, frozenset] = field(default_factory=dict)
@@ -111,6 +113,19 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
     return Trace(vtrace.initial_state, tuple(records))
 
 
+def replay(os: ObservationalSemantics, state: Any, record: Any) -> tuple[Action, Any]:
+    """The action ``record`` encodes in ``state`` and the successor it leads to.
+
+    A record whose action does not apply raises the rule's failure as a
+    :class:`ReconstructionError`.
+    """
+    action = os.read_action(state, record)
+    try:
+        return action, os.apply(state, action)
+    except TransitionError as exc:
+        raise ReconstructionError(exc.rule, exc.condition) from exc
+
+
 def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> VirtualPayload:
     """Replay record ``i`` from ``state``: the step it encodes, or the
     :class:`ReconstructionError` that ``reconstruct`` reports for it."""
@@ -119,11 +134,9 @@ def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> Vir
     if not os.is_record(ev.record):
         raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
     try:
-        action, successor = os.reconstruct_local(state, ev.record)
+        action, successor = replay(os, state, ev.record)
     except ReconstructionError as exc:
         raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
-    if not transition_holds(os, state, action, successor):
-        raise ReconstructionError(os.name, "reconstructed step violates the transition relation", index=i)
     return VirtualPayload(action, successor)
 
 

@@ -343,16 +343,15 @@ def awake_condition(state: SolverState, cid: str, event: SolverEvent) -> bool:
 
     The bottom event wakes any sleeping constraint; a domain event wakes the
     constraints whose variables it concerns (every constraint watches all
-    event kinds on all of its variables).
+    event kinds on all of its variables, and one declared without a
+    declaration watches no variable).
     """
     if cid not in state.sleeping:
         return False
     if event.kind == "bot":
         return True
     decl = state.declaration(cid)
-    if decl is None:
-        raise StateInvariantError(f"no declaration recorded for {cid!r}")
-    return event.variable in decl.variables
+    return decl is not None and event.variable in decl.variables
 
 
 def watchers(state: SolverState, event: SolverEvent) -> list[str]:
@@ -362,4 +361,4 @@ def watchers(state: SolverState, event: SolverEvent) -> list[str]:
 
 def schedulable(state: SolverState, event: SolverEvent) -> bool:
     """May ``event`` be scheduled, i.e. does some sleeping constraint react to it?"""
-    return bool(watchers(state, event))
+    return any(awake_condition(state, c, event) for c in state.sleeping)

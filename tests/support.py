@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable
 from gentra.constraints import ConstraintDecl
 from gentra.errors import ReconstructionError, TransitionError
 from gentra.fdomain import FiniteDomain
-from gentra.semantics import Action, ObservationalSemantics
+from gentra.semantics import Action, ObservationalSemantics, replay
 from gentra.solver import Problem
 from gentra.trace import Trace, VirtualPayload
 
@@ -146,7 +146,7 @@ def random_trace_set(rng: random.Random, max_traces: int = 5, max_events: int = 
 
 def extraction_from_reconstruction(os: ObservationalSemantics,
                                    candidates: Callable[[Any], Iterable[Any]]):
-    """Derive an extraction function by inverting ``reconstruct_local``.
+    """Derive an extraction function by inverting replay.
 
     Searches the caller-supplied candidate records for the unique one that
     reconstructs to the given transition.  The candidate space must be
@@ -157,7 +157,7 @@ def extraction_from_reconstruction(os: ObservationalSemantics,
         hits = []
         for record in candidates(state):
             try:
-                got_action, got_state = os.reconstruct_local(state, record)
+                got_action, got_state = replay(os, state, record)
             except ReconstructionError:
                 continue
             if got_action == action and got_state == successor:

@@ -84,14 +84,18 @@ def test_validate_pass_and_fail(runner, element_prob, tmp_path):
 def test_validate_guard_selection(runner, element_prob, tmp_path):
     out = tmp_path / "run.trace"
     runner.invoke(main, ["solve", element_prob, "--trace", str(out)])
-    result = runner.invoke(main, ["validate", str(out), "--guards", "g1,g3"])
+    result = runner.invoke(main, ["validate", str(out), "--guards", "g3,g4"])
     assert result.exit_code == 0
-    assert "guards=g1,g3" in result.output
-    ranged = runner.invoke(main, ["validate", str(out), "--guards", "g1..g3"])
+    assert "guards=g3,g4" in result.output
+    ranged = runner.invoke(main, ["validate", str(out), "--guards", "g3..g5"])
     assert ranged.exit_code == 0
-    assert "guards=g1,g2,g3" in ranged.output
+    assert "guards=g3,g4,g5" in ranged.output
     bad = runner.invoke(main, ["validate", str(out), "--guards", "g9"])
     assert bad.exit_code == 2
+    for deleted in ("g1", "g2,g3", "g1..g3"):  # g1 and g2 could never fire
+        refused = runner.invoke(main, ["validate", str(out), "--guards", deleted])
+        assert refused.exit_code == 2
+        assert "unknown guards" in refused.output
 
 
 def test_reconstruct_prints_run(runner, element_prob, tmp_path):
@@ -147,6 +151,36 @@ def test_lenient_validate_of_fixture(runner):
     assert result.exit_code == 1
     assert "NOTE deviation" in result.output
     assert "FAIL validate" in result.output
+
+
+# A constraint declared without a declaration (``newConstraint c1`` alone)
+# watches no variable: scheduling an event on x needs another sleeper that
+# watches x, and c1 cannot be woken by it.
+_UNDECLARED_SLEEPER = """\
+# solver: fd
+# dialect: generic
+1[0]newVariable x [0-3]
+2[0]newConstraint c1
+3[0]post c1
+4[0]suspend c1
+5[0]newConstraint c2 eqc(x,1)
+6[0]post c2
+7[0]reduce c2 x gen{dom(x),min(x),max(x),val(x)} [0,2-3] bot
+"""
+
+
+@pytest.mark.parametrize("tail, code, failure", [
+    ("8[0]suspend c2\n9[0]schedule x dom\n10[0]awake c2 dom(x)\n11[0]solved c2\n", 0, None),
+    ("8[0]solved c2\n9[0]schedule x dom\n", 1, "FAIL validate event=8 rule=schedule"),
+    ("8[0]suspend c2\n9[0]schedule x dom\n10[0]awake c1 dom(x)\n", 1, "FAIL validate event=9 rule=awake"),
+], ids=["other-sleeper", "no-sleeper", "awake-undeclared"])
+def test_undeclared_sleeper_watches_nothing(runner, tmp_path, tail, code, failure):
+    path = tmp_path / "undeclared.trace"
+    path.write_text(_UNDECLARED_SLEEPER + tail)
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == code, result.output
+    assert not isinstance(result.exception, Exception), result.exception  # no traceback
+    assert ("PASS validate" in result.output) if failure is None else (failure in result.output)
 
 
 @pytest.mark.parametrize("text", [

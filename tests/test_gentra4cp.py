@@ -2,6 +2,7 @@
 
 import pytest
 
+from gentra import gentra4cp, palm
 from gentra.constraints import ConstraintDecl
 from gentra.errors import ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain, full_domain, parse_domain
@@ -10,14 +11,15 @@ from gentra.gentra4cp import (
     check_guards,
     extract_event,
     make_semantics,
-    reconstruct_event,
     step,
     validate,
 )
-from gentra.semantics import Action, check_faithful
+from gentra.semantics import Action, check_faithful, reconstruct, replay
 from gentra.solver import Problem, solve
 from gentra.state import BOTTOM, SolverEvent, SolverState, initial_state, store
-from gentra.trace import Trace, VirtualPayload
+from gentra.trace import ActualPayload, Trace, VirtualPayload
+
+from support import ladder
 
 D05 = FiniteDomain.interval(0, 5)
 
@@ -291,14 +293,14 @@ def test_extract_node_and_identity_records():
 
 def test_reconstruct_new_constraint_and_awake():
     full = run_actions([Action.of("newVariable", variable="x", domain=D05)])
-    action, new = reconstruct_event(full, GenericEvent(
+    action, new = replay(make_semantics(), full, GenericEvent(
         "newConstraint", 0, constraint="c1", decl=ConstraintDecl.eqc("x", 3)))
     assert new.solver.is_declared("c1")
     full = run_actions([
         Action.of("post", constraint="c1"),
         Action.of("suspend", constraint="c1"),
     ], start=new)
-    action, woken = reconstruct_event(full, GenericEvent("awake", 0, constraint="c1", cause=BOTTOM))
+    action, woken = replay(make_semantics(), full, GenericEvent("awake", 0, constraint="c1", cause=BOTTOM))
     assert woken.solver.active == (("c1", BOTTOM),)
     assert "c1" not in woken.solver.sleeping
 
@@ -306,16 +308,16 @@ def test_reconstruct_new_constraint_and_awake():
 def test_reconstruct_post_in_store_fails():
     full = step(base_state(), Action.of("post", constraint="c1"))
     with pytest.raises(ReconstructionError):
-        reconstruct_event(full, GenericEvent("post", 0, constraint="c1"))
+        replay(make_semantics(), full, GenericEvent("post", 0, constraint="c1"))
 
 
 def test_reconstruct_strict_reduce_removes_pair():
     full = step(base_state(), Action.of("post", constraint="c1"))
     record = GenericEvent("reduce", 0, constraint="c1", variable="x",
                           generated=(), domain=FiniteDomain.of([0]), cause=BOTTOM)
-    _, default = reconstruct_event(full, record)
+    _, default = replay(make_semantics(), full, record)
     assert default.solver.active
-    _, strict = reconstruct_event(full, record, strict_reduce=True)
+    _, strict = replay(make_semantics(strict_reduce=True), full, record)
     assert strict.solver.active == ()
     assert strict.solver.domain("x") == parse_domain("[1-5]")
     assert strict.solver.pending == ()
@@ -410,10 +412,33 @@ def test_stepwise_extract_reconstruct_inverse(element_run):
     prev = initial_state()
     for stepped in element_run.virtual.events:
         record = extract_event(prev, stepped.action, stepped.state)
-        action, again = reconstruct_event(prev, record)
+        action, again = replay(make_semantics(), prev, record)
         assert action == stepped.action
         assert again == stepped.state
         prev = stepped.state
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_replay_applies_each_rule_once(monkeypatch, machine):
+    # replaying a record reads its action and applies it: one rule
+    # application per record, with no second application to confirm the step
+    if machine == "fd":
+        os, start, events = make_semantics(), initial_state(), solve(ladder(4)).events
+    else:
+        os, start, events = palm.make_palm_semantics(), palm.palm_initial_state(), palm.palm_solve(ladder(4)).events
+    calls = 0
+    original = gentra4cp.apply_rule
+
+    def counting_apply_rule(rules, full, action):
+        nonlocal calls
+        calls += 1
+        return original(rules, full, action)
+
+    monkeypatch.setattr(gentra4cp, "apply_rule", counting_apply_rule)
+    monkeypatch.setattr(palm, "apply_rule", counting_apply_rule)
+    virtual = reconstruct(os, Trace(start, tuple(ActualPayload(e) for e in events)))
+    assert virtual.size == len(events)
+    assert calls == len(events)
 
 
 def test_faithfulness_on_element_run(element_run):
@@ -483,5 +508,7 @@ def test_guards_g4_g5_palm_profile_only():
     events = guard_scenario_events()[:6]
     report = validate(events, guards=("g1", "g2", "g3", "g4", "g5"))
     assert report.ok  # no awake/schedule while anything is active here
+    # names of deleted guards are ignored; the report lists what it evaluated
+    assert report.guard_report.guards == ("g3", "g4", "g5")
     # a second post while c1 is active violates nothing generic, but an
     # awake-style discipline check would reject an awake with a busy store

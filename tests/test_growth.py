@@ -86,11 +86,8 @@ def test_palm_solve_work_per_event_stays_flat():
 
 
 def test_validate_work_per_event_stays_flat():
-    # no guards: g1 calls solution_state, which scans the whole constraint
-    # store, so its cost grows with the store; restating the guards so that
-    # they can fail is separate work (see ROADMAP.md)
     events = {k: solve(ladder(k)).events for k in (4, 6)}
-    _assert_flat(lambda k: validate(events[k], guards=()).checked)
+    _assert_flat(lambda k: validate(events[k]).checked)
 
 
 def test_palm_replay_work_per_event_stays_flat():

@@ -32,12 +32,12 @@ def _extract(state, action, successor):
     return (action.kind, successor - state)
 
 
-def _reconstruct(state, record):
+def _read(state, record):
     kind, delta = record
     if kind == "inc" and delta > 0:
-        return Action.of("inc", amount=delta), state + delta
+        return Action.of("inc", amount=delta)
     if kind == "dec" and delta < 0:
-        return Action.of("dec", amount=-delta), state + delta
+        return Action.of("dec", amount=-delta)
     raise ReconstructionError(kind, f"malformed record {record!r}")
 
 
@@ -47,7 +47,7 @@ def counter_os():
         action_kinds=frozenset({"inc", "dec"}),
         apply=_apply,
         extract_local=_extract,
-        reconstruct_local=_reconstruct,
+        read_action=_read,
         is_initial=lambda s: s == 0,
     )
 
@@ -59,28 +59,28 @@ def lossy_counter_os():
         action_kinds=frozenset({"inc", "dec"}),
         apply=_apply,
         extract_local=lambda s, a, s2: (a.kind, 1 if a.kind == "inc" else -1),
-        reconstruct_local=_reconstruct,
+        read_action=_read,
         is_initial=lambda s: s == 0,
     )
 
 
 def floored_lossy_counter_os():
-    """Lossy extraction, and a reconstruction that refuses to go below zero:
-    a replay that has drifted from the trace can fail where the trace
-    itself would not."""
+    """Lossy extraction, and a reader that refuses to go below zero: a
+    replay that has drifted from the trace can fail where the trace itself
+    would not."""
 
-    def reconstruct_local(state, record):
-        action, successor = _reconstruct(state, record)
-        if successor < 0:
+    def read_action(state, record):
+        action = _read(state, record)
+        if state + record[1] < 0:
             raise ReconstructionError(action.kind, "counter below zero")
-        return action, successor
+        return action
 
     return ObservationalSemantics(
         name="floored-lossy-counter",
         action_kinds=frozenset({"inc", "dec"}),
         apply=_apply,
         extract_local=lambda s, a, s2: (a.kind, 1 if a.kind == "inc" else -1),
-        reconstruct_local=reconstruct_local,
+        read_action=read_action,
         is_initial=lambda s: s == 0,
     )
 
