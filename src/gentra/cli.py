@@ -53,6 +53,9 @@ def _guard_tuple(text: str | None, default):
         guards = tuple(f"g{i}" for i in range(lo, hi + 1))
     else:
         guards = tuple(g.strip() for g in text.split(",") if g.strip())
+    if not guards:
+        click.echo("no guards selected", err=True)
+        sys.exit(2)
     bad = [g for g in guards if g not in GUARD_NAMES]
     if bad:
         click.echo(f"unknown guards {bad}", err=True)

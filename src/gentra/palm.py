@@ -14,6 +14,13 @@ The state is the generic full state with the explanation table beside it
 (``PalmState``): the solver part and every tree snapshot are generic solver
 states, so mapping to the generic format drops the table and nothing else.
 
+The rules make every state they return hold at most one active pair and
+keep explained values out of their domains.  The one invariant no rule
+makes is that every explanation names only store constraints after a
+repair, when deactivation has shrunk the store under the table; the run
+checks it once where each repair ends.  Everything else is checked from
+outside, by replaying the emitted trace (``check-compliance``).
+
 The element constraint is read 0-based here; ``palm_solve`` rebases its
 input accordingly.
 """
@@ -36,7 +43,7 @@ from .solver import (
     _next_alternatives,
     _Run,
 )
-from .state import FullState, SolverEvent, SolverState, awake_condition, evolve, initial_tree, store
+from .state import FullState, SolverEvent, SolverState, evolve, initial_tree, store, watchers
 from .trace import Trace
 
 PALM_EVENT_TYPES = (
@@ -46,7 +53,7 @@ PALM_EVENT_TYPES = (
 
 
 class PalmAssertionError(GentraError):
-    """A run-level property failed while simulating; carries the event index."""
+    """A run-level invariant failed while simulating; carries the event index."""
 
     def __init__(self, index, prop, detail):
         self.index = index
@@ -78,25 +85,6 @@ class PalmState(FullState):
 def palm_initial_state() -> PalmState:
     solver = SolverState()
     return PalmState(solver=solver, tree=initial_tree(solver))
-
-
-def dependence(state: SolverState, cid: str, event: SolverEvent) -> bool:
-    """Does the sleeping constraint depend on (react to) the event?
-
-    Deliberately a separate definition from the generic wake condition; runs
-    assert the two agree on every evaluated pair.  A constraint declared
-    without a declaration depends on no variable.
-    """
-    if cid not in state.sleeping:
-        return False
-    if event.kind == "bot":
-        return True
-    decl = state.declaration(cid)
-    return decl is not None and event.variable in decl.variables
-
-
-def palm_watchers(state: SolverState, event: SolverEvent) -> list[str]:
-    return [c for c in sorted(state.sleeping) if dependence(state, c, event)]
 
 
 def broken_values(full: PalmState, var: str) -> FiniteDomain:
@@ -240,30 +228,19 @@ def make_palm_semantics() -> ObservationalSemantics:
     )
 
 
-# run-level property checks
+# the run-level check no rule makes
 
 
-def check_palm_invariants(full: PalmState, check_explanations: bool = True, touched=None) -> None:
-    """At most one active pair, a well-formed store, explained values out of
-    their variable's domain and, unless ``check_explanations`` is off (as
-    after a relaxing step), every explanation within the store.
+def check_palm_invariants(full: PalmState) -> None:
+    """Every explanation names only store constraints.
 
-    With ``touched``, only the entries of those variables are checked: the
-    caller vouches that every other entry passed in an earlier state, that
-    neither it nor its variable's domain changed since, and that the store
-    did not shrink.
+    Reduce records explanations within the store, but deactivation shrinks
+    the store under the table; the repair that follows must restore every
+    value whose explanation broke.
     """
-    s = full.solver
-    if len(s.active) > 1:
-        raise StateInvariantError("more than one active pair")
-    sigma = store(s)
-    table, domains = full.explanations, s.domain_map()
-    entries = [(var, entry) for var in (table if touched is None else touched) for entry in table.get(var, ())]
-    for var, (vals, _expl) in entries:
-        if not vals.disjoint(domains[var]):
-            raise StateInvariantError(f"explained values of {var} are still in its domain")
-    if check_explanations:
-        for var, (_vals, expl) in entries:
+    sigma = store(full.solver)
+    for var, entries in full.explanations.items():
+        for _vals, expl in entries:
             if not expl <= sigma:
                 raise StateInvariantError(f"an explanation for {var} mentions relaxed constraints")
 
@@ -278,62 +255,12 @@ class _Frame:
     bc: str | None = None
 
 
-@dataclass(frozen=True)
-class PalmSolveResult(SolveResult):
-    property_log: tuple
-
-
 class _PalmRun(_Run):
-    """The generic run context plus the property log and the invariant checks."""
+    """The generic run context on the palm machine, knowing the problem constraints."""
 
-    def __init__(self, limits: SolveLimits, problem_ids: frozenset = frozenset()):
-        super().__init__(limits, start=palm_initial_state())
+    def __init__(self, limits: SolveLimits, problem_ids: frozenset):
+        super().__init__(limits, make_palm_semantics(), palm_initial_state())
         self.problem_ids = problem_ids
-        self.log: list[tuple] = []
-        self.relaxed = False
-
-    def apply(self, action: Action) -> tuple[PalmState, GenericEvent]:
-        self._assert_properties(len(self.events), action)
-        new = palm_step(self.full, action)
-        return new, palm_extract(self.full, action, new)
-
-    def emit(self, action: Action) -> None:
-        index = len(self.events)
-        super().emit(action)
-        relaxing = action.kind in ("deactivate", "restore", "failure")
-        # a step changes only the entries and the domain of the variable it
-        # names; the first non-relaxing step after a relaxing one checks every
-        # entry, since the store shrank under them
-        var = action.get("variable")
-        touched = None if self.relaxed and not relaxing else (() if var is None else (var,))
-        self.relaxed = relaxing
-        try:
-            check_palm_invariants(self.full, check_explanations=not relaxing, touched=touched)
-        except StateInvariantError as exc:
-            raise PalmAssertionError(index, "state-invariant", str(exc)) from exc
-
-    def _assert_properties(self, index: int, action: Action) -> None:
-        s = self.solver
-        if action.kind == "awake":
-            cid, cause = action.get("constraint"), action.get("cause")
-            dep = dependence(s, cid, cause)
-            aw = awake_condition(s, cid, cause)
-            self.log.append((index, "p1", dep == aw))
-            if dep != aw:
-                raise PalmAssertionError(index, "p1", f"dependence != wake condition for ({cid}, {cause})")
-        elif action.kind == "schedule":
-            event = action.get("event")
-            ok = bool(palm_watchers(s, event))
-            self.log.append((index, "p2", ok))
-            if not ok:
-                raise PalmAssertionError(index, "p2", f"no constraint reacts to selected event {event}")
-        elif action.kind == "reject":
-            cid = action.get("constraint")
-            decl = s.declaration(cid)
-            ok = decl is not None and decl.falsified(s.domain_map())
-            self.log.append((index, "p3", ok))
-            if not ok:
-                raise PalmAssertionError(index, "p3", f"empty domain without falsified({cid})")
 
 
 def _problem_watches(run: _PalmRun, var: str) -> bool:
@@ -395,7 +322,7 @@ def palm_propagate(run: _PalmRun) -> None:
             continue
         if skip < len(s.pending):
             event = s.pending[skip]
-            woken = palm_watchers(s, event)
+            woken = watchers(s, event)
             if not woken:
                 skip += 1
                 continue
@@ -412,7 +339,9 @@ def palm_propagate(run: _PalmRun) -> None:
 
 def _emit_restores(run: _PalmRun) -> None:
     """Return every value whose justification broke; each restored variable
-    announces one dom event, provided a problem constraint observes it."""
+    announces one dom event, provided a problem constraint observes it.
+    The repair ends here, so the table must then be explained by the store;
+    a violation is reported at the repair's last event."""
     for var in run.solver.variables:
         if var not in run.full.explanations:
             continue
@@ -425,16 +354,20 @@ def _emit_restores(run: _PalmRun) -> None:
             if ev not in run.solver.pending:
                 gen = (ev,)
         run.emit(Action.of("restore", variable=var, values=values, generated=gen))
+    try:
+        check_palm_invariants(run.full)
+    except StateInvariantError as exc:
+        raise PalmAssertionError(len(run.events) - 1, "state-invariant", str(exc)) from exc
 
 
-def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> PalmSolveResult:
+def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResult:
     """Run the explanation-based machine on a problem (element read 0-based).
 
     Search posts branch constraints like the prototype but never jumps:
     abandoning an alternative deactivates its constraint and restores every
-    value whose explanation involved it.  The run asserts the machine's
-    properties at each step (wake-condition agreement, selected events have
-    dependents, rejection implies falsity) and aborts on violation.
+    value whose explanation involved it.  Each step goes through a palm
+    rule; after each repair the run checks that the explanation table is
+    explained by the store, raising ``PalmAssertionError`` otherwise.
     """
     problem = problem.rebased(0)
     problem_ids = frozenset(cid for cid, _ in problem.constraints)
@@ -507,5 +440,4 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> PalmSolve
             break
 
     virtual = Trace(start, tuple(run.steps))
-    return PalmSolveResult(solutions=tuple(solutions), events=tuple(run.events),
-                           virtual=virtual, property_log=tuple(run.log))
+    return SolveResult(solutions=tuple(solutions), events=tuple(run.events), virtual=virtual)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .constraints import ConstraintDecl
 from .errors import ProblemError, SolveLimitError, TransitionError
 from .fdomain import FiniteDomain
-from .gentra4cp import GenericEvent, extract_event, generated_events, step
-from .semantics import Action
+from .gentra4cp import GenericEvent, generated_events, make_semantics
+from .semantics import Action, ObservationalSemantics
 from .state import BOTTOM, FullState, SolverEvent, initial_state, solution_state, watchers
 from .trace import Trace, VirtualPayload
 
@@ -82,10 +82,14 @@ class SolveResult:
 
 
 class _Run:
-    """Mutable run context: applies rules, collects both trace views."""
+    """Mutable run context: applies rules and extracts records through the
+    run's semantics, the same ones its traces are checked with, and
+    collects both trace views."""
 
-    def __init__(self, limits: SolveLimits, strict_reduce: bool = False, start: FullState | None = None):
-        self.full = start if start is not None else initial_state()
+    def __init__(self, limits: SolveLimits, os: ObservationalSemantics, start: FullState,
+                 strict_reduce: bool = False):
+        self.os = os
+        self.full = start
         self.limits = limits
         self.strict_reduce = strict_reduce
         self.events: list[GenericEvent] = []
@@ -93,16 +97,11 @@ class _Run:
         self.next_node = 1
         self.next_branch = 1
 
-    def apply(self, action: Action) -> tuple[FullState, GenericEvent]:
-        """The successor state and the record of one rule application."""
-        new = step(self.full, action, strict_reduce=self.strict_reduce)
-        return new, extract_event(self.full, action, new)
-
     def emit(self, action: Action) -> None:
         if len(self.events) >= self.limits.max_events:
             raise SolveLimitError(f"event budget {self.limits.max_events} exceeded", self.events)
-        new, record = self.apply(action)
-        self.events.append(record)
+        new = self.os.apply(self.full, action)
+        self.events.append(self.os.extract_local(self.full, action, new))
         self.steps.append(VirtualPayload(action, new))
         self.full = new
 
@@ -284,7 +283,8 @@ def solve(problem: Problem, limits: SolveLimits | None = None, *,
     Raises SolveLimitError, carrying the partial trace, when the run exceeds
     its budgets.
     """
-    run = _Run(limits or SolveLimits(), strict_reduce)
+    run = _Run(limits or SolveLimits(), make_semantics(strict_reduce=strict_reduce), initial_state(),
+               strict_reduce)
     start = run.full
     for var, dom in problem.variables:
         run.emit(Action.of("newVariable", variable=var, domain=dom))

@@ -96,6 +96,10 @@ def test_validate_guard_selection(runner, element_prob, tmp_path):
         refused = runner.invoke(main, ["validate", str(out), "--guards", deleted])
         assert refused.exit_code == 2
         assert "unknown guards" in refused.output
+    for empty in ("g5..g3", ","):  # a selection that names no guard checks nothing
+        refused = runner.invoke(main, ["validate", str(out), "--guards", empty])
+        assert refused.exit_code == 2
+        assert "no guards selected" in refused.output
 
 
 def test_reconstruct_prints_run(runner, element_prob, tmp_path):

@@ -1,8 +1,10 @@
 """Parsing and serialization: canonical round trips and the fixture corpus."""
 
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gentra.constraints import ConstraintDecl
 from gentra.errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
@@ -318,3 +320,47 @@ def test_diff_events_localizes():
     assert diffs and diffs[0].startswith("event 5")
     shorter = doc.events[:-1]
     assert any("length" in d for d in diff_events(doc.events, shorter))
+
+
+# totality: near-miss texts parse or raise a GentraError, nothing else
+
+
+@cache
+def near_miss_sources() -> tuple[str, ...]:
+    """The three fixtures and an emitted element trace."""
+    fixtures = tuple((FIXTURES / name).read_text()
+                     for name in ("element.prob", "gnu_element.trace", "palm_element.trace"))
+    return fixtures + (serialize_trace(fd_document()),)
+
+
+# the characters of the formats plus a few they never use
+EDIT_CHARS = sorted(set("".join(near_miss_sources())) | set("\t\r\x00{}()|;:=#-+é∞"))
+
+edits = st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(["insert", "delete", "replace"]),
+                           st.sampled_from(EDIT_CHARS)), min_size=1, max_size=4)
+
+
+def apply_edits(text: str, script) -> str:
+    for pos, op, ch in script:
+        i = pos % (len(text) + 1)
+        if op == "insert":
+            text = text[:i] + ch + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + ch + text[i + 1:]
+    return text
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), edits)
+def test_parsers_raise_only_gentra_errors_on_near_misses(source, script):
+    text = apply_edits(near_miss_sources()[source], script)
+    parsers = [lambda: parse_problem(text)]
+    parsers += [lambda mode=mode, dialect=dialect: parse_trace(text, mode=mode, dialect=dialect)
+                for mode in ("strict", "lenient") for dialect in ("generic", "palm")]
+    for parse in parsers:
+        try:
+            parse()
+        except GentraError:
+            pass

@@ -6,12 +6,12 @@ import pytest
 
 from gentra.constraints import ConstraintDecl
 from gentra.errors import StateInvariantError, TransitionError
-from gentra.fdomain import DEFAULT_MX, FiniteDomain, format_domain, full_domain, parse_domain
+from gentra.fdomain import DEFAULT_MX, EMPTY_DOMAIN, FiniteDomain, format_domain, full_domain, parse_domain
 from gentra.palm import (
+    PalmAssertionError,
     PalmState,
     broken_values,
     check_palm_invariants,
-    dependence,
     make_palm_semantics,
     palm_initial_state,
     palm_solve,
@@ -20,7 +20,7 @@ from gentra.palm import (
 )
 from gentra.semantics import Action, check_faithful
 from gentra.solver import Problem, SolveLimits
-from gentra.state import BOTTOM, SolverEvent, SolverState, awake_condition, evolve, solution_state
+from gentra.state import BOTTOM, SolverEvent, SolverState, evolve, solution_state
 
 from support import ladder, oracle_solutions, random_problem, solutions_as_set
 
@@ -183,53 +183,29 @@ def test_element_repair_uses_deactivate_and_restore(element_run):
     assert "jumpTo" not in kinds
 
 
-def test_properties_hold_on_element_run(element_run):
-    assert element_run.property_log
-    assert all(ok for _, _, ok in element_run.property_log)
-    checked = {name for _, name, _ in element_run.property_log}
-    assert checked == {"p1", "p2", "p3"}
-
-
 def test_state_invariants_along_run(element_run):
-    for stepped in element_run.virtual.events:
-        s = stepped.state.solver
-        assert len(s.active) <= 1
-        for var, entries in stepped.state.explanations.items():
-            for vals, expl in entries:
-                assert vals.disjoint(s.domain(var))
+    """What the palm rules make of every state they return: at most one
+    active pair, and every explained value out of its variable's domain."""
+    rng = random.Random(11)
+    problems = [ladder(4)] + [random_problem(rng) for _ in range(20)]
+    runs = [element_run] + [palm_solve(p, CORPUS_LIMITS) for p in problems]
+    for run in runs:
+        for full in [run.virtual.initial_state] + [ev.state for ev in run.virtual.events]:
+            s = full.solver
+            assert len(s.active) <= 1
+            for var, entries in full.explanations.items():
+                for vals, _expl in entries:
+                    assert vals.disjoint(s.domain(var))
 
 
-def test_incremental_invariant_check_agrees_with_the_full_one(monkeypatch):
+def test_a_repair_that_restores_nothing_is_caught(monkeypatch):
     import gentra.palm as palm
 
-    original = palm.check_palm_invariants
-    calls = []
-
-    def side_by_side(full, check_explanations=True, touched=None):
-        outcomes = []
-        for scope in (None, touched):
-            try:
-                original(full, check_explanations, scope)
-                outcomes.append(None)
-            except StateInvariantError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], (touched, outcomes)
-        calls.append((check_explanations, touched))
-        original(full, check_explanations, touched)
-
-    monkeypatch.setattr(palm, "check_palm_invariants", side_by_side)
-    rng = random.Random(11)
-    problems = [ladder(4), ladder(5)] + [random_problem(rng) for _ in range(20)]
-    full_checks = steps = 0
-    for problem in problems:
-        calls.clear()
-        palm_solve(problem, CORPUS_LIMITS)
-        # a full check exactly on the first non-relaxing step after a relaxing one
-        for (was_checked, _), (checked, touched) in zip([(True, ())] + calls, calls):
-            assert (touched is None) == (checked and not was_checked)
-        full_checks += sum(touched is None for _, touched in calls)
-        steps += len(calls)
-    assert 0 < full_checks < steps / 10
+    monkeypatch.setattr(palm, "broken_values", lambda full, var: EMPTY_DOMAIN)
+    with pytest.raises(PalmAssertionError, match="mentions relaxed constraints") as caught:
+        palm_solve(element_problem())
+    # the repair after the first failure is a lone deactivate of c0
+    assert (caught.value.prop, caught.value.index) == ("state-invariant", 35)
 
 
 def test_both_invariant_checks_catch_corrupted_tables():
@@ -238,8 +214,6 @@ def test_both_invariant_checks_catch_corrupted_tables():
                   generated=(), cause=BOTTOM, explanation=frozenset({"c1"})),
         Action.of("suspend", constraint="c1"),
     ], start=scripted_state())
-    # an explained value back in its domain
-    back = evolve(reduced, solver=reduced.solver.with_domain("x", FiniteDomain.interval(0, 5)))
     # after c1 is relaxed and x repaired, a removal explained by c1
     repaired = run_palm([
         Action.of("deactivate", constraint="c1"),
@@ -247,12 +221,13 @@ def test_both_invariant_checks_catch_corrupted_tables():
     ], start=reduced)
     stale = evolve(repaired, solver=repaired.solver.with_domain("x", parse_domain("[0-4]")),
                    explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
-    check_palm_invariants(reduced, touched=("x",))
+    # c1 relaxed, x not yet repaired
+    relaxed = palm_step(reduced, Action.of("deactivate", constraint="c1"))
+    check_palm_invariants(reduced)
     check_palm_invariants(repaired)
-    for corrupted, text in ((back, "still in its domain"), (stale, "mentions relaxed constraints")):
-        for touched in (None, ("x",)):
-            with pytest.raises(StateInvariantError, match=text):
-                check_palm_invariants(corrupted, touched=touched)
+    for corrupted in (relaxed, stale):
+        with pytest.raises(StateInvariantError, match="mentions relaxed constraints"):
+            check_palm_invariants(corrupted)
 
 
 def test_snapshots_are_generic_and_the_map_shares_them(element_run):
@@ -263,16 +238,6 @@ def test_snapshots_are_generic_and_the_map_shares_them(element_run):
             assert type(s.tree.snapshot(n)) is SolverState
         mapped = map_palm_state(s)
         assert mapped.solver is s.solver and mapped.tree is s.tree
-
-
-def test_dependence_matches_wake_condition(element_run):
-    for stepped in element_run.virtual.events:
-        if stepped.action.kind == "awake":
-            continue
-        s = stepped.state.solver
-        for cid in sorted(s.sleeping):
-            for ev in s.pending + ((s.current_event,) if s.current_event else ()):
-                assert dependence(s, cid, ev) == awake_condition(s, cid, ev)
 
 
 def test_palm_faithfulness(element_run):
@@ -288,13 +253,14 @@ def test_palm_dual_faithfulness(element_run):
 
 def test_mapped_guards_hold_on_palm_states(element_run):
     from gentra.abstraction import palm_mapping, map_palm_state
-    from gentra.gentra4cp import check_guards
+    from gentra.gentra4cp import GUARD_NAMES, check_guards
     from gentra.trace import Trace, VirtualPayload
     m = palm_mapping()
     mapped = Trace(map_palm_state(element_run.virtual.initial_state),
                    tuple(VirtualPayload(m.carry_action(ev.action), map_palm_state(ev.state))
                          for ev in element_run.virtual.events))
-    report = check_guards(mapped, guards=("g1", "g2", "g3", "g4", "g5"))
+    report = check_guards(mapped, guards=GUARD_NAMES)
+    assert report.guards == GUARD_NAMES
     assert report.ok, report.lines()
 
 
@@ -337,4 +303,3 @@ def test_random_palm_runs_match_oracle():
         p = random_problem(rng)
         res = palm_solve(p, CORPUS_LIMITS)
         assert solutions_as_set(res) == oracle_solutions(p.rebased(0))
-        assert all(ok for _, _, ok in res.property_log)
