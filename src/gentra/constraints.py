@@ -16,7 +16,6 @@ domains directly and never enumerate wide ranges.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -24,9 +23,6 @@ from .errors import GentraError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
 
 KINDS = ("element", "eq", "eqc", "neq")
-
-# Exhaustive entailment checking is capped at this many candidate tuples.
-_ENUM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -163,18 +159,3 @@ class ConstraintDecl:
         u = domains[vvar].singleton_value()
         return all(values[i - self.index_base] == u for i in domains[ivar].values())
 
-
-def entailed_by_enumeration(decl: ConstraintDecl, domains: Mapping[str, FiniteDomain]) -> bool:
-    """Brute-force entailment over the domain product; test-scale cross-check."""
-    vs = decl.variables
-    total = 1
-    for v in vs:
-        total *= max(domains[v].size(), 1)
-        if total > _ENUM_CAP:
-            raise GentraError("domain product too large to enumerate")
-    if any(domains[v].is_empty() for v in vs):
-        return False
-    for combo in itertools.product(*(list(domains[v].values()) for v in vs)):
-        if not decl.satisfied(dict(zip(vs, combo))):
-            return False
-    return True

@@ -252,10 +252,13 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
     removed, generated, cause = act.get("removed"), act.get("generated", ()), act.get("cause")
     s = full.solver
     pair_event = s.active_event(cid)
-    _need(pair_event is not None and pair_event == cause, "reduce", f"({cid}, {cause}) is not an active pair")
+    if pair_event is None or pair_event != cause:
+        raise TransitionError("reduce", f"({cid}, {cause}) is not an active pair")
     decl = s.declaration(cid)
-    _need(decl is not None, "reduce", f"no declaration recorded for {cid}")
-    _need(var in decl.variables, "reduce", f"{var} is not a variable of {cid}")
+    if decl is None:
+        raise TransitionError("reduce", f"no declaration recorded for {cid}")
+    if var not in decl.variables:
+        raise TransitionError("reduce", f"{var} is not a variable of {cid}")
     _need(removed.issubset(s.domain(var)), "reduce", "removed values are not all in the domain")
     s2 = s.with_domain(var, s.domain(var).subtract(removed)).push_events(generated)
     if strict:
@@ -268,10 +271,11 @@ def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
     cid = act.get("constraint")
     s = full.solver
     pair_event = s.active_event(cid)
-    _need(pair_event is not None, rule, f"{cid} is not active")
+    if pair_event is None:
+        raise TransitionError(rule, f"{cid} is not active")
     cause = act.get("cause")
-    if cause is not None:
-        _need(pair_event == cause, rule, f"({cid}, {cause}) is not the active pair")
+    if cause is not None and pair_event != cause:
+        raise TransitionError(rule, f"({cid}, {cause}) is not the active pair")
     return cid, tuple(p for p in s.active if p[0] != cid)
 
 
@@ -302,10 +306,12 @@ def _step_reject(full: FullState, act: Action) -> FullState:
 def _step_awake(full: FullState, act: Action) -> FullState:
     cid, cause = act.get("constraint"), act.get("cause")
     s = full.solver
-    _need(cid in s.sleeping, "awake", f"{cid} is not sleeping")
+    if cid not in s.sleeping:
+        raise TransitionError("awake", f"{cid} is not sleeping")
     _need(cause == BOTTOM or cause == s.current_event, "awake",
           "waking event is neither bot nor the scheduled event")
-    _need(awake_condition(s, cid, cause), "awake", f"{cid} does not watch {cause}")
+    if not awake_condition(s, cid, cause):
+        raise TransitionError("awake", f"{cid} does not watch {cause}")
     s2 = evolve(s, active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
     return evolve(full, solver=s2)
 
@@ -313,10 +319,11 @@ def _step_awake(full: FullState, act: Action) -> FullState:
 def _step_schedule(full: FullState, act: Action) -> FullState:
     event, witness = act.get("event"), act.get("witness")
     s = full.solver
-    _need(event in s.pending, "schedule", f"{event} is not pending")
+    if event not in s.pending:
+        raise TransitionError("schedule", f"{event} is not pending")
     _need(schedulable(s, event), "schedule", "no sleeping constraint reacts to the event")
-    if witness is not None:
-        _need(awake_condition(s, witness, event), "schedule", f"{witness} does not react to the event")
+    if witness is not None and not awake_condition(s, witness, event):
+        raise TransitionError("schedule", f"{witness} does not react to the event")
     idx = s.pending.index(event)
     s2 = evolve(s, pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
     return evolve(full, solver=s2)

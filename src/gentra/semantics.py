@@ -126,18 +126,27 @@ def replay(os: ObservationalSemantics, state: Any, record: Any) -> tuple[Action,
         raise ReconstructionError(exc.rule, exc.condition) from exc
 
 
-def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> VirtualPayload:
-    """Replay record ``i`` from ``state``: the step it encodes, or the
-    :class:`ReconstructionError` that ``reconstruct`` reports for it."""
+def _read_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> Action:
+    """The action record ``i`` encodes in ``state``, or the
+    :class:`ReconstructionError` that ``reconstruct`` reports for reading it."""
     if not isinstance(ev, ActualPayload):
         raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=i)
     if not os.is_record(ev.record):
         raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
     try:
-        action, successor = replay(os, state, ev.record)
+        return os.read_action(state, ev.record)
     except ReconstructionError as exc:
         raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
-    return VirtualPayload(action, successor)
+
+
+def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> VirtualPayload:
+    """Replay record ``i`` from ``state``: the step it encodes, or the
+    :class:`ReconstructionError` that ``reconstruct`` reports for it."""
+    action = _read_step(os, state, i, ev)
+    try:
+        return VirtualPayload(action, os.apply(state, action))
+    except TransitionError as exc:
+        raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
 
 
 def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
@@ -227,20 +236,48 @@ class FaithfulnessReport:
         return "\n".join(self.lines())
 
 
+def _faithful_divergence(os: ObservationalSemantics, vtrace: Trace) -> int | None:
+    """``replay_divergence(os, extract(os, vtrace), vtrace)`` with one rule
+    application per step.
+
+    ``extract`` has proven ``apply(s, a) == s'`` for every step of
+    ``vtrace``, and ``apply`` is a function of the state and the action.  So
+    while the action read back from a record equals the step's own action,
+    the replayed step equals the step, and replay goes on from its state
+    without applying the rule again.  A differing action makes the step
+    differ whatever its successor.  From there on every record is replayed
+    in full along replay's own chain, so that a rule failure is still
+    reported at its index.
+    """
+    atrace = extract(os, vtrace)
+    state = vtrace.initial_state
+    pos = None
+    for i, (ev, ref) in enumerate(zip(atrace.events, vtrace.events)):
+        if pos is None:
+            if _read_step(os, state, i, ev) == ref.action:
+                state = ref.state
+                continue
+            pos = i
+        state = _replay_step(os, state, i, ev).state
+    return pos
+
+
 def check_faithful(os: ObservationalSemantics, samples: Iterable[Trace]) -> FaithfulnessReport:
     """Verify reconstruct(extract(t)) == t on each sample virtual trace.
 
-    The replay and the comparison run in one pass (:func:`replay_divergence`):
-    replay continues from ``t``'s own state while the steps agree, so each
-    comparison meets the objects the two states share and stops at what the
-    step changed, instead of walking two unshared state chains.  Errors and
-    divergence positions are those of ``first_divergence(t, reconstruct(os,
-    extract(os, t)))``.
+    Each step of ``t`` costs one rule application: ``extract`` applies the
+    rule to check that the step is a transition, and the replay of its
+    record then only reads the action back.  An action equal to the step's
+    own yields the step itself, since ``apply`` is a function of the state
+    and the action, so the rule is not applied a second time; replay goes
+    on from ``t``'s own state.  Only from the first differing action on does
+    replay apply rules along its own chain.  Errors and divergence positions
+    are those of ``first_divergence(t, reconstruct(os, extract(os, t)))``.
     """
     entries = []
     for i, t in enumerate(samples):
         try:
-            pos = replay_divergence(os, extract(os, t), t)
+            pos = _faithful_divergence(os, t)
         except (TransitionError, ReconstructionError) as exc:
             entries.append(FaithfulnessEntry(i, False, detail=str(exc), divergence=exc.index))
             continue

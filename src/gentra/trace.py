@@ -144,11 +144,6 @@ def domain_meet(x: PrefixSet, y: PrefixSet) -> PrefixSet:
 BOTTOM_DOMAIN: PrefixSet = frozenset()
 
 
-def canonical_traces(prefixes: Iterable[Trace]) -> list[Trace]:
-    """A deterministic ordering of a prefix set (by size, then by repr)."""
-    return sorted(prefixes, key=lambda t: (t.size, repr(t)))
-
-
 @dataclass(frozen=True)
 class TraceDomain:
     """A finite family of prefix-closed sets, closed under union and intersection."""

@@ -1,5 +1,6 @@
-"""Shared test helpers: an independent brute-force oracle, random inputs, and
-an extraction derived by inverting reconstruction.
+"""Shared test helpers: an independent brute-force oracle, brute-force
+entailment, random inputs, near-miss text edits, and an extraction derived by
+inverting reconstruction.
 
 The oracle never touches the propagation machinery: it re-implements each
 constraint's relation directly on integers and enumerates total assignments
@@ -10,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
+
+from hypothesis import strategies as st
 
 from gentra.constraints import ConstraintDecl
-from gentra.errors import ReconstructionError, TransitionError
+from gentra.errors import GentraError, ReconstructionError, TransitionError
 from gentra.fdomain import FiniteDomain
 from gentra.semantics import Action, ObservationalSemantics, replay
 from gentra.solver import Problem
@@ -125,6 +128,26 @@ def ladder(k: int) -> Problem:
     )
 
 
+# Exhaustive entailment checking is capped at this many candidate tuples.
+_ENUM_CAP = 4096
+
+
+def entailed_by_enumeration(decl: ConstraintDecl, domains: Mapping[str, FiniteDomain]) -> bool:
+    """Brute-force entailment over the domain product; test-scale cross-check."""
+    vs = decl.variables
+    total = 1
+    for v in vs:
+        total *= max(domains[v].size(), 1)
+        if total > _ENUM_CAP:
+            raise GentraError("domain product too large to enumerate")
+    if any(domains[v].is_empty() for v in vs):
+        return False
+    for combo in itertools.product(*(list(domains[v].values()) for v in vs)):
+        if not decl.satisfied(dict(zip(vs, combo))):
+            return False
+    return True
+
+
 def solutions_as_set(result) -> set:
     return {tuple(sorted(assignment)) for assignment in result.solutions}
 
@@ -138,6 +161,11 @@ _EVENTS = [VirtualPayload(a, s) for a in ("a", "b", "c") for s in ("t0", "t1")]
 def random_trace(rng: random.Random, max_events: int = 6) -> Trace:
     size = rng.randint(0, max_events)
     return Trace(rng.choice(_STATES), tuple(rng.choice(_EVENTS) for _ in range(size)))
+
+
+def canonical_traces(prefixes: Iterable[Trace]) -> list[Trace]:
+    """A deterministic ordering of a prefix set (by size, then by repr)."""
+    return sorted(prefixes, key=lambda t: (t.size, repr(t)))
 
 
 def random_trace_set(rng: random.Random, max_traces: int = 5, max_events: int = 6) -> list[Trace]:
@@ -167,3 +195,24 @@ def extraction_from_reconstruction(os: ObservationalSemantics,
         return hits[0]
 
     return derived
+
+
+# near-miss texts: a few single-character edits of a valid text
+
+
+def edit_scripts(chars: Iterable[str]):
+    """Scripts of 1–4 (position, operation, character) edits for :func:`apply_edits`."""
+    return st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(["insert", "delete", "replace"]),
+                              st.sampled_from(sorted(chars))), min_size=1, max_size=4)
+
+
+def apply_edits(text: str, script) -> str:
+    for pos, op, ch in script:
+        i = pos % (len(text) + 1)
+        if op == "insert":
+            text = text[:i] + ch + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + ch + text[i + 1:]
+    return text

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from gentra.constraints import ConstraintDecl, entailed_by_enumeration
+from gentra.constraints import ConstraintDecl
 from gentra.errors import GentraError
 from gentra.fdomain import FiniteDomain
 
-from support import constraint_holds
+from support import constraint_holds, entailed_by_enumeration
 
 
 def random_decl(rng, names):

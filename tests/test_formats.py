@@ -22,6 +22,8 @@ from gentra.palm import palm_solve
 from gentra.solver import solve
 from gentra.state import SolverEvent
 
+from support import apply_edits, edit_scripts
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -336,20 +338,7 @@ def near_miss_sources() -> tuple[str, ...]:
 # the characters of the formats plus a few they never use
 EDIT_CHARS = sorted(set("".join(near_miss_sources())) | set("\t\r\x00{}()|;:=#-+é∞"))
 
-edits = st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(["insert", "delete", "replace"]),
-                           st.sampled_from(EDIT_CHARS)), min_size=1, max_size=4)
-
-
-def apply_edits(text: str, script) -> str:
-    for pos, op, ch in script:
-        i = pos % (len(text) + 1)
-        if op == "insert":
-            text = text[:i] + ch + text[i:]
-        elif op == "delete":
-            text = text[:i] + text[i + 1:]
-        else:
-            text = text[:i] + ch + text[i + 1:]
-    return text
+edits = edit_scripts(EDIT_CHARS)
 
 
 @settings(deadline=None)

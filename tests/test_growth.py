@@ -5,7 +5,10 @@ deterministic proxy for the work instead and compares events at the bottom
 and the top of the path-colouring ladder.
 """
 
+import dataclasses
 import sys
+
+import pytest
 
 from gentra.gentra4cp import make_semantics, validate
 from gentra.palm import make_palm_semantics, palm_initial_state, palm_solve
@@ -40,6 +43,24 @@ def test_faithfulness_state_comparisons_per_event_stay_flat(monkeypatch):
         assert check_faithful(os, [virtual]).ok
         per_event[k] = calls / virtual.size
     assert per_event[6] <= GROWTH_LIMIT * per_event[4], per_event
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_faithfulness_check_applies_each_rule_once(machine):
+    # extraction applies each step's rule to check that it is a transition;
+    # replaying the step's record then reads the action back and, when it is
+    # the step's own, does not apply the rule a second time
+    os, run = (make_semantics(), solve) if machine == "fd" else (make_palm_semantics(), palm_solve)
+    virtual = run(ladder(4)).virtual
+    calls = 0
+
+    def counting(state, action):
+        nonlocal calls
+        calls += 1
+        return os.apply(state, action)
+
+    assert check_faithful(dataclasses.replace(os, apply=counting), [virtual]).ok
+    assert calls == virtual.size
 
 
 # Python line events count the interpreted work: a linear scan of an

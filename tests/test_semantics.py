@@ -1,4 +1,5 @@
-"""Framework-level tests against a toy counter machine."""
+"""Framework-level tests against a toy counter machine, and the one-pass
+faithfulness check against the long way on both solver machines."""
 
 import random
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gentra.errors import ReconstructionError, TransitionError
+from gentra.gentra4cp import make_semantics
+from gentra.palm import make_palm_semantics, palm_solve
 from gentra.semantics import (
     Action,
     ObservationalSemantics,
@@ -16,9 +19,10 @@ from gentra.semantics import (
     replay_divergence,
     transition_holds,
 )
+from gentra.solver import solve
 from gentra.trace import ActualPayload, Trace, VirtualPayload
 
-from support import extraction_from_reconstruction
+from support import extraction_from_reconstruction, ladder, random_problem
 
 
 def _apply(state, action):
@@ -249,6 +253,22 @@ def test_replay_keeps_its_own_chain_after_a_divergence():
     assert (entry.ok, entry.divergence) == (False, 2)
     assert "counter below zero" in entry.detail
     assert (entry.ok, entry.divergence, entry.detail) == _two_pass_entry(os, t)
+
+
+def test_one_pass_check_matches_the_long_way_on_both_machines():
+    # each run clean and with one step's state replaced by the next step's
+    rng = random.Random(2011)
+    problems = [ladder(4)] + [random_problem(rng) for _ in range(20)]
+    for os, run in ((make_semantics(), solve), (make_palm_semantics(), palm_solve)):
+        for problem in problems:
+            t = run(problem).virtual
+            j = rng.randrange(t.size - 1)
+            events = list(t.events)
+            events[j] = VirtualPayload(events[j].action, events[j + 1].state)
+            for sample in (t, Trace(t.initial_state, tuple(events))):
+                entry = check_faithful(os, [sample]).entries[0]
+                assert entry.ok == (sample is t)
+                assert (entry.ok, entry.divergence, entry.detail) == _two_pass_entry(os, sample)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6), st.integers(-1, 1))

@@ -12,14 +12,13 @@ from gentra.trace import (
     TraceDomain,
     VirtualPayload,
     all_prefixes,
-    canonical_traces,
     concat,
     domain_join,
     domain_meet,
     is_prefix_closed,
 )
 
-from support import random_trace_set
+from support import canonical_traces, random_trace_set
 
 E1, E2, E3 = (VirtualPayload(a, s) for a, s in [("a", "s1"), ("b", "s2"), ("c", "s3")])
 
