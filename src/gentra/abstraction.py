@@ -228,6 +228,8 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
     must accept (d(s), h(r), d(s')), and each initial state must map to a
     derived initial state.  A clean report over the samples is the evidence
     that, on those behaviours, the derived semantics is a derivation field.
+    Each sample state is mapped once: the mapped post-state of a transition
+    is the mapped pre-state of the next.
     """
     violations = []
     h = dict(mapping.action_map)
@@ -253,15 +255,15 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
             if not os_d.is_initial(mapped):
                 violations.append(SimulationViolation(ti, None, "initial state does not map to a derived initial state"))
                 continue
-            state = t.initial_state
             for ei, ev in enumerate(t.events):
                 transitions += 1
                 carried = mapping.carry_action(ev.action)
-                if not transition_holds(os_d, mapping.map_state(state), carried, mapping.map_state(ev.state)):
+                post = mapping.map_state(ev.state)
+                if not transition_holds(os_d, mapped, carried, post):
                     violations.append(SimulationViolation(
                         ti, ei, f"{ev.action.kind} transition is not simulated by {carried.kind}"))
                     break
-                state = ev.state
+                mapped = post
     return SimulationReport(mapping.name, len(samples), transitions, tuple(violations))
 
 
@@ -418,8 +420,10 @@ def map_palm_state(full: PalmState) -> FullState:
 
 
 def _strip_explanation(action: Action) -> Action:
+    """The action without its explanation argument; the action itself when
+    it carries none."""
     args = tuple((k, v) for k, v in action.args if k != "explanation")
-    return Action(action.kind, args)
+    return action if len(args) == len(action.args) else Action(action.kind, args)
 
 
 def palm_mapping() -> StateMapping:
@@ -434,12 +438,17 @@ def palm_mapping() -> StateMapping:
 
 
 def palm_event_to_generic(ev: GenericEvent) -> GenericEvent:
-    """Drop the dialect extras (explanations, wake kinds, name aliases)."""
+    """Drop the dialect extras (explanations, wake kinds, name aliases).
+
+    A record that carries none is returned as it is.
+    """
     if ev.type in ("jumpTo", "solved"):
         raise MappingError(f"{ev.type} has no counterpart in the mapped profile")
     if ev.type not in PALM_EVENT_TYPES:
         raise MappingError(f"unknown event type {ev.type!r}")
-    return replace(ev, explanation=None, wake_kind=None, var_alias=None)
+    if ev.explanation is None and ev.wake_kind is None and ev.var_alias is None:
+        return ev
+    return ev._replace(explanation=None, wake_kind=None, var_alias=None)
 
 
 def palm_to_generic(events: Iterable[GenericEvent]) -> tuple[GenericEvent, ...]:

@@ -33,7 +33,8 @@ Problem files use one declaration per line:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constraints import ConstraintDecl
 from .errors import ProblemError, TraceShapeError, TraceSyntaxError
@@ -45,13 +46,16 @@ from .state import BOTTOM, EVENT_KINDS, SolverEvent
 _LINE_RE = re.compile(r"^\s*(\d+)\[(\d+)\]\s*([A-Za-z][\w-]*)\s*(.*)$")
 _STRICT_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _HEADER_RE = re.compile(r"^#\s*([\w-]+)\s*:\s*(.*)$")
+_WORD_RE = re.compile(r"[\w.-]+")
+_INT_RE = re.compile(r"-?\d+")
 
 
 # tokenizer
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
+    """One token of a trace line, an immutable named tuple."""
+
     kind: str  # word | int | domain | call | block | paren
     text: str
     name: str = ""
@@ -89,7 +93,7 @@ def _tokenize(text: str) -> list[_Tok]:
             toks.append(_Tok("paren", text[i:j + 1], body=text[i + 1:j]))
             i = j + 1
             continue
-        m = re.match(r"[\w.-]+", text[i:])
+        m = _WORD_RE.match(text, i)
         if not m:
             raise TraceSyntaxError(f"unexpected character {c!r}", column=i + 1)
         word = m.group(0)
@@ -102,7 +106,7 @@ def _tokenize(text: str) -> list[_Tok]:
             j = _scan_balanced(text, i, "(", ")")
             toks.append(_Tok("call", word + text[i:j + 1], name=word, body=text[i + 1:j]))
             i = j + 1
-        elif re.fullmatch(r"-?\d+", word):
+        elif _INT_RE.fullmatch(word):
             toks.append(_Tok("int", word))
         else:
             toks.append(_Tok("word", word))
@@ -425,23 +429,25 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
                     except ValueError:
                         raise TraceSyntaxError(f"mx header is not an integer: {value!r}", line=line_no) from None
             continue
-        if _LINE_RE.match(line):
-            logical.append((line_no, line))
+        m = _LINE_RE.match(line)
+        if m:
+            logical.append((line_no, line, m))
         else:
             if not logical:
                 raise TraceSyntaxError("line does not start with a chrono token", line=line_no)
             if mode != "lenient":
                 raise TraceSyntaxError("continuation lines are only accepted in lenient mode", line=line_no)
-            prev_no, prev = logical[-1]
-            logical[-1] = (prev_no, prev + " " + line.strip())
+            prev_no, prev, _ = logical[-1]
+            # a joined line is matched again once it is complete
+            logical[-1] = (prev_no, prev + " " + line.strip(), None)
             continuation_notes.append(f"line {line_no}: continuation joined to line {prev_no}")
 
     parser = _EventParser(mode, dialect, mx)
     events = []
     chrono_start = None
     expected = None
-    for line_no, line in logical:
-        m = _LINE_RE.match(line)
+    for line_no, line, m in logical:
+        m = m or _LINE_RE.match(line)
         chrono, depth, type_name, rest = int(m.group(1)), int(m.group(2)), m.group(3), m.group(4)
         if chrono_start is None:
             chrono_start = chrono
@@ -526,8 +532,7 @@ def strip_origins(ev: GenericEvent) -> GenericEvent:
     def bare(e: SolverEvent | None):
         return None if e is None else SolverEvent(e.kind, e.variable)
 
-    return replace(
-        ev,
+    return ev._replace(
         generated=None if ev.generated is None else tuple(bare(e) for e in ev.generated),
         cause=bare(ev.cause),
         event=bare(ev.event),

@@ -32,6 +32,7 @@ validate foreign traces), and the run-level guard checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constraints import ConstraintDecl
 from .errors import ReconstructionError, TransitionError
@@ -64,13 +65,14 @@ GUARD_NAMES = ("g3", "g4", "g5")
 DEFAULT_GUARDS = ("g3",)
 
 
-@dataclass(frozen=True)
-class GenericEvent:
+class GenericEvent(NamedTuple):
     """One actual-trace record: an event type, its depth, and typed attributes.
 
     Only the attributes proper to the type are populated; dialect extras
     (explanations, wake-kind annotations, source-name aliases) ride along in
-    dedicated optional fields so parsers can preserve them.
+    dedicated optional fields so parsers can preserve them.  A record is an
+    immutable named tuple: it compares and hashes by value, as tuples do,
+    and ``_replace`` copies it with some fields changed.
     """
 
     type: str
@@ -111,6 +113,9 @@ _SHAPES = {
 
 _ALL_ATTRS = ("constraint", "variable", "node", "node2", "domain",
               "generated", "cause", "event", "decl", "decl_text")
+# the attributes foreign to each event type, in ``_ALL_ATTRS`` order
+_FOREIGN = {kind: tuple(name for name in _ALL_ATTRS if name not in required + optional)
+            for kind, (required, optional) in _SHAPES.items()}
 
 
 def shape_error(ev: GenericEvent, strict: bool = True) -> str | None:
@@ -120,15 +125,14 @@ def shape_error(ev: GenericEvent, strict: bool = True) -> str | None:
     generated events, causes, and node identifiers); attributes foreign to
     the event type are rejected in both modes.
     """
-    if ev.type not in _SHAPES:
+    foreign = _FOREIGN.get(ev.type)
+    if foreign is None:
         return f"unknown event type {ev.type!r}"
-    required, optional = _SHAPES[ev.type]
-    allowed = set(required) | set(optional)
-    for name in _ALL_ATTRS:
-        if getattr(ev, name) is not None and name not in allowed:
+    for name in foreign:
+        if getattr(ev, name) is not None:
             return f"attribute {name!r} does not belong to {ev.type}"
     if strict:
-        for name in required:
+        for name in _SHAPES[ev.type][0]:
             if getattr(ev, name) is None:
                 return f"missing required attribute {name!r}"
     return None

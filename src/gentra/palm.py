@@ -27,7 +27,7 @@ input accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError
@@ -198,8 +198,8 @@ def palm_extract(full: PalmState, action: Action, new: PalmState) -> GenericEven
     if action.kind != "reduce":
         return ev
     var = action.get("variable")
-    return replace(ev, explanation=tuple(sorted(action.get("explanation"))),
-                   wake_kind=wake_kind_of(full.solver.domain(var), new.solver.domain(var)))
+    return ev._replace(explanation=tuple(sorted(action.get("explanation"))),
+                       wake_kind=wake_kind_of(full.solver.domain(var), new.solver.domain(var)))
 
 
 def _read_reduce(full: PalmState, ev: GenericEvent) -> Action:

@@ -12,15 +12,18 @@ assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ReconstructionError, TransitionError
 from .trace import ActualPayload, Trace, VirtualPayload
 
 
-@dataclass(frozen=True)
-class Action:
-    """A transition label: a rule kind plus its instantiated arguments."""
+class Action(NamedTuple):
+    """A transition label: a rule kind plus its instantiated arguments.
+
+    An immutable named tuple, so it compares and hashes by value, as tuples
+    do; ``of`` sorts the arguments by name, so equal labels are equal tuples.
+    """
 
     kind: str
     args: tuple[tuple[str, Any], ...] = ()

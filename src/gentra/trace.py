@@ -11,22 +11,26 @@ set at the bottom and the full prefix set at the top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import ClosureError, KindMismatchError, PrefixRangeError
 
 
-@dataclass(frozen=True)
-class VirtualPayload:
-    """One observed transition: the action taken and the state it reached."""
+class VirtualPayload(NamedTuple):
+    """One observed transition: the action taken and the state it reached.
+
+    An immutable named tuple: it compares and hashes by value, as tuples do.
+    """
 
     action: Hashable
     state: Hashable
 
 
-@dataclass(frozen=True)
-class ActualPayload:
-    """One emitted record: the attributes a tracer wrote for a transition."""
+class ActualPayload(NamedTuple):
+    """One emitted record: the attributes a tracer wrote for a transition.
+
+    An immutable named tuple: it compares and hashes by value, as tuples do.
+    """
 
     record: Hashable
 
@@ -158,22 +162,6 @@ class TraceDomain:
             for b in self.members:
                 if frozenset(a | b) not in self.members or frozenset(a & b) not in self.members:
                     raise ClosureError("trace domain is not closed under union/intersection")
-
-    @staticmethod
-    def generated_by(elements: Iterable[PrefixSet]) -> "TraceDomain":
-        """The smallest union/intersection-closed family containing ``elements``."""
-        family = {frozenset(e) for e in elements}
-        family.add(BOTTOM_DOMAIN)
-        while True:
-            fresh = set()
-            for a in family:
-                for b in family:
-                    for c in (frozenset(a | b), frozenset(a & b)):
-                        if c not in family:
-                            fresh.add(c)
-            if not fresh:
-                return TraceDomain(frozenset(family))
-            family |= fresh
 
     @property
     def bottom(self) -> PrefixSet:

@@ -20,7 +20,7 @@ from gentra.errors import GentraError, ReconstructionError, TransitionError
 from gentra.fdomain import FiniteDomain
 from gentra.semantics import Action, ObservationalSemantics, replay
 from gentra.solver import Problem
-from gentra.trace import Trace, VirtualPayload
+from gentra.trace import BOTTOM_DOMAIN, PrefixSet, Trace, TraceDomain, VirtualPayload
 
 
 def _product(values):
@@ -170,6 +170,22 @@ def canonical_traces(prefixes: Iterable[Trace]) -> list[Trace]:
 
 def random_trace_set(rng: random.Random, max_traces: int = 5, max_events: int = 6) -> list[Trace]:
     return [random_trace(rng, max_events) for _ in range(rng.randint(0, max_traces))]
+
+
+def generated_domain(elements: Iterable[PrefixSet]) -> TraceDomain:
+    """The smallest union/intersection-closed family containing ``elements``."""
+    family = {frozenset(e) for e in elements}
+    family.add(BOTTOM_DOMAIN)
+    while True:
+        fresh = set()
+        for a in family:
+            for b in family:
+                for c in (frozenset(a | b), frozenset(a & b)):
+                    if c not in family:
+                        fresh.add(c)
+        if not fresh:
+            return TraceDomain(frozenset(family))
+        family |= fresh
 
 
 def extraction_from_reconstruction(os: ObservationalSemantics,

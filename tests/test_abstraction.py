@@ -1,5 +1,6 @@
 """Projection, simulation, derivation, compliance, and commutation checks."""
 
+import dataclasses
 import random
 
 import pytest
@@ -20,7 +21,9 @@ from gentra.abstraction import (
     compose,
     identity_derivation,
     identity_projection,
+    _strip_explanation,
     map_palm_state,
+    palm_event_to_generic,
     palm_profile,
     palm_to_generic,
     project,
@@ -35,7 +38,7 @@ from gentra.solver import Problem, SolveLimits, solve
 from gentra.state import initial_state
 from gentra.trace import Trace, VirtualPayload
 
-from support import random_problem
+from support import ladder, random_problem
 
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
 
@@ -180,6 +183,60 @@ def test_simulation_evidence_implies_mapped_validation(gt, palm_os):
         report = validate(palm_to_generic(res.events), os=projected,
                           guards=("g1", "g2", "g3", "g4", "g5"))
         assert report.ok, report.lines()
+
+
+# mapping without rebuilding what does not change
+
+
+@pytest.fixture(scope="module")
+def palm_ladder_run():
+    return palm_solve(ladder(4))
+
+
+def _has_extras(ev):
+    return ev.explanation is not None or ev.wake_kind is not None or ev.var_alias is not None
+
+
+def test_palm_to_generic_returns_records_without_extras_as_they_are(palm_ladder_run):
+    events = palm_ladder_run.events
+    plain = [ev for ev in events if not _has_extras(ev)]
+    assert 0 < len(plain) < len(events)
+    assert all(palm_event_to_generic(ev) is ev for ev in plain)
+    for ev, mapped in zip(events, palm_to_generic(events)):
+        if _has_extras(ev):
+            assert not _has_extras(mapped)
+            assert mapped == ev._replace(explanation=None, wake_kind=None, var_alias=None)
+
+
+def test_strip_explanation_returns_actions_without_one_as_they_are(palm_ladder_run):
+    actions = [ev.action for ev in palm_ladder_run.virtual.events]
+    explained = 0
+    for action in actions:
+        stripped = _strip_explanation(action)
+        if "explanation" in dict(action.args):
+            explained += 1
+            assert stripped.kind == action.kind
+            assert dict(stripped.args) == {k: v for k, v in action.args if k != "explanation"}
+        else:
+            assert stripped is action
+    assert 0 < explained < len(actions)
+
+
+def test_check_simulable_maps_each_sample_state_once(gt, palm_os, palm_ladder_run):
+    # n + 1 states on an n-event trace: a mapped post-state is carried over
+    # as the mapped pre-state of the next transition
+    virtual = palm_ladder_run.virtual
+    calls = 0
+
+    def counting(state):
+        nonlocal calls
+        calls += 1
+        return map_palm_state(state)
+
+    mapping = dataclasses.replace(palm_mapping(), map_state=counting)
+    report = check_simulable(palm_os, project(gt, palm_profile()), mapping, [virtual])
+    assert report.ok and report.transitions == virtual.size
+    assert calls == virtual.size + 1
 
 
 # derivations

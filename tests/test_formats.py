@@ -1,5 +1,6 @@
 """Parsing and serialization: canonical round trips and the fixture corpus."""
 
+import random
 from functools import cache
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from gentra.palm import palm_solve
 from gentra.solver import solve
 from gentra.state import SolverEvent
 
-from support import apply_edits, edit_scripts
+from support import apply_edits, edit_scripts, ladder, random_problem
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -196,6 +197,18 @@ def test_palm_dialect_round_trip(element_problem):
     assert serialize_trace(back) == text
     # dialect containment: canonical text is lenient-clean too
     assert parse_trace(text, mode="lenient").deviations == ()
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_strict_parse_inverts_serialize_on_emitted_events(machine):
+    run, dialect = (solve, "generic") if machine == "fd" else (palm_solve, "palm")
+    problems = [ladder(4)] + [random_problem(random.Random(seed)) for seed in range(20)]
+    for problem in problems:
+        doc = document_for_events(run(problem).events, dialect=dialect, solver=machine)
+        back = parse_trace(serialize_trace(doc), mode="strict")
+        assert back.dialect == dialect
+        assert back.events == doc.events
+        assert all(type(ev) is GenericEvent for ev in back.events)
 
 
 def test_strict_text_is_lenient_with_zero_deviations():

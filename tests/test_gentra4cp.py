@@ -11,6 +11,7 @@ from gentra.gentra4cp import (
     check_guards,
     extract_event,
     make_semantics,
+    shape_error,
     step,
     validate,
 )
@@ -512,3 +513,74 @@ def test_guards_g4_g5_palm_profile_only():
     assert report.guard_report.guards == ("g3", "g4", "g5")
     # a second post while c1 is active violates nothing generic, but an
     # awake-style discipline check would reject an awake with a busy store
+
+
+# record shapes
+
+# the attributes of each event type, required and optional, as the format
+# defines them; every other attribute below is foreign to the type
+RECORD_SHAPES = {
+    "newVariable": (("variable", "domain"), ("var_alias",)),
+    "newConstraint": (("constraint",), ("decl", "decl_text")),
+    "post": (("constraint",), ()),
+    "newChild": (("node",), ()),
+    "jumpTo": (("node", "node2"), ()),
+    "solution": (("node",), ()),
+    "failure": (("node",), ()),
+    "deactivate": (("constraint",), ()),
+    "restore": (("variable", "domain"), ("generated",)),
+    "reduce": (("constraint", "variable", "generated", "domain", "cause"), ()),
+    "suspend": (("constraint",), ()),
+    "solved": (("constraint",), ()),
+    "reject": (("constraint", "cause"), ()),
+    "awake": (("constraint", "cause"), ()),
+    "schedule": (("event",), ("constraint",)),
+}
+# one value per checked attribute, in the order a shape check reports them
+ATTRIBUTE_VALUES = {
+    "constraint": "c1",
+    "variable": "x",
+    "node": 1,
+    "node2": 0,
+    "domain": D05,
+    "generated": (),
+    "cause": BOTTOM,
+    "event": SolverEvent("dom", "x"),
+    "decl": ConstraintDecl.eqc("x", 3),
+    "decl_text": "eqc(x,3)",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_SHAPES))
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_shape_error_names_each_foreign_and_missing_attribute(kind, strict):
+    required, optional = RECORD_SHAPES[kind]
+    values = {**ATTRIBUTE_VALUES, "var_alias": "source_x"}  # an extra, never foreign
+    whole = {name: values[name] for name in required + optional}
+
+    def error(**changes):
+        return shape_error(GenericEvent(kind, 0, **{**whole, **changes}), strict)
+
+    assert error() is None
+    foreign = [name for name in ATTRIBUTE_VALUES if name not in whole]
+    for name in foreign:
+        assert error(**{name: values[name]}) == f"attribute {name!r} does not belong to {kind}"
+    # the first foreign attribute is named, and before any missing one
+    crowded = error(**{name: values[name] for name in foreign}, **dict.fromkeys(required))
+    assert crowded == f"attribute {foreign[0]!r} does not belong to {kind}"
+    for name in required:
+        assert error(**{name: None}) == (f"missing required attribute {name!r}" if strict else None)
+    for name in optional:
+        assert error(**{name: None}) is None
+    assert shape_error(GenericEvent("frobnicate", 0), strict) == "unknown event type 'frobnicate'"
+
+
+def test_records_and_actions_stay_immutable():
+    ev = GenericEvent("post", 0, constraint="c1")
+    action = Action.of("post", constraint="c1")
+    with pytest.raises(AttributeError):
+        ev.constraint = "c2"
+    with pytest.raises(AttributeError):
+        action.kind = "suspend"
+    assert ev == GenericEvent("post", 0, constraint="c1")
+    assert action == Action.of("post", constraint="c1")

@@ -18,7 +18,7 @@ from gentra.trace import (
     is_prefix_closed,
 )
 
-from support import canonical_traces, random_trace_set
+from support import canonical_traces, generated_domain, random_trace_set
 
 E1, E2, E3 = (VirtualPayload(a, s) for a, s in [("a", "s1"), ("b", "s2"), ("c", "s3")])
 
@@ -116,7 +116,7 @@ def test_canonical_order_deterministic():
 def test_trace_domain_generated_by_is_closed():
     a = all_prefixes([Trace("s0", (E1,))])
     b = all_prefixes([Trace("s0", (E2, E3))])
-    dom = TraceDomain.generated_by([a, b])
+    dom = generated_domain([a, b])
     assert a in dom.members and b in dom.members
     assert dom.bottom == frozenset()
     assert dom.top == frozenset(a | b)
