@@ -22,9 +22,9 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .errors import MappingError, ProjectionError, ReconstructionError, TransitionError
 from .gentra4cp import DEFAULT_GUARDS, GenericEvent, make_semantics, validate
-from .palm import PALM_EVENT_TYPES, PalmState
+from .palm import PALM_EVENT_TYPES
 from .semantics import Action, ObservationalSemantics, extract, replay_divergence, transition_holds
-from .state import FullState
+from .state import NO_EXPLANATIONS, FullState
 from .trace import ActualPayload, Trace, VirtualPayload
 
 
@@ -413,10 +413,10 @@ def palm_profile() -> ParamProjection:
     )
 
 
-def map_palm_state(full: PalmState) -> FullState:
-    """The state map: shares the solver state and tree, drops the
+def map_palm_state(full: FullState) -> FullState:
+    """The state map: shares the solver state and tree, empties the
     explanation table."""
-    return FullState(solver=full.solver, tree=full.tree)
+    return full._replace(explanations=NO_EXPLANATIONS)
 
 
 def _strip_explanation(action: Action) -> Action:

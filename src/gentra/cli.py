@@ -24,10 +24,10 @@ from .formats import (
     serialize_trace,
 )
 from .gentra4cp import DEFAULT_GUARDS, GUARD_NAMES, make_semantics, validate as validate_events
-from .palm import make_palm_semantics, palm_initial_state, palm_solve
+from .palm import make_palm_semantics, palm_solve
 from .semantics import reconstruct
 from .solver import solve as fd_solve
-from .state import store
+from .state import initial_state, store
 from .trace import ActualPayload, Trace
 
 
@@ -174,7 +174,7 @@ def check_compliance_cmd(trace, lenient, mx):
     guards, and check the transition simulation."""
     doc = _parse_trace_file(trace, "lenient" if lenient else "strict", "palm", mx)
     palm_os = make_palm_semantics()
-    actual = Trace(palm_initial_state(), tuple(ActualPayload(e) for e in doc.events))
+    actual = Trace(initial_state(), tuple(ActualPayload(e) for e in doc.events))
     try:
         virtual = reconstruct(palm_os, actual)
     except GentraError as exc:

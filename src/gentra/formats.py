@@ -527,11 +527,14 @@ def strip_origins(ev: GenericEvent) -> GenericEvent:
     """Drop originating-constraint tags from solver events.
 
     The text format never records them; replay recovers each origin from the
-    state it matches the event against.
+    state it matches the event against.  A record that carries none, and
+    each event without one, is kept as it is.
     """
     def bare(e: SolverEvent | None):
-        return None if e is None else SolverEvent(e.kind, e.variable)
+        return e if e is None or e.origin is None else SolverEvent(e.kind, e.variable)
 
+    if all(e is None or e.origin is None for e in (ev.cause, ev.event, *(ev.generated or ()))):
+        return ev
     return ev._replace(
         generated=None if ev.generated is None else tuple(bare(e) for e in ev.generated),
         cause=bare(ev.cause),

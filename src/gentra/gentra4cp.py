@@ -45,7 +45,6 @@ from .state import (
     SolverState,
     awake_condition,
     choice_point,
-    evolve,
     failure_state,
     initial_state,
     schedulable,
@@ -170,13 +169,12 @@ def _step_new_variable(full: FullState, act: Action) -> FullState:
     var, dom = act.get("variable"), act.get("domain")
     s = full.solver
     _need(var not in s.variables, "newVariable", f"{var} already declared")
-    s2 = evolve(
-        s,
+    s2 = s._replace(
         variables=s.variables + (var,),
         domains={**s.domains, var: dom},
         initial_domains={**s.initial_domains, var: dom},
     )
-    return evolve(full, solver=s2)
+    return full._replace(solver=s2)
 
 
 def _step_new_constraint(full: FullState, act: Action) -> FullState:
@@ -186,7 +184,7 @@ def _step_new_constraint(full: FullState, act: Action) -> FullState:
     if decl is not None:
         missing = [v for v in decl.variables if v not in s.variables]
         _need(not missing, "newConstraint", f"undeclared variables {missing}")
-    return evolve(full, solver=evolve(s, constraints=s.constraints.with_entry(cid, decl)))
+    return full._replace(solver=s._replace(constraints=s.constraints.with_entry(cid, decl)))
 
 
 def _step_post(full: FullState, act: Action) -> FullState:
@@ -194,7 +192,7 @@ def _step_post(full: FullState, act: Action) -> FullState:
     s = full.solver
     _need(s.is_declared(cid), "post", f"{cid} not declared")
     _need(cid not in store(s), "post", f"{cid} already in the store")
-    return evolve(full, solver=evolve(s, active=s.active + ((cid, BOTTOM),)))
+    return full._replace(solver=s._replace(active=s.active + ((cid, BOTTOM),)))
 
 
 def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullState:
@@ -202,7 +200,7 @@ def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullStat
     _need(not full.tree.has_node(node), rule, f"node {node} already exists")
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
     depth = full.tree.depth(full.tree.current) + 1
-    return evolve(full, tree=full.tree.with_node(node, full.solver, depth))
+    return full._replace(tree=full.tree.with_node(node, full.solver, depth))
 
 
 def _step_new_child(full: FullState, act: Action) -> FullState:
@@ -223,21 +221,20 @@ def _step_jump_to(full: FullState, act: Action) -> FullState:
     _need(node != full.tree.current, "jumpTo", "target is already the current node")
     snap = full.tree.snapshot(node)
     _need(choice_point(snap), "jumpTo", f"node {node} is not a choice point")
-    return FullState(solver=snap, tree=full.tree.jumped_to(node))
+    return full._replace(solver=snap, tree=full.tree.jumped_to(node))
 
 
 def _step_deactivate(full: FullState, act: Action) -> FullState:
     cid = act.get("constraint")
     s = full.solver
     _need(cid in store(s), "deactivate", f"{cid} not in the store")
-    s2 = evolve(
-        s,
+    s2 = s._replace(
         active=tuple(p for p in s.active if p[0] != cid),
         sleeping=s.sleeping - {cid},
         solved=s.solved - {cid},
         rejected=s.rejected - {cid},
     )
-    return evolve(full, solver=s2)
+    return full._replace(solver=s2)
 
 
 def _step_restore(full: FullState, act: Action) -> FullState:
@@ -248,7 +245,7 @@ def _step_restore(full: FullState, act: Action) -> FullState:
     _need(values.disjoint(s.domain(var)), "restore", "restored values are still in the domain")
     _need(values.issubset(s.initial_domain(var)), "restore", "restored values exceed the initial domain")
     s2 = s.with_domain(var, s.domain(var).union(values)).push_events(generated)
-    return evolve(full, solver=s2)
+    return full._replace(solver=s2)
 
 
 def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullState:
@@ -266,8 +263,8 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
     _need(removed.issubset(s.domain(var)), "reduce", "removed values are not all in the domain")
     s2 = s.with_domain(var, s.domain(var).subtract(removed)).push_events(generated)
     if strict:
-        s2 = evolve(s2, active=tuple(p for p in s2.active if p[0] != cid))
-    return evolve(full, solver=s2)
+        s2 = s2._replace(active=tuple(p for p in s2.active if p[0] != cid))
+    return full._replace(solver=s2)
 
 
 def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
@@ -286,7 +283,7 @@ def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
 def _step_suspend(full: FullState, act: Action) -> FullState:
     cid, active = _retire(full, act, "suspend")
     s = full.solver
-    return evolve(full, solver=evolve(s, active=active, sleeping=s.sleeping | {cid}))
+    return full._replace(solver=s._replace(active=active, sleeping=s.sleeping | {cid}))
 
 
 def _step_solved(full: FullState, act: Action) -> FullState:
@@ -295,7 +292,7 @@ def _step_solved(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
     _need(decl.entailed(s.domain_map()), "solved", f"{cid} is not entailed")
-    return evolve(full, solver=evolve(s, active=active, solved=s.solved | {cid}))
+    return full._replace(solver=s._replace(active=active, solved=s.solved | {cid}))
 
 
 def _step_reject(full: FullState, act: Action) -> FullState:
@@ -304,7 +301,7 @@ def _step_reject(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
     _need(decl.falsified(s.domain_map()), "reject", f"{cid} is not falsified")
-    return evolve(full, solver=evolve(s, active=active, rejected=s.rejected | {cid}))
+    return full._replace(solver=s._replace(active=active, rejected=s.rejected | {cid}))
 
 
 def _step_awake(full: FullState, act: Action) -> FullState:
@@ -316,8 +313,8 @@ def _step_awake(full: FullState, act: Action) -> FullState:
           "waking event is neither bot nor the scheduled event")
     if not awake_condition(s, cid, cause):
         raise TransitionError("awake", f"{cid} does not watch {cause}")
-    s2 = evolve(s, active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
-    return evolve(full, solver=s2)
+    s2 = s._replace(active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
+    return full._replace(solver=s2)
 
 
 def _step_schedule(full: FullState, act: Action) -> FullState:
@@ -329,8 +326,8 @@ def _step_schedule(full: FullState, act: Action) -> FullState:
     if witness is not None and not awake_condition(s, witness, event):
         raise TransitionError("schedule", f"{witness} does not react to the event")
     idx = s.pending.index(event)
-    s2 = evolve(s, pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
-    return evolve(full, solver=s2)
+    s2 = s._replace(pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
+    return full._replace(solver=s2)
 
 
 RULES = {
@@ -586,11 +583,10 @@ def reset_parameters(full: FullState, params: frozenset) -> FullState:
     """Pin the given parameters back to their initial (empty) values."""
     blank = SolverState()
     solver_updates = {p: getattr(blank, p) for p in params if p in _SOLVER_PARAMS}
-    solver = evolve(full.solver, **solver_updates) if solver_updates else full.solver
-    tree = full.tree
-    if solver_updates:
-        tree = tree.with_snapshots(lambda snap: evolve(snap, **solver_updates))
-    return FullState(solver=solver, tree=tree)
+    if not solver_updates:
+        return full
+    return full._replace(solver=full.solver._replace(**solver_updates),
+                         tree=full.tree.with_snapshots(lambda snap: snap._replace(**solver_updates)))
 
 
 def is_initial(full: FullState) -> bool:

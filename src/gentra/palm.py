@@ -10,9 +10,10 @@ constraints justifying it (reduce); rejection needs an emptied domain
 constraint and restoring exactly the values whose explanations mention a
 relaxed constraint (restore).
 
-The state is the generic full state with the explanation table beside it
-(``PalmState``): the solver part and every tree snapshot are generic solver
-states, so mapping to the generic format drops the table and nothing else.
+The state is the generic ``FullState`` with its explanation table filled
+in: the solver part and every tree snapshot are generic solver states, and
+snapshots need no explanations, since the machine never jumps back to one.
+Mapping to the generic format empties the table and changes nothing else.
 
 The rules make every state they return hold at most one active pair and
 keep explained values out of their domains.  The one invariant no rule
@@ -27,12 +28,12 @@ input accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
-from .gentra4cp import READERS, RULES, GenericEvent, _need, apply_rule, extract_event, read_record
+from .gentra4cp import READERS, RULES, GenericEvent, _need, apply_rule, extract_event, is_initial, read_record
 from .semantics import Action, ObservationalSemantics
 from .solver import (
     Problem,
@@ -43,7 +44,7 @@ from .solver import (
     _next_alternatives,
     _Run,
 )
-from .state import FullState, SolverEvent, SolverState, evolve, initial_tree, store, watchers
+from .state import FullState, SolverEvent, initial_state, store, watchers
 from .trace import Trace
 
 PALM_EVENT_TYPES = (
@@ -61,33 +62,12 @@ class PalmAssertionError(GentraError):
         super().__init__(f"{prop} failed at event {index}: {detail}")
 
 
-@dataclass(frozen=True, slots=True)
-class PalmState(FullState):
-    """The generic full state plus the explanation table.
-
-    The solver part and every tree snapshot are plain ``SolverState``s;
-    snapshots need no explanations, since the machine never jumps back to
-    one.  Explanations are stored per removal and keyed by variable: each
-    variable maps to its entries in insertion order, each pairing a removed
-    value set with the constraint set justifying the removal, so wide
-    interval removals never get enumerated value by value.  The map is
-    shared between states, never mutated."""
-
-    explanations: dict[str, tuple[tuple[FiniteDomain, frozenset], ...]] = field(default_factory=dict, hash=False)
-
-    def explanation_of(self, var, value) -> frozenset | None:
-        for vals, expl in self.explanations.get(var, ()):
-            if value in vals:
-                return expl
-        return None
+def palm_initial_state() -> FullState:
+    """The generic initial state: the machine starts with an empty table."""
+    return initial_state()
 
 
-def palm_initial_state() -> PalmState:
-    solver = SolverState()
-    return PalmState(solver=solver, tree=initial_tree(solver))
-
-
-def broken_values(full: PalmState, var: str) -> FiniteDomain:
+def broken_values(full: FullState, var: str) -> FiniteDomain:
     """Removed values of ``var`` whose explanation mentions a relaxed constraint."""
     sigma = store(full.solver)
     out = EMPTY_DOMAIN
@@ -101,13 +81,13 @@ def broken_values(full: PalmState, var: str) -> FiniteDomain:
 # overrides that add single activation, explanations and repair
 
 
-def _post(full: PalmState, act: Action) -> PalmState:
+def _post(full: FullState, act: Action) -> FullState:
     new = RULES["post"](full, act)
     _need(not full.solver.active, "post", "another constraint is active")
     return new
 
 
-def _restore(full: PalmState, act: Action) -> PalmState:
+def _restore(full: FullState, act: Action) -> FullState:
     """Only values whose explanation broke may come back; their explanations go."""
     var, values = act.get("variable"), act.get("values")
     new = RULES["restore"](full, act)
@@ -124,10 +104,10 @@ def _restore(full: PalmState, act: Action) -> PalmState:
         table[var] = tuple(kept)
     else:
         table.pop(var, None)
-    return evolve(new, explanations=table)
+    return new._replace(explanations=table)
 
 
-def _reduce(full: PalmState, act: Action) -> PalmState:
+def _reduce(full: FullState, act: Action) -> FullState:
     """A nonempty removal while nothing is rejected, recorded with its explanation."""
     s = full.solver
     explanation = act.get("explanation")
@@ -138,10 +118,10 @@ def _reduce(full: PalmState, act: Action) -> PalmState:
           "explanation is not a set of store constraints")
     var, table = act.get("variable"), new.explanations
     entry = (act.get("removed"), explanation)
-    return evolve(new, explanations={**table, var: table.get(var, ()) + (entry,)})
+    return new._replace(explanations={**table, var: table.get(var, ()) + (entry,)})
 
 
-def _reject(full: PalmState, act: Action) -> PalmState:
+def _reject(full: FullState, act: Action) -> FullState:
     """Rejection needs an emptied domain, not just falsity."""
     new = RULES["reject"](full, act)
     decl = full.solver.declaration(act.get("constraint"))
@@ -152,7 +132,7 @@ def _reject(full: PalmState, act: Action) -> PalmState:
 
 def _idle(rule):
     """The generic rule, fired only with nothing active and nothing rejected."""
-    def apply(full: PalmState, act: Action) -> PalmState:
+    def apply(full: FullState, act: Action) -> FullState:
         _need(not full.solver.active, act.kind, "a constraint is active")
         _need(not full.solver.rejected, act.kind, "a constraint is rejected")
         return rule(full, act)
@@ -170,7 +150,7 @@ PALM_RULES = {
 }
 
 
-def palm_step(full: PalmState, action: Action) -> PalmState:
+def palm_step(full: FullState, action: Action) -> FullState:
     """Apply one rule of the explanation-based machine."""
     return apply_rule(PALM_RULES, full, action)
 
@@ -193,7 +173,7 @@ def wake_kind_of(old: FiniteDomain, new: FiniteDomain) -> str:
     return "dom"
 
 
-def palm_extract(full: PalmState, action: Action, new: PalmState) -> GenericEvent:
+def palm_extract(full: FullState, action: Action, new: FullState) -> GenericEvent:
     ev = extract_event(full, action, new)
     if action.kind != "reduce":
         return ev
@@ -202,7 +182,7 @@ def palm_extract(full: PalmState, action: Action, new: PalmState) -> GenericEven
                        wake_kind=wake_kind_of(full.solver.domain(var), new.solver.domain(var)))
 
 
-def _read_reduce(full: PalmState, ev: GenericEvent) -> Action:
+def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
     action = READERS["reduce"](full, ev)
     if ev.explanation is None:
         raise ReconstructionError("reduce", "reduce record carries no explanation")
@@ -212,10 +192,6 @@ def _read_reduce(full: PalmState, ev: GenericEvent) -> Action:
 PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}
 
 
-def is_palm_initial(full: PalmState) -> bool:
-    return full == palm_initial_state()
-
-
 def make_palm_semantics() -> ObservationalSemantics:
     return ObservationalSemantics(
         name="palm",
@@ -223,7 +199,7 @@ def make_palm_semantics() -> ObservationalSemantics:
         apply=palm_step,
         extract_local=palm_extract,
         read_action=lambda full, ev: read_record(full, ev, PALM_READERS),
-        is_initial=is_palm_initial,
+        is_initial=is_initial,
         is_record=lambda r: isinstance(r, GenericEvent),
     )
 
@@ -231,7 +207,7 @@ def make_palm_semantics() -> ObservationalSemantics:
 # the run-level check no rule makes
 
 
-def check_palm_invariants(full: PalmState) -> None:
+def check_palm_invariants(full: FullState) -> None:
     """Every explanation names only store constraints.
 
     Reduce records explanations within the store, but deactivation shrinks
@@ -259,7 +235,7 @@ class _PalmRun(_Run):
     """The generic run context on the palm machine, knowing the problem constraints."""
 
     def __init__(self, limits: SolveLimits, problem_ids: frozenset):
-        super().__init__(limits, make_palm_semantics(), palm_initial_state())
+        super().__init__(limits, make_palm_semantics(), initial_state())
         self.problem_ids = problem_ids
 
 

@@ -10,32 +10,21 @@ append-only by every tree state that sees a prefix of it.
 Every read is keyed: domains are maps from variable, and declarations and
 nodes are ``Entries``, prefixes of a shared append-only store, so a lookup
 costs the same however long the run has grown.  Everything is immutable or
-append-only; updates return new values.
+append-only; the states are named tuples, and updates (``_replace``) return
+new values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 from .constraints import ConstraintDecl
 from .errors import StateInvariantError
 from .fdomain import FiniteDomain
 
 EVENT_KINDS = ("dom", "min", "max", "val")
-
-
-def evolve(state, **changes):
-    """A copy of a frozen, slotted state with ``changes`` applied.
-
-    ``dataclasses.replace`` without the trip through ``__init__``: the copy
-    keeps the class and every field the changes do not name, so a
-    ``PalmState`` keeps its explanation table.
-    """
-    new = object.__new__(state.__class__)
-    for name in state.__match_args__:
-        object.__setattr__(new, name, changes[name] if name in changes else getattr(state, name))
-    return new
 
 
 @dataclass(frozen=True)
@@ -139,33 +128,41 @@ class Entries:
         return f"Entries({tuple(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class SolverState:
-    """The propagation half of the machine state.
+class _SolverFields(NamedTuple):
+    variables: tuple[str, ...]
+    constraints: Entries
+    domains: dict[str, FiniteDomain]
+    initial_domains: dict[str, FiniteDomain]
+    active: tuple[tuple[str, SolverEvent], ...]
+    solved: frozenset
+    rejected: frozenset
+    sleeping: frozenset
+    pending: tuple[SolverEvent, ...]
+    current_event: SolverEvent | None
+
+
+class SolverState(_SolverFields):
+    """The propagation half of the machine state: an immutable named tuple.
 
     ``constraints`` maps each declared constraint to its declaration (None
     when the record gave none); ``domains`` and ``initial_domains`` map each
-    declared variable to its domain.  The keyed fields also accept (key,
-    value) pairs.  Their maps are shared between states, never mutated.
+    declared variable to its domain.  The constructor also accepts (key,
+    value) pairs for the keyed fields and gives every state it builds maps
+    and a declaration store of its own; ``_replace`` skips it and shares
+    them, which is sound because they are never mutated.  States compare by
+    value, and hash by every field but the two dicts.
     """
 
-    variables: tuple[str, ...] = ()
-    constraints: Entries = field(default_factory=Entries)
-    domains: dict[str, FiniteDomain] = field(default_factory=dict, hash=False)
-    initial_domains: dict[str, FiniteDomain] = field(default_factory=dict, hash=False)
-    active: tuple[tuple[str, SolverEvent], ...] = ()
-    solved: frozenset = frozenset()
-    rejected: frozenset = frozenset()
-    sleeping: frozenset = frozenset()
-    pending: tuple[SolverEvent, ...] = ()
-    current_event: SolverEvent | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.constraints, Entries):
-            object.__setattr__(self, "constraints", Entries(self.constraints))
-        for name in ("domains", "initial_domains"):
-            if not isinstance(getattr(self, name), dict):
-                object.__setattr__(self, name, dict(getattr(self, name)))
+    def __new__(cls, variables=(), constraints=(), domains=(), initial_domains=(), active=(),
+                solved=frozenset(), rejected=frozenset(), sleeping=frozenset(), pending=(),
+                current_event=None):
+        return tuple.__new__(cls, (variables, Entries(constraints), dict(domains), dict(initial_domains),
+                                   active, solved, rejected, sleeping, pending, current_event))
+
+    def __hash__(self):
+        return hash(self[:2] + self[4:])  # all but domains and initial_domains
 
     # accessors
 
@@ -205,13 +202,13 @@ class SolverState:
 
     def with_domain(self, var: str, dom: FiniteDomain) -> "SolverState":
         """Rebind the domain of a declared variable."""
-        return evolve(self, domains={**self.domains, var: dom})
+        return self._replace(domains={**self.domains, var: dom})
 
     def push_events(self, events) -> "SolverState":
         fresh = [e for e in events if e not in self.pending]
         if not fresh:
             return self
-        return evolve(self, pending=self.pending + tuple(fresh))
+        return self._replace(pending=self.pending + tuple(fresh))
 
 
 def store(state: SolverState) -> frozenset:
@@ -230,8 +227,7 @@ def store(state: SolverState) -> frozenset:
     return union
 
 
-@dataclass(frozen=True, slots=True)
-class SearchTreeState:
+class SearchTreeState(NamedTuple):
     """Creation-ordered nodes with solver-state snapshots and depths.
 
     ``entries`` maps each node to its (snapshot, depth); ``nodes``,
@@ -285,12 +281,28 @@ def initial_tree(snapshot: Any) -> SearchTreeState:
     return SearchTreeState(Entries(((0, (snapshot, 0)),)), current=0)
 
 
-@dataclass(frozen=True, slots=True)
-class FullState:
-    """Solver state plus search-tree state: what one trace event transforms."""
+NO_EXPLANATIONS: Mapping = MappingProxyType({})
+
+
+class FullState(NamedTuple):
+    """Solver state plus search-tree state: what one trace event transforms.
+
+    ``explanations`` is the explanation-based machine's table: each variable
+    maps to its removal entries in insertion order, each pairing a removed
+    value set with the constraint set justifying the removal, so wide
+    interval removals are never enumerated value by value.  The map is
+    shared between states, never mutated; the generic machine's states
+    share the read-only empty ``NO_EXPLANATIONS``.  An immutable named
+    tuple: states compare by value, and hash by solver and tree, leaving the
+    table out.
+    """
 
     solver: SolverState
     tree: SearchTreeState
+    explanations: Mapping[str, tuple[tuple[FiniteDomain, frozenset], ...]] = NO_EXPLANATIONS
+
+    def __hash__(self):
+        return hash((self.solver, self.tree))
 
 
 def initial_state() -> FullState:

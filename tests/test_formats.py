@@ -17,6 +17,7 @@ from gentra.formats import (
     parse_problem,
     parse_trace,
     serialize_trace,
+    strip_origins,
 )
 from gentra.gentra4cp import GenericEvent
 from gentra.palm import palm_solve
@@ -209,6 +210,23 @@ def test_strict_parse_inverts_serialize_on_emitted_events(machine):
         assert back.dialect == dialect
         assert back.events == doc.events
         assert all(type(ev) is GenericEvent for ev in back.events)
+
+
+@pytest.mark.parametrize("run", [solve, palm_solve])
+def test_records_without_origins_are_not_rebuilt(run):
+    def solver_events(ev):
+        return (ev.cause, ev.event, *(ev.generated or ()))
+
+    events = run(ladder(4)).events
+    tagged = 0
+    for ev in events:
+        stripped = strip_origins(ev)
+        if any(e is not None and e.origin is not None for e in solver_events(ev)):
+            tagged += 1
+            assert all(e is None or e.origin is None for e in solver_events(stripped))
+        else:
+            assert stripped is ev
+    assert 0 < tagged < len(events)
 
 
 def test_strict_text_is_lenient_with_zero_deviations():

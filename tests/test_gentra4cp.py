@@ -118,6 +118,11 @@ def test_sibling_successors_keep_their_own_nodes_and_declarations():
     assert declared[0].solver.is_declared("c8") and not declared[0].solver.is_declared("c9")
     assert declared[1].solver.is_declared("c9") and not declared[1].solver.is_declared("c8")
     assert declared[0] != declared[1]
+    # every initial state starts a declaration store of its own
+    first = step(initial_state(), Action.of("newConstraint", constraint="c8", decl=None)).solver
+    second, bare = initial_state().solver, SolverState()
+    assert len({id(s.constraints._store) for s in (first, second, bare)}) == 3
+    assert not second.is_declared("c8") and not bare.is_declared("c8")
 
 
 def test_reduce_example_values():

@@ -9,7 +9,6 @@ from gentra.errors import StateInvariantError, TransitionError
 from gentra.fdomain import DEFAULT_MX, EMPTY_DOMAIN, FiniteDomain, format_domain, full_domain, parse_domain
 from gentra.palm import (
     PalmAssertionError,
-    PalmState,
     broken_values,
     check_palm_invariants,
     make_palm_semantics,
@@ -20,7 +19,7 @@ from gentra.palm import (
 )
 from gentra.semantics import Action, check_faithful
 from gentra.solver import Problem, SolveLimits
-from gentra.state import BOTTOM, SolverEvent, SolverState, evolve, solution_state
+from gentra.state import BOTTOM, FullState, SolverEvent, SolverState, solution_state
 
 from support import ladder, oracle_solutions, random_problem, solutions_as_set
 
@@ -65,8 +64,7 @@ def test_reduce_records_explanations():
     full = palm_step(full, Action.of("reduce", constraint="c1", variable="x", removed=removed,
                                      generated=(), cause=BOTTOM, explanation=frozenset({"c1"})))
     assert full.solver.domain("x") == FiniteDomain.of([3])
-    assert full.explanation_of("x", 0) == frozenset({"c1"})
-    assert full.explanation_of("x", 3) is None
+    assert full.explanations == {"x": ((removed, frozenset({"c1"})),)}
 
 
 def test_reduce_requires_nonempty_and_explained():
@@ -219,8 +217,8 @@ def test_both_invariant_checks_catch_corrupted_tables():
         Action.of("deactivate", constraint="c1"),
         Action.of("restore", variable="x", values=parse_domain("[0-1]")),
     ], start=reduced)
-    stale = evolve(repaired, solver=repaired.solver.with_domain("x", parse_domain("[0-4]")),
-                   explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
+    stale = repaired._replace(solver=repaired.solver.with_domain("x", parse_domain("[0-4]")),
+                              explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
     # c1 relaxed, x not yet repaired
     relaxed = palm_step(reduced, Action.of("deactivate", constraint="c1"))
     check_palm_invariants(reduced)
@@ -286,7 +284,7 @@ def test_unsatisfiable_problem_fails_without_repair():
 def test_solution_state_matches_generic_reading(element_run):
     final = element_run.virtual.events[-1].state
     # after the run the machine has relaxed its way out of the last leaf
-    assert isinstance(final, PalmState)
+    assert isinstance(final, FullState)
     seen_solution = any(s.action.kind == "solution" for s in element_run.virtual.events)
     assert seen_solution
     for stepped in element_run.virtual.events:

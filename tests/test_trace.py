@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gentra.errors import ClosureError, KindMismatchError, PrefixRangeError
+from gentra.palm import palm_solve
+from gentra.solver import solve
 from gentra.trace import (
     EMPTY_SEGMENT,
     ActualPayload,
@@ -18,7 +20,7 @@ from gentra.trace import (
     is_prefix_closed,
 )
 
-from support import canonical_traces, generated_domain, random_trace_set
+from support import canonical_traces, generated_domain, ladder, random_trace_set
 
 E1, E2, E3 = (VirtualPayload(a, s) for a, s in [("a", "s1"), ("b", "s2"), ("c", "s3")])
 
@@ -64,6 +66,15 @@ def test_all_prefixes_examples():
     ps = all_prefixes([t1, t2])
     assert ps == frozenset(brute)
     assert len(ps) == t1.size + t2.size
+
+
+@pytest.mark.parametrize("run", [solve, palm_solve])
+def test_solver_traces_hash_into_prefix_sets(run):
+    # states hash by every field but their dicts, so prefix sets take them
+    v = run(ladder(2)).virtual
+    ps = all_prefixes([v])
+    assert len(ps) == v.size + 1
+    assert is_prefix_closed(ps)
 
 
 def test_all_prefixes_kind_mismatch():
