@@ -9,10 +9,11 @@ carrying every concrete transition to a derived transition is machine
 evidence of simulation, and hence (on the behaviours checked) that the
 derived semantics is a derivation field of the concrete one.
 
-Format compliance for a process combines all three: project the reference
-format, map the process traces, replay them under the projection, and check
-the transition-level simulation.  All checks are sample-based: reports say
-"verified on N traces", never "proved".
+Format compliance of a process trace (:func:`check_generic`) combines them:
+replay the trace under the process's own rules, map it into the reference
+format, replay it under the projected format, and check the transition-level
+simulation.  All checks are sample-based: reports say "verified on N
+traces", never "proved".
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import MappingError, ProjectionError, ReconstructionError, TransitionError
-from .gentra4cp import DEFAULT_GUARDS, GenericEvent, make_semantics, validate
-from .palm import PALM_EVENT_TYPES
-from .semantics import Action, ObservationalSemantics, extract, replay_divergence, transition_holds
-from .state import NO_EXPLANATIONS, FullState
+from .errors import GentraError, MappingError, ProjectionError, ReconstructionError, TransitionError
+from .gentra4cp import DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, make_semantics, validate
+from .palm import PALM_EVENT_TYPES, make_palm_semantics
+from .semantics import Action, ObservationalSemantics, extract, reconstruct, replay_divergence, transition_holds
+from .state import NO_EXPLANATIONS, FullState, initial_state
 from .trace import ActualPayload, Trace, VirtualPayload
 
 
@@ -103,7 +104,6 @@ def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalS
         read_action=read_action,
         parameters=tuple(p for p in os.parameters if p in proj.kept_params),
         param_deps={k: v for k, v in os.param_deps.items() if k in proj.kept_params},
-        action_reads={k: v for k, v in os.action_reads.items() if k in proj.kept_kinds},
         action_writes={k: v for k, v in os.action_writes.items() if k in proj.kept_kinds},
     )
 
@@ -224,9 +224,9 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
 
     Structural preconditions first: the kind map must be a bijection between
     the two action sets, and the state map a function (it is applied to every
-    sample state).  Then, per transition (s, r, s'), the derived semantics
-    must accept (d(s), h(r), d(s')), and each initial state must map to a
-    derived initial state.  A clean report over the samples is the evidence
+    sample state, and a trace stops at the state it fails on).  Then, per
+    transition (s, r, s'), the derived semantics must accept (d(s), h(r),
+    d(s')), and each initial state must map to a derived initial state.  A clean report over the samples is the evidence
     that, on those behaviours, the derived semantics is a derivation field.
     Each sample state is mapped once: the mapped post-state of a transition
     is the mapped pre-state of the next.
@@ -258,7 +258,11 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
             for ei, ev in enumerate(t.events):
                 transitions += 1
                 carried = mapping.carry_action(ev.action)
-                post = mapping.map_state(ev.state)
+                try:
+                    post = mapping.map_state(ev.state)
+                except Exception as exc:
+                    violations.append(SimulationViolation(ti, ei, f"state map failed: {exc}"))
+                    break
                 if not transition_holds(os_d, mapped, carried, post):
                     violations.append(SimulationViolation(
                         ti, ei, f"{ev.action.kind} transition is not simulated by {carried.kind}"))
@@ -460,87 +464,59 @@ def palm_to_generic(events: Iterable[GenericEvent]) -> tuple[GenericEvent, ...]:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Everything needed to check one process: its semantics, sample virtual
-    traces, the actual-event mapping into the format, the simulation
-    evidence, and the targeted projection."""
+    """Everything needed to check one process: its semantics, the targeted
+    projection, the simulation evidence, the mapping of its records into the
+    format, and the guards its mapped traces must keep."""
 
     name: str
     os: ObservationalSemantics
-    samples: tuple[Trace, ...]
     projection: ParamProjection
     mapping: StateMapping
     map_events: Callable[[tuple[GenericEvent, ...]], tuple[GenericEvent, ...]]
     guards: tuple[str, ...] = DEFAULT_GUARDS
 
 
-@dataclass(frozen=True)
-class ProcessVerdict:
-    name: str
-    compliant: bool
-    reasons: tuple[str, ...]
-
-    def lines(self) -> list[str]:
-        out = [f"FAIL compliance {self.name}: {r}" for r in self.reasons]
-        out.append(f"{'PASS' if self.compliant else 'FAIL'} compliance {self.name}")
-        return out
+def palm_process() -> ProcessSpec:
+    """The explanation-based machine against the palm profile, with every guard."""
+    return ProcessSpec("palm", make_palm_semantics(), palm_profile(), palm_mapping(),
+                       palm_to_generic, GUARD_NAMES)
 
 
 @dataclass(frozen=True)
 class ComplianceReport:
-    verdicts: tuple[ProcessVerdict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(v.compliant for v in self.verdicts)
-
-    def lines(self) -> list[str]:
-        out = []
-        for v in self.verdicts:
-            out.extend(v.lines())
-        out.append(f"{'PASS' if self.ok else 'FAIL'} compliance overall processes={len(self.verdicts)}")
-        return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
+    ok: bool
+    lines: tuple[str, ...]
 
 
-def check_generic(gt_os: ObservationalSemantics, processes: Iterable[ProcessSpec]) -> ComplianceReport:
-    """Check each process against the reference format.
+def check_generic(gt_os: ObservationalSemantics, spec: ProcessSpec,
+                  events: Iterable[GenericEvent]) -> ComplianceReport:
+    """Check one emitted trace of a process against the reference format.
 
-    Per process: the projection must be valid for the format; the kind map
-    must put the process's actions in bijection with the projected ones;
-    every mapped sample trace must replay under the projected semantics with
-    its guards clean; and the transition-level simulation must hold.
+    The projection must be valid for the format; the records must replay
+    under the process's own rules and map into the format; the mapped
+    records must replay under the projected format with the process's
+    guards clean; and the transition-level simulation must hold on the
+    replayed run.  A failure to project, replay or map stops the check.
     """
-    verdicts = []
-    for spec in processes:
-        reasons: list[str] = []
-        projected = None
-        try:
-            projected = project(gt_os, spec.projection)
-        except ProjectionError as exc:
-            reasons.append(f"invalid projection: {exc}")
-        if projected is not None:
-            sim = check_simulable(spec.os, projected, spec.mapping, spec.samples)
-            if not sim.ok:
-                reasons.extend(v.detail for v in sim.violations[:3])
-            for ti, t in enumerate(spec.samples):
-                try:
-                    actual = extract(spec.os, t)
-                except TransitionError as exc:
-                    reasons.append(f"trace {ti} does not replay under its own semantics: {exc}")
-                    continue
-                try:
-                    mapped = spec.map_events(tuple(p.record for p in actual.events))
-                except MappingError as exc:
-                    reasons.append(f"trace {ti}: {exc}")
-                    continue
-                report = validate(mapped, os=projected, guards=spec.guards)
-                if not report.ok:
-                    detail = report.error.condition if report.error else "guard violations"
-                    reasons.append(f"trace {ti} fails replay under the projection: {detail}")
-        verdicts.append(ProcessVerdict(spec.name, not reasons, tuple(reasons)))
-    return ComplianceReport(tuple(verdicts))
+    try:
+        projected = project(gt_os, spec.projection)
+    except ProjectionError as exc:
+        return ComplianceReport(False, (f"FAIL compliance {spec.name}: invalid projection: {exc}",))
+    events = tuple(events)
+    try:
+        virtual = reconstruct(spec.os, Trace(initial_state(), tuple(ActualPayload(e) for e in events)))
+    except GentraError as exc:
+        return ComplianceReport(False, (f"FAIL replay under the {spec.name} rules: {exc}",))
+    lines = [f"PASS {spec.name} replay events={virtual.size}"]
+    try:
+        mapped = spec.map_events(events)
+    except MappingError as exc:
+        return ComplianceReport(False, (*lines, f"FAIL map-{spec.name}: {exc}"))
+    report = validate(mapped, os=projected, guards=spec.guards)
+    sim = check_simulable(spec.os, projected, spec.mapping, [virtual])
+    ok = report.ok and sim.ok
+    return ComplianceReport(ok, (*lines, *report.lines(), *sim.lines(),
+                                 f"{'PASS' if ok else 'FAIL'} compliance"))
 
 
 # the translation-square check between two faithful levels

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .abstraction import palm_mapping, check_simulable, palm_profile, palm_to_generic, project
+from .abstraction import check_generic, palm_process, palm_profile, palm_to_generic, project
 from .errors import GentraError, SolveLimitError
 from .fdomain import DEFAULT_MX
 from .formats import (
@@ -24,11 +24,9 @@ from .formats import (
     serialize_trace,
 )
 from .gentra4cp import DEFAULT_GUARDS, GUARD_NAMES, make_semantics, validate as validate_events
-from .palm import make_palm_semantics, palm_solve
-from .semantics import reconstruct
+from .palm import palm_solve
 from .solver import solve as fd_solve
-from .state import initial_state, store
-from .trace import ActualPayload, Trace
+from .state import store
 
 
 def _read(path: str) -> str:
@@ -173,31 +171,10 @@ def check_compliance_cmd(trace, lenient, mx):
     palm machine, map it, validate under the restricted format with all
     guards, and check the transition simulation."""
     doc = _parse_trace_file(trace, "lenient" if lenient else "strict", "palm", mx)
-    palm_os = make_palm_semantics()
-    actual = Trace(initial_state(), tuple(ActualPayload(e) for e in doc.events))
-    try:
-        virtual = reconstruct(palm_os, actual)
-    except GentraError as exc:
-        click.echo(f"FAIL replay under the palm rules: {exc}")
-        sys.exit(1)
-    click.echo(f"PASS palm replay events={virtual.size}")
-    ok = True
-    projected = project(make_semantics(), palm_profile())
-    try:
-        mapped = palm_to_generic(doc.events)
-    except GentraError as exc:
-        click.echo(f"FAIL map-palm: {exc}")
-        sys.exit(1)
-    report = validate_events(mapped, os=projected, guards=GUARD_NAMES)
-    for line in report.lines():
+    report = check_generic(make_semantics(), palm_process(), doc.events)
+    for line in report.lines:
         click.echo(line)
-    ok = ok and report.ok
-    sim = check_simulable(palm_os, projected, palm_mapping(), [virtual])
-    for line in sim.lines():
-        click.echo(line)
-    ok = ok and sim.ok
-    click.echo(f"{'PASS' if ok else 'FAIL'} compliance")
-    sys.exit(0 if ok else 1)
+    sys.exit(0 if report.ok else 1)
 
 
 @main.command("diff")

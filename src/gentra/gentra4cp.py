@@ -522,26 +522,7 @@ PARAM_DEPS = {
     "current": {"current", "nodes"},
 }
 
-_CHPT_READS = {"active", "pending", "rejected"}
 _NODE_WRITES = {"nodes", "snapshots", "depths", "current"}
-
-ACTION_READS = {
-    "newVariable": {"variables"},
-    "newConstraint": {"constraints", "variables"},
-    "post": {"constraints", "active", "sleeping", "solved", "rejected"},
-    "newChild": _CHPT_READS | {"nodes", "depths", "current"},
-    "jumpTo": {"nodes", "snapshots", "current"},
-    "solution": {"rejected", "active", "sleeping", "constraints", "domains", "nodes", "depths", "current"},
-    "failure": {"rejected", "nodes", "depths", "current"},
-    "deactivate": {"active", "sleeping", "solved", "rejected"},
-    "restore": {"variables", "domains", "initial_domains", "pending"},
-    "reduce": {"active", "constraints", "domains", "pending"},
-    "suspend": {"active", "sleeping"},
-    "solved": {"active", "constraints", "domains", "solved"},
-    "reject": {"active", "constraints", "domains", "rejected"},
-    "awake": {"sleeping", "active", "constraints", "current_event"},
-    "schedule": {"pending", "sleeping", "constraints", "current_event"},
-}
 
 ACTION_WRITES = {
     "newVariable": {"variables", "domains", "initial_domains"},
@@ -617,7 +598,6 @@ def make_semantics(*, strict_reduce: bool = False) -> ObservationalSemantics:
         is_record=lambda r: isinstance(r, GenericEvent),
         parameters=PARAMETERS,
         param_deps={k: frozenset(v) for k, v in PARAM_DEPS.items()},
-        action_reads={k: frozenset(v) for k, v in ACTION_READS.items()},
         action_writes=writes,
         neutral_writes={k: frozenset(v) for k, v in NEUTRAL_WRITES.items()},
         param_get=get_parameter,
@@ -654,8 +634,9 @@ class GuardReport:
         return "\n".join(self.lines())
 
 
-def check_guard_steps(initial: FullState, steps, guards=DEFAULT_GUARDS) -> GuardReport:
-    """Evaluate the run-level guards on the state each event fires in.
+def check_guards(vtrace: Trace, guards=DEFAULT_GUARDS) -> GuardReport:
+    """Evaluate the run-level guards of a virtual trace (as produced by
+    validation or a solver run) on the state each event fires in.
 
     g3: reduce fires only while nothing is rejected.
     g4/g5: awake/schedule fire only while nothing is rejected and nothing is
@@ -665,26 +646,19 @@ def check_guard_steps(initial: FullState, steps, guards=DEFAULT_GUARDS) -> Guard
     it evaluated.
     """
     guards = tuple(g for g in guards if g in GUARD_NAMES)
-    steps = list(steps)
     violations = []
-    pre = initial
-    for i, (action, post) in enumerate(steps):
+    pre = vtrace.initial_state
+    for i, ev in enumerate(vtrace.events):
         s = pre.solver
-        kind = action.kind
+        kind = ev.action.kind
         if "g3" in guards and kind == "reduce" and s.rejected:
             violations.append(GuardViolation(i, "g3", "reduce while a constraint is rejected"))
         if "g4" in guards and kind == "awake" and (s.rejected or s.active):
             violations.append(GuardViolation(i, "g4", "awake requires no rejection and no active pair"))
         if "g5" in guards and kind == "schedule" and (s.rejected or s.active):
             violations.append(GuardViolation(i, "g5", "schedule requires no rejection and no active pair"))
-        pre = post
-    return GuardReport(guards=guards, checked=len(steps), violations=tuple(violations))
-
-
-def check_guards(vtrace: Trace, guards=DEFAULT_GUARDS) -> GuardReport:
-    """Guard-check a virtual trace (as produced by validation or a solver run)."""
-    steps = [(ev.action, ev.state) for ev in vtrace.events]
-    return check_guard_steps(vtrace.initial_state, steps, guards)
+        pre = ev.state
+    return GuardReport(guards=guards, checked=vtrace.size, violations=tuple(violations))
 
 
 # trace validation
@@ -742,8 +716,8 @@ def validate(events, *, os: ObservationalSemantics | None = None,
         if ev.depth != expected:
             return ValidationReport(
                 False, i, error=ValidationError(i, ev.type, f"depth {ev.depth} != current node depth {expected}"))
-        steps.append((action, new))
+        steps.append(VirtualPayload(action, new))
         full = new
-    virtual = Trace(start, tuple(VirtualPayload(a, s) for a, s in steps))
-    guard_report = check_guard_steps(start, steps, guards)
+    virtual = Trace(start, tuple(steps))
+    guard_report = check_guards(virtual, guards)
     return ValidationReport(guard_report.ok, len(events), virtual=virtual, guard_report=guard_report)

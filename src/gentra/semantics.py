@@ -64,9 +64,9 @@ class ObservationalSemantics:
     :class:`ReconstructionError` when it encodes none.  Replaying a record
     is reading its action and applying it (:func:`replay`), so a replayed
     step is a transition by construction.  The static parameter tables
-    (``param_deps``, ``action_reads``, ``action_writes``) document which
-    state parameters each rule's updates touch; the projection machinery
-    consumes them.
+    (``param_deps``, ``action_writes``, ``neutral_writes``) say which state
+    parameters each update depends on and each rule writes; the projection
+    checks consume them.
     """
 
     name: str
@@ -78,7 +78,6 @@ class ObservationalSemantics:
     is_record: Callable[[Any], bool] = _always
     parameters: tuple[str, ...] = ()
     param_deps: Mapping[str, frozenset] = field(default_factory=dict)
-    action_reads: Mapping[str, frozenset] = field(default_factory=dict)
     action_writes: Mapping[str, frozenset] = field(default_factory=dict)
     # writes a projection may ignore: removal-only updates and wholesale
     # snapshot rebindings, which cannot move a pinned parameter off its

@@ -24,6 +24,7 @@ from gentra.abstraction import (
     _strip_explanation,
     map_palm_state,
     palm_event_to_generic,
+    palm_process,
     palm_profile,
     palm_to_generic,
     project,
@@ -185,6 +186,30 @@ def test_simulation_evidence_implies_mapped_validation(gt, palm_os):
         assert report.ok, report.lines()
 
 
+def _map_failing_on_call(n):
+    calls = 0
+
+    def map_state(state):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise ValueError("no image")
+        return state
+
+    return map_state
+
+
+@pytest.mark.parametrize("call, line", [
+    (1, "FAIL simulate trace=0 event=None state map failed on the initial state: no image"),
+    (3, "FAIL simulate trace=0 event=1 state map failed: no image"),
+], ids=["initial", "later"])
+def test_state_map_failure_is_reported_and_stops_its_trace(gt, fd_run, call, line):
+    mapping = StateMapping("partial", _map_failing_on_call(call), {k: k for k in gt.action_kinds})
+    report = check_simulable(gt, gt, mapping, [fd_run.virtual, fd_run.virtual])
+    assert report.lines()[:-1] == [line]
+    assert not report.ok
+
+
 # mapping without rebuilding what does not change
 
 
@@ -320,23 +345,61 @@ def test_palm_to_generic_rejects_foreign_kinds(fd_run):
 # compliance
 
 
-def test_compliance_three_scenarios(gt, palm_os, fd_run, palm_run):
-    fd_proc = ProcessSpec("fd-identity", gt, (fd_run.virtual,), identity_projection(gt),
-                          identity_mapping(gt), lambda evs: evs)
-    palm_proc = ProcessSpec("palm-profile", palm_os, (palm_run.virtual,), palm_profile(),
-                            palm_mapping(), palm_to_generic,
-                            guards=("g1", "g2", "g3", "g4", "g5"))
-    palm_full = ProcessSpec("palm-unprojected", palm_os, (palm_run.virtual,),
-                            identity_projection(gt), palm_mapping(), palm_to_generic,
-                            guards=("g1", "g2", "g3", "g4", "g5"))
-    report = check_generic(gt, [fd_proc, palm_proc, palm_full])
-    by_name = {v.name: v for v in report.verdicts}
-    assert by_name["fd-identity"].compliant
-    assert by_name["palm-profile"].compliant
-    assert not by_name["palm-unprojected"].compliant
-    assert any("jumpTo" in r and "solved" in r for r in by_name["palm-unprojected"].reasons)
+def fd_process(gt, **changes):
+    spec = ProcessSpec("fd", gt, identity_projection(gt), identity_mapping(gt), lambda evs: evs)
+    return dataclasses.replace(spec, **changes)
+
+
+def _fails(report):
+    return [line for line in report.lines if line.startswith("FAIL")]
+
+
+def test_compliance_three_scenarios(gt, fd_run, palm_run):
+    fd = check_generic(gt, fd_process(gt, name="fd-identity"), fd_run.events)
+    assert fd.ok and fd.lines[0] == f"PASS fd-identity replay events={len(fd_run.events)}"
+    assert fd.lines[-1] == "PASS compliance"
+    palm = check_generic(gt, palm_process(), palm_run.events)
+    assert palm.ok and not _fails(palm)
+    unprojected = dataclasses.replace(palm_process(), name="palm-unprojected",
+                                      projection=identity_projection(gt))
+    report = check_generic(gt, unprojected, palm_run.events)
     assert not report.ok
-    assert any(line.startswith("PASS compliance fd-identity") for line in report.lines())
+    assert any("jumpTo" in line and "solved" in line for line in _fails(report))
+    assert report.lines[-1] == "FAIL compliance"
+
+
+# each place check_generic stops or fails, tripped alone
+
+
+def test_compliance_invalid_projection_stops_the_check(gt, fd_run):
+    # current_event is updated from pending, so pending cannot be dropped alone
+    no_pending = ParamProjection("no-pending", frozenset(gt.parameters) - {"pending"},
+                                 frozenset(gt.action_kinds))
+    report = check_generic(gt, fd_process(gt, projection=no_pending), fd_run.events)
+    assert not report.ok
+    assert report.lines == ("FAIL compliance fd: invalid projection: kept parameter "
+                            "'current_event' depends on dropped ['pending']",)
+
+
+def test_compliance_map_failure_stops_the_check(gt, fd_run):
+    report = check_generic(gt, fd_process(gt, map_events=palm_to_generic), fd_run.events)
+    assert not report.ok
+    assert report.lines == (f"PASS fd replay events={len(fd_run.events)}",
+                            "FAIL map-fd: jumpTo has no counterpart in the mapped profile")
+
+
+def test_compliance_validate_failure_keeps_the_simulation_verdict(gt, fd_run):
+    def drop_first_reduce(events):
+        i = next(i for i, ev in enumerate(events) if ev.type == "reduce")
+        return events[:i] + events[i + 1:]
+
+    report = check_generic(gt, fd_process(gt, map_events=drop_first_reduce), fd_run.events)
+    assert not report.ok
+    fails = _fails(report)
+    assert fails[0].startswith("FAIL validate event=")
+    assert fails[1].startswith("FAIL validate events=")
+    assert fails[2:] == ["FAIL compliance"]
+    assert any(line.startswith("PASS simulate identity") for line in report.lines)
 
 
 # commutation

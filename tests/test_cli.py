@@ -128,7 +128,13 @@ def test_map_palm_and_compliance(runner, element_prob, tmp_path):
     assert check.exit_code == 0, check.output
     compliance = runner.invoke(main, ["check-compliance", str(palm_out)])
     assert compliance.exit_code == 0, compliance.output
-    assert "PASS compliance" in compliance.output
+    assert compliance.output == (
+        "PASS palm replay events=122\n"
+        "PASS validate events=122\n"
+        "PASS guards=g3,g4,g5 events=122\n"
+        "PASS simulate palm-to-generic traces=1 transitions=122\n"
+        "PASS compliance\n"
+    )
 
 
 def test_check_compliance_rejects_jump_traces(runner, element_prob, tmp_path):
@@ -136,6 +142,15 @@ def test_check_compliance_rejects_jump_traces(runner, element_prob, tmp_path):
     runner.invoke(main, ["solve", element_prob, "--trace", str(out)])
     result = runner.invoke(main, ["check-compliance", str(out)])
     assert result.exit_code == 1
+    assert result.output == ("FAIL replay under the palm rules: reduce: reduce record "
+                             "carries no explanation at event 4\n")
+
+
+def test_check_compliance_output_on_the_lenient_palm_fixture(runner):
+    result = runner.invoke(main, ["check-compliance", str(FIXTURES / "palm_element.trace"), "--lenient"])
+    assert result.exit_code == 1
+    assert result.output == ("FAIL replay under the palm rules: newConstraint: undeclared "
+                             "variables ['I', 'A'] at event 2\n")
 
 
 def test_diff_exit_codes(runner, element_prob, tmp_path):
