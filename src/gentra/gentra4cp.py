@@ -32,6 +32,7 @@ validate foreign traces), and the run-level guard checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .constraints import ConstraintDecl
@@ -493,6 +494,12 @@ def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
     return read(full, ev)
 
 
+def check_depth(ev: GenericEvent, new: FullState) -> None:
+    """A replayed record must carry the depth of the node its rule reached."""
+    if ev.depth != new.tree.depth(new.tree.current):
+        _fail(ev.type, f"depth {ev.depth} != current node depth {new.tree.depth(new.tree.current)}")
+
+
 # semantics bundle and parameter tables
 
 _SOLVER_PARAMS = ("variables", "constraints", "domains", "initial_domains", "active",
@@ -574,35 +581,39 @@ def is_initial(full: FullState) -> bool:
     return full == initial_state()
 
 
+def _build_semantics(strict_reduce: bool) -> ObservationalSemantics:
+    writes = {k: frozenset(v) for k, v in ACTION_WRITES.items()}
+    if strict_reduce:
+        writes["reduce"] = writes["reduce"] | {"active"}
+    return ObservationalSemantics(
+        name="gentra4cp" + ("-strict" if strict_reduce else ""),
+        action_kinds=frozenset(EVENT_TYPES),
+        apply=lambda full, action: step(full, action, strict_reduce=strict_reduce),
+        extract_local=extract_event,
+        read_action=read_record,
+        is_initial=is_initial,
+        is_record=lambda r: isinstance(r, GenericEvent),
+        check_record=check_depth,
+        parameters=PARAMETERS,
+        param_deps=MappingProxyType({k: frozenset(v) for k, v in PARAM_DEPS.items()}),
+        action_writes=MappingProxyType(writes),
+        neutral_writes=MappingProxyType({k: frozenset(v) for k, v in NEUTRAL_WRITES.items()}),
+        param_get=get_parameter,
+        reset_params=reset_parameters,
+    )
+
+
+_SEMANTICS = {strict: _build_semantics(strict) for strict in (False, True)}
+
+
 def make_semantics(*, strict_reduce: bool = False) -> ObservationalSemantics:
     """The full trace semantics, optionally with the strict reduce rule.
 
     Under the default rule a reduce leaves the active pair in place and
     suspend/solved/reject are the only deactivators; the strict variant also
-    removes the pair at each reduce.
+    removes the pair at each reduce.  Each variant is one shared bundle.
     """
-    writes = {k: frozenset(v) for k, v in ACTION_WRITES.items()}
-    if strict_reduce:
-        writes["reduce"] = writes["reduce"] | {"active"}
-
-    def apply(full, action):
-        return step(full, action, strict_reduce=strict_reduce)
-
-    return ObservationalSemantics(
-        name="gentra4cp" + ("-strict" if strict_reduce else ""),
-        action_kinds=frozenset(EVENT_TYPES),
-        apply=apply,
-        extract_local=extract_event,
-        read_action=read_record,
-        is_initial=is_initial,
-        is_record=lambda r: isinstance(r, GenericEvent),
-        parameters=PARAMETERS,
-        param_deps={k: frozenset(v) for k, v in PARAM_DEPS.items()},
-        action_writes=writes,
-        neutral_writes={k: frozenset(v) for k, v in NEUTRAL_WRITES.items()},
-        param_get=get_parameter,
-        reset_params=reset_parameters,
-    )
+    return _SEMANTICS[bool(strict_reduce)]
 
 
 # guard checks
@@ -697,8 +708,8 @@ def validate(events, *, os: ObservationalSemantics | None = None,
     """Replay an actual event sequence from the initial state.
 
     Reports the first event whose reconstruction fails (with the rule and
-    violated condition); on success returns the reconstructed virtual trace
-    and the guard-check log.
+    violated condition, a wrong record depth included); on success returns
+    the virtual trace ``os`` built and the guard-check log.
     """
     os = os or make_semantics()
     start = initial_state()
@@ -712,12 +723,8 @@ def validate(events, *, os: ObservationalSemantics | None = None,
             action, new = replay(os, full, ev)
         except ReconstructionError as exc:
             return ValidationReport(False, i, error=ValidationError(i, exc.rule, exc.condition))
-        expected = new.tree.depth(new.tree.current)
-        if ev.depth != expected:
-            return ValidationReport(
-                False, i, error=ValidationError(i, ev.type, f"depth {ev.depth} != current node depth {expected}"))
         steps.append(VirtualPayload(action, new))
         full = new
-    virtual = Trace(start, tuple(steps))
+    virtual = Trace.built_by(os, start, tuple(steps))
     guard_report = check_guards(virtual, guards)
     return ValidationReport(guard_report.ok, len(events), virtual=virtual, guard_report=guard_report)

@@ -29,11 +29,13 @@ input accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
-from .gentra4cp import READERS, RULES, GenericEvent, _need, apply_rule, extract_event, is_initial, read_record
+from .gentra4cp import (READERS, RULES, GenericEvent, _need, apply_rule, check_depth, extract_event,
+                        is_initial, read_record)
 from .semantics import Action, ObservationalSemantics
 from .solver import (
     Problem,
@@ -192,6 +194,7 @@ def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
 PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}
 
 
+@cache
 def make_palm_semantics() -> ObservationalSemantics:
     return ObservationalSemantics(
         name="palm",
@@ -201,6 +204,7 @@ def make_palm_semantics() -> ObservationalSemantics:
         read_action=lambda full, ev: read_record(full, ev, PALM_READERS),
         is_initial=is_initial,
         is_record=lambda r: isinstance(r, GenericEvent),
+        check_record=check_depth,
     )
 
 
@@ -415,5 +419,5 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
         if not advance():
             break
 
-    virtual = Trace(start, tuple(run.steps))
+    virtual = Trace.built_by(run.os, start, tuple(run.steps))
     return SolveResult(solutions=tuple(solutions), events=tuple(run.events), virtual=virtual)

@@ -12,6 +12,7 @@ assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ReconstructionError, TransitionError
@@ -62,11 +63,11 @@ class ObservationalSemantics:
     transition to its attribute record; ``read_action`` reads back the
     action a record encodes in a given state, raising
     :class:`ReconstructionError` when it encodes none.  Replaying a record
-    is reading its action and applying it (:func:`replay`), so a replayed
-    step is a transition by construction.  The static parameter tables
-    (``param_deps``, ``action_writes``, ``neutral_writes``) say which state
-    parameters each update depends on and each rule writes; the projection
-    checks consume them.
+    is reading its action, applying it and checking the record against the
+    successor (``check_record``, :func:`replay`), so a replayed step is a
+    transition by construction.  The static tables (``param_deps``,
+    ``action_writes``, ``neutral_writes``) say which state parameters each
+    update depends on and each rule writes; the projection checks use them.
     """
 
     name: str
@@ -76,13 +77,14 @@ class ObservationalSemantics:
     read_action: Callable[[Any, Any], Action]
     is_initial: Callable[[Any], bool]
     is_record: Callable[[Any], bool] = _always
+    check_record: Callable[[Any, Any], None] = lambda _record, _successor: None
     parameters: tuple[str, ...] = ()
-    param_deps: Mapping[str, frozenset] = field(default_factory=dict)
-    action_writes: Mapping[str, frozenset] = field(default_factory=dict)
+    param_deps: Mapping[str, frozenset] = field(default_factory=lambda: MappingProxyType({}))
+    action_writes: Mapping[str, frozenset] = field(default_factory=lambda: MappingProxyType({}))
     # writes a projection may ignore: removal-only updates and wholesale
     # snapshot rebindings, which cannot move a pinned parameter off its
     # initial value or introduce information outside the kept parameters
-    neutral_writes: Mapping[str, frozenset] = field(default_factory=dict)
+    neutral_writes: Mapping[str, frozenset] = field(default_factory=lambda: MappingProxyType({}))
     param_get: Callable[[Any, str], Any] | None = None
     reset_params: Callable[[Any, frozenset], Any] | None = None
 
@@ -99,7 +101,8 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
     """Turn a virtual trace into the actual trace its tracer would emit.
 
     Every consecutive pair must be a real transition; the first offending
-    index is reported otherwise.
+    index is reported otherwise.  A trace ``os.apply`` built holds that by
+    construction (``vtrace.applied_by is os``), and costs no rule application.
     """
     if not os.is_initial(vtrace.initial_state):
         raise TransitionError(os.name, "initial state not in the initial-state set")
@@ -108,7 +111,7 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
     for i, ev in enumerate(vtrace.events):
         if not isinstance(ev, VirtualPayload):
             raise TransitionError(os.name, "extract expects a virtual trace", index=i)
-        if not transition_holds(os, state, ev.action, ev.state):
+        if vtrace.applied_by is not os and not transition_holds(os, state, ev.action, ev.state):
             raise TransitionError(os.name, f"step is not a {ev.action.kind} transition", index=i)
         records.append(ActualPayload(os.extract_local(state, ev.action, ev.state)))
         state = ev.state
@@ -119,13 +122,15 @@ def replay(os: ObservationalSemantics, state: Any, record: Any) -> tuple[Action,
     """The action ``record`` encodes in ``state`` and the successor it leads to.
 
     A record whose action does not apply raises the rule's failure as a
-    :class:`ReconstructionError`.
+    :class:`ReconstructionError`, as ``os.check_record`` does after it.
     """
     action = os.read_action(state, record)
     try:
-        return action, os.apply(state, action)
+        new = os.apply(state, action)
     except TransitionError as exc:
         raise ReconstructionError(exc.rule, exc.condition) from exc
+    os.check_record(record, new)
+    return action, new
 
 
 def _read_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> Action:
@@ -142,17 +147,19 @@ def _read_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> Actio
 
 
 def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> VirtualPayload:
-    """Replay record ``i`` from ``state``: the step it encodes, or the
-    :class:`ReconstructionError` that ``reconstruct`` reports for it."""
+    """Replay record ``i`` from ``state`` as :func:`replay` does: the step it
+    encodes, or the :class:`ReconstructionError` that ``reconstruct`` reports."""
     action = _read_step(os, state, i, ev)
     try:
-        return VirtualPayload(action, os.apply(state, action))
-    except TransitionError as exc:
+        new = os.apply(state, action)
+        os.check_record(ev.record, new)
+    except (TransitionError, ReconstructionError) as exc:
         raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
+    return VirtualPayload(action, new)
 
 
 def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
-    """Replay an actual trace into the virtual trace it encodes."""
+    """Replay an actual trace into the virtual trace it encodes, built by ``os``."""
     if not os.is_initial(atrace.initial_state):
         raise ReconstructionError(os.name, "initial state not in the initial-state set")
     state = atrace.initial_state
@@ -161,7 +168,7 @@ def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
         step = _replay_step(os, state, i, ev)
         steps.append(step)
         state = step.state
-    return Trace(atrace.initial_state, tuple(steps))
+    return Trace.built_by(os, atrace.initial_state, tuple(steps))
 
 
 def replay_divergence(os: ObservationalSemantics, atrace: Trace, reference: Trace) -> int | None:
@@ -240,10 +247,11 @@ class FaithfulnessReport:
 
 def _faithful_divergence(os: ObservationalSemantics, vtrace: Trace) -> int | None:
     """``replay_divergence(os, extract(os, vtrace), vtrace)`` with one rule
-    application per step.
+    application per step, or none on a trace ``os`` built itself.
 
     ``extract`` has proven ``apply(s, a) == s'`` for every step of
-    ``vtrace``, and ``apply`` is a function of the state and the action.  So
+    ``vtrace`` (by applying the rule, or by ``vtrace.applied_by is os``),
+    and ``apply`` is a function of the state and the action.  So
     while the action read back from a record equals the step's own action,
     the replayed step equals the step, and replay goes on from its state
     without applying the rule again.  A differing action makes the step
@@ -267,13 +275,14 @@ def _faithful_divergence(os: ObservationalSemantics, vtrace: Trace) -> int | Non
 def check_faithful(os: ObservationalSemantics, samples: Iterable[Trace]) -> FaithfulnessReport:
     """Verify reconstruct(extract(t)) == t on each sample virtual trace.
 
-    Each step of ``t`` costs one rule application: ``extract`` applies the
-    rule to check that the step is a transition, and the replay of its
-    record then only reads the action back.  An action equal to the step's
-    own yields the step itself, since ``apply`` is a function of the state
-    and the action, so the rule is not applied a second time; replay goes
-    on from ``t``'s own state.  Only from the first differing action on does
-    replay apply rules along its own chain.  Errors and divergence positions
+    Each step of ``t`` costs one rule application (none on a trace ``os``
+    built, ``t.applied_by is os``): ``extract`` applies the rule to check
+    that the step is a transition, and the replay of its record only reads
+    the action back.  An action equal to the step's own yields the step
+    itself, since ``apply`` is a function of the state and the action, so
+    the rule is not applied again; replay goes on from ``t``'s own state.
+    Only from the first differing action on does replay apply rules along
+    its own chain.  Errors and divergence positions
     are those of ``first_divergence(t, reconstruct(os, extract(os, t)))``.
     """
     entries = []

@@ -296,5 +296,5 @@ def solve(problem: Problem, limits: SolveLimits | None = None, *,
     strategy += [("label", v) for v in problem.labels]
     solutions: list = []
     _search(run, strategy, solutions)
-    virtual = Trace(start, tuple(run.steps))
+    virtual = Trace.built_by(run.os, start, tuple(run.steps))
     return SolveResult(solutions=tuple(solutions), events=tuple(run.events), virtual=virtual)

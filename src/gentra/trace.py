@@ -10,8 +10,8 @@ set at the bottom and the full prefix set at the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from dataclasses import dataclass, field
+from typing import Any, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import ClosureError, KindMismatchError, PrefixRangeError
 
@@ -48,6 +48,16 @@ class Trace:
 
     initial_state: Hashable
     events: tuple[TraceEvent, ...] = ()
+    # provenance, not content: ==, hash and repr ignore it, and replace drops it
+    applied_by: Any = field(default=None, init=False, compare=False, repr=False)
+
+    @classmethod
+    def built_by(cls, os: Any, initial_state: Hashable, events: tuple[TraceEvent, ...]) -> "Trace":
+        """A trace whose every step ``os.apply`` built (replay and the solvers),
+        which ``extract`` under ``os`` need not check; prefixes keep ``applied_by``."""
+        trace = cls(initial_state, events)
+        object.__setattr__(trace, "applied_by", os)
+        return trace
 
     def __post_init__(self):
         kinds = {_kind_of(e) for e in self.events}
@@ -67,7 +77,7 @@ class Trace:
         """The prefix made of the first ``k`` events (k=0 keeps just the state)."""
         if not 0 <= k <= self.size:
             raise PrefixRangeError(f"prefix size {k} out of range 0..{self.size}")
-        return Trace(self.initial_state, self.events[:k])
+        return Trace.built_by(self.applied_by, self.initial_state, self.events[:k])
 
     def prefixes(self) -> Iterator["Trace"]:
         for k in range(self.size + 1):

@@ -381,6 +381,16 @@ def test_compliance_invalid_projection_stops_the_check(gt, fd_run):
                             "'current_event' depends on dropped ['pending']",)
 
 
+def test_compliance_replay_failure_on_a_record_depth_stops_the_check(gt, palm_run):
+    events = list(palm_run.events)
+    i = next(i for i, ev in enumerate(events) if ev.type == "reduce")
+    events[i] = events[i]._replace(depth=events[i].depth + 1)
+    report = check_generic(gt, palm_process(), events)
+    assert not report.ok
+    assert report.lines == (f"FAIL replay under the palm rules: reduce: depth {events[i].depth} "
+                            f"!= current node depth {events[i].depth - 1} at event {i}",)
+
+
 def test_compliance_map_failure_stops_the_check(gt, fd_run):
     report = check_generic(gt, fd_process(gt, map_events=palm_to_generic), fd_run.events)
     assert not report.ok

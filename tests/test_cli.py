@@ -146,6 +146,22 @@ def test_check_compliance_rejects_jump_traces(runner, element_prob, tmp_path):
                              "carries no explanation at event 4\n")
 
 
+def test_check_compliance_replay_checks_record_depths(runner, element_prob, tmp_path):
+    palm_out = tmp_path / "palm.trace"
+    runner.invoke(main, ["solve", element_prob, "--palm", "--trace", str(palm_out)])
+    mutant = tmp_path / "mutant.trace"
+    mutant.write_text(palm_out.read_text().replace("[0]reduce", "[1]reduce", 1))
+    result = runner.invoke(main, ["check-compliance", str(mutant)])
+    assert result.exit_code == 1
+    assert result.output == ("FAIL replay under the palm rules: reduce: depth 1 != current "
+                             "node depth 0 at event 4\n")
+    mapped = tmp_path / "mapped.trace"
+    assert runner.invoke(main, ["map-palm", str(mutant), "-o", str(mapped)]).exit_code == 0
+    check = runner.invoke(main, ["validate", "--profile", "palm", str(mapped)])
+    assert check.exit_code == 1
+    assert check.output.startswith("FAIL validate event=4 rule=reduce depth 1 != current node depth 0\n")
+
+
 def test_check_compliance_output_on_the_lenient_palm_fixture(runner):
     result = runner.invoke(main, ["check-compliance", str(FIXTURES / "palm_element.trace"), "--lenient"])
     assert result.exit_code == 1

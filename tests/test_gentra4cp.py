@@ -1,8 +1,11 @@
 """Rule-level and replay-level tests of the trace format semantics."""
 
+import dataclasses
+
 import pytest
 
 from gentra import gentra4cp, palm
+from gentra.abstraction import palm_profile, project
 from gentra.constraints import ConstraintDecl
 from gentra.errors import ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain, full_domain, parse_domain
@@ -15,10 +18,10 @@ from gentra.gentra4cp import (
     step,
     validate,
 )
-from gentra.semantics import Action, check_faithful, reconstruct, replay
+from gentra.semantics import Action, check_faithful, extract, reconstruct, replay
 from gentra.solver import Problem, solve
 from gentra.state import BOTTOM, SolverEvent, SolverState, initial_state, store
-from gentra.trace import ActualPayload, Trace, VirtualPayload
+from gentra.trace import ActualPayload, Trace, VirtualPayload, all_prefixes
 
 from support import ladder
 
@@ -367,6 +370,35 @@ def test_validate_flags_corrupted_reduce(element_run):
     assert report.error.rule == "reduce"
 
 
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_replay_checks_each_record_depth_after_its_rule(element_run, machine):
+    if machine == "fd":
+        os, events = make_semantics(), list(element_run.events)
+    else:
+        os, events = palm.make_palm_semantics(), list(palm.palm_solve(element_problem()).events)
+    # the first reduce of a variable that an earlier reduce narrowed
+    reduced = {}
+    for i, ev in enumerate(events):
+        if ev.type == "reduce":
+            if ev.variable in reduced:
+                break
+            reduced[ev.variable] = ev.domain
+    events[i] = events[i]._replace(depth=events[i].depth + 1)
+    actual = Trace(initial_state(), tuple(ActualPayload(e) for e in events))
+    with pytest.raises(ReconstructionError) as exc:
+        reconstruct(os, actual)
+    assert (exc.value.rule, exc.value.index) == ("reduce", i)
+    assert exc.value.condition == f"depth {events[i].depth} != current node depth {events[i].depth - 1}"
+    # a record that also breaks its rule reports the rule first
+    events[i] = events[i]._replace(domain=events[i].domain.union(reduced[events[i].variable]))
+    with pytest.raises(ReconstructionError) as exc:
+        reconstruct(os, Trace(initial_state(), tuple(ActualPayload(e) for e in events)))
+    assert exc.value.condition == "removed values are not all in the domain"
+    if machine == "fd":
+        report = validate(events)
+        assert (report.error.index, report.error.condition) == (i, exc.value.condition)
+
+
 def test_depth_law(element_run):
     for record, stepped in zip(element_run.events, element_run.virtual.events):
         tree = stepped.state.tree
@@ -589,3 +621,93 @@ def test_records_and_actions_stay_immutable():
         action.kind = "suspend"
     assert ev == GenericEvent("post", 0, constraint="c1")
     assert action == Action.of("post", constraint="c1")
+
+
+# traces their own semantics built, and the shared semantics bundles
+
+
+def _replayed(run):
+    return reconstruct(make_semantics(), Trace(initial_state(), tuple(ActualPayload(e) for e in run.events)))
+
+
+def _state_swapped(t, j):
+    """The steps of ``t`` with step ``j`` reaching step ``j + 1``'s state."""
+    events = list(t.events)
+    events[j] = VirtualPayload(events[j].action, events[j + 1].state)
+    return tuple(events)
+
+
+def _transition_error(os, t):
+    with pytest.raises(TransitionError) as exc:
+        extract(os, t)
+    assert str(exc.value).startswith(f"{os.name}: step is not a ")
+    return exc.value.index
+
+
+def test_extract_checks_a_caller_built_copy_of_a_replayed_trace(element_run):
+    os = make_semantics()
+    t = _replayed(element_run)
+    assert t.applied_by is os
+    for j in (0, 7, t.size - 2):
+        copy = Trace(t.initial_state, _state_swapped(t, j))
+        assert copy.applied_by is None
+        assert _transition_error(os, copy) == j
+
+
+def test_extract_checks_a_replayed_trace_under_another_semantics(element_run):
+    os = make_semantics()
+    t = _replayed(element_run)
+    # the strict reduce rule also drops the active pair, so the first reduce
+    # of a default-rule run is not one of its transitions
+    first_reduce = next(i for i, ev in enumerate(t.events) if ev.action.kind == "reduce")
+    assert _transition_error(make_semantics(strict_reduce=True), t) == first_reduce
+    # a copy applies the same rules, but trusts no step the original built
+    copy = dataclasses.replace(os)
+    assert copy is not os
+    assert extract(copy, t) == extract(os, t)
+    marked = Trace.built_by(os, t.initial_state, _state_swapped(t, 7))
+    assert _transition_error(copy, marked) == 7
+
+
+def test_a_replayed_trace_equals_and_hashes_as_a_caller_built_one(element_run):
+    t = _replayed(element_run)
+    copy = Trace(t.initial_state, t.events)
+    assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
+    assert t.prefix(5) == copy.prefix(5) and t.prefix(5).applied_by is t.applied_by
+    # a trace with other steps is not one the semantics built
+    edited = dataclasses.replace(t, events=_state_swapped(t, 7))
+    assert edited.applied_by is None
+    assert _transition_error(make_semantics(), edited) == 7
+    assert all_prefixes([t, copy, element_run.virtual]) == all_prefixes([copy])
+    assert len(all_prefixes([t, copy])) == t.size + 1
+
+
+def test_each_semantics_bundle_is_shared():
+    assert make_semantics() is make_semantics(strict_reduce=False)
+    strict = make_semantics(strict_reduce=True)
+    assert strict is make_semantics(strict_reduce=True)
+    assert strict is not make_semantics()
+    assert palm.make_palm_semantics() is palm.make_palm_semantics()
+
+
+@pytest.mark.parametrize("bundle", ["default", "strict", "palm"])
+@pytest.mark.parametrize("table", ["param_deps", "action_writes", "neutral_writes"])
+def test_shared_bundle_tables_are_read_only(bundle, table):
+    os = {"default": make_semantics(), "strict": make_semantics(strict_reduce=True),
+          "palm": palm.make_palm_semantics()}[bundle]
+    with pytest.raises(TypeError):
+        getattr(os, table)["reduce"] = frozenset()
+
+
+def test_project_builds_a_new_bundle_and_leaves_the_shared_one_as_it_is():
+    os = make_semantics()
+
+    def snapshot():
+        return os.name, os.action_kinds, dict(os.param_deps), dict(os.action_writes), dict(os.neutral_writes)
+
+    before = snapshot()
+    projected = project(os, palm_profile())
+    assert projected is not os and projected is not project(os, palm_profile())
+    assert "solved" not in projected.action_kinds
+    assert snapshot() == before
+    assert make_semantics() is os

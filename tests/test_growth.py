@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from gentra import gentra4cp, palm
 from gentra.gentra4cp import make_semantics, validate
 from gentra.palm import make_palm_semantics, palm_initial_state, palm_solve
 from gentra.semantics import check_faithful, reconstruct
@@ -38,7 +39,9 @@ def test_faithfulness_state_comparisons_per_event_stay_flat(monkeypatch):
     os = make_semantics()
     per_event = {}
     for k in (4, 6):
-        virtual = solve(ladder(k)).virtual
+        # a caller-built copy, so that extraction checks every transition
+        solved = solve(ladder(k)).virtual
+        virtual = Trace(solved.initial_state, solved.events)
         calls = 0
         assert check_faithful(os, [virtual]).ok
         per_event[k] = calls / virtual.size
@@ -61,6 +64,50 @@ def test_faithfulness_check_applies_each_rule_once(machine):
 
     assert check_faithful(dataclasses.replace(os, apply=counting), [virtual]).ok
     assert calls == virtual.size
+
+
+class _RuleCalls:
+    """Counts the calls to the rule functions of the given rule tables, by
+    wrapping each entry; how ``apply`` reaches a rule does not matter."""
+
+    def __init__(self, monkeypatch, *tables):
+        self.calls = 0
+        for table in tables:
+            for kind, rule in list(table.items()):
+                monkeypatch.setitem(table, kind, self._counting(rule))
+
+    def _counting(self, rule):
+        def counting(full, action):
+            self.calls += 1
+            return rule(full, action)
+        return counting
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_fd_verdict_applies_one_rule_per_event(monkeypatch, k):
+    # validate applies each record's rule once; the faithfulness check of
+    # the trace validate built, under the same shared semantics, applies none
+    events = solve(ladder(k)).events
+    counter = _RuleCalls(monkeypatch, gentra4cp.RULES)
+    report = validate(events)
+    assert report.ok
+    assert check_faithful(make_semantics(), [report.virtual]).ok
+    assert counter.calls == len(events)
+
+
+@pytest.mark.parametrize("source", ["solve", "validate", "palm-reconstruct"])
+def test_faithfulness_check_applies_no_rule_on_traces_its_semantics_built(monkeypatch, source):
+    if source == "solve":
+        os, virtual = make_semantics(), solve(ladder(4)).virtual
+    elif source == "validate":
+        os, virtual = make_semantics(), validate(solve(ladder(4)).events).virtual
+    else:
+        os, events = make_palm_semantics(), palm_solve(ladder(4)).events
+        virtual = reconstruct(os, Trace(palm_initial_state(), tuple(ActualPayload(e) for e in events)))
+    assert virtual.applied_by is os
+    counter = _RuleCalls(monkeypatch, gentra4cp.RULES, palm.PALM_RULES)
+    assert check_faithful(os, [virtual]).ok
+    assert counter.calls == 0
 
 
 # Python line events count the interpreted work: a linear scan of an
