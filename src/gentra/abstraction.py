@@ -25,7 +25,7 @@ from .errors import GentraError, MappingError, ProjectionError, ReconstructionEr
 from .gentra4cp import DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, make_semantics, validate
 from .palm import PALM_EVENT_TYPES, make_palm_semantics
 from .semantics import Action, ObservationalSemantics, extract, reconstruct, replay_divergence, transition_holds
-from .state import NO_EXPLANATIONS, FullState, initial_state
+from .state import FullState, initial_state
 from .trace import ActualPayload, Trace, VirtualPayload
 
 
@@ -420,14 +420,15 @@ def palm_profile() -> ParamProjection:
 def map_palm_state(full: FullState) -> FullState:
     """The state map: shares the solver state and tree, empties the
     explanation table."""
-    return full._replace(explanations=NO_EXPLANATIONS)
+    return FullState(full.solver, full.tree)
 
 
 def _strip_explanation(action: Action) -> Action:
     """The action without its explanation argument; the action itself when
-    it carries none."""
-    args = tuple((k, v) for k, v in action.args if k != "explanation")
-    return action if len(args) == len(action.args) else Action(action.kind, args)
+    it carries none (no action is its own argument, so it is the default)."""
+    if action.get("explanation", action) is action:
+        return action
+    return Action(action.kind, tuple((k, v) for k, v in action.args if k != "explanation"))
 
 
 def palm_mapping() -> StateMapping:

@@ -32,6 +32,8 @@ validate foreign traces), and the run-level guard checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -116,6 +118,10 @@ _ALL_ATTRS = ("constraint", "variable", "node", "node2", "domain",
 # the attributes foreign to each event type, in ``_ALL_ATTRS`` order
 _FOREIGN = {kind: tuple(name for name in _ALL_ATTRS if name not in required + optional)
             for kind, (required, optional) in _SHAPES.items()}
+# per event type, a getter of its foreign attributes (two or more, so it
+# returns a tuple) and what it returns on a record that carries none
+_FOREIGN_AT = {kind: (itemgetter(*map(GenericEvent._fields.index, names)), (None,) * len(names))
+               for kind, names in _FOREIGN.items()}
 
 
 def shape_error(ev: GenericEvent, strict: bool = True) -> str | None:
@@ -175,7 +181,7 @@ def _step_new_variable(full: FullState, act: Action) -> FullState:
         domains={**s.domains, var: dom},
         initial_domains={**s.initial_domains, var: dom},
     )
-    return full._replace(solver=s2)
+    return FullState(s2, full.tree, full.explanations)
 
 
 def _step_new_constraint(full: FullState, act: Action) -> FullState:
@@ -185,7 +191,7 @@ def _step_new_constraint(full: FullState, act: Action) -> FullState:
     if decl is not None:
         missing = [v for v in decl.variables if v not in s.variables]
         _need(not missing, "newConstraint", f"undeclared variables {missing}")
-    return full._replace(solver=s._replace(constraints=s.constraints.with_entry(cid, decl)))
+    return FullState(s._replace(constraints=s.constraints.with_entry(cid, decl)), full.tree, full.explanations)
 
 
 def _step_post(full: FullState, act: Action) -> FullState:
@@ -193,7 +199,7 @@ def _step_post(full: FullState, act: Action) -> FullState:
     s = full.solver
     _need(s.is_declared(cid), "post", f"{cid} not declared")
     _need(cid not in store(s), "post", f"{cid} already in the store")
-    return full._replace(solver=s._replace(active=s.active + ((cid, BOTTOM),)))
+    return FullState(s._replace(active=s.active + ((cid, BOTTOM),)), full.tree, full.explanations)
 
 
 def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullState:
@@ -201,7 +207,7 @@ def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullStat
     _need(not full.tree.has_node(node), rule, f"node {node} already exists")
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
     depth = full.tree.depth(full.tree.current) + 1
-    return full._replace(tree=full.tree.with_node(node, full.solver, depth))
+    return FullState(full.solver, full.tree.with_node(node, full.solver, depth), full.explanations)
 
 
 def _step_new_child(full: FullState, act: Action) -> FullState:
@@ -222,7 +228,7 @@ def _step_jump_to(full: FullState, act: Action) -> FullState:
     _need(node != full.tree.current, "jumpTo", "target is already the current node")
     snap = full.tree.snapshot(node)
     _need(choice_point(snap), "jumpTo", f"node {node} is not a choice point")
-    return full._replace(solver=snap, tree=full.tree.jumped_to(node))
+    return FullState(snap, full.tree.jumped_to(node), full.explanations)
 
 
 def _step_deactivate(full: FullState, act: Action) -> FullState:
@@ -235,7 +241,7 @@ def _step_deactivate(full: FullState, act: Action) -> FullState:
         solved=s.solved - {cid},
         rejected=s.rejected - {cid},
     )
-    return full._replace(solver=s2)
+    return FullState(s2, full.tree, full.explanations)
 
 
 def _step_restore(full: FullState, act: Action) -> FullState:
@@ -246,7 +252,7 @@ def _step_restore(full: FullState, act: Action) -> FullState:
     _need(values.disjoint(s.domain(var)), "restore", "restored values are still in the domain")
     _need(values.issubset(s.initial_domain(var)), "restore", "restored values exceed the initial domain")
     s2 = s.with_domain(var, s.domain(var).union(values)).push_events(generated)
-    return full._replace(solver=s2)
+    return FullState(s2, full.tree, full.explanations)
 
 
 def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullState:
@@ -265,7 +271,7 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
     s2 = s.with_domain(var, s.domain(var).subtract(removed)).push_events(generated)
     if strict:
         s2 = s2._replace(active=tuple(p for p in s2.active if p[0] != cid))
-    return full._replace(solver=s2)
+    return FullState(s2, full.tree, full.explanations)
 
 
 def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
@@ -284,7 +290,7 @@ def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
 def _step_suspend(full: FullState, act: Action) -> FullState:
     cid, active = _retire(full, act, "suspend")
     s = full.solver
-    return full._replace(solver=s._replace(active=active, sleeping=s.sleeping | {cid}))
+    return FullState(s._replace(active=active, sleeping=s.sleeping | {cid}), full.tree, full.explanations)
 
 
 def _step_solved(full: FullState, act: Action) -> FullState:
@@ -293,7 +299,7 @@ def _step_solved(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
     _need(decl.entailed(s.domain_map()), "solved", f"{cid} is not entailed")
-    return full._replace(solver=s._replace(active=active, solved=s.solved | {cid}))
+    return FullState(s._replace(active=active, solved=s.solved | {cid}), full.tree, full.explanations)
 
 
 def _step_reject(full: FullState, act: Action) -> FullState:
@@ -302,7 +308,7 @@ def _step_reject(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
     _need(decl.falsified(s.domain_map()), "reject", f"{cid} is not falsified")
-    return full._replace(solver=s._replace(active=active, rejected=s.rejected | {cid}))
+    return FullState(s._replace(active=active, rejected=s.rejected | {cid}), full.tree, full.explanations)
 
 
 def _step_awake(full: FullState, act: Action) -> FullState:
@@ -310,12 +316,12 @@ def _step_awake(full: FullState, act: Action) -> FullState:
     s = full.solver
     if cid not in s.sleeping:
         raise TransitionError("awake", f"{cid} is not sleeping")
-    _need(cause == BOTTOM or cause == s.current_event, "awake",
+    _need(cause in (BOTTOM, s.current_event), "awake",
           "waking event is neither bot nor the scheduled event")
     if not awake_condition(s, cid, cause):
         raise TransitionError("awake", f"{cid} does not watch {cause}")
     s2 = s._replace(active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
-    return full._replace(solver=s2)
+    return FullState(s2, full.tree, full.explanations)
 
 
 def _step_schedule(full: FullState, act: Action) -> FullState:
@@ -328,7 +334,7 @@ def _step_schedule(full: FullState, act: Action) -> FullState:
         raise TransitionError("schedule", f"{witness} does not react to the event")
     idx = s.pending.index(event)
     s2 = s._replace(pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
-    return full._replace(solver=s2)
+    return FullState(s2, full.tree, full.explanations)
 
 
 RULES = {
@@ -425,19 +431,19 @@ def _active_cause(full: FullState, ev: GenericEvent) -> SolverEvent:
 def _read_jump(full: FullState, ev: GenericEvent) -> Action:
     if ev.node2 is not None and ev.node2 != full.tree.current:
         _fail(ev.type, f"origin node {ev.node2} is not the current node")
-    return Action.of(ev.type, node=ev.node)
+    return Action(ev.type, (("node", ev.node),))
 
 
 def _read_restore(full: FullState, ev: GenericEvent) -> Action:
     gen = tuple(SolverEvent(e.kind, e.variable) for e in ev.generated or ())
-    return Action.of(ev.type, variable=ev.variable, values=ev.domain, generated=gen)
+    return Action(ev.type, (("generated", gen), ("values", ev.domain), ("variable", ev.variable)))
 
 
 def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
     cause = _active_cause(full, ev)
     gen = tuple(SolverEvent(e.kind, e.variable, ev.constraint) for e in ev.generated or ())
-    return Action.of(ev.type, constraint=ev.constraint, variable=ev.variable,
-                     removed=ev.domain, generated=gen, cause=cause)
+    return Action(ev.type, (("cause", cause), ("constraint", ev.constraint), ("generated", gen),
+                            ("removed", ev.domain), ("variable", ev.variable)))
 
 
 def _read_awake(full: FullState, ev: GenericEvent) -> Action:
@@ -448,7 +454,7 @@ def _read_awake(full: FullState, ev: GenericEvent) -> Action:
         cause = current
     else:
         _fail(ev.type, "recorded cause is not the scheduled event")
-    return Action.of(ev.type, constraint=ev.constraint, cause=cause)
+    return Action(ev.type, (("cause", cause), ("constraint", ev.constraint)))
 
 
 def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
@@ -456,24 +462,24 @@ def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
     if event is None:
         _fail(ev.type, f"no pending event matches {ev.event.kind} {ev.event.variable}")
     if ev.constraint is not None:
-        return Action.of(ev.type, event=event, witness=ev.constraint)
-    return Action.of(ev.type, event=event)
+        return Action(ev.type, (("event", event), ("witness", ev.constraint)))
+    return Action(ev.type, (("event", event),))
 
 
 # record readers: the action each record type encodes, read against the
 # pre-state (solver events are serialized without their originating
 # constraint; the origin is recovered from the active pair for causes and
-# from the pending pool for scheduled events)
+# from the pending pool for scheduled events), arguments in ``Action.of`` order
 READERS = {
-    "newVariable": lambda full, ev: Action.of(ev.type, variable=ev.variable, domain=ev.domain),
-    "newConstraint": lambda full, ev: Action.of(ev.type, constraint=ev.constraint, decl=ev.decl),
+    "newVariable": lambda full, ev: Action(ev.type, (("domain", ev.domain), ("variable", ev.variable))),
+    "newConstraint": lambda full, ev: Action(ev.type, (("constraint", ev.constraint), ("decl", ev.decl))),
     **dict.fromkeys(("post", "deactivate", "suspend", "solved"),
-                    lambda full, ev: Action.of(ev.type, constraint=ev.constraint)),
-    **dict.fromkeys(("newChild", "solution", "failure"), lambda full, ev: Action.of(ev.type, node=ev.node)),
+                    lambda full, ev: Action(ev.type, (("constraint", ev.constraint),))),
+    **dict.fromkeys(("newChild", "solution", "failure"), lambda full, ev: Action(ev.type, (("node", ev.node),))),
     "jumpTo": _read_jump,
     "restore": _read_restore,
     "reduce": _read_reduce,
-    "reject": lambda full, ev: Action.of(ev.type, constraint=ev.constraint, cause=_active_cause(full, ev)),
+    "reject": lambda full, ev: Action(ev.type, (("cause", _active_cause(full, ev)), ("constraint", ev.constraint))),
     "awake": _read_awake,
     "schedule": _read_schedule,
 }
@@ -485,9 +491,9 @@ def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
     Reading recovers every serialized-away origin from the replayed state, so
     replay yields structurally identical states to the original run.
     """
-    problem = shape_error(ev, strict=False)
-    if problem:
-        _fail(ev.type, problem)
+    foreign = _FOREIGN_AT.get(ev.type)
+    if foreign is None or foreign[0](ev) != foreign[1]:
+        _fail(ev.type, shape_error(ev, strict=False))
     read = readers.get(ev.type)
     if read is None:
         _fail(ev.type, "event type outside the rule set")
@@ -588,7 +594,7 @@ def _build_semantics(strict_reduce: bool) -> ObservationalSemantics:
     return ObservationalSemantics(
         name="gentra4cp" + ("-strict" if strict_reduce else ""),
         action_kinds=frozenset(EVENT_TYPES),
-        apply=lambda full, action: step(full, action, strict_reduce=strict_reduce),
+        apply=partial(apply_rule, STRICT_RULES if strict_reduce else RULES),
         extract_local=extract_event,
         read_action=read_record,
         is_initial=is_initial,

@@ -29,7 +29,7 @@ input accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError
@@ -106,7 +106,7 @@ def _restore(full: FullState, act: Action) -> FullState:
         table[var] = tuple(kept)
     else:
         table.pop(var, None)
-    return new._replace(explanations=table)
+    return FullState(new.solver, new.tree, table)
 
 
 def _reduce(full: FullState, act: Action) -> FullState:
@@ -120,7 +120,7 @@ def _reduce(full: FullState, act: Action) -> FullState:
           "explanation is not a set of store constraints")
     var, table = act.get("variable"), new.explanations
     entry = (act.get("removed"), explanation)
-    return new._replace(explanations={**table, var: table.get(var, ()) + (entry,)})
+    return FullState(new.solver, new.tree, {**table, var: table.get(var, ()) + (entry,)})
 
 
 def _reject(full: FullState, act: Action) -> FullState:
@@ -185,10 +185,11 @@ def palm_extract(full: FullState, action: Action, new: FullState) -> GenericEven
 
 
 def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
-    action = READERS["reduce"](full, ev)
+    kind, args = READERS["reduce"](full, ev)
     if ev.explanation is None:
         raise ReconstructionError("reduce", "reduce record carries no explanation")
-    return action.replace(explanation=frozenset(ev.explanation))
+    # in name order, the explanation follows the cause and the constraint
+    return Action(kind, (*args[:2], ("explanation", frozenset(ev.explanation)), *args[2:]))
 
 
 PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}
@@ -199,9 +200,9 @@ def make_palm_semantics() -> ObservationalSemantics:
     return ObservationalSemantics(
         name="palm",
         action_kinds=frozenset(PALM_EVENT_TYPES),
-        apply=palm_step,
+        apply=partial(apply_rule, PALM_RULES),
         extract_local=palm_extract,
-        read_action=lambda full, ev: read_record(full, ev, PALM_READERS),
+        read_action=partial(read_record, readers=PALM_READERS),
         is_initial=is_initial,
         is_record=lambda r: isinstance(r, GenericEvent),
         check_record=check_depth,

@@ -141,6 +141,9 @@ class _SolverFields(NamedTuple):
     current_event: SolverEvent | None
 
 
+_FIELD_INDEX = {name: i for i, name in enumerate(_SolverFields._fields)}
+
+
 class SolverState(_SolverFields):
     """The propagation half of the machine state: an immutable named tuple.
 
@@ -160,6 +163,16 @@ class SolverState(_SolverFields):
                 current_event=None):
         return tuple.__new__(cls, (variables, Entries(constraints), dict(domains), dict(initial_domains),
                                    active, solved, rejected, sleeping, pending, current_event))
+
+    def _replace(self, **changes):
+        """A named tuple's ``_replace`` (a ``ValueError`` on an unknown field,
+        the unchanged fields shared), with one positional construction."""
+        values = [*self]
+        for name, value in changes.items():
+            if name not in _FIELD_INDEX:
+                raise ValueError(f"Got unexpected field names: {[n for n in changes if n not in _FIELD_INDEX]!r}")
+            values[_FIELD_INDEX[name]] = value
+        return tuple.__new__(SolverState, values)
 
     def __hash__(self):
         return hash(self[:2] + self[4:])  # all but domains and initial_domains

@@ -232,3 +232,20 @@ def apply_edits(text: str, script) -> str:
         else:
             text = text[:i] + ch + text[i + 1:]
     return text
+
+
+class RuleCalls:
+    """Counts the calls to the rule functions of the given rule tables, by
+    wrapping each entry; how ``apply`` reaches a rule does not matter."""
+
+    def __init__(self, monkeypatch, *tables):
+        self.calls = 0
+        for table in tables:
+            for kind, rule in list(table.items()):
+                monkeypatch.setitem(table, kind, self._counting(rule))
+
+    def _counting(self, rule):
+        def counting(full, action):
+            self.calls += 1
+            return rule(full, action)
+        return counting

@@ -23,7 +23,14 @@ from gentra.solver import Problem, solve
 from gentra.state import BOTTOM, SolverEvent, SolverState, initial_state, store
 from gentra.trace import ActualPayload, Trace, VirtualPayload, all_prefixes
 
-from support import ladder
+from support import RuleCalls, ladder
+from test_golden_traces import GOLDEN, LIMITS, problems
+
+GOLDEN_RUNS = {
+    "solve": lambda p: (make_semantics(), solve(p, LIMITS)),
+    "strict": lambda p: (make_semantics(strict_reduce=True), solve(p, LIMITS, strict_reduce=True)),
+    "palm": lambda p: (palm.make_palm_semantics(), palm.palm_solve(p, LIMITS)),
+}
 
 D05 = FiniteDomain.interval(0, 5)
 
@@ -460,23 +467,18 @@ def test_stepwise_extract_reconstruct_inverse(element_run):
 def test_replay_applies_each_rule_once(monkeypatch, machine):
     # replaying a record reads its action and applies it: one rule
     # application per record, with no second application to confirm the step
+    # (the palm overrides call the generic rules, so only the machine's own
+    # table is counted)
     if machine == "fd":
         os, start, events = make_semantics(), initial_state(), solve(ladder(4)).events
+        rules = gentra4cp.RULES
     else:
         os, start, events = palm.make_palm_semantics(), palm.palm_initial_state(), palm.palm_solve(ladder(4)).events
-    calls = 0
-    original = gentra4cp.apply_rule
-
-    def counting_apply_rule(rules, full, action):
-        nonlocal calls
-        calls += 1
-        return original(rules, full, action)
-
-    monkeypatch.setattr(gentra4cp, "apply_rule", counting_apply_rule)
-    monkeypatch.setattr(palm, "apply_rule", counting_apply_rule)
+        rules = palm.PALM_RULES
+    counter = RuleCalls(monkeypatch, rules)
     virtual = reconstruct(os, Trace(start, tuple(ActualPayload(e) for e in events)))
     assert virtual.size == len(events)
-    assert calls == len(events)
+    assert counter.calls == len(events)
 
 
 def test_faithfulness_on_element_run(element_run):
@@ -612,6 +614,25 @@ def test_shape_error_names_each_foreign_and_missing_attribute(kind, strict):
     assert shape_error(GenericEvent("frobnicate", 0), strict) == "unknown event type 'frobnicate'"
 
 
+@pytest.mark.parametrize("kind", sorted(RECORD_SHAPES))
+def test_read_record_refuses_a_foreign_attribute_with_the_shape_error_text(kind):
+    # read_record tests the foreign attributes by position; the text is
+    # still shape_error's
+    required, optional = RECORD_SHAPES[kind]
+    values = {**ATTRIBUTE_VALUES, "var_alias": "source_x"}
+    whole = {name: values[name] for name in required + optional}
+    for name in ATTRIBUTE_VALUES:
+        if name in whole:
+            continue
+        ev = GenericEvent(kind, 0, **{**whole, name: ATTRIBUTE_VALUES[name]})
+        with pytest.raises(ReconstructionError) as exc:
+            gentra4cp.read_record(initial_state(), ev)
+        assert (exc.value.rule, exc.value.condition) == (kind, shape_error(ev, strict=False))
+    with pytest.raises(ReconstructionError) as exc:
+        gentra4cp.read_record(initial_state(), GenericEvent("frobnicate", 0))
+    assert exc.value.condition == "unknown event type 'frobnicate'"
+
+
 def test_records_and_actions_stay_immutable():
     ev = GenericEvent("post", 0, constraint="c1")
     action = Action.of("post", constraint="c1")
@@ -621,6 +642,42 @@ def test_records_and_actions_stay_immutable():
         action.kind = "suspend"
     assert ev == GenericEvent("post", 0, constraint="c1")
     assert action == Action.of("post", constraint="c1")
+
+
+@pytest.mark.parametrize("level", ["solver", "tree", "full"])
+def test_states_keep_the_copy_contract(level):
+    # each field of an early state of a palm run replaced by the last state's
+    virtual = palm.palm_solve(element_problem()).virtual
+    state, other = virtual.events[20].state, virtual.events[-1].state
+    if level != "full":
+        state, other = getattr(state, level), getattr(other, level)
+    cls = type(state)
+    for name in cls._fields:
+        value = getattr(other, name)
+        replaced, built = state._replace(**{name: value}), cls(**{**state._asdict(), name: value})
+        assert type(replaced) is cls
+        assert replaced == built and hash(replaced) == hash(built)
+        assert getattr(replaced, name) is value
+        assert all(getattr(replaced, kept) is getattr(state, kept) for kept in cls._fields if kept != name)
+    assert state._replace() == state
+    for changes in ({"bogus": 1}, {cls._fields[0]: getattr(other, cls._fields[0]), "bogus": 1}):
+        with pytest.raises(ValueError, match=r"unexpected field names: \['bogus'\]"):
+            state._replace(**changes)
+
+
+@pytest.mark.parametrize("name,run", sorted(GOLDEN))
+def test_readers_build_actions_in_name_order(name, run):
+    # a reader-built action is the one ``Action.of`` builds from its
+    # arguments, and the one the solver applied: faithfulness compares them
+    os, result = GOLDEN_RUNS[run](problems()[name])
+    state, explained = result.virtual.initial_state, 0
+    for ev, record in zip(result.virtual.events, result.events):
+        action = os.read_action(state, record)
+        assert action == Action.of(action.kind, **dict(action.args))
+        assert action == ev.action
+        explained += action.get("explanation") is not None
+        state = ev.state
+    assert explained == (sum(ev.type == "reduce" for ev in result.events) if run == "palm" else 0)
 
 
 # traces their own semantics built, and the shared semantics bundles

@@ -18,7 +18,7 @@ from gentra.solver import solve
 from gentra.state import SolverState
 from gentra.trace import ActualPayload, Trace
 
-from support import ladder
+from support import RuleCalls, ladder
 
 GROWTH_LIMIT = 1.2
 
@@ -66,29 +66,12 @@ def test_faithfulness_check_applies_each_rule_once(machine):
     assert calls == virtual.size
 
 
-class _RuleCalls:
-    """Counts the calls to the rule functions of the given rule tables, by
-    wrapping each entry; how ``apply`` reaches a rule does not matter."""
-
-    def __init__(self, monkeypatch, *tables):
-        self.calls = 0
-        for table in tables:
-            for kind, rule in list(table.items()):
-                monkeypatch.setitem(table, kind, self._counting(rule))
-
-    def _counting(self, rule):
-        def counting(full, action):
-            self.calls += 1
-            return rule(full, action)
-        return counting
-
-
 @pytest.mark.parametrize("k", [4, 6])
 def test_fd_verdict_applies_one_rule_per_event(monkeypatch, k):
     # validate applies each record's rule once; the faithfulness check of
     # the trace validate built, under the same shared semantics, applies none
     events = solve(ladder(k)).events
-    counter = _RuleCalls(monkeypatch, gentra4cp.RULES)
+    counter = RuleCalls(monkeypatch, gentra4cp.RULES)
     report = validate(events)
     assert report.ok
     assert check_faithful(make_semantics(), [report.virtual]).ok
@@ -105,7 +88,7 @@ def test_faithfulness_check_applies_no_rule_on_traces_its_semantics_built(monkey
         os, events = make_palm_semantics(), palm_solve(ladder(4)).events
         virtual = reconstruct(os, Trace(palm_initial_state(), tuple(ActualPayload(e) for e in events)))
     assert virtual.applied_by is os
-    counter = _RuleCalls(monkeypatch, gentra4cp.RULES, palm.PALM_RULES)
+    counter = RuleCalls(monkeypatch, gentra4cp.RULES, palm.PALM_RULES)
     assert check_faithful(os, [virtual]).ok
     assert counter.calls == 0
 
