@@ -25,7 +25,7 @@ from .errors import GentraError, MappingError, ProjectionError, ReconstructionEr
 from .gentra4cp import DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, make_semantics, validate
 from .palm import PALM_EVENT_TYPES, make_palm_semantics
 from .semantics import Action, ObservationalSemantics, extract, reconstruct, replay_divergence, transition_holds
-from .state import FullState, initial_state
+from .state import NO_EXPLANATIONS, FullState, initial_state
 from .trace import ActualPayload, Trace, VirtualPayload
 
 
@@ -420,7 +420,7 @@ def palm_profile() -> ParamProjection:
 def map_palm_state(full: FullState) -> FullState:
     """The state map: shares the solver state and tree, empties the
     explanation table."""
-    return FullState(full.solver, full.tree)
+    return full._replace(explanations=NO_EXPLANATIONS)
 
 
 def _strip_explanation(action: Action) -> Action:

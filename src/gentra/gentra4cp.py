@@ -131,12 +131,14 @@ def shape_error(ev: GenericEvent, strict: bool = True) -> str | None:
     generated events, causes, and node identifiers); attributes foreign to
     the event type are rejected in both modes.
     """
-    foreign = _FOREIGN.get(ev.type)
+    foreign = _FOREIGN_AT.get(ev.type)
     if foreign is None:
         return f"unknown event type {ev.type!r}"
-    for name in foreign:
-        if getattr(ev, name) is not None:
-            return f"attribute {name!r} does not belong to {ev.type}"
+    at, nones = foreign
+    if at(ev) != nones:
+        for name in _FOREIGN[ev.type]:
+            if getattr(ev, name) is not None:
+                return f"attribute {name!r} does not belong to {ev.type}"
     if strict:
         for name in _SHAPES[ev.type][0]:
             if getattr(ev, name) is None:
@@ -181,7 +183,7 @@ def _step_new_variable(full: FullState, act: Action) -> FullState:
         domains={**s.domains, var: dom},
         initial_domains={**s.initial_domains, var: dom},
     )
-    return FullState(s2, full.tree, full.explanations)
+    return full._replace(solver=s2)
 
 
 def _step_new_constraint(full: FullState, act: Action) -> FullState:
@@ -191,7 +193,7 @@ def _step_new_constraint(full: FullState, act: Action) -> FullState:
     if decl is not None:
         missing = [v for v in decl.variables if v not in s.variables]
         _need(not missing, "newConstraint", f"undeclared variables {missing}")
-    return FullState(s._replace(constraints=s.constraints.with_entry(cid, decl)), full.tree, full.explanations)
+    return full._replace(solver=s._replace(constraints=s.constraints.with_entry(cid, decl)))
 
 
 def _step_post(full: FullState, act: Action) -> FullState:
@@ -199,7 +201,7 @@ def _step_post(full: FullState, act: Action) -> FullState:
     s = full.solver
     _need(s.is_declared(cid), "post", f"{cid} not declared")
     _need(cid not in store(s), "post", f"{cid} already in the store")
-    return FullState(s._replace(active=s.active + ((cid, BOTTOM),)), full.tree, full.explanations)
+    return full._replace(solver=s._replace(active=s.active + ((cid, BOTTOM),)))
 
 
 def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullState:
@@ -207,7 +209,7 @@ def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullStat
     _need(not full.tree.has_node(node), rule, f"node {node} already exists")
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
     depth = full.tree.depth(full.tree.current) + 1
-    return FullState(full.solver, full.tree.with_node(node, full.solver, depth), full.explanations)
+    return full._replace(tree=full.tree.with_node(node, full.solver, depth))
 
 
 def _step_new_child(full: FullState, act: Action) -> FullState:
@@ -228,7 +230,7 @@ def _step_jump_to(full: FullState, act: Action) -> FullState:
     _need(node != full.tree.current, "jumpTo", "target is already the current node")
     snap = full.tree.snapshot(node)
     _need(choice_point(snap), "jumpTo", f"node {node} is not a choice point")
-    return FullState(snap, full.tree.jumped_to(node), full.explanations)
+    return full._replace(solver=snap, tree=full.tree.jumped_to(node))
 
 
 def _step_deactivate(full: FullState, act: Action) -> FullState:
@@ -241,7 +243,7 @@ def _step_deactivate(full: FullState, act: Action) -> FullState:
         solved=s.solved - {cid},
         rejected=s.rejected - {cid},
     )
-    return FullState(s2, full.tree, full.explanations)
+    return full._replace(solver=s2)
 
 
 def _step_restore(full: FullState, act: Action) -> FullState:
@@ -252,7 +254,7 @@ def _step_restore(full: FullState, act: Action) -> FullState:
     _need(values.disjoint(s.domain(var)), "restore", "restored values are still in the domain")
     _need(values.issubset(s.initial_domain(var)), "restore", "restored values exceed the initial domain")
     s2 = s.with_domain(var, s.domain(var).union(values)).push_events(generated)
-    return FullState(s2, full.tree, full.explanations)
+    return full._replace(solver=s2)
 
 
 def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullState:
@@ -271,7 +273,7 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
     s2 = s.with_domain(var, s.domain(var).subtract(removed)).push_events(generated)
     if strict:
         s2 = s2._replace(active=tuple(p for p in s2.active if p[0] != cid))
-    return FullState(s2, full.tree, full.explanations)
+    return full._replace(solver=s2)
 
 
 def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
@@ -290,7 +292,7 @@ def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
 def _step_suspend(full: FullState, act: Action) -> FullState:
     cid, active = _retire(full, act, "suspend")
     s = full.solver
-    return FullState(s._replace(active=active, sleeping=s.sleeping | {cid}), full.tree, full.explanations)
+    return full._replace(solver=s._replace(active=active, sleeping=s.sleeping | {cid}))
 
 
 def _step_solved(full: FullState, act: Action) -> FullState:
@@ -299,7 +301,7 @@ def _step_solved(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
     _need(decl.entailed(s.domain_map()), "solved", f"{cid} is not entailed")
-    return FullState(s._replace(active=active, solved=s.solved | {cid}), full.tree, full.explanations)
+    return full._replace(solver=s._replace(active=active, solved=s.solved | {cid}))
 
 
 def _step_reject(full: FullState, act: Action) -> FullState:
@@ -308,7 +310,7 @@ def _step_reject(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
     _need(decl.falsified(s.domain_map()), "reject", f"{cid} is not falsified")
-    return FullState(s._replace(active=active, rejected=s.rejected | {cid}), full.tree, full.explanations)
+    return full._replace(solver=s._replace(active=active, rejected=s.rejected | {cid}))
 
 
 def _step_awake(full: FullState, act: Action) -> FullState:
@@ -321,7 +323,7 @@ def _step_awake(full: FullState, act: Action) -> FullState:
     if not awake_condition(s, cid, cause):
         raise TransitionError("awake", f"{cid} does not watch {cause}")
     s2 = s._replace(active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
-    return FullState(s2, full.tree, full.explanations)
+    return full._replace(solver=s2)
 
 
 def _step_schedule(full: FullState, act: Action) -> FullState:
@@ -334,7 +336,7 @@ def _step_schedule(full: FullState, act: Action) -> FullState:
         raise TransitionError("schedule", f"{witness} does not react to the event")
     idx = s.pending.index(event)
     s2 = s._replace(pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
-    return FullState(s2, full.tree, full.explanations)
+    return full._replace(solver=s2)
 
 
 RULES = {
@@ -491,9 +493,9 @@ def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
     Reading recovers every serialized-away origin from the replayed state, so
     replay yields structurally identical states to the original run.
     """
-    foreign = _FOREIGN_AT.get(ev.type)
-    if foreign is None or foreign[0](ev) != foreign[1]:
-        _fail(ev.type, shape_error(ev, strict=False))
+    problem = shape_error(ev, strict=False)
+    if problem:
+        _fail(ev.type, problem)
     read = readers.get(ev.type)
     if read is None:
         _fail(ev.type, "event type outside the rule set")

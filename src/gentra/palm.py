@@ -106,7 +106,7 @@ def _restore(full: FullState, act: Action) -> FullState:
         table[var] = tuple(kept)
     else:
         table.pop(var, None)
-    return FullState(new.solver, new.tree, table)
+    return new._replace(explanations=table)
 
 
 def _reduce(full: FullState, act: Action) -> FullState:
@@ -120,7 +120,7 @@ def _reduce(full: FullState, act: Action) -> FullState:
           "explanation is not a set of store constraints")
     var, table = act.get("variable"), new.explanations
     entry = (act.get("removed"), explanation)
-    return FullState(new.solver, new.tree, {**table, var: table.get(var, ()) + (entry,)})
+    return new._replace(explanations={**table, var: table.get(var, ()) + (entry,)})
 
 
 def _reject(full: FullState, act: Action) -> FullState:
@@ -188,8 +188,7 @@ def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
     kind, args = READERS["reduce"](full, ev)
     if ev.explanation is None:
         raise ReconstructionError("reduce", "reduce record carries no explanation")
-    # in name order, the explanation follows the cause and the constraint
-    return Action(kind, (*args[:2], ("explanation", frozenset(ev.explanation)), *args[2:]))
+    return Action(kind, tuple(sorted((*args, ("explanation", frozenset(ev.explanation))))))
 
 
 PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}

@@ -141,7 +141,18 @@ class _SolverFields(NamedTuple):
     current_event: SolverEvent | None
 
 
-_FIELD_INDEX = {name: i for i, name in enumerate(_SolverFields._fields)}
+def _replace_at(fields):
+    """A named tuple's ``_replace`` over ``fields`` (a ``ValueError`` on an
+    unknown field, unchanged fields shared) with one positional construction."""
+    index = {name: i for i, name in enumerate(fields)}
+    def _replace(self, **changes):
+        values = [*self]
+        for name, value in changes.items():
+            if name not in index:
+                raise ValueError(f"Got unexpected field names: {[n for n in changes if n not in index]!r}")
+            values[index[name]] = value
+        return tuple.__new__(type(self), values)
+    return _replace
 
 
 class SolverState(_SolverFields):
@@ -164,15 +175,7 @@ class SolverState(_SolverFields):
         return tuple.__new__(cls, (variables, Entries(constraints), dict(domains), dict(initial_domains),
                                    active, solved, rejected, sleeping, pending, current_event))
 
-    def _replace(self, **changes):
-        """A named tuple's ``_replace`` (a ``ValueError`` on an unknown field,
-        the unchanged fields shared), with one positional construction."""
-        values = [*self]
-        for name, value in changes.items():
-            if name not in _FIELD_INDEX:
-                raise ValueError(f"Got unexpected field names: {[n for n in changes if n not in _FIELD_INDEX]!r}")
-            values[_FIELD_INDEX[name]] = value
-        return tuple.__new__(SolverState, values)
+    _replace = _replace_at(_SolverFields._fields)
 
     def __hash__(self):
         return hash(self[:2] + self[4:])  # all but domains and initial_domains
@@ -297,7 +300,13 @@ def initial_tree(snapshot: Any) -> SearchTreeState:
 NO_EXPLANATIONS: Mapping = MappingProxyType({})
 
 
-class FullState(NamedTuple):
+class _FullFields(NamedTuple):
+    solver: SolverState
+    tree: SearchTreeState
+    explanations: Mapping[str, tuple[tuple[FiniteDomain, frozenset], ...]] = NO_EXPLANATIONS
+
+
+class FullState(_FullFields):
     """Solver state plus search-tree state: what one trace event transforms.
 
     ``explanations`` is the explanation-based machine's table: each variable
@@ -310,9 +319,8 @@ class FullState(NamedTuple):
     table out.
     """
 
-    solver: SolverState
-    tree: SearchTreeState
-    explanations: Mapping[str, tuple[tuple[FiniteDomain, frozenset], ...]] = NO_EXPLANATIONS
+    __slots__ = ()
+    _replace = _replace_at(_FullFields._fields)
 
     def __hash__(self):
         return hash((self.solver, self.tree))

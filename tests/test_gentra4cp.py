@@ -24,13 +24,7 @@ from gentra.state import BOTTOM, SolverEvent, SolverState, initial_state, store
 from gentra.trace import ActualPayload, Trace, VirtualPayload, all_prefixes
 
 from support import RuleCalls, ladder
-from test_golden_traces import GOLDEN, LIMITS, problems
-
-GOLDEN_RUNS = {
-    "solve": lambda p: (make_semantics(), solve(p, LIMITS)),
-    "strict": lambda p: (make_semantics(strict_reduce=True), solve(p, LIMITS, strict_reduce=True)),
-    "palm": lambda p: (palm.make_palm_semantics(), palm.palm_solve(p, LIMITS)),
-}
+from test_golden_traces import GOLDEN, RUNS, problems
 
 D05 = FiniteDomain.interval(0, 5)
 
@@ -616,8 +610,7 @@ def test_shape_error_names_each_foreign_and_missing_attribute(kind, strict):
 
 @pytest.mark.parametrize("kind", sorted(RECORD_SHAPES))
 def test_read_record_refuses_a_foreign_attribute_with_the_shape_error_text(kind):
-    # read_record tests the foreign attributes by position; the text is
-    # still shape_error's
+    # read_record refuses each foreign attribute with shape_error's text
     required, optional = RECORD_SHAPES[kind]
     values = {**ATTRIBUTE_VALUES, "var_alias": "source_x"}
     whole = {name: values[name] for name in required + optional}
@@ -669,15 +662,17 @@ def test_states_keep_the_copy_contract(level):
 def test_readers_build_actions_in_name_order(name, run):
     # a reader-built action is the one ``Action.of`` builds from its
     # arguments, and the one the solver applied: faithfulness compares them
-    os, result = GOLDEN_RUNS[run](problems()[name])
+    # (strict runs read like the others: the readers do not depend on it)
+    dialect, result = RUNS[run](problems()[name])
+    read = (palm.make_palm_semantics() if dialect == "palm" else make_semantics()).read_action
     state, explained = result.virtual.initial_state, 0
     for ev, record in zip(result.virtual.events, result.events):
-        action = os.read_action(state, record)
+        action = read(state, record)
         assert action == Action.of(action.kind, **dict(action.args))
         assert action == ev.action
         explained += action.get("explanation") is not None
         state = ev.state
-    assert explained == (sum(ev.type == "reduce" for ev in result.events) if run == "palm" else 0)
+    assert explained == (sum(ev.type == "reduce" for ev in result.events) if dialect == "palm" else 0)
 
 
 # traces their own semantics built, and the shared semantics bundles

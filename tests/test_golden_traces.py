@@ -32,17 +32,18 @@ def problems() -> dict[str, Problem]:
     return out
 
 
+# each run's dialect and solve result
 RUNS = {
-    "solve": lambda p: ("generic", solve(p, LIMITS).events),
-    "strict": lambda p: ("generic", solve(p, LIMITS, strict_reduce=True).events),
-    "palm": lambda p: ("palm", palm_solve(p, LIMITS).events),
+    "solve": lambda p: ("generic", solve(p, LIMITS)),
+    "strict": lambda p: ("generic", solve(p, LIMITS, strict_reduce=True)),
+    "palm": lambda p: ("palm", palm_solve(p, LIMITS)),
 }
 
 
 def digest(problem: Problem, run: str) -> tuple[int, str]:
-    dialect, events = RUNS[run](problem)
-    text = serialize_trace(document_for_events(events, dialect=dialect))
-    return len(events), hashlib.sha256(text.encode()).hexdigest()
+    dialect, result = RUNS[run](problem)
+    text = serialize_trace(document_for_events(result.events, dialect=dialect))
+    return len(result.events), hashlib.sha256(text.encode()).hexdigest()
 
 
 GOLDEN = {
