@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import GentraError, MappingError, ProjectionError, ReconstructionError, TransitionError
-from .gentra4cp import DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, make_semantics, validate
+from .gentra4cp import (DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, get_parameter, make_semantics,
+                        reset_parameters, validate)
 from .palm import PALM_EVENT_TYPES, make_palm_semantics
 from .semantics import Action, ObservationalSemantics, extract, reconstruct, replay_divergence, transition_holds
 from .state import NO_EXPLANATIONS, FullState, initial_state
@@ -79,9 +80,10 @@ def check_projection(os: ObservationalSemantics, proj: ParamProjection) -> None:
 def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalSemantics:
     """The semantics restricted to a valid projection.
 
-    The restricted transition function refuses dropped action kinds; on the
-    states it is used for, dropped parameters hold their initial values, so
-    no further state surgery is required.
+    Only the transition function changes: it refuses dropped action kinds,
+    so replaying a record of a dropped kind fails where its rule would apply.
+    On the states it is used for, dropped parameters hold their initial
+    values, so no further state surgery is required.
     """
     check_projection(os, proj)
 
@@ -90,18 +92,11 @@ def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalS
             raise TransitionError(action.kind, f"action outside projection {proj.name}")
         return os.apply(state, action)
 
-    def read_action(state, record):
-        kind = getattr(record, "type", None)
-        if kind not in proj.kept_kinds:
-            raise ReconstructionError(kind, f"event type outside projection {proj.name}")
-        return os.read_action(state, record)
-
     return replace(
         os,
         name=f"{os.name}/{proj.name}",
         action_kinds=frozenset(proj.kept_kinds),
         apply=apply,
-        read_action=read_action,
         parameters=tuple(p for p in os.parameters if p in proj.kept_params),
         param_deps={k: v for k, v in os.param_deps.items() if k in proj.kept_params},
         action_writes={k: v for k, v in os.action_writes.items() if k in proj.kept_kinds},
@@ -109,8 +104,12 @@ def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalS
 
 
 @dataclass(frozen=True)
-class AuditViolation:
-    trace: int
+class SimulationViolation:
+    """A failed check of the audit, simulation or commutation on one sample
+    trace (``None`` for a check on the mapping itself), at one event (``None``
+    for the trace's initial state)."""
+
+    trace: int | None
     event: int | None
     detail: str
 
@@ -119,7 +118,7 @@ class AuditViolation:
 class ProjectionAuditReport:
     projection: str
     traces: int
-    violations: tuple[AuditViolation, ...]
+    violations: tuple[SimulationViolation, ...]
 
     @property
     def ok(self) -> bool:
@@ -141,33 +140,31 @@ def audit_projection(os: ObservationalSemantics, proj: ParamProjection,
     kept behaviour does not read the dropped state).
     """
     check_projection(os, proj)
-    if os.param_get is None or os.reset_params is None:
-        raise ProjectionError(f"{os.name} exposes no parameter accessors to audit")
     dropped = frozenset(os.parameters) - proj.kept_params
     violations = []
     samples = list(samples)
     for ti, t in enumerate(samples):
-        initial_values = {p: os.param_get(t.initial_state, p) for p in dropped}
+        if t.kind == "actual":  # one kind per trace: the first event is the culprit
+            violations.append(SimulationViolation(ti, 0, "audit expects virtual traces"))
+            continue
+        initial_values = {p: get_parameter(t.initial_state, p) for p in dropped}
         state = t.initial_state
         for ei, ev in enumerate(t.events):
-            if not isinstance(ev, VirtualPayload):
-                violations.append(AuditViolation(ti, ei, "audit expects virtual traces"))
-                break
             if ev.action.kind not in proj.kept_kinds:
-                violations.append(AuditViolation(ti, ei, f"dropped action {ev.action.kind} occurs"))
+                violations.append(SimulationViolation(ti, ei, f"dropped action {ev.action.kind} occurs"))
                 state = ev.state
                 continue
             for p in sorted(dropped):
-                if os.param_get(ev.state, p) != initial_values[p]:
-                    violations.append(AuditViolation(ti, ei, f"dropped parameter {p!r} changed"))
+                if get_parameter(ev.state, p) != initial_values[p]:
+                    violations.append(SimulationViolation(ti, ei, f"dropped parameter {p!r} changed"))
             try:
-                rerun = os.apply(os.reset_params(state, dropped), ev.action)
+                rerun = os.apply(reset_parameters(state, dropped), ev.action)
             except TransitionError as exc:
-                violations.append(AuditViolation(ti, ei, f"transition reads dropped parameters: {exc}"))
+                violations.append(SimulationViolation(ti, ei, f"transition reads dropped parameters: {exc}"))
             else:
                 for p in sorted(proj.kept_params):
-                    if os.param_get(rerun, p) != os.param_get(ev.state, p):
-                        violations.append(AuditViolation(ti, ei, f"kept parameter {p!r} depends on dropped state"))
+                    if get_parameter(rerun, p) != get_parameter(ev.state, p):
+                        violations.append(SimulationViolation(ti, ei, f"kept parameter {p!r} depends on dropped state"))
             state = ev.state
     return ProjectionAuditReport(proj.name, len(samples), tuple(violations))
 
@@ -188,13 +185,6 @@ class StateMapping:
         if self.map_action is not None:
             return self.map_action(action)
         return Action(self.action_map[action.kind], action.args)
-
-
-@dataclass(frozen=True)
-class SimulationViolation:
-    trace: int | None
-    event: int | None
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -226,8 +216,10 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
     the two action sets, and the state map a function (it is applied to every
     sample state, and a trace stops at the state it fails on).  Then, per
     transition (s, r, s'), the derived semantics must accept (d(s), h(r),
-    d(s')), and each initial state must map to a derived initial state.  A clean report over the samples is the evidence
-    that, on those behaviours, the derived semantics is a derivation field.
+    d(s')), and each initial state must map to a derived initial state.  A
+    sample of actual records has no transitions to check and is reported as
+    a violation.  A clean report over the samples is the evidence that, on
+    those behaviours, the derived semantics is a derivation field.
     Each sample state is mapped once: the mapped post-state of a transition
     is the mapped pre-state of the next.
     """
@@ -254,6 +246,9 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
                 continue
             if not os_d.is_initial(mapped):
                 violations.append(SimulationViolation(ti, None, "initial state does not map to a derived initial state"))
+                continue
+            if t.kind == "actual":  # one kind per trace: the first event is the culprit
+                violations.append(SimulationViolation(ti, 0, "simulation expects virtual traces"))
                 continue
             for ei, ev in enumerate(t.events):
                 transitions += 1
@@ -553,16 +548,15 @@ def commutation_check(os_c: ObservationalSemantics, os_d: ObservationalSemantics
     violations = []
     samples = list(samples)
     for ti, t in enumerate(samples):
-        direct = Trace(
-            mapping.map_state(t.initial_state),
-            tuple(VirtualPayload(mapping.carry_action(ev.action), mapping.map_state(ev.state))
-                  for ev in t.events),
-        )
         try:
             actual = extract(os_c, t)
+            direct = Trace(
+                mapping.map_state(t.initial_state),
+                tuple(VirtualPayload(mapping.carry_action(ev.action), mapping.map_state(ev.state))
+                      for ev in t.events),
+            )
             mapped_records = map_events(tuple(p.record for p in actual.events))
-            mapped_actual = Trace(mapping.map_state(actual.initial_state),
-                                  tuple(ActualPayload(r) for r in mapped_records))
+            mapped_actual = Trace(direct.initial_state, tuple(ActualPayload(r) for r in mapped_records))
             pos = replay_divergence(os_d, mapped_actual, direct)
         except (TransitionError, ReconstructionError, MappingError) as exc:
             violations.append(SimulationViolation(ti, getattr(exc, "index", None), str(exc)))

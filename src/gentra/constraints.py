@@ -22,8 +22,6 @@ from typing import Mapping
 from .errors import GentraError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
 
-KINDS = ("element", "eq", "eqc", "neq")
-
 
 @dataclass(frozen=True)
 class ConstraintDecl:

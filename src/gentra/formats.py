@@ -566,10 +566,7 @@ def diff_events(a, b, limit: int = 25) -> list[str]:
         if x.type != y.type:
             out.append(f"event {i}: type {x.type} != {y.type}")
         else:
-            fields = [f for f in ("depth", "constraint", "variable", "node", "node2", "domain",
-                                  "generated", "cause", "event", "decl", "decl_text",
-                                  "explanation", "wake_kind", "var_alias")
-                      if getattr(x, f) != getattr(y, f)]
+            fields = [f for f in GenericEvent._fields[1:] if getattr(x, f) != getattr(y, f)]
             out.append(f"event {i}: {x.type} differs in {', '.join(fields)}")
         if len(out) >= limit:
             return out

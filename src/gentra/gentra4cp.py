@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .constraints import ConstraintDecl
 from .errors import ReconstructionError, TransitionError
 from .fdomain import FiniteDomain
-from .semantics import Action, ObservationalSemantics, replay
+from .semantics import Action, ObservationalSemantics, reconstruct
 from .state import (
     BOTTOM,
     FullState,
@@ -54,7 +54,7 @@ from .state import (
     solution_state,
     store,
 )
-from .trace import Trace, VirtualPayload
+from .trace import ActualPayload, Trace
 
 CONTROL_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "jumpTo",
@@ -300,7 +300,7 @@ def _step_solved(full: FullState, act: Action) -> FullState:
     s = full.solver
     decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
-    _need(decl.entailed(s.domain_map()), "solved", f"{cid} is not entailed")
+    _need(decl.entailed(s.domains), "solved", f"{cid} is not entailed")
     return full._replace(solver=s._replace(active=active, solved=s.solved | {cid}))
 
 
@@ -309,7 +309,7 @@ def _step_reject(full: FullState, act: Action) -> FullState:
     s = full.solver
     decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
-    _need(decl.falsified(s.domain_map()), "reject", f"{cid} is not falsified")
+    _need(decl.falsified(s.domains), "reject", f"{cid} is not falsified")
     return full._replace(solver=s._replace(active=active, rejected=s.rejected | {cid}))
 
 
@@ -365,11 +365,6 @@ def apply_rule(rules, full: FullState, action: Action) -> FullState:
     if rule is None:
         raise TransitionError(action.kind, "unknown rule")
     return rule(full, action)
-
-
-def step(full: FullState, action: Action, *, strict_reduce: bool = False) -> FullState:
-    """Apply one transition rule; raises TransitionError when conditions fail."""
-    return apply_rule(STRICT_RULES if strict_reduce else RULES, full, action)
 
 
 # extraction: transition -> attribute record
@@ -585,8 +580,11 @@ def reset_parameters(full: FullState, params: frozenset) -> FullState:
                          tree=full.tree.with_snapshots(lambda snap: snap._replace(**solver_updates)))
 
 
+_INITIAL = initial_state()  # compared with, never handed out
+
+
 def is_initial(full: FullState) -> bool:
-    return full == initial_state()
+    return full == _INITIAL
 
 
 def _build_semantics(strict_reduce: bool) -> ObservationalSemantics:
@@ -606,8 +604,6 @@ def _build_semantics(strict_reduce: bool) -> ObservationalSemantics:
         param_deps=MappingProxyType({k: frozenset(v) for k, v in PARAM_DEPS.items()}),
         action_writes=MappingProxyType(writes),
         neutral_writes=MappingProxyType({k: frozenset(v) for k, v in NEUTRAL_WRITES.items()}),
-        param_get=get_parameter,
-        reset_params=reset_parameters,
     )
 
 
@@ -715,24 +711,21 @@ def validate(events, *, os: ObservationalSemantics | None = None,
              guards=DEFAULT_GUARDS) -> ValidationReport:
     """Replay an actual event sequence from the initial state.
 
-    Reports the first event whose reconstruction fails (with the rule and
-    violated condition, a wrong record depth included); on success returns
-    the virtual trace ``os`` built and the guard-check log.
+    The records before the first one outside ``os``'s profile replay through
+    :func:`reconstruct`.  Reports the first event that fails, a record
+    outside the profile included (with the rule and violated condition, a
+    wrong record depth included); on success returns the virtual trace
+    ``os`` built and the guard-check log.
     """
     os = os or make_semantics()
-    start = initial_state()
-    full = start
-    steps = []
-    events = list(events)
-    for i, ev in enumerate(events):
-        if ev.type not in os.action_kinds:
-            return ValidationReport(False, i, error=ValidationError(i, ev.type, "event type outside the profile"))
-        try:
-            action, new = replay(os, full, ev)
-        except ReconstructionError as exc:
-            return ValidationReport(False, i, error=ValidationError(i, exc.rule, exc.condition))
-        steps.append(VirtualPayload(action, new))
-        full = new
-    virtual = Trace.built_by(os, start, tuple(steps))
+    events = tuple(events)
+    kept = next((i for i, ev in enumerate(events) if ev.type not in os.action_kinds), len(events))
+    try:
+        virtual = reconstruct(os, Trace(initial_state(), tuple(map(ActualPayload, events[:kept]))))
+    except ReconstructionError as exc:
+        return ValidationReport(False, exc.index, error=ValidationError(exc.index, exc.rule, exc.condition))
+    if kept < len(events):
+        error = ValidationError(kept, events[kept].type, "event type outside the profile")
+        return ValidationReport(False, kept, error=error)
     guard_report = check_guards(virtual, guards)
     return ValidationReport(guard_report.ok, len(events), virtual=virtual, guard_report=guard_report)

@@ -152,11 +152,6 @@ PALM_RULES = {
 }
 
 
-def palm_step(full: FullState, action: Action) -> FullState:
-    """Apply one rule of the explanation-based machine."""
-    return apply_rule(PALM_RULES, full, action)
-
-
 # extraction and reconstruction (the trace dialect keeps explanations and
 # annotates reduces with the dominant effect of the removal)
 
@@ -272,7 +267,7 @@ def _handle_palm_active(run: _PalmRun, cid: str, cause: SolverEvent) -> None:
         changed = False
         for var in decl.variables:
             old = run.solver.domain(var)
-            removed = old.subtract(decl.supported(var, run.solver.domain_map()))
+            removed = old.subtract(decl.supported(var, run.solver.domains))
             if removed.is_empty():
                 continue
             new = old.subtract(removed)

@@ -39,11 +39,6 @@ class Action(NamedTuple):
                 return v
         return default
 
-    def replace(self, **kwargs: Any) -> "Action":
-        merged = {k: v for k, v in self.args}
-        merged.update(kwargs)
-        return Action.of(self.kind, **merged)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.args)
         return f"Action({self.kind}{', ' if inner else ''}{inner})"
@@ -85,8 +80,6 @@ class ObservationalSemantics:
     # snapshot rebindings, which cannot move a pinned parameter off its
     # initial value or introduce information outside the kept parameters
     neutral_writes: Mapping[str, frozenset] = field(default_factory=lambda: MappingProxyType({}))
-    param_get: Callable[[Any, str], Any] | None = None
-    reset_params: Callable[[Any, frozenset], Any] | None = None
 
 
 def transition_holds(os: ObservationalSemantics, state: Any, action: Action, successor: Any) -> bool:
@@ -106,11 +99,11 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
     """
     if not os.is_initial(vtrace.initial_state):
         raise TransitionError(os.name, "initial state not in the initial-state set")
+    if vtrace.kind == "actual":
+        raise TransitionError(os.name, "extract expects a virtual trace", index=0)
     state = vtrace.initial_state
     records = []
     for i, ev in enumerate(vtrace.events):
-        if not isinstance(ev, VirtualPayload):
-            raise TransitionError(os.name, "extract expects a virtual trace", index=i)
         if vtrace.applied_by is not os and not transition_holds(os, state, ev.action, ev.state):
             raise TransitionError(os.name, f"step is not a {ev.action.kind} transition", index=i)
         records.append(ActualPayload(os.extract_local(state, ev.action, ev.state)))
@@ -118,8 +111,9 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
     return Trace(vtrace.initial_state, tuple(records))
 
 
-def replay(os: ObservationalSemantics, state: Any, record: Any) -> tuple[Action, Any]:
-    """The action ``record`` encodes in ``state`` and the successor it leads to.
+def replay(os: ObservationalSemantics, state: Any, record: Any) -> VirtualPayload:
+    """The step ``record`` encodes in ``state``: its action and the successor
+    it leads to.
 
     A record whose action does not apply raises the rule's failure as a
     :class:`ReconstructionError`, as ``os.check_record`` does after it.
@@ -130,14 +124,22 @@ def replay(os: ObservationalSemantics, state: Any, record: Any) -> tuple[Action,
     except TransitionError as exc:
         raise ReconstructionError(exc.rule, exc.condition) from exc
     os.check_record(record, new)
-    return action, new
+    return VirtualPayload(action, new)
 
 
-def _read_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> Action:
+def _check_replayable(os: ObservationalSemantics, atrace: Trace) -> None:
+    """Refuse a trace ``reconstruct`` cannot start: a state outside the
+    initial-state set, or virtual events (a trace has one kind, so the first
+    event would be the offending one)."""
+    if not os.is_initial(atrace.initial_state):
+        raise ReconstructionError(os.name, "initial state not in the initial-state set")
+    if atrace.kind == "virtual":
+        raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=0)
+
+
+def _read_step(os: ObservationalSemantics, state: Any, i: int, ev: ActualPayload) -> Action:
     """The action record ``i`` encodes in ``state``, or the
     :class:`ReconstructionError` that ``reconstruct`` reports for reading it."""
-    if not isinstance(ev, ActualPayload):
-        raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=i)
     if not os.is_record(ev.record):
         raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
     try:
@@ -146,22 +148,20 @@ def _read_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> Actio
         raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
 
 
-def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: Any) -> VirtualPayload:
-    """Replay record ``i`` from ``state`` as :func:`replay` does: the step it
-    encodes, or the :class:`ReconstructionError` that ``reconstruct`` reports."""
-    action = _read_step(os, state, i, ev)
+def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: ActualPayload) -> VirtualPayload:
+    """:func:`replay` of record ``i`` from ``state``: the step it encodes, or
+    the :class:`ReconstructionError` that ``reconstruct`` reports."""
+    if not os.is_record(ev.record):
+        raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
     try:
-        new = os.apply(state, action)
-        os.check_record(ev.record, new)
-    except (TransitionError, ReconstructionError) as exc:
+        return replay(os, state, ev.record)
+    except ReconstructionError as exc:
         raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
-    return VirtualPayload(action, new)
 
 
 def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
     """Replay an actual trace into the virtual trace it encodes, built by ``os``."""
-    if not os.is_initial(atrace.initial_state):
-        raise ReconstructionError(os.name, "initial state not in the initial-state set")
+    _check_replayable(os, atrace)
     state = atrace.initial_state
     steps = []
     for i, ev in enumerate(atrace.events):
@@ -183,8 +183,7 @@ def replay_divergence(os: ObservationalSemantics, atrace: Trace, reference: Trac
     so a later record that does not replay still raises its
     :class:`ReconstructionError`.
     """
-    if not os.is_initial(atrace.initial_state):
-        raise ReconstructionError(os.name, "initial state not in the initial-state set")
+    _check_replayable(os, atrace)
     refs = reference.events
     pos = None if reference.initial_state == atrace.initial_state else -1
     state = atrace.initial_state if pos is not None else reference.initial_state

@@ -137,7 +137,7 @@ def _handle_active(run: _Run, cid: str, cause: SolverEvent) -> None:
     fixpoint, which keeps every pending event schedulable.
     """
     decl = run.solver.declaration(cid)
-    if decl.falsified(run.solver.domain_map()):
+    if decl.falsified(run.solver.domains):
         run.emit(Action.of("reject", constraint=cid, cause=cause))
         return
     changed = True
@@ -148,15 +148,13 @@ def _handle_active(run: _Run, cid: str, cause: SolverEvent) -> None:
                 run.emit(Action.of("post", constraint=cid))
                 cause = BOTTOM
             old = run.solver.domain(var)
-            removed = old.subtract(decl.supported(var, run.solver.domain_map()))
+            removed = old.subtract(decl.supported(var, run.solver.domains))
             if removed.is_empty():
                 continue
             new = old.subtract(removed)
             run.emit(Action.of("reduce", constraint=cid, variable=var, removed=removed,
                                generated=_fresh_events(run, var, old, new, cid), cause=cause))
             changed = True
-    if run.strict_reduce and run.solver.active_event(cid) is None:
-        run.emit(Action.of("post", constraint=cid))
     run.emit(Action.of("suspend", constraint=cid))
 
 
@@ -193,7 +191,7 @@ def propagate(run: _Run) -> None:
         retired = False
         for cid in sorted(s.sleeping):
             decl = s.declaration(cid)
-            if decl is not None and decl.entailed(s.domain_map()):
+            if decl is not None and decl.entailed(s.domains):
                 run.emit(Action.of("awake", constraint=cid, cause=BOTTOM))
                 run.emit(Action.of("solved", constraint=cid))
                 retired = True

@@ -200,10 +200,6 @@ class SolverState(_SolverFields):
     def is_declared(self, cid: str) -> bool:
         return cid in self.constraints
 
-    def domain_map(self) -> dict[str, FiniteDomain]:
-        """The domains by variable: the state's own map, to be read only."""
-        return self.domains
-
     @property
     def active_ids(self) -> frozenset:
         return frozenset(c for c, _ in self.active)
@@ -355,7 +351,7 @@ def solution_state(state: SolverState) -> bool:
         sigma = store(state)
     except StateInvariantError:
         return False
-    domains = state.domain_map()
+    domains = state.domains
     constrained: set = set()
     for cid in sigma:
         decl = state.declaration(cid)

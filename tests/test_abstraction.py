@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,14 +31,15 @@ from gentra.abstraction import (
     project,
 )
 from gentra.constraints import ConstraintDecl
-from gentra.errors import MappingError, ProjectionError
+from gentra.errors import MappingError, ProjectionError, ReconstructionError
 from gentra.fdomain import full_domain
-from gentra.gentra4cp import make_semantics, validate
+from gentra.formats import parse_problem
+from gentra.gentra4cp import GenericEvent, make_semantics, validate
 from gentra.palm import make_palm_semantics, palm_solve
-from gentra.semantics import extract
+from gentra.semantics import extract, reconstruct
 from gentra.solver import Problem, SolveLimits, solve
 from gentra.state import initial_state
-from gentra.trace import Trace, VirtualPayload
+from gentra.trace import ActualPayload, Trace, VirtualPayload
 
 from support import ladder, random_problem
 
@@ -119,6 +121,16 @@ def test_projected_semantics_refuses_dropped_kinds(gt, fd_run):
     jump = next(e for e in fd_run.events if e.type == "jumpTo")
     report = validate([jump], os=projected)
     assert not report.ok and report.error.index == 0
+
+
+def test_projected_replay_refuses_a_dropped_kind_where_its_rule_applies(gt):
+    problem = parse_problem((Path(__file__).parent / "fixtures" / "element.prob").read_text())
+    atrace = Trace(initial_state(), tuple(map(ActualPayload, solve(problem).events)))
+    assert reconstruct(gt, atrace).size == atrace.size  # nothing else in the trace fails
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct(project(gt, palm_profile()), atrace)
+    assert atrace.events[37].record.type == "jumpTo"
+    assert (err.value.index, err.value.rule, err.value.condition) == (37, "jumpTo", "action outside projection palm")
 
 
 def test_projection_audit_on_mapped_palm_traces(gt, palm_run):
@@ -425,6 +437,24 @@ def test_commutation_palm_pipeline(gt, palm_os, palm_run):
     report = commutation_check(palm_os, projected, palm_mapping(), palm_to_generic,
                                [palm_run.virtual])
     assert report.ok, report.lines()
+
+
+def actual_sample():
+    return Trace(initial_state(), (ActualPayload(GenericEvent("post", 0, constraint="c")),))
+
+
+def test_checks_of_virtual_samples_report_an_actual_one(gt, palm_os):
+    """An actual sample is a violation at its first event, not a crash."""
+    projected = project(gt, palm_profile())
+    sim = check_simulable(palm_os, projected, palm_mapping(), [actual_sample()])
+    assert sim.lines() == ["FAIL simulate trace=0 event=0 simulation expects virtual traces",
+                           "FAIL simulate palm-to-generic traces=1 transitions=0"]
+    audit = audit_projection(gt, palm_profile(), [actual_sample()])
+    assert audit.lines() == ["FAIL audit trace=0 event=0 audit expects virtual traces",
+                             "FAIL projection-audit palm traces=1"]
+    commute = commutation_check(palm_os, projected, palm_mapping(), palm_to_generic, [actual_sample()])
+    assert commute.lines() == ["FAIL commute trace=0 event=0 palm: extract expects a virtual trace at event 0",
+                               "FAIL commutation traces=1"]
 
 
 def test_commutation_flags_corrupted_mapping(gt, palm_os, palm_run):

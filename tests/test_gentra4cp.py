@@ -10,12 +10,12 @@ from gentra.constraints import ConstraintDecl
 from gentra.errors import ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain, full_domain, parse_domain
 from gentra.gentra4cp import (
+    GUARD_NAMES,
     GenericEvent,
     check_guards,
     extract_event,
     make_semantics,
     shape_error,
-    step,
     validate,
 )
 from gentra.semantics import Action, check_faithful, extract, reconstruct, replay
@@ -27,12 +27,13 @@ from support import RuleCalls, ladder
 from test_golden_traces import GOLDEN, RUNS, problems
 
 D05 = FiniteDomain.interval(0, 5)
+apply = make_semantics().apply
 
 
 def run_actions(actions, start=None, strict_reduce=False):
     full = start if start is not None else initial_state()
     for a in actions:
-        full = step(full, a, strict_reduce=strict_reduce)
+        full = make_semantics(strict_reduce=strict_reduce).apply(full, a)
     return full
 
 
@@ -64,24 +65,24 @@ def test_new_variable_adds_domain():
     assert full.solver.domain("v1") == full_domain()
     assert full.solver.initial_domain("v1") == full_domain()
     with pytest.raises(TransitionError):
-        step(full, Action.of("newVariable", variable="v1", domain=D05))
+        apply(full, Action.of("newVariable", variable="v1", domain=D05))
 
 
 def test_new_constraint_requires_declared_variables():
     full = run_actions([Action.of("newVariable", variable="x", domain=D05)])
     with pytest.raises(TransitionError):
-        step(full, Action.of("newConstraint", constraint="c1", decl=ConstraintDecl.eq("x", "zz")))
+        apply(full, Action.of("newConstraint", constraint="c1", decl=ConstraintDecl.eq("x", "zz")))
 
 
 def test_post_and_store_partition():
     full = base_state()
-    full = step(full, Action.of("post", constraint="c1"))
+    full = apply(full, Action.of("post", constraint="c1"))
     assert full.solver.active == (("c1", BOTTOM),)
     assert store(full.solver) == {"c1"}
     with pytest.raises(TransitionError):
-        step(full, Action.of("post", constraint="c1"))  # already in the store
+        apply(full, Action.of("post", constraint="c1"))  # already in the store
     with pytest.raises(TransitionError):
-        step(full, Action.of("post", constraint="c9"))  # not declared
+        apply(full, Action.of("post", constraint="c9"))  # not declared
 
 
 def test_store_examples():
@@ -103,27 +104,27 @@ def test_store_examples():
 
 def test_sibling_successors_keep_their_own_nodes_and_declarations():
     full = base_state()
-    left = step(full, Action.of("newChild", node=1))
-    right = step(full, Action.of("newChild", node=2))
+    left = apply(full, Action.of("newChild", node=1))
+    right = apply(full, Action.of("newChild", node=2))
     assert left.tree.nodes == (0, 1) and not left.tree.has_node(2)
     assert right.tree.nodes == (0, 2) and not right.tree.has_node(1)
     assert left != right
     # applying the first action again shares the stored node; the sibling forked
-    again = step(full, Action.of("newChild", node=1))
+    again = apply(full, Action.of("newChild", node=1))
     assert again == left and again.tree.entries._store is left.tree.entries._store
     assert right.tree.entries._store is not left.tree.entries._store
     # a forked store equals a shared one with the same content
     fresh = base_state()
-    step(fresh, Action.of("newChild", node=2))
-    forked = step(fresh, Action.of("newChild", node=1))
+    apply(fresh, Action.of("newChild", node=2))
+    forked = apply(fresh, Action.of("newChild", node=1))
     assert forked.tree.entries._store is not left.tree.entries._store
     assert forked == left and forked.tree.snapshots == left.tree.snapshots
-    declared = [step(full, Action.of("newConstraint", constraint=c, decl=None)) for c in ("c8", "c9")]
+    declared = [apply(full, Action.of("newConstraint", constraint=c, decl=None)) for c in ("c8", "c9")]
     assert declared[0].solver.is_declared("c8") and not declared[0].solver.is_declared("c9")
     assert declared[1].solver.is_declared("c9") and not declared[1].solver.is_declared("c8")
     assert declared[0] != declared[1]
     # every initial state starts a declaration store of its own
-    first = step(initial_state(), Action.of("newConstraint", constraint="c8", decl=None)).solver
+    first = apply(initial_state(), Action.of("newConstraint", constraint="c8", decl=None)).solver
     second, bare = initial_state().solver, SolverState()
     assert len({id(s.constraints._store) for s in (first, second, bare)}) == 3
     assert not second.is_declared("c8") and not bare.is_declared("c8")
@@ -138,66 +139,66 @@ def test_reduce_example_values():
         Action.of("post", constraint="c1"),
     ])
     removed = parse_domain("[0,4-mx]")
-    full2 = step(full, Action.of("reduce", constraint="c1", variable="v1",
-                                 removed=removed, generated=(), cause=BOTTOM))
+    full2 = apply(full, Action.of("reduce", constraint="c1", variable="v1",
+                                  removed=removed, generated=(), cause=BOTTOM))
     assert full2.solver.domain("v1") == parse_domain("[1-3]")
 
 
 def test_reduce_requires_active_pair_and_subset():
     full = base_state()
     with pytest.raises(TransitionError):
-        step(full, Action.of("reduce", constraint="c1", variable="x",
-                             removed=FiniteDomain.of([0]), generated=(), cause=BOTTOM))
-    full = step(full, Action.of("post", constraint="c1"))
+        apply(full, Action.of("reduce", constraint="c1", variable="x",
+                              removed=FiniteDomain.of([0]), generated=(), cause=BOTTOM))
+    full = apply(full, Action.of("post", constraint="c1"))
     with pytest.raises(TransitionError):
-        step(full, Action.of("reduce", constraint="c1", variable="x",
-                             removed=FiniteDomain.of([9]), generated=(), cause=BOTTOM))
+        apply(full, Action.of("reduce", constraint="c1", variable="x",
+                              removed=FiniteDomain.of([9]), generated=(), cause=BOTTOM))
     with pytest.raises(TransitionError):  # y not reduced by a (c1, bot) pair with wrong cause
-        step(full, Action.of("reduce", constraint="c1", variable="x",
-                             removed=FiniteDomain.of([0]), generated=(),
-                             cause=SolverEvent("dom", "x")))
+        apply(full, Action.of("reduce", constraint="c1", variable="x",
+                              removed=FiniteDomain.of([0]), generated=(),
+                              cause=SolverEvent("dom", "x")))
 
 
 def test_reduce_strict_mode_deactivates():
-    full = step(base_state(), Action.of("post", constraint="c1"))
+    full = apply(base_state(), Action.of("post", constraint="c1"))
     act = Action.of("reduce", constraint="c1", variable="x",
                     removed=FiniteDomain.of([0]), generated=(), cause=BOTTOM)
-    default = step(full, act)
+    default = apply(full, act)
     assert default.solver.active == (("c1", BOTTOM),)
-    strict = step(full, act, strict_reduce=True)
+    strict = make_semantics(strict_reduce=True).apply(full, act)
     assert strict.solver.active == ()
 
 
 def test_suspend_solved_reject():
-    full = step(base_state(), Action.of("post", constraint="c2"))
-    suspended = step(full, Action.of("suspend", constraint="c2"))
+    full = apply(base_state(), Action.of("post", constraint="c2"))
+    suspended = apply(full, Action.of("suspend", constraint="c2"))
     assert suspended.solver.sleeping == {"c2"}
     # entailment required for solved
     with pytest.raises(TransitionError):
-        step(full, Action.of("solved", constraint="c2"))
-    fixed = step(full, Action.of("reduce", constraint="c2", variable="y",
-                                 removed=parse_domain("[0-2,4-5]"), generated=(), cause=BOTTOM))
-    solved = step(fixed, Action.of("solved", constraint="c2"))
+        apply(full, Action.of("solved", constraint="c2"))
+    fixed = apply(full, Action.of("reduce", constraint="c2", variable="y",
+                                  removed=parse_domain("[0-2,4-5]"), generated=(), cause=BOTTOM))
+    solved = apply(fixed, Action.of("solved", constraint="c2"))
     assert solved.solver.solved == {"c2"}
     # falsity required for reject
     with pytest.raises(TransitionError):
-        step(full, Action.of("reject", constraint="c2", cause=BOTTOM))
-    emptied = step(full, Action.of("reduce", constraint="c2", variable="y",
-                                   removed=D05, generated=(), cause=BOTTOM))
-    rejected = step(emptied, Action.of("reject", constraint="c2", cause=BOTTOM))
+        apply(full, Action.of("reject", constraint="c2", cause=BOTTOM))
+    emptied = apply(full, Action.of("reduce", constraint="c2", variable="y",
+                                    removed=D05, generated=(), cause=BOTTOM))
+    rejected = apply(emptied, Action.of("reject", constraint="c2", cause=BOTTOM))
     assert rejected.solver.rejected == {"c2"}
 
 
 def test_restore_conditions_and_union():
-    full = step(base_state(), Action.of("post", constraint="c1"))
-    full = step(full, Action.of("reduce", constraint="c1", variable="x",
-                                removed=FiniteDomain.of([0, 1]), generated=(), cause=BOTTOM))
-    back = step(full, Action.of("restore", variable="x", values=FiniteDomain.of([0, 1])))
+    full = apply(base_state(), Action.of("post", constraint="c1"))
+    full = apply(full, Action.of("reduce", constraint="c1", variable="x",
+                                 removed=FiniteDomain.of([0, 1]), generated=(), cause=BOTTOM))
+    back = apply(full, Action.of("restore", variable="x", values=FiniteDomain.of([0, 1])))
     assert back.solver.domain("x") == D05
     with pytest.raises(TransitionError):  # not disjoint from the current domain
-        step(full, Action.of("restore", variable="x", values=FiniteDomain.of([1, 2])))
+        apply(full, Action.of("restore", variable="x", values=FiniteDomain.of([1, 2])))
     with pytest.raises(TransitionError):  # outside the initial domain
-        step(full, Action.of("restore", variable="x", values=FiniteDomain.of([9])))
+        apply(full, Action.of("restore", variable="x", values=FiniteDomain.of([9])))
 
 
 def test_awake_and_schedule_rules():
@@ -206,36 +207,36 @@ def test_awake_and_schedule_rules():
         Action.of("suspend", constraint="c1"),
     ], start=base_state())
     ev = SolverEvent("dom", "x", "c9")
-    full = step(full, Action.of("restore", variable="x", values=FiniteDomain(()), generated=(ev,)))
+    full = apply(full, Action.of("restore", variable="x", values=FiniteDomain(()), generated=(ev,)))
     assert ev in full.solver.pending
     with pytest.raises(TransitionError):  # not scheduled yet
-        step(full, Action.of("awake", constraint="c1", cause=ev))
-    sched = step(full, Action.of("schedule", event=ev, witness="c1"))
+        apply(full, Action.of("awake", constraint="c1", cause=ev))
+    sched = apply(full, Action.of("schedule", event=ev, witness="c1"))
     assert sched.solver.current_event == ev and ev not in sched.solver.pending
-    woken = step(sched, Action.of("awake", constraint="c1", cause=ev))
+    woken = apply(sched, Action.of("awake", constraint="c1", cause=ev))
     assert woken.solver.active == (("c1", ev),) and "c1" not in woken.solver.sleeping
     # waking with bot is always allowed for a sleeping constraint
-    assert step(sched, Action.of("awake", constraint="c1", cause=BOTTOM)).solver.active
+    assert apply(sched, Action.of("awake", constraint="c1", cause=BOTTOM)).solver.active
 
 
 def test_schedule_requires_watcher():
     full = base_state()
     ev = SolverEvent("dom", "x")
-    full = step(full, Action.of("restore", variable="x", values=FiniteDomain(()), generated=(ev,)))
+    full = apply(full, Action.of("restore", variable="x", values=FiniteDomain(()), generated=(ev,)))
     with pytest.raises(TransitionError):
-        step(full, Action.of("schedule", event=ev))  # nobody sleeps
+        apply(full, Action.of("schedule", event=ev))  # nobody sleeps
 
 
 def test_node_rules_and_jump():
     full = base_state()
-    child = step(full, Action.of("newChild", node=1))
+    child = apply(full, Action.of("newChild", node=1))
     assert child.tree.current == 1
     assert child.tree.depth(1) == 1
     assert child.tree.snapshot(1) == full.solver
     with pytest.raises(TransitionError):
-        step(child, Action.of("newChild", node=1))  # node exists
+        apply(child, Action.of("newChild", node=1))  # node exists
     with pytest.raises(TransitionError):
-        step(child, Action.of("jumpTo", node=1))  # already current
+        apply(child, Action.of("jumpTo", node=1))  # already current
     # mutate the solver state, move to another node, then jump back
     moved = run_actions([
         Action.of("post", constraint="c1"),
@@ -245,20 +246,20 @@ def test_node_rules_and_jump():
         Action.of("newChild", node=2),
     ], start=child)
     assert moved.tree.current == 2
-    back = step(moved, Action.of("jumpTo", node=1))
+    back = apply(moved, Action.of("jumpTo", node=1))
     assert back.solver == full.solver
     assert back.tree.current == 1
     with pytest.raises(TransitionError):
-        step(moved, Action.of("jumpTo", node=7))
+        apply(moved, Action.of("jumpTo", node=7))
 
 
 def test_solution_failure_predicates():
     full = base_state()
     with pytest.raises(TransitionError):
-        step(full, Action.of("failure", node=5))  # nothing rejected
-    posted = step(full, Action.of("post", constraint="c2"))
+        apply(full, Action.of("failure", node=5))  # nothing rejected
+    posted = apply(full, Action.of("post", constraint="c2"))
     with pytest.raises(TransitionError):
-        step(posted, Action.of("solution", node=5))  # y not fixed
+        apply(posted, Action.of("solution", node=5))  # y not fixed
 
 
 def test_deactivate_removes_from_any_part():
@@ -266,21 +267,21 @@ def test_deactivate_removes_from_any_part():
         Action.of("post", constraint="c1"),
         Action.of("suspend", constraint="c1"),
     ], start=base_state())
-    gone = step(full, Action.of("deactivate", constraint="c1"))
+    gone = apply(full, Action.of("deactivate", constraint="c1"))
     assert store(gone.solver) == frozenset()
     with pytest.raises(TransitionError):
-        step(gone, Action.of("deactivate", constraint="c1"))
+        apply(gone, Action.of("deactivate", constraint="c1"))
 
 
 # extraction and reconstruction
 
 
 def test_extract_reduce_record_fields():
-    full = step(base_state(), Action.of("post", constraint="c1"))
+    full = apply(base_state(), Action.of("post", constraint="c1"))
     gen = (SolverEvent("dom", "x", "c1"),)
     act = Action.of("reduce", constraint="c1", variable="x",
                     removed=FiniteDomain.of([0]), generated=gen, cause=BOTTOM)
-    new = step(full, act)
+    new = apply(full, act)
     record = extract_event(full, act, new)
     assert record.type == "reduce"
     assert record.constraint == "c1" and record.variable == "x"
@@ -292,12 +293,12 @@ def test_extract_reduce_record_fields():
 def test_extract_node_and_identity_records():
     full = base_state()
     act = Action.of("newChild", node=1)
-    new = step(full, act)
+    new = apply(full, act)
     record = extract_event(full, act, new)
     assert (record.type, record.node, record.depth) == ("newChild", 1, 1)
-    posted = step(full, Action.of("post", constraint="c1"))
+    posted = apply(full, Action.of("post", constraint="c1"))
     act = Action.of("deactivate", constraint="c1")
-    record = extract_event(posted, act, step(posted, act))
+    record = extract_event(posted, act, apply(posted, act))
     assert (record.type, record.constraint) == ("deactivate", "c1")
 
 
@@ -316,13 +317,13 @@ def test_reconstruct_new_constraint_and_awake():
 
 
 def test_reconstruct_post_in_store_fails():
-    full = step(base_state(), Action.of("post", constraint="c1"))
+    full = apply(base_state(), Action.of("post", constraint="c1"))
     with pytest.raises(ReconstructionError):
         replay(make_semantics(), full, GenericEvent("post", 0, constraint="c1"))
 
 
 def test_reconstruct_strict_reduce_removes_pair():
-    full = step(base_state(), Action.of("post", constraint="c1"))
+    full = apply(base_state(), Action.of("post", constraint="c1"))
     record = GenericEvent("reduce", 0, constraint="c1", variable="x",
                           generated=(), domain=FiniteDomain.of([0]), cause=BOTTOM)
     _, default = replay(make_semantics(), full, record)
@@ -493,7 +494,7 @@ def test_locality_of_extraction(element_run):
     # replace the step at j with a different but valid transition
     base = element_run.virtual.events[j - 1].state
     alt_action = Action.of("newVariable", variable="zz", domain=D05)
-    alt_state = step(base, alt_action)
+    alt_state = apply(base, alt_action)
     mutated = Trace(initial_state(),
                     element_run.virtual.events[:j] + (VirtualPayload(alt_action, alt_state),))
     from gentra.semantics import extract
@@ -546,6 +547,50 @@ def test_guards_g4_g5_palm_profile_only():
     assert report.guard_report.guards == ("g3", "g4", "g5")
     # a second post while c1 is active violates nothing generic, but an
     # awake-style discipline check would reject an awake with a busy store
+
+
+def _records(actions):
+    """The records the generic machine emits for ``actions`` from the initial state."""
+    os = make_semantics()
+    full, records = initial_state(), []
+    for act in actions:
+        new = os.apply(full, act)
+        records.append(os.extract_local(full, act, new))
+        full = new
+    return records
+
+
+def _sleeping_c2_then_active_c1():
+    """c2 asleep, then c1 posted and active, both on x."""
+    return [
+        Action.of("newVariable", variable="x", domain=D05),
+        Action.of("newConstraint", constraint="c1", decl=ConstraintDecl.eqc("x", 3)),
+        Action.of("newConstraint", constraint="c2", decl=ConstraintDecl.eqc("x", 3)),
+        Action.of("post", constraint="c2"),
+        Action.of("suspend", constraint="c2"),
+        Action.of("post", constraint="c1"),
+    ]
+
+
+def _guard_violations(actions):
+    report = validate(_records(actions), os=project(make_semantics(), palm_profile()), guards=GUARD_NAMES)
+    assert report.error is None  # the trace replays; only the guards object
+    return [(v.guard, v.index) for v in report.guard_report.violations]
+
+
+def test_guard_g4_flags_awake_while_a_constraint_is_active():
+    wake = Action.of("awake", constraint="c2", cause=BOTTOM)
+    assert _guard_violations(_sleeping_c2_then_active_c1() + [wake]) == [("g4", 6)]
+
+
+def test_guard_g5_flags_schedule_while_a_constraint_is_active():
+    dom_x = SolverEvent("dom", "x", "c1")
+    actions = _sleeping_c2_then_active_c1() + [
+        Action.of("reduce", constraint="c1", variable="x", removed=parse_domain("[0-2,4-5]"),
+                  generated=(dom_x,), cause=BOTTOM),
+        Action.of("schedule", event=dom_x),
+    ]
+    assert _guard_violations(actions) == [("g5", 7)]
 
 
 # record shapes

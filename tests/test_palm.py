@@ -14,7 +14,6 @@ from gentra.palm import (
     make_palm_semantics,
     palm_initial_state,
     palm_solve,
-    palm_step,
     wake_kind_of,
 )
 from gentra.semantics import Action, check_faithful
@@ -24,6 +23,7 @@ from gentra.state import BOTTOM, FullState, SolverEvent, SolverState, solution_s
 from support import ladder, oracle_solutions, random_problem, solutions_as_set
 
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
+palm_apply = make_palm_semantics().apply
 
 
 def element_problem():
@@ -43,7 +43,7 @@ def element_run():
 def run_palm(actions, start=None):
     full = start if start is not None else palm_initial_state()
     for a in actions:
-        full = palm_step(full, a)
+        full = palm_apply(full, a)
     return full
 
 
@@ -61,8 +61,8 @@ def scripted_state():
 def test_reduce_records_explanations():
     full = scripted_state()
     removed = parse_domain("[0-2,4-5]")
-    full = palm_step(full, Action.of("reduce", constraint="c1", variable="x", removed=removed,
-                                     generated=(), cause=BOTTOM, explanation=frozenset({"c1"})))
+    full = palm_apply(full, Action.of("reduce", constraint="c1", variable="x", removed=removed,
+                                      generated=(), cause=BOTTOM, explanation=frozenset({"c1"})))
     assert full.solver.domain("x") == FiniteDomain.of([3])
     assert full.explanations == {"x": ((removed, frozenset({"c1"})),)}
 
@@ -70,23 +70,23 @@ def test_reduce_records_explanations():
 def test_reduce_requires_nonempty_and_explained():
     full = scripted_state()
     with pytest.raises(TransitionError):
-        palm_step(full, Action.of("reduce", constraint="c1", variable="x",
-                                  removed=FiniteDomain(()), generated=(), cause=BOTTOM,
-                                  explanation=frozenset({"c1"})))
+        palm_apply(full, Action.of("reduce", constraint="c1", variable="x",
+                                   removed=FiniteDomain(()), generated=(), cause=BOTTOM,
+                                   explanation=frozenset({"c1"})))
     with pytest.raises(TransitionError):  # explanation outside the store
-        palm_step(full, Action.of("reduce", constraint="c1", variable="x",
-                                  removed=FiniteDomain.of([0]), generated=(), cause=BOTTOM,
-                                  explanation=frozenset({"c9"})))
+        palm_apply(full, Action.of("reduce", constraint="c1", variable="x",
+                                   removed=FiniteDomain.of([0]), generated=(), cause=BOTTOM,
+                                   explanation=frozenset({"c9"})))
 
 
 def test_reject_fires_exactly_on_empty_domain():
     full = scripted_state()
     with pytest.raises(TransitionError):
-        palm_step(full, Action.of("reject", constraint="c1", cause=BOTTOM))
-    wiped = palm_step(full, Action.of(
+        palm_apply(full, Action.of("reject", constraint="c1", cause=BOTTOM))
+    wiped = palm_apply(full, Action.of(
         "reduce", constraint="c1", variable="x", removed=FiniteDomain.interval(0, 5),
         generated=(), cause=BOTTOM, explanation=frozenset({"c1"})))
-    rejected = palm_step(wiped, Action.of("reject", constraint="c1", cause=BOTTOM))
+    rejected = palm_apply(wiped, Action.of("reject", constraint="c1", cause=BOTTOM))
     assert rejected.solver.rejected == {"c1"}
     assert rejected.solver.active == ()
 
@@ -99,7 +99,7 @@ def test_single_activation_discipline():
         Action.of("post", constraint="c1"),
     ])
     with pytest.raises(TransitionError):
-        palm_step(full, Action.of("post", constraint="c2"))
+        palm_apply(full, Action.of("post", constraint="c2"))
 
 
 def test_restore_scans_broken_explanations():
@@ -109,11 +109,11 @@ def test_restore_scans_broken_explanations():
         Action.of("suspend", constraint="c1"),
     ], start=scripted_state())
     assert broken_values(full, "x").is_empty()
-    relaxed = palm_step(full, Action.of("deactivate", constraint="c1"))
+    relaxed = palm_apply(full, Action.of("deactivate", constraint="c1"))
     assert broken_values(relaxed, "x") == parse_domain("[0-1]")
     with pytest.raises(TransitionError):  # more than the broken values
-        palm_step(relaxed, Action.of("restore", variable="x", values=parse_domain("[0-2]")))
-    restored = palm_step(relaxed, Action.of("restore", variable="x", values=parse_domain("[0-1]")))
+        palm_apply(relaxed, Action.of("restore", variable="x", values=parse_domain("[0-2]")))
+    restored = palm_apply(relaxed, Action.of("restore", variable="x", values=parse_domain("[0-1]")))
     assert restored.solver.domain("x") == FiniteDomain.interval(0, 5)
     assert restored.explanations == {}
     check_palm_invariants(restored)
@@ -128,10 +128,10 @@ def test_awake_and_schedule_queue_discipline():
     ], start=scripted_state())
     ev = full.solver.pending[0]
     with pytest.raises(TransitionError):  # not selected yet
-        palm_step(full, Action.of("awake", constraint="c1", cause=ev))
-    selected = palm_step(full, Action.of("schedule", event=ev))
+        palm_apply(full, Action.of("awake", constraint="c1", cause=ev))
+    selected = palm_apply(full, Action.of("schedule", event=ev))
     assert selected.solver.current_event == ev and selected.solver.pending == ()
-    woken = palm_step(selected, Action.of("awake", constraint="c1", cause=ev))
+    woken = palm_apply(selected, Action.of("awake", constraint="c1", cause=ev))
     assert woken.solver.active == (("c1", ev),)
     # a second schedule overwrites the head
     full2 = run_palm([Action.of("suspend", constraint="c1")], start=woken)
@@ -220,7 +220,7 @@ def test_both_invariant_checks_catch_corrupted_tables():
     stale = repaired._replace(solver=repaired.solver.with_domain("x", parse_domain("[0-4]")),
                               explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
     # c1 relaxed, x not yet repaired
-    relaxed = palm_step(reduced, Action.of("deactivate", constraint="c1"))
+    relaxed = palm_apply(reduced, Action.of("deactivate", constraint="c1"))
     check_palm_invariants(reduced)
     check_palm_invariants(repaired)
     for corrupted in (relaxed, stale):

@@ -219,7 +219,7 @@ def _corrupt(t, index, how):
     if how == "state":
         events[index] = VirtualPayload(ev.action, ev.state + 1)
     else:
-        events[index] = VirtualPayload(ev.action.replace(amount=0), ev.state)
+        events[index] = VirtualPayload(Action.of(ev.action.kind, amount=0), ev.state)
     return Trace(t.initial_state, tuple(events))
 
 
