@@ -27,7 +27,7 @@ from .gentra4cp import (DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, get_parameter
 from .palm import PALM_EVENT_TYPES, make_palm_semantics
 from .semantics import Action, ObservationalSemantics, extract, reconstruct, replay_divergence, transition_holds
 from .state import NO_EXPLANATIONS, FullState, initial_state
-from .trace import ActualPayload, Trace, VirtualPayload
+from .trace import Trace, VirtualPayload, _actual_payloads, _payload
 
 
 # parametric projections
@@ -500,7 +500,7 @@ def check_generic(gt_os: ObservationalSemantics, spec: ProcessSpec,
         return ComplianceReport(False, (f"FAIL compliance {spec.name}: invalid projection: {exc}",))
     events = tuple(events)
     try:
-        virtual = reconstruct(spec.os, Trace(initial_state(), tuple(ActualPayload(e) for e in events)))
+        virtual = reconstruct(spec.os, Trace(initial_state(), _actual_payloads(events)))
     except GentraError as exc:
         return ComplianceReport(False, (f"FAIL replay under the {spec.name} rules: {exc}",))
     lines = [f"PASS {spec.name} replay events={virtual.size}"]
@@ -552,11 +552,11 @@ def commutation_check(os_c: ObservationalSemantics, os_d: ObservationalSemantics
             actual = extract(os_c, t)
             direct = Trace(
                 mapping.map_state(t.initial_state),
-                tuple(VirtualPayload(mapping.carry_action(ev.action), mapping.map_state(ev.state))
+                tuple(_payload(VirtualPayload, (mapping.carry_action(ev.action), mapping.map_state(ev.state)))
                       for ev in t.events),
             )
             mapped_records = map_events(tuple(p.record for p in actual.events))
-            mapped_actual = Trace(direct.initial_state, tuple(ActualPayload(r) for r in mapped_records))
+            mapped_actual = Trace(direct.initial_state, _actual_payloads(mapped_records))
             pos = replay_divergence(os_d, mapped_actual, direct)
         except (TransitionError, ReconstructionError, MappingError) as exc:
             violations.append(SimulationViolation(ti, getattr(exc, "index", None), str(exc)))

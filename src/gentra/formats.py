@@ -11,7 +11,9 @@ Trace grammar (canonical form, one event per line):
 The chrono numbers must increase by one from the first line (any start).
 Header lines ``# key: value`` may precede the events.
 
-Strict mode accepts exactly the canonical shapes.  Lenient mode additionally
+Strict mode accepts exactly the canonical shapes, and reads a canonical line
+by its event type's pattern, without tokens.  Every other line (lenient mode,
+foreign idioms, errors) is read by the tokenizer.  Lenient mode additionally
 accepts the idioms of existing solver tracers, recording every deviation:
 declaration spill-over onto continuation lines, ``choice point`` as an alias
 for newChild, reduce records without generated events or causes, awake
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .constraints import ConstraintDecl
@@ -188,6 +192,51 @@ def _render_event_token(ev: SolverEvent) -> str:
     return f"{ev.kind}({ev.variable})"
 
 
+# canonical lines: per event type, a pattern of the text after the type name
+# and the record fields its groups fill, in order
+_NAME, _KIND, _PART = r"[A-Za-z_][A-Za-z0-9_]*", "|".join(EVENT_KINDS), r"\d+(?:-(?:\d+|mx))?"
+_EVENT, _DOMAIN = rf"(?:{_KIND})\({_NAME}\)", rf"(\[(?:{_PART}(?:,{_PART})*)?\])"
+_GEN = rf"gen\{{((?:{_EVENT}(?:,{_EVENT})*)?)\}}"
+_DECL = rf"element0?\({_NAME},\[-?\d+(?:,-?\d+)*\],{_NAME}\)|n?eq\({_NAME},{_NAME}\)|eqc\({_NAME},-?\d+\)"
+_REDUCE = rf" ({_NAME}) ({_NAME}) {_GEN} {_DOMAIN} ({_EVENT}|bot)", "constraint variable generated domain cause"
+_CANONICAL = {
+    "newVariable": (rf" ({_NAME}) {_DOMAIN}", "variable domain"),
+    "newConstraint": (rf" ({_NAME})(?: ({_DECL}))?", "constraint decl"),
+    **dict.fromkeys(("post", "deactivate", "suspend", "solved"), (rf" ({_NAME})", "constraint")),
+    **dict.fromkeys(("newChild", "solution", "failure"), (r" node\((\d+)\)", "node")),
+    "jumpTo": (r" node\((\d+)\) node\((\d+)\)", "node node2"),
+    "restore": (rf" ({_NAME}) {_DOMAIN}(?: {_GEN})?", "variable domain generated"),
+    "reduce": _REDUCE,
+    **dict.fromkeys(("reject", "awake"), (rf" ({_NAME}) ({_EVENT}|bot)", "constraint cause")),
+    "schedule": (rf" (?:({_NAME}) )?({_NAME} (?:{_KIND}))", "constraint event"),
+}
+_PALM_REDUCE = _REDUCE[0] + rf"(?: expl\{{((?:{_NAME}(?:,{_NAME})*)?)\}})?(?: ({_KIND}|empty))?"
+
+
+def _compiled(pattern: str, fields: str):
+    """The matcher, the fields, and a getter laying ``(type, depth, *values, None)`` out as a record."""
+    fields = ("type", "depth", *fields.split())
+    return re.compile(pattern).fullmatch, fields[2:], itemgetter(*(fields.index(f) if f in fields else -1
+                                                                   for f in GenericEvent._fields))
+
+
+_READERS = {kind: _compiled(*spec) for kind, spec in _CANONICAL.items()}
+_PALM_READERS = {**_READERS, "reduce": _compiled(_PALM_REDUCE, _REDUCE[1] + " explanation wake_kind")}
+_record = partial(tuple.__new__, GenericEvent)
+
+
+class _Memo(dict):
+    """Values one parse reads, each built once from its text; None reads as None."""
+
+    def __init__(self, build):
+        super().__init__({None: None})
+        self.build = build
+
+    def __missing__(self, text):
+        value = self[text] = self.build(text)
+        return value
+
+
 # trace documents
 
 
@@ -213,6 +262,17 @@ class _EventParser:
         self.mx = mx
         self.deviations: list[str] = []
         self.base = 0 if dialect == "palm" else 1
+        # per event type, the canonical matcher, field readers and record getter
+        events = _Memo(lambda t: BOTTOM if t == "bot" else SolverEvent(*t[:-1].split("(")))
+        names, numbers, blocks = _Memo(str), _Memo(int), _Memo(lambda t: tuple(t.split(",")) if t else ())
+        read = dict(constraint=names, variable=names, node=numbers, node2=numbers, cause=events, wake_kind=names,
+                    explanation=blocks, domain=_Memo(partial(parse_domain, mx=mx)),
+                    generated=_Memo(lambda t: tuple(map(events.__getitem__, blocks[t]))),
+                    event=_Memo(lambda t: SolverEvent(*reversed(t.split(" ")))),
+                    decl=_Memo(lambda t: parse_declaration(t, self.base)[0]))
+        self.canonical = {} if self.lenient else {
+            kind: (match, tuple(map(read.get, fields)), at)
+            for kind, (match, fields, at) in (_PALM_READERS if dialect == "palm" else _READERS).items()}
 
     def note(self, line_no: int, text: str):
         if not self.lenient:
@@ -414,9 +474,12 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
     continuation_notes: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
-        if not line.strip():
+        if not line:
             continue
-        if line.lstrip().startswith("#"):
+        m = _LINE_RE.match(line)
+        if m:
+            logical.append((line_no, line, m))
+        elif line.lstrip().startswith("#"):
             m = _HEADER_RE.match(line.strip())
             if m:
                 key, value = m.group(1), m.group(2).strip()
@@ -428,10 +491,6 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
                         mx = int(value)
                     except ValueError:
                         raise TraceSyntaxError(f"mx header is not an integer: {value!r}", line=line_no) from None
-            continue
-        m = _LINE_RE.match(line)
-        if m:
-            logical.append((line_no, line, m))
         else:
             if not logical:
                 raise TraceSyntaxError("line does not start with a chrono token", line=line_no)
@@ -444,22 +503,18 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
 
     parser = _EventParser(mode, dialect, mx)
     events = []
-    chrono_start = None
-    expected = None
-    for line_no, line, m in logical:
+    chrono_start = int(_LINE_RE.match(logical[0][1]).group(1)) if logical else 1
+    for expected, (line_no, line, m) in enumerate(logical, chrono_start):
         m = m or _LINE_RE.match(line)
-        chrono, depth, type_name, rest = int(m.group(1)), int(m.group(2)), m.group(3), m.group(4)
-        if chrono_start is None:
-            chrono_start = chrono
-            expected = chrono
+        chrono, depth, type_name = int(m.group(1)), int(m.group(2)), m.group(3)
         if chrono != expected:
             raise TraceSyntaxError(f"chrono {chrono} breaks the consecutive numbering", line=line_no)
-        expected += 1
-        events.append(parser.parse(type_name, rest, depth, line_no))
-    deviations = tuple(continuation_notes + parser.deviations)
-    return TraceDocument(events=tuple(events),
-                         chrono_start=chrono_start if chrono_start is not None else 1,
-                         dialect=dialect, header=tuple(header), deviations=deviations, mx=mx)
+        read = parser.canonical.get(type_name)
+        canonical = read and read[0](line, m.end(3))
+        events.append(_record(read[2]((type_name, depth, *map(getitem, read[1], canonical.groups()), None)))
+                      if canonical else parser.parse(type_name, m.group(4), depth, line_no))
+    return TraceDocument(events=tuple(events), chrono_start=chrono_start, dialect=dialect, header=tuple(header),
+                         deviations=tuple(continuation_notes + parser.deviations), mx=mx)
 
 
 def serialize_event(ev: GenericEvent, mx: int = DEFAULT_MX) -> str:

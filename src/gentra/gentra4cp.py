@@ -54,7 +54,7 @@ from .state import (
     solution_state,
     store,
 )
-from .trace import ActualPayload, Trace
+from .trace import Trace, _actual_payloads
 
 CONTROL_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "jumpTo",
@@ -721,7 +721,7 @@ def validate(events, *, os: ObservationalSemantics | None = None,
     events = tuple(events)
     kept = next((i for i, ev in enumerate(events) if ev.type not in os.action_kinds), len(events))
     try:
-        virtual = reconstruct(os, Trace(initial_state(), tuple(map(ActualPayload, events[:kept]))))
+        virtual = reconstruct(os, Trace(initial_state(), _actual_payloads(events[:kept])))
     except ReconstructionError as exc:
         return ValidationReport(False, exc.index, error=ValidationError(exc.index, exc.rule, exc.condition))
     if kept < len(events):

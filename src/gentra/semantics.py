@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ReconstructionError, TransitionError
-from .trace import ActualPayload, Trace, VirtualPayload
+from .trace import ActualPayload, Trace, VirtualPayload, _payload
 
 
 class Action(NamedTuple):
@@ -106,7 +106,7 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
     for i, ev in enumerate(vtrace.events):
         if vtrace.applied_by is not os and not transition_holds(os, state, ev.action, ev.state):
             raise TransitionError(os.name, f"step is not a {ev.action.kind} transition", index=i)
-        records.append(ActualPayload(os.extract_local(state, ev.action, ev.state)))
+        records.append(_payload(ActualPayload, (os.extract_local(state, ev.action, ev.state),)))
         state = ev.state
     return Trace(vtrace.initial_state, tuple(records))
 
@@ -124,7 +124,7 @@ def replay(os: ObservationalSemantics, state: Any, record: Any) -> VirtualPayloa
     except TransitionError as exc:
         raise ReconstructionError(exc.rule, exc.condition) from exc
     os.check_record(record, new)
-    return VirtualPayload(action, new)
+    return _payload(VirtualPayload, (action, new))
 
 
 def _check_replayable(os: ObservationalSemantics, atrace: Trace) -> None:

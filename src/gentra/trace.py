@@ -11,6 +11,7 @@ set at the bottom and the full prefix set at the top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import ClosureError, KindMismatchError, PrefixRangeError
@@ -37,9 +38,12 @@ class ActualPayload(NamedTuple):
 
 TraceEvent = VirtualPayload | ActualPayload
 
+# the payload the class call builds, without its Python-level generated ``__new__``
+_payload = tuple.__new__
 
-def _kind_of(event: TraceEvent) -> str:
-    return "virtual" if isinstance(event, VirtualPayload) else "actual"
+
+def _actual_payloads(records: Iterable) -> tuple[ActualPayload, ...]:
+    return tuple(map(_payload, repeat(ActualPayload), zip(records)))
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class Trace:
     @property
     def kind(self) -> str | None:
         """'virtual' | 'actual', or None for the size-0 trace."""
-        return _kind_of(self.events[0]) if self.events else None
+        return ("virtual" if isinstance(self.events[0], VirtualPayload) else "actual") if self.events else None
 
     def prefix(self, k: int) -> "Trace":
         """The prefix made of the first ``k`` events (k=0 keeps just the state)."""

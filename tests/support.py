@@ -235,17 +235,24 @@ def apply_edits(text: str, script) -> str:
 
 
 class RuleCalls:
-    """Counts the calls to the rule functions of the given rule tables, by
-    wrapping each entry; how ``apply`` reaches a rule does not matter."""
+    """Counts the rule applications made through the given rule tables, by
+    wrapping each entry; how ``apply`` reaches a rule does not matter.  A
+    rule that calls another wrapped rule (palm's overrides call the generic
+    ones) is one application."""
 
     def __init__(self, monkeypatch, *tables):
         self.calls = 0
+        self._active = 0
         for table in tables:
             for kind, rule in list(table.items()):
                 monkeypatch.setitem(table, kind, self._counting(rule))
 
     def _counting(self, rule):
         def counting(full, action):
-            self.calls += 1
-            return rule(full, action)
+            self.calls += not self._active
+            self._active += 1
+            try:
+                return rule(full, action)
+            finally:
+                self._active -= 1
         return counting

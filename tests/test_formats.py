@@ -3,10 +3,12 @@
 import random
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gentra import formats
 from gentra.constraints import ConstraintDecl
 from gentra.errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
 from gentra.fdomain import FiniteDomain, parse_domain
@@ -19,12 +21,13 @@ from gentra.formats import (
     serialize_trace,
     strip_origins,
 )
-from gentra.gentra4cp import GenericEvent
+from gentra.gentra4cp import _SHAPES, EVENT_TYPES, GenericEvent
 from gentra.palm import palm_solve
 from gentra.solver import solve
 from gentra.state import SolverEvent
 
 from support import apply_edits, edit_scripts, ladder, random_problem
+from test_golden_traces import GOLDEN, emitted_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -304,6 +307,136 @@ def test_declaration_parsing_forms():
     assert decl is None and raw == "all_different(v1,v2)"
 
 
+# two read paths: canonical lines by pattern, everything else by tokens
+
+
+def _outcome(text: str, **options):
+    """What parsing gives: the document's parts, or the error's class, text,
+    line and column."""
+    try:
+        doc = parse_trace(text, **options)
+    except GentraError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return doc.events, doc.header, doc.chrono_start, doc.dialect, doc.mx, doc.deviations
+
+
+def _tokenized_outcome(text: str, **options):
+    """``_outcome`` with every line read by the tokenizer."""
+    with mock.patch.multiple(formats, _READERS={}, _PALM_READERS={}):
+        return _outcome(text, **options)
+
+
+def _respaced(text: str) -> str:
+    """Every space of each event line doubled: the canonical patterns refuse
+    the line, and the tokenizer reads it as before."""
+    return "".join(line if line.startswith("#") else line.replace(" ", "  ")
+                   for line in text.splitlines(keepends=True))
+
+
+def test_canonical_patterns_fill_exactly_the_strict_shape():
+    # a record read by pattern passes the shape and dialect checks a
+    # tokenized one gets: its pattern has a group for every required
+    # attribute and none for an attribute foreign to its type
+    readers = {"generic": formats._READERS, "palm": formats._PALM_READERS}
+    for dialect, table in readers.items():
+        assert set(table) == set(EVENT_TYPES)
+        for kind, (_, fields, _) in table.items():
+            required, optional = _SHAPES[kind]
+            extras = ("explanation", "wake_kind") if (dialect, kind) == ("palm", "reduce") else ()
+            assert set(required) <= set(fields) <= set(required + optional + extras), kind
+
+
+@pytest.mark.parametrize("name,run", sorted(GOLDEN))
+def test_respaced_twin_reads_like_the_canonical_trace(monkeypatch, name, run):
+    count, text = emitted_text(name, run)
+    tokenized = 0
+    parse = formats._EventParser.parse
+
+    def counting(*args):
+        nonlocal tokenized
+        tokenized += 1
+        return parse(*args)
+
+    monkeypatch.setattr(formats._EventParser, "parse", counting)
+    canonical = _outcome(text)
+    assert tokenized == 0
+    assert _outcome(_respaced(text)) == canonical
+    assert tokenized == count
+    # without its header, the trace read in each dialect, wrong one included
+    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    for dialect in ("generic", "palm"):
+        assert _outcome(body, dialect=dialect) == _outcome(_respaced(body), dialect=dialect)
+
+
+@cache
+def _element_trace(machine: str) -> str:
+    problem = parse_problem((FIXTURES / "element.prob").read_text())
+    if machine == "palm":
+        return serialize_trace(document_for_events(palm_solve(problem).events, dialect="palm"))
+    return serialize_trace(document_for_events(solve(problem).events))
+
+
+# one-edit mutants of the emitted element traces: the line at a 1-based
+# file line number is deleted, duplicated, swapped with the next line or
+# replaced, and the text is parsed strictly; each error is the class, text,
+# line and column the tokenizer-only reader gave, or None for a clean parse
+PARSE_MUTANTS = [
+    (("fd", 7, "delete"),
+     ("TraceSyntaxError", "chrono 6 breaks the consecutive numbering (line 7)", 7, None)),
+    (("fd", 11, "duplicate"),
+     ("TraceSyntaxError", "chrono 9 breaks the consecutive numbering (line 12)", 12, None)),
+    (("fd", 14, "swap"),
+     ("TraceSyntaxError", "chrono 13 breaks the consecutive numbering (line 14)", 14, None)),
+    (("fd", 7, "5[1]reduce c1 I gen{dom(I),min(I),max(I)} [0,4-mx] bot"), None),
+    (("fd", 11, "9[0]reduce c1 dom(I)"),
+     ("TraceShapeError", "reduce: expected constraint and variable (line 11)", 11, None)),
+    (("fd", 9, "7[0]awake c1"),
+     ("TraceShapeError", "awake: missing required attribute 'cause' (line 9)", 9, None)),
+    (("fd", 40, "38[1]jumpTo node(1)"),
+     ("TraceShapeError", "jumpTo: missing required attribute 'node2' (line 40)", 40, None)),
+    (("fd", 3, "1[0]newVariable I [4-1]"),
+     ("GentraError", "descending interval in domain literal: '4-1'", None, None)),
+    (("fd", 7, "5[0]reduce c1 I gen{dom(I),min(I),max(I)} [0,4-mx bot"),
+     ("TraceSyntaxError", "unbalanced '['", None, 32)),
+    (("fd", 28, "26[1]newChild node(x1)"),
+     ("TraceSyntaxError", "expected node(k), got 'node(x1)' (line 28)", 28, None)),
+    (("fd", 13, "11[0]schedule c1 I 7"),
+     ("TraceShapeError", "schedule: unknown event kind 'I' (line 13)", 13, None)),
+    (("fd", 13, "12[0]schedule c1 I min"),
+     ("TraceSyntaxError", "chrono 12 breaks the consecutive numbering (line 13)", 13, None)),
+    (("fd", 6, "4[0]post zz"), None),
+    (("fd", 5, "3[0]newConstraint c1 element(I,[],A)"),
+     ("GentraError", "element takes (index var, non-empty value list, value var)", None, None)),
+    (("palm", 1, "# dialect: generic"),
+     ("TraceSyntaxError", "wake-kind token 'max' on reduce (line 7)", 7, None)),
+    (("palm", 11, "9[0]awake c1 dom(I) dom"),
+     ("TraceSyntaxError", "wake-kind token 'dom' on awake (line 11)", 11, None)),
+    (("palm", 7, "5[0]reduce c1 I gen{dom(I),max(I)} [3-mx] bot expl{c1 max"),
+     ("TraceSyntaxError", "unbalanced '{'", None, 40)),
+    (("palm", 39, "37[2]restore I [0-mx] gen{dom(I),bot(I)}"),
+     ("TraceSyntaxError", "not a solver event: 'bot(I)'", None, None)),
+]
+
+
+@pytest.mark.parametrize("mutant,error", PARSE_MUTANTS, ids=[f"{m[0]}-{m[1]}" for m, _ in PARSE_MUTANTS])
+def test_one_edit_mutant_keeps_its_parse_error(mutant, error):
+    machine, line, edit = mutant
+    lines = _element_trace(machine).splitlines()
+    i = line - 1
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "swap":
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    else:
+        lines[i] = edit
+    text = "\n".join(lines) + "\n"
+    outcome = _outcome(text)
+    assert (outcome if isinstance(outcome[0], str) else None) == error
+    assert outcome == _tokenized_outcome(text)
+
+
 # problems
 
 
@@ -384,3 +517,14 @@ def test_parsers_raise_only_gentra_errors_on_near_misses(source, script):
             parse()
         except GentraError:
             pass
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3), edits)
+def test_canonical_reading_agrees_with_the_tokenizer_on_near_misses(source, script):
+    # a line the patterns read gives the record the tokenizer gives, and a
+    # line they refuse keeps its tokenizer error, class, text, line and column
+    text = apply_edits(near_miss_sources()[source], script)
+    for mode in ("strict", "lenient"):
+        for dialect in ("generic", "palm"):
+            assert _outcome(text, mode=mode, dialect=dialect) == _tokenized_outcome(text, mode=mode, dialect=dialect)

@@ -8,6 +8,7 @@ leave every emitted trace byte-identical.
 
 import hashlib
 import random
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -40,10 +41,16 @@ RUNS = {
 }
 
 
-def digest(problem: Problem, run: str) -> tuple[int, str]:
-    dialect, result = RUNS[run](problem)
-    text = serialize_trace(document_for_events(result.events, dialect=dialect))
-    return len(result.events), hashlib.sha256(text.encode()).hexdigest()
+@cache
+def emitted_text(name: str, run: str) -> tuple[int, str]:
+    """The event count and serialized trace of one golden run, solved once."""
+    dialect, result = RUNS[run](problems()[name])
+    return len(result.events), serialize_trace(document_for_events(result.events, dialect=dialect))
+
+
+def digest(name: str, run: str) -> tuple[int, str]:
+    count, text = emitted_text(name, run)
+    return count, hashlib.sha256(text.encode()).hexdigest()
 
 
 GOLDEN = {
@@ -122,4 +129,4 @@ def test_golden_table_covers_every_problem_and_run():
 
 @pytest.mark.parametrize("name,run", sorted(GOLDEN))
 def test_emitted_trace_matches_golden(name, run):
-    assert digest(problems()[name], run) == GOLDEN[name, run]
+    assert digest(name, run) == GOLDEN[name, run]

@@ -11,6 +11,8 @@ import sys
 import pytest
 
 from gentra import gentra4cp, palm
+from gentra.abstraction import check_generic, palm_process
+from gentra.formats import document_for_events, parse_trace, serialize_trace
 from gentra.gentra4cp import make_semantics, validate
 from gentra.palm import make_palm_semantics, palm_initial_state, palm_solve
 from gentra.semantics import check_faithful, reconstruct
@@ -76,6 +78,17 @@ def test_fd_verdict_applies_one_rule_per_event(monkeypatch, k):
     assert report.ok
     assert check_faithful(make_semantics(), [report.virtual]).ok
     assert counter.calls == len(events)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_palm_verdict_applies_three_rules_per_event(monkeypatch, k):
+    # check_generic, the route ``gentra check-compliance`` runs, applies each
+    # record's rule in the palm replay, in the projected validate and in
+    # check_simulable; the palm table holds most generic rules as they are
+    events = palm_solve(ladder(k)).events
+    counter = RuleCalls(monkeypatch, gentra4cp.RULES, palm.PALM_RULES)
+    assert check_generic(make_semantics(), palm_process(), events).ok
+    assert counter.calls == 3 * len(events)
 
 
 @pytest.mark.parametrize("source", ["solve", "validate", "palm-reconstruct"])
@@ -146,3 +159,29 @@ def test_palm_replay_work_per_event_stays_flat():
     actual = {k: Trace(palm_initial_state(), tuple(ActualPayload(e) for e in palm_solve(ladder(k)).events))
               for k in (4, 6)}
     _assert_flat(lambda k: reconstruct(os, actual[k]).size)
+
+
+def _ladder_text(machine: str, k: int) -> str:
+    if machine == "palm":
+        return serialize_trace(document_for_events(palm_solve(ladder(k)).events, dialect="palm"))
+    return serialize_trace(document_for_events(solve(ladder(k)).events))
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_parse_work_per_event_stays_flat(machine):
+    texts = {k: _ladder_text(machine, k) for k in (4, 6)}
+    _assert_flat(lambda k: len(parse_trace(texts[k]).events))
+
+
+# Strict parsing reads a canonical line by its type's pattern in about 16
+# line events; the tokenizer takes about 130.  A reader that silently falls
+# back to the tokenizer costs the same per event at every size, so only an
+# absolute bound sees it.
+PARSE_LINE_EVENTS_PER_RECORD = 45
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_strict_parse_reads_canonical_lines_without_tokens(machine):
+    text = _ladder_text(machine, 6)
+    lines, doc = _line_events(lambda: parse_trace(text))
+    assert lines <= PARSE_LINE_EVENTS_PER_RECORD * len(doc.events), lines / len(doc.events)

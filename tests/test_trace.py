@@ -13,6 +13,8 @@ from gentra.trace import (
     Trace,
     TraceDomain,
     VirtualPayload,
+    _actual_payloads,
+    _payload,
     all_prefixes,
     concat,
     domain_join,
@@ -51,6 +53,18 @@ def test_size_zero_trace_is_just_a_state():
 def test_mixed_payload_kinds_rejected():
     with pytest.raises(KindMismatchError):
         Trace("s0", (E1, ActualPayload("rec")))
+
+
+def test_cheap_payloads_are_the_payloads_the_class_call_builds():
+    records = (("r", 1), None, "r")
+    built = _actual_payloads(records)
+    assert built == tuple(ActualPayload(r) for r in records) and built[0].record == ("r", 1)
+    virtual = _payload(VirtualPayload, ("a", "s1"))
+    for cheap, called in [(built[0], ActualPayload(("r", 1))), (virtual, E1)]:
+        assert type(cheap) is type(called)
+        assert cheap == called and hash(cheap) == hash(called) and repr(cheap) == repr(called)
+    assert virtual.action == "a" and virtual.state == "s1"
+    assert Trace("s0", built).kind == "actual" and Trace("s0", (virtual,)).kind == "virtual"
 
 
 def test_all_prefixes_examples():
