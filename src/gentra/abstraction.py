@@ -414,8 +414,8 @@ def palm_profile() -> ParamProjection:
 
 def map_palm_state(full: FullState) -> FullState:
     """The state map: shares the solver state and tree, empties the
-    explanation table."""
-    return full._replace(explanations=NO_EXPLANATIONS)
+    explanation table (one positional construction)."""
+    return tuple.__new__(FullState, (full.solver, full.tree, NO_EXPLANATIONS))
 
 
 def _strip_explanation(action: Action) -> Action:

@@ -16,7 +16,7 @@ domains directly and never enumerate wide ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import GentraError
@@ -25,27 +25,36 @@ from .fdomain import EMPTY_DOMAIN, FiniteDomain
 
 @dataclass(frozen=True)
 class ConstraintDecl:
-    """One constraint: a kind, its arguments, and for element the index base."""
+    """One constraint: a kind, its arguments, and for element the index base.
+
+    ``variables``, the variables it constrains, is computed once, at
+    construction.
+    """
 
     kind: str
     args: tuple
     index_base: int = 1
+    variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "element":
             ivar, values, vvar = self.args
             if not (isinstance(ivar, str) and isinstance(vvar, str) and values):
                 raise GentraError("element takes (index var, non-empty value list, value var)")
+            variables = (ivar, vvar)
         elif self.kind in ("eq", "neq"):
             x, y = self.args
             if not (isinstance(x, str) and isinstance(y, str)):
                 raise GentraError(f"{self.kind} takes two variables")
+            variables = self.args
         elif self.kind == "eqc":
             x, k = self.args
             if not (isinstance(x, str) and isinstance(k, int)):
                 raise GentraError("eqc takes a variable and an integer")
+            variables = (x,)
         else:
             raise GentraError(f"unknown constraint kind {self.kind!r}")
+        object.__setattr__(self, "variables", variables)
 
     @staticmethod
     def element(ivar: str, values, vvar: str, index_base: int = 1) -> "ConstraintDecl":
@@ -62,14 +71,6 @@ class ConstraintDecl:
     @staticmethod
     def eqc(x: str, k: int) -> "ConstraintDecl":
         return ConstraintDecl("eqc", (x, k))
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        if self.kind == "element":
-            return (self.args[0], self.args[2])
-        if self.kind == "eqc":
-            return (self.args[0],)
-        return self.args
 
     def rebased(self, index_base: int) -> "ConstraintDecl":
         if self.kind != "element":

@@ -7,8 +7,7 @@ sentinel symbolically (``[0-mx]``, ``[0-1,3-4,6,8-mx]``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GentraError
 
@@ -18,20 +17,29 @@ DEFAULT_MX = 2**28 - 1
 _VALUES_GUARD = 1 << 20
 
 
-@dataclass(frozen=True)
-class FiniteDomain:
-    """An immutable set of integers, kept as disjoint ascending intervals."""
-
+class _Intervals(NamedTuple):
     intervals: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
+
+class FiniteDomain(_Intervals):
+    """An immutable set of integers, kept as disjoint ascending intervals.
+
+    A named tuple, so it compares and hashes by value in C.  The constructor
+    checks the intervals; the set algebra builds its results, normal by
+    construction, without the check (``_normal``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, intervals=()):
         prev_hi = None
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             if lo > hi:
                 raise GentraError(f"malformed interval [{lo},{hi}]")
             if prev_hi is not None and lo <= prev_hi + 1:
                 raise GentraError("intervals must be disjoint, non-adjacent, ascending")
             prev_hi = hi
+        return tuple.__new__(cls, (intervals,))
 
     @staticmethod
     def of(values: Iterable[int]) -> "FiniteDomain":
@@ -48,13 +56,13 @@ class FiniteDomain:
                 parts.append((lo, hi))
                 lo = hi = v
         parts.append((lo, hi))
-        return FiniteDomain(tuple(parts))
+        return _normal(tuple(parts))
 
     @staticmethod
     def interval(lo: int, hi: int) -> "FiniteDomain":
         if lo > hi:
             return EMPTY_DOMAIN
-        return FiniteDomain(((lo, hi),))
+        return _normal(((lo, hi),))
 
     @staticmethod
     def from_intervals(parts: Iterable[tuple[int, int]]) -> "FiniteDomain":
@@ -110,7 +118,7 @@ class FiniteDomain:
                 parts[-1] = (parts[-1][0], max(parts[-1][1], hi))
             else:
                 parts.append((lo, hi))
-        return FiniteDomain(tuple(parts))
+        return _normal(tuple(parts))
 
     def intersect(self, other: "FiniteDomain") -> "FiniteDomain":
         parts = []
@@ -119,7 +127,7 @@ class FiniteDomain:
                 lo, hi = max(alo, blo), min(ahi, bhi)
                 if lo <= hi:
                     parts.append((lo, hi))
-        return FiniteDomain(tuple(parts))
+        return _normal(tuple(parts))
 
     def subtract(self, other: "FiniteDomain") -> "FiniteDomain":
         parts = []
@@ -137,13 +145,18 @@ class FiniteDomain:
                         nxt.append((bhi + 1, shi))
                 segments = nxt
             parts.extend(segments)
-        return FiniteDomain(tuple(parts))
+        return _normal(tuple(parts))
 
     def issubset(self, other: "FiniteDomain") -> bool:
         return self.subtract(other).is_empty()
 
     def disjoint(self, other: "FiniteDomain") -> bool:
         return self.intersect(other).is_empty()
+
+
+def _normal(intervals: tuple[tuple[int, int], ...]) -> FiniteDomain:
+    """The domain of intervals already disjoint, non-adjacent and ascending."""
+    return tuple.__new__(FiniteDomain, (intervals,))
 
 
 EMPTY_DOMAIN = FiniteDomain()

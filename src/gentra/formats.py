@@ -41,7 +41,7 @@ from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .constraints import ConstraintDecl
-from .errors import ProblemError, TraceShapeError, TraceSyntaxError
+from .errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
 from .fdomain import DEFAULT_MX, FiniteDomain, format_domain, parse_domain, parse_range
 from .gentra4cp import EVENT_TYPES, GenericEvent, shape_error
 from .solver import Problem
@@ -419,7 +419,10 @@ class _EventParser:
             return ()
         out = []
         for item in _split_top(body):
-            its = _tokenize(item)
+            try:
+                its = _tokenize(item)
+            except TraceSyntaxError:  # its column would count from the item
+                its = ()
             if len(its) != 1:
                 raise TraceSyntaxError(f"bad generated-event item {item!r}", line=line_no)
             out.append(_parse_event_token(its[0]))
@@ -510,9 +513,15 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
         if chrono != expected:
             raise TraceSyntaxError(f"chrono {chrono} breaks the consecutive numbering", line=line_no)
         read = parser.canonical.get(type_name)
-        canonical = read and read[0](line, m.end(3))
-        events.append(_record(read[2]((type_name, depth, *map(getitem, read[1], canonical.groups()), None)))
-                      if canonical else parser.parse(type_name, m.group(4), depth, line_no))
+        try:
+            canonical = read and read[0](line, m.end(3))
+            events.append(_record(read[2]((type_name, depth, *map(getitem, read[1], canonical.groups()), None)))
+                          if canonical else parser.parse(type_name, m.group(4), depth, line_no))
+        except GentraError as exc:  # raised without a line: a domain, declaration or token error
+            if getattr(exc, "line", None) is not None:
+                raise
+            column = getattr(exc, "column", None)  # counted from the attribute text
+            raise TraceSyntaxError(str(exc), line_no, None if column is None else m.start(4) + column) from exc
     return TraceDocument(events=tuple(events), chrono_start=chrono_start, dialect=dialect, header=tuple(header),
                          deviations=tuple(continuation_notes + parser.deviations), mx=mx)
 
@@ -641,7 +650,10 @@ def parse_problem(text: str, mx: int = DEFAULT_MX) -> Problem:
     labels: list[str] = []
 
     def decl_or_fail(text_, line_no):
-        decl, raw = parse_declaration(text_, index_base=1)
+        try:
+            decl, raw = parse_declaration(text_, index_base=1)
+        except GentraError as exc:  # a malformed declaration or an unbalanced bracket
+            raise ProblemError(str(exc), line=line_no) from exc
         if decl is None:
             raise ProblemError(f"unparseable constraint {raw!r}", line=line_no)
         return decl

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import filterfalse
 from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -54,7 +55,7 @@ from .state import (
     solution_state,
     store,
 )
-from .trace import Trace, _actual_payloads
+from .trace import Trace, _actual_payloads, _payload
 
 CONTROL_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "jumpTo",
@@ -178,12 +179,8 @@ def _step_new_variable(full: FullState, act: Action) -> FullState:
     var, dom = act.get("variable"), act.get("domain")
     s = full.solver
     _need(var not in s.variables, "newVariable", f"{var} already declared")
-    s2 = s._replace(
-        variables=s.variables + (var,),
-        domains={**s.domains, var: dom},
-        initial_domains={**s.initial_domains, var: dom},
-    )
-    return full._replace(solver=s2)
+    return full.with_solver(variables=s.variables + (var,), domains={**s.domains, var: dom},
+                            initial_domains={**s.initial_domains, var: dom})
 
 
 def _step_new_constraint(full: FullState, act: Action) -> FullState:
@@ -193,7 +190,7 @@ def _step_new_constraint(full: FullState, act: Action) -> FullState:
     if decl is not None:
         missing = [v for v in decl.variables if v not in s.variables]
         _need(not missing, "newConstraint", f"undeclared variables {missing}")
-    return full._replace(solver=s._replace(constraints=s.constraints.with_entry(cid, decl)))
+    return full.with_solver(constraints=s.constraints.with_entry(cid, decl))
 
 
 def _step_post(full: FullState, act: Action) -> FullState:
@@ -201,7 +198,7 @@ def _step_post(full: FullState, act: Action) -> FullState:
     s = full.solver
     _need(s.is_declared(cid), "post", f"{cid} not declared")
     _need(cid not in store(s), "post", f"{cid} already in the store")
-    return full._replace(solver=s._replace(active=s.active + ((cid, BOTTOM),)))
+    return full.with_solver(active=s.active + ((cid, BOTTOM),))
 
 
 def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullState:
@@ -210,18 +207,6 @@ def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullStat
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
     depth = full.tree.depth(full.tree.current) + 1
     return full._replace(tree=full.tree.with_node(node, full.solver, depth))
-
-
-def _step_new_child(full: FullState, act: Action) -> FullState:
-    return _node_event(full, act, "newChild", choice_point)
-
-
-def _step_solution(full: FullState, act: Action) -> FullState:
-    return _node_event(full, act, "solution", solution_state)
-
-
-def _step_failure(full: FullState, act: Action) -> FullState:
-    return _node_event(full, act, "failure", failure_state)
 
 
 def _step_jump_to(full: FullState, act: Action) -> FullState:
@@ -237,13 +222,14 @@ def _step_deactivate(full: FullState, act: Action) -> FullState:
     cid = act.get("constraint")
     s = full.solver
     _need(cid in store(s), "deactivate", f"{cid} not in the store")
-    s2 = s._replace(
-        active=tuple(p for p in s.active if p[0] != cid),
-        sleeping=s.sleeping - {cid},
-        solved=s.solved - {cid},
-        rejected=s.rejected - {cid},
-    )
-    return full._replace(solver=s2)
+    return full.with_solver(active=tuple(p for p in s.active if p[0] != cid), sleeping=s.sleeping - {cid},
+                            solved=s.solved - {cid}, rejected=s.rejected - {cid})
+
+
+def _pushed(pending: tuple[SolverEvent, ...], events) -> tuple[SolverEvent, ...]:
+    """The pending events followed by those of ``events`` not pending yet."""
+    fresh = tuple(filterfalse(pending.__contains__, events))
+    return pending + fresh if fresh else pending
 
 
 def _step_restore(full: FullState, act: Action) -> FullState:
@@ -251,10 +237,10 @@ def _step_restore(full: FullState, act: Action) -> FullState:
     generated = act.get("generated", ())
     s = full.solver
     _need(var in s.variables, "restore", f"{var} not declared")
-    _need(values.disjoint(s.domain(var)), "restore", "restored values are still in the domain")
+    dom = s.domain(var)
+    _need(values.disjoint(dom), "restore", "restored values are still in the domain")
     _need(values.issubset(s.initial_domain(var)), "restore", "restored values exceed the initial domain")
-    s2 = s.with_domain(var, s.domain(var).union(values)).push_events(generated)
-    return full._replace(solver=s2)
+    return full.with_solver(domains={**s.domains, var: dom.union(values)}, pending=_pushed(s.pending, generated))
 
 
 def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullState:
@@ -269,11 +255,12 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
         raise TransitionError("reduce", f"no declaration recorded for {cid}")
     if var not in decl.variables:
         raise TransitionError("reduce", f"{var} is not a variable of {cid}")
-    _need(removed.issubset(s.domain(var)), "reduce", "removed values are not all in the domain")
-    s2 = s.with_domain(var, s.domain(var).subtract(removed)).push_events(generated)
+    dom = s.domain(var)
+    _need(removed.issubset(dom), "reduce", "removed values are not all in the domain")
+    domains, pending = {**s.domains, var: dom.subtract(removed)}, _pushed(s.pending, generated)
     if strict:
-        s2 = s2._replace(active=tuple(p for p in s2.active if p[0] != cid))
-    return full._replace(solver=s2)
+        return full.with_solver(domains=domains, pending=pending, active=tuple(p for p in s.active if p[0] != cid))
+    return full.with_solver(domains=domains, pending=pending)
 
 
 def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
@@ -291,8 +278,7 @@ def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
 
 def _step_suspend(full: FullState, act: Action) -> FullState:
     cid, active = _retire(full, act, "suspend")
-    s = full.solver
-    return full._replace(solver=s._replace(active=active, sleeping=s.sleeping | {cid}))
+    return full.with_solver(active=active, sleeping=full.solver.sleeping | {cid})
 
 
 def _step_solved(full: FullState, act: Action) -> FullState:
@@ -301,7 +287,7 @@ def _step_solved(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
     _need(decl.entailed(s.domains), "solved", f"{cid} is not entailed")
-    return full._replace(solver=s._replace(active=active, solved=s.solved | {cid}))
+    return full.with_solver(active=active, solved=s.solved | {cid})
 
 
 def _step_reject(full: FullState, act: Action) -> FullState:
@@ -310,7 +296,7 @@ def _step_reject(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
     _need(decl.falsified(s.domains), "reject", f"{cid} is not falsified")
-    return full._replace(solver=s._replace(active=active, rejected=s.rejected | {cid}))
+    return full.with_solver(active=active, rejected=s.rejected | {cid})
 
 
 def _step_awake(full: FullState, act: Action) -> FullState:
@@ -322,8 +308,7 @@ def _step_awake(full: FullState, act: Action) -> FullState:
           "waking event is neither bot nor the scheduled event")
     if not awake_condition(s, cid, cause):
         raise TransitionError("awake", f"{cid} does not watch {cause}")
-    s2 = s._replace(active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
-    return full._replace(solver=s2)
+    return full.with_solver(active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
 
 
 def _step_schedule(full: FullState, act: Action) -> FullState:
@@ -335,18 +320,17 @@ def _step_schedule(full: FullState, act: Action) -> FullState:
     if witness is not None and not awake_condition(s, witness, event):
         raise TransitionError("schedule", f"{witness} does not react to the event")
     idx = s.pending.index(event)
-    s2 = s._replace(pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
-    return full._replace(solver=s2)
+    return full.with_solver(pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
 
 
 RULES = {
     "newVariable": _step_new_variable,
     "newConstraint": _step_new_constraint,
     "post": _step_post,
-    "newChild": _step_new_child,
+    "newChild": partial(_node_event, rule="newChild", state_pred=choice_point),
     "jumpTo": _step_jump_to,
-    "solution": _step_solution,
-    "failure": _step_failure,
+    "solution": partial(_node_event, rule="solution", state_pred=solution_state),
+    "failure": partial(_node_event, rule="failure", state_pred=failure_state),
     "deactivate": _step_deactivate,
     "restore": _step_restore,
     "reduce": _step_reduce,
@@ -428,19 +412,19 @@ def _active_cause(full: FullState, ev: GenericEvent) -> SolverEvent:
 def _read_jump(full: FullState, ev: GenericEvent) -> Action:
     if ev.node2 is not None and ev.node2 != full.tree.current:
         _fail(ev.type, f"origin node {ev.node2} is not the current node")
-    return Action(ev.type, (("node", ev.node),))
+    return _payload(Action, (ev.type, (("node", ev.node),)))
 
 
 def _read_restore(full: FullState, ev: GenericEvent) -> Action:
     gen = tuple(SolverEvent(e.kind, e.variable) for e in ev.generated or ())
-    return Action(ev.type, (("generated", gen), ("values", ev.domain), ("variable", ev.variable)))
+    return _payload(Action, (ev.type, (("generated", gen), ("values", ev.domain), ("variable", ev.variable))))
 
 
 def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
     cause = _active_cause(full, ev)
     gen = tuple(SolverEvent(e.kind, e.variable, ev.constraint) for e in ev.generated or ())
-    return Action(ev.type, (("cause", cause), ("constraint", ev.constraint), ("generated", gen),
-                            ("removed", ev.domain), ("variable", ev.variable)))
+    return _payload(Action, (ev.type, (("cause", cause), ("constraint", ev.constraint), ("generated", gen),
+                                       ("removed", ev.domain), ("variable", ev.variable))))
 
 
 def _read_awake(full: FullState, ev: GenericEvent) -> Action:
@@ -451,7 +435,7 @@ def _read_awake(full: FullState, ev: GenericEvent) -> Action:
         cause = current
     else:
         _fail(ev.type, "recorded cause is not the scheduled event")
-    return Action(ev.type, (("cause", cause), ("constraint", ev.constraint)))
+    return _payload(Action, (ev.type, (("cause", cause), ("constraint", ev.constraint))))
 
 
 def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
@@ -459,24 +443,27 @@ def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
     if event is None:
         _fail(ev.type, f"no pending event matches {ev.event.kind} {ev.event.variable}")
     if ev.constraint is not None:
-        return Action(ev.type, (("event", event), ("witness", ev.constraint)))
-    return Action(ev.type, (("event", event),))
+        return _payload(Action, (ev.type, (("event", event), ("witness", ev.constraint))))
+    return _payload(Action, (ev.type, (("event", event),)))
 
 
 # record readers: the action each record type encodes, read against the
 # pre-state (solver events are serialized without their originating
 # constraint; the origin is recovered from the active pair for causes and
-# from the pending pool for scheduled events), arguments in ``Action.of`` order
+# from the pending pool for scheduled events), arguments in ``Action.of``
+# order; each builds its action positionally, without a Python-level call
 READERS = {
-    "newVariable": lambda full, ev: Action(ev.type, (("domain", ev.domain), ("variable", ev.variable))),
-    "newConstraint": lambda full, ev: Action(ev.type, (("constraint", ev.constraint), ("decl", ev.decl))),
+    "newVariable": lambda full, ev: _payload(Action, (ev.type, (("domain", ev.domain), ("variable", ev.variable)))),
+    "newConstraint": lambda full, ev: _payload(Action, (ev.type, (("constraint", ev.constraint), ("decl", ev.decl)))),
     **dict.fromkeys(("post", "deactivate", "suspend", "solved"),
-                    lambda full, ev: Action(ev.type, (("constraint", ev.constraint),))),
-    **dict.fromkeys(("newChild", "solution", "failure"), lambda full, ev: Action(ev.type, (("node", ev.node),))),
+                    lambda full, ev: _payload(Action, (ev.type, (("constraint", ev.constraint),)))),
+    **dict.fromkeys(("newChild", "solution", "failure"),
+                    lambda full, ev: _payload(Action, (ev.type, (("node", ev.node),)))),
     "jumpTo": _read_jump,
     "restore": _read_restore,
     "reduce": _read_reduce,
-    "reject": lambda full, ev: Action(ev.type, (("cause", _active_cause(full, ev)), ("constraint", ev.constraint))),
+    "reject": lambda full, ev: _payload(Action, (ev.type, (("cause", _active_cause(full, ev)),
+                                                          ("constraint", ev.constraint)))),
     "awake": _read_awake,
     "schedule": _read_schedule,
 }

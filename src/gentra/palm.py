@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 from .constraints import ConstraintDecl
-from .errors import GentraError, ReconstructionError, StateInvariantError
+from .errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
 from .gentra4cp import (READERS, RULES, GenericEvent, _need, apply_rule, check_depth, extract_event,
                         is_initial, read_record)
@@ -47,7 +47,7 @@ from .solver import (
     _Run,
 )
 from .state import FullState, SolverEvent, initial_state, store, watchers
-from .trace import Trace
+from .trace import Trace, _payload
 
 PALM_EVENT_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "solution", "failure",
@@ -135,8 +135,9 @@ def _reject(full: FullState, act: Action) -> FullState:
 def _idle(rule):
     """The generic rule, fired only with nothing active and nothing rejected."""
     def apply(full: FullState, act: Action) -> FullState:
-        _need(not full.solver.active, act.kind, "a constraint is active")
-        _need(not full.solver.rejected, act.kind, "a constraint is rejected")
+        s = full.solver
+        if s.active or s.rejected:
+            raise TransitionError(act.kind, "a constraint is active" if s.active else "a constraint is rejected")
         return rule(full, act)
     return apply
 
@@ -183,7 +184,7 @@ def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
     kind, args = READERS["reduce"](full, ev)
     if ev.explanation is None:
         raise ReconstructionError("reduce", "reduce record carries no explanation")
-    return Action(kind, tuple(sorted((*args, ("explanation", frozenset(ev.explanation))))))
+    return _payload(Action, (kind, tuple(sorted((*args, ("explanation", frozenset(ev.explanation)))))))
 
 
 PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}

@@ -16,9 +16,8 @@ new values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 from .constraints import ConstraintDecl
 from .errors import StateInvariantError
@@ -27,24 +26,29 @@ from .fdomain import FiniteDomain
 EVENT_KINDS = ("dom", "min", "max", "val")
 
 
-@dataclass(frozen=True)
-class SolverEvent:
-    """A propagation-level happening: a domain change to be propagated.
-
-    ``bot`` is the distinguished no-event used when a constraint is activated
-    directly rather than woken by a change; it carries no variable.
-    """
-
+class _EventFields(NamedTuple):
     kind: str
     variable: str | None = None
     origin: str | None = None
 
-    def __post_init__(self):
-        if self.kind == "bot":
-            if self.variable is not None or self.origin is not None:
+
+class SolverEvent(_EventFields):
+    """A propagation-level happening: a domain change to be propagated.
+
+    ``bot`` is the distinguished no-event used when a constraint is activated
+    directly rather than woken by a change; it carries no variable.  A named
+    tuple, so it compares and hashes by value in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, variable=None, origin=None):
+        if kind == "bot":
+            if variable is not None or origin is not None:
                 raise StateInvariantError("the bottom event carries no variable and no origin")
-        elif self.kind not in EVENT_KINDS:
-            raise StateInvariantError(f"unknown solver-event kind {self.kind!r}")
+        elif kind not in EVENT_KINDS:
+            raise StateInvariantError(f"unknown solver-event kind {kind!r}")
+        return tuple.__new__(cls, (kind, variable, origin))
 
     def matches(self, kind: str, variable: str | None) -> bool:
         return self.kind == kind and self.variable == variable
@@ -141,20 +145,6 @@ class _SolverFields(NamedTuple):
     current_event: SolverEvent | None
 
 
-def _replace_at(fields):
-    """A named tuple's ``_replace`` over ``fields`` (a ``ValueError`` on an
-    unknown field, unchanged fields shared) with one positional construction."""
-    index = {name: i for i, name in enumerate(fields)}
-    def _replace(self, **changes):
-        values = [*self]
-        for name, value in changes.items():
-            if name not in index:
-                raise ValueError(f"Got unexpected field names: {[n for n in changes if n not in index]!r}")
-            values[index[name]] = value
-        return tuple.__new__(type(self), values)
-    return _replace
-
-
 class SolverState(_SolverFields):
     """The propagation half of the machine state: an immutable named tuple.
 
@@ -162,8 +152,9 @@ class SolverState(_SolverFields):
     when the record gave none); ``domains`` and ``initial_domains`` map each
     declared variable to its domain.  The constructor also accepts (key,
     value) pairs for the keyed fields and gives every state it builds maps
-    and a declaration store of its own; ``_replace`` skips it and shares
-    them, which is sound because they are never mutated.  States compare by
+    and a declaration store of its own; ``_replace`` and
+    ``FullState.with_solver`` skip it and share them, which is sound because
+    they are never mutated.  States compare by
     value, and hash by every field but the two dicts.
     """
 
@@ -174,8 +165,6 @@ class SolverState(_SolverFields):
                 current_event=None):
         return tuple.__new__(cls, (variables, Entries(constraints), dict(domains), dict(initial_domains),
                                    active, solved, rejected, sleeping, pending, current_event))
-
-    _replace = _replace_at(_SolverFields._fields)
 
     def __hash__(self):
         return hash(self[:2] + self[4:])  # all but domains and initial_domains
@@ -200,27 +189,11 @@ class SolverState(_SolverFields):
     def is_declared(self, cid: str) -> bool:
         return cid in self.constraints
 
-    @property
-    def active_ids(self) -> frozenset:
-        return frozenset(c for c, _ in self.active)
-
     def active_event(self, cid: str) -> SolverEvent | None:
         for c, event in self.active:
             if c == cid:
                 return event
         return None
-
-    # updates
-
-    def with_domain(self, var: str, dom: FiniteDomain) -> "SolverState":
-        """Rebind the domain of a declared variable."""
-        return self._replace(domains={**self.domains, var: dom})
-
-    def push_events(self, events) -> "SolverState":
-        fresh = [e for e in events if e not in self.pending]
-        if not fresh:
-            return self
-        return self._replace(pending=self.pending + tuple(fresh))
 
 
 def store(state: SolverState) -> frozenset:
@@ -229,7 +202,7 @@ def store(state: SolverState) -> frozenset:
     Validates that the four parts partition the store and stay within the
     declared constraints.
     """
-    active = state.active_ids
+    active = frozenset(c for c, _ in state.active)
     union = active | state.sleeping | state.solved | state.rejected
     if len(union) != len(active) + len(state.sleeping) + len(state.solved) + len(state.rejected):
         raise StateInvariantError("store parts are not pairwise disjoint")
@@ -316,10 +289,21 @@ class FullState(_FullFields):
     """
 
     __slots__ = ()
-    _replace = _replace_at(_FullFields._fields)
 
     def __hash__(self):
         return hash((self.solver, self.tree))
+
+    def with_solver(self, **changes) -> "FullState":
+        """This state with the named solver fields replaced, the tree and the
+        table shared: the solver part and the state are each rebuilt in one
+        positional construction."""
+        values = [*self[0]]
+        for name, value in changes.items():
+            values[_SOLVER_AT[name]] = value
+        return tuple.__new__(FullState, (tuple.__new__(SolverState, values), self[1], self[2]))
+
+
+_SOLVER_AT = {name: i for i, name in enumerate(_SolverFields._fields)}
 
 
 def initial_state() -> FullState:
@@ -344,27 +328,28 @@ def failure_state(state: SolverState) -> bool:
 
 
 def solution_state(state: SolverState) -> bool:
-    """No rejection, every constrained variable fixed, every store constraint entailed."""
+    """No rejection, every constrained variable fixed, every store constraint entailed.
+
+    Once its variables are fixed, a constraint is entailed exactly when the
+    fixed assignment satisfies it, so that is what is tested.
+    """
     if state.rejected:
         return False
     try:
         sigma = store(state)
     except StateInvariantError:
         return False
-    domains = state.domains
-    constrained: set = set()
-    for cid in sigma:
-        decl = state.declaration(cid)
-        if decl is None:
-            return False
-        constrained.update(decl.variables)
-    if any(not domains[v].is_singleton() for v in constrained):
+    decls = [*map(state.constraints.get, sigma)]
+    if not all(decls):  # a constraint declared without a declaration
         return False
-    for cid in sorted(sigma):
-        decl = state.declaration(cid)
-        if not decl.entailed(domains):
-            return False
-    return True
+    domains, assignment = state.domains, {}
+    for decl in decls:
+        for v in decl.variables:
+            dom = domains[v]
+            if not dom.is_singleton():
+                return False
+            assignment[v] = dom.intervals[0][0]
+    return all(decl.satisfied(assignment) for decl in decls)
 
 
 def awake_condition(state: SolverState, cid: str, event: SolverEvent) -> bool:
@@ -383,11 +368,21 @@ def awake_condition(state: SolverState, cid: str, event: SolverEvent) -> bool:
     return decl is not None and event.variable in decl.variables
 
 
+def _woken(state: SolverState, event: SolverEvent) -> Iterator[str]:
+    """The sleeping constraints ``event`` wakes (``awake_condition`` over the
+    sleeping set), in the set's order, with no call per constraint.  Every
+    sleeping constraint is declared: the rules keep the store declared."""
+    if event.kind == "bot":
+        return iter(state.sleeping)
+    decls, var = state.constraints._store, event.variable
+    return (c for c in state.sleeping if var in getattr(decls.values[decls.index[c]], "variables", ()))
+
+
 def watchers(state: SolverState, event: SolverEvent) -> list[str]:
     """Sleeping constraints that ``event`` would wake, in identifier order."""
-    return [c for c in sorted(state.sleeping) if awake_condition(state, c, event)]
+    return sorted(_woken(state, event))
 
 
 def schedulable(state: SolverState, event: SolverEvent) -> bool:
     """May ``event`` be scheduled, i.e. does some sleeping constraint react to it?"""
-    return any(awake_condition(state, c, event) for c in state.sleeping)
+    return next(_woken(state, event), None) is not None

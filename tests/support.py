@@ -1,6 +1,6 @@
 """Shared test helpers: an independent brute-force oracle, brute-force
-entailment, random inputs, near-miss text edits, and an extraction derived by
-inverting reconstruction.
+entailment, the solution predicate read through entailment, random inputs,
+near-miss text edits, and an extraction derived by inverting reconstruction.
 
 The oracle never touches the propagation machinery: it re-implements each
 constraint's relation directly on integers and enumerates total assignments
@@ -16,10 +16,11 @@ from typing import Any, Callable, Iterable, Mapping
 from hypothesis import strategies as st
 
 from gentra.constraints import ConstraintDecl
-from gentra.errors import GentraError, ReconstructionError, TransitionError
+from gentra.errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain
 from gentra.semantics import Action, ObservationalSemantics, replay
 from gentra.solver import Problem
+from gentra.state import SolverState, store
 from gentra.trace import BOTTOM_DOMAIN, PrefixSet, Trace, TraceDomain, VirtualPayload
 
 
@@ -146,6 +147,28 @@ def entailed_by_enumeration(decl: ConstraintDecl, domains: Mapping[str, FiniteDo
         if not decl.satisfied(dict(zip(vs, combo))):
             return False
     return True
+
+
+def entailed_solution_state(state: SolverState) -> bool:
+    """The solution predicate read through domain-level entailment: no
+    rejection, every constrained variable fixed, every store constraint
+    ``entailed``; the reference ``state.solution_state`` must agree with."""
+    if state.rejected:
+        return False
+    try:
+        sigma = store(state)
+    except StateInvariantError:
+        return False
+    domains = state.domains
+    constrained: set = set()
+    for cid in sigma:
+        decl = state.declaration(cid)
+        if decl is None:
+            return False
+        constrained.update(decl.variables)
+    if any(not domains[v].is_singleton() for v in constrained):
+        return False
+    return all(state.declaration(cid).entailed(domains) for cid in sorted(sigma))
 
 
 def solutions_as_set(result) -> set:

@@ -379,7 +379,8 @@ def _element_trace(machine: str) -> str:
 # one-edit mutants of the emitted element traces: the line at a 1-based
 # file line number is deleted, duplicated, swapped with the next line or
 # replaced, and the text is parsed strictly; each error is the class, text,
-# line and column the tokenizer-only reader gave, or None for a clean parse
+# line and column the tokenizer-only reader gave, or None for a clean parse.
+# Every error names its line, and a column counts from the line's start.
 PARSE_MUTANTS = [
     (("fd", 7, "delete"),
      ("TraceSyntaxError", "chrono 6 breaks the consecutive numbering (line 7)", 7, None)),
@@ -395,9 +396,9 @@ PARSE_MUTANTS = [
     (("fd", 40, "38[1]jumpTo node(1)"),
      ("TraceShapeError", "jumpTo: missing required attribute 'node2' (line 40)", 40, None)),
     (("fd", 3, "1[0]newVariable I [4-1]"),
-     ("GentraError", "descending interval in domain literal: '4-1'", None, None)),
+     ("TraceSyntaxError", "descending interval in domain literal: '4-1' (line 3)", 3, None)),
     (("fd", 7, "5[0]reduce c1 I gen{dom(I),min(I),max(I)} [0,4-mx bot"),
-     ("TraceSyntaxError", "unbalanced '['", None, 32)),
+     ("TraceSyntaxError", "unbalanced '[' (line 7, col 43)", 7, 43)),
     (("fd", 28, "26[1]newChild node(x1)"),
      ("TraceSyntaxError", "expected node(k), got 'node(x1)' (line 28)", 28, None)),
     (("fd", 13, "11[0]schedule c1 I 7"),
@@ -406,15 +407,15 @@ PARSE_MUTANTS = [
      ("TraceSyntaxError", "chrono 12 breaks the consecutive numbering (line 13)", 13, None)),
     (("fd", 6, "4[0]post zz"), None),
     (("fd", 5, "3[0]newConstraint c1 element(I,[],A)"),
-     ("GentraError", "element takes (index var, non-empty value list, value var)", None, None)),
+     ("TraceSyntaxError", "element takes (index var, non-empty value list, value var) (line 5)", 5, None)),
     (("palm", 1, "# dialect: generic"),
      ("TraceSyntaxError", "wake-kind token 'max' on reduce (line 7)", 7, None)),
     (("palm", 11, "9[0]awake c1 dom(I) dom"),
      ("TraceSyntaxError", "wake-kind token 'dom' on awake (line 11)", 11, None)),
     (("palm", 7, "5[0]reduce c1 I gen{dom(I),max(I)} [3-mx] bot expl{c1 max"),
-     ("TraceSyntaxError", "unbalanced '{'", None, 40)),
+     ("TraceSyntaxError", "unbalanced '{' (line 7, col 51)", 7, 51)),
     (("palm", 39, "37[2]restore I [0-mx] gen{dom(I),bot(I)}"),
-     ("TraceSyntaxError", "not a solver event: 'bot(I)'", None, None)),
+     ("TraceSyntaxError", "not a solver event: 'bot(I)' (line 39)", 39, None)),
 ]
 
 

@@ -185,3 +185,28 @@ def test_strict_parse_reads_canonical_lines_without_tokens(machine):
     text = _ladder_text(machine, 6)
     lines, doc = _line_events(lambda: parse_trace(text))
     assert lines <= PARSE_LINE_EVENTS_PER_RECORD * len(doc.events), lines / len(doc.events)
+
+
+# At ladder k = 6 the palm verdict (three rule applications per event)
+# takes about 241 line events per event, and the fd verdict (validate and
+# check_faithful, one application) about 140.  A slower rule step costs the
+# same per event at every size, so only an absolute bound sees it; each
+# bound is that count plus about 5%.
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 253, "fd": 147}
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_verdict_rule_steps_stay_within_their_line_events(machine):
+    if machine == "palm":
+        events = palm_solve(ladder(6)).events
+        lines, ok = _line_events(lambda: check_generic(make_semantics(), palm_process(), events).ok)
+    else:
+        events = solve(ladder(6)).events
+
+        def verdict():
+            report = validate(events)
+            return report.ok and check_faithful(make_semantics(), [report.virtual]).ok
+
+        lines, ok = _line_events(verdict)
+    assert ok
+    assert lines <= VERDICT_LINE_EVENTS_PER_EVENT[machine] * len(events), lines / len(events)

@@ -217,8 +217,8 @@ def test_both_invariant_checks_catch_corrupted_tables():
         Action.of("deactivate", constraint="c1"),
         Action.of("restore", variable="x", values=parse_domain("[0-1]")),
     ], start=reduced)
-    stale = repaired._replace(solver=repaired.solver.with_domain("x", parse_domain("[0-4]")),
-                              explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
+    stale = repaired.with_solver(domains={**repaired.solver.domains, "x": parse_domain("[0-4]")})._replace(
+        explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
     # c1 relaxed, x not yet repaired
     relaxed = palm_apply(reduced, Action.of("deactivate", constraint="c1"))
     check_palm_invariants(reduced)
