@@ -30,7 +30,21 @@ from .state import store
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        click.echo(f"parse error: {path} is not UTF-8 text: {exc}", err=True)
+    except OSError as exc:
+        click.echo(f"error: cannot read {path}: {exc.strerror}", err=True)
+    sys.exit(2)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        click.echo(f"error: cannot write {path}: {exc.strerror}", err=True)
+        sys.exit(2)
 
 
 def _parse_trace_file(path, mode, dialect, mx):
@@ -94,7 +108,7 @@ def solve_cmd(problem, trace_out, strict_reduce, use_palm, mx):
     click.echo(f"solutions={len(result.solutions)} events={len(result.events)}")
     text = serialize_trace(doc)
     if trace_out:
-        Path(trace_out).write_text(text, encoding="utf-8")
+        _write(trace_out, text)
     else:
         click.echo(text, nl=False)
 
@@ -157,7 +171,7 @@ def map_palm_cmd(trace, out, lenient, mx):
     text = serialize_trace(document_for_events(mapped, solver="palm-mapped", mx=mx,
                                                chrono_start=doc.chrono_start))
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         click.echo(text, nl=False)
 

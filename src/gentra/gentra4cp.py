@@ -54,6 +54,8 @@ from .state import (
     schedulable,
     solution_state,
     store,
+    with_id,
+    without_id,
 )
 from .trace import Trace, _actual_payloads, _payload
 
@@ -222,8 +224,9 @@ def _step_deactivate(full: FullState, act: Action) -> FullState:
     cid = act.get("constraint")
     s = full.solver
     _need(cid in store(s), "deactivate", f"{cid} not in the store")
-    return full.with_solver(active=tuple(p for p in s.active if p[0] != cid), sleeping=s.sleeping - {cid},
-                            solved=s.solved - {cid}, rejected=s.rejected - {cid})
+    return full.with_solver(active=tuple(p for p in s.active if p[0] != cid),
+                            sleeping=without_id(s.sleeping, cid), solved=without_id(s.solved, cid),
+                            rejected=without_id(s.rejected, cid))
 
 
 def _pushed(pending: tuple[SolverEvent, ...], events) -> tuple[SolverEvent, ...]:
@@ -278,7 +281,7 @@ def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
 
 def _step_suspend(full: FullState, act: Action) -> FullState:
     cid, active = _retire(full, act, "suspend")
-    return full.with_solver(active=active, sleeping=full.solver.sleeping | {cid})
+    return full.with_solver(active=active, sleeping=with_id(full.solver.sleeping, cid))
 
 
 def _step_solved(full: FullState, act: Action) -> FullState:
@@ -287,7 +290,7 @@ def _step_solved(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
     _need(decl.entailed(s.domains), "solved", f"{cid} is not entailed")
-    return full.with_solver(active=active, solved=s.solved | {cid})
+    return full.with_solver(active=active, solved=with_id(s.solved, cid))
 
 
 def _step_reject(full: FullState, act: Action) -> FullState:
@@ -296,7 +299,7 @@ def _step_reject(full: FullState, act: Action) -> FullState:
     decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
     _need(decl.falsified(s.domains), "reject", f"{cid} is not falsified")
-    return full.with_solver(active=active, rejected=s.rejected | {cid})
+    return full.with_solver(active=active, rejected=with_id(s.rejected, cid))
 
 
 def _step_awake(full: FullState, act: Action) -> FullState:
@@ -308,7 +311,7 @@ def _step_awake(full: FullState, act: Action) -> FullState:
           "waking event is neither bot nor the scheduled event")
     if not awake_condition(s, cid, cause):
         raise TransitionError("awake", f"{cid} does not watch {cause}")
-    return full.with_solver(active=s.active + ((cid, cause),), sleeping=s.sleeping - {cid})
+    return full.with_solver(active=s.active + ((cid, cause),), sleeping=without_id(s.sleeping, cid))
 
 
 def _step_schedule(full: FullState, act: Action) -> FullState:
@@ -486,8 +489,10 @@ def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
 
 def check_depth(ev: GenericEvent, new: FullState) -> None:
     """A replayed record must carry the depth of the node its rule reached."""
-    if ev.depth != new.tree.depth(new.tree.current):
-        _fail(ev.type, f"depth {ev.depth} != current node depth {new.tree.depth(new.tree.current)}")
+    tree = new.tree
+    depth = tree.entries.get(tree.current)[1]  # the rules keep the current node in the tree
+    if ev.depth != depth:
+        _fail(ev.type, f"depth {ev.depth} != current node depth {depth}")
 
 
 # semantics bundle and parameter tables

@@ -390,7 +390,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
                 if cid in problem_ids and cid not in repost and cid not in store(run.solver):
                     repost.append(cid)
             posts.clear()
-            c_rej = sorted(run.solver.rejected)[0]
+            c_rej = run.solver.rejected[0]
             run.emit(Action.of("deactivate", constraint=c_rej))
             _emit_restores(run)
             if c_rej in problem_ids and c_rej not in repost:

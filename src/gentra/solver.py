@@ -189,7 +189,7 @@ def propagate(run: _Run) -> None:
                 _handle_active(run, cid, event)
             continue
         retired = False
-        for cid in sorted(s.sleeping):
+        for cid in s.sleeping:
             decl = s.declaration(cid)
             if decl is not None and decl.entailed(s.domains):
                 run.emit(Action.of("awake", constraint=cid, cause=BOTTOM))

@@ -3,7 +3,10 @@
 The solver side tracks declared variables and constraints, current and
 initial domains, and the constraint store partitioned into active pairs,
 sleeping, solved, and rejected constraints, plus a FIFO of pending solver
-events and the one most recently scheduled event.  The search side is a
+events and the one most recently scheduled event.  The sleeping, solved and
+rejected parts are sorted tuples of constraint identifiers: the order is
+canonical, so equality and hashing are those of the sets, and a tuple of a
+few identifiers takes a fraction of a set's memory.  The search side is a
 store of nodes, each with its solver-state snapshot and depth, shared
 append-only by every tree state that sees a prefix of it.
 
@@ -16,6 +19,7 @@ new values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from types import MappingProxyType
 from typing import Any, Iterator, Mapping, NamedTuple
 
@@ -138,9 +142,9 @@ class _SolverFields(NamedTuple):
     domains: dict[str, FiniteDomain]
     initial_domains: dict[str, FiniteDomain]
     active: tuple[tuple[str, SolverEvent], ...]
-    solved: frozenset
-    rejected: frozenset
-    sleeping: frozenset
+    solved: tuple[str, ...]
+    rejected: tuple[str, ...]
+    sleeping: tuple[str, ...]
     pending: tuple[SolverEvent, ...]
     current_event: SolverEvent | None
 
@@ -161,10 +165,10 @@ class SolverState(_SolverFields):
     __slots__ = ()
 
     def __new__(cls, variables=(), constraints=(), domains=(), initial_domains=(), active=(),
-                solved=frozenset(), rejected=frozenset(), sleeping=frozenset(), pending=(),
-                current_event=None):
-        return tuple.__new__(cls, (variables, Entries(constraints), dict(domains), dict(initial_domains),
-                                   active, solved, rejected, sleeping, pending, current_event))
+                solved=(), rejected=(), sleeping=(), pending=(), current_event=None):
+        return tuple.__new__(cls, (variables, Entries(constraints), dict(domains), dict(initial_domains), active,
+                                   *(tuple(sorted(set(ids))) for ids in (solved, rejected, sleeping)),
+                                   pending, current_event))
 
     def __hash__(self):
         return hash(self[:2] + self[4:])  # all but domains and initial_domains
@@ -196,6 +200,18 @@ class SolverState(_SolverFields):
         return None
 
 
+def with_id(ids: tuple[str, ...], cid: str) -> tuple[str, ...]:
+    """The sorted identifiers ``ids`` with ``cid`` inserted in order."""
+    i = bisect_left(ids, cid)
+    return ids if ids[i:i + 1] == (cid,) else ids[:i] + (cid,) + ids[i:]
+
+
+def without_id(ids: tuple[str, ...], cid: str) -> tuple[str, ...]:
+    """The sorted identifiers ``ids`` without ``cid``."""
+    i = bisect_left(ids, cid)
+    return ids[:i] + ids[i + 1:] if ids[i:i + 1] == (cid,) else ids
+
+
 def store(state: SolverState) -> frozenset:
     """The constraint store: every constraint currently taken into account.
 
@@ -203,7 +219,7 @@ def store(state: SolverState) -> frozenset:
     declared constraints.
     """
     active = frozenset(c for c, _ in state.active)
-    union = active | state.sleeping | state.solved | state.rejected
+    union = active.union(state.sleeping, state.solved, state.rejected)
     if len(union) != len(active) + len(state.sleeping) + len(state.solved) + len(state.rejected):
         raise StateInvariantError("store parts are not pairwise disjoint")
     if not state.constraints.covers(union):
@@ -370,7 +386,7 @@ def awake_condition(state: SolverState, cid: str, event: SolverEvent) -> bool:
 
 def _woken(state: SolverState, event: SolverEvent) -> Iterator[str]:
     """The sleeping constraints ``event`` wakes (``awake_condition`` over the
-    sleeping set), in the set's order, with no call per constraint.  Every
+    sleeping part), in identifier order, with no call per constraint.  Every
     sleeping constraint is declared: the rules keep the store declared."""
     if event.kind == "bot":
         return iter(state.sleeping)
@@ -380,7 +396,7 @@ def _woken(state: SolverState, event: SolverEvent) -> Iterator[str]:
 
 def watchers(state: SolverState, event: SolverEvent) -> list[str]:
     """Sleeping constraints that ``event`` would wake, in identifier order."""
-    return sorted(_woken(state, event))
+    return list(_woken(state, event))
 
 
 def schedulable(state: SolverState, event: SolverEvent) -> bool:

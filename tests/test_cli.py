@@ -280,3 +280,46 @@ def test_every_command_exits_0_1_or_2_on_near_misses(script):
                 # an exception other than SystemExit propagates and fails the test
                 result = runner.invoke(main, [command[0], "input", *command[1:]], catch_exceptions=False)
                 assert result.exit_code in (0, 1, 2), (command, result.output)
+
+
+# a file a command cannot read as text, or cannot write: one error line on
+# stderr and exit 2, never a traceback
+
+
+@pytest.mark.parametrize("command", COMMANDS + (["diff"],), ids=" ".join)
+def test_non_utf8_input_is_a_parse_error(runner, tmp_path, command):
+    path = tmp_path / "input"
+    path.write_bytes(b"\x00\xff")
+    second = [str(path)] if command[0] == "diff" else []
+    result = runner.invoke(main, [command[0], str(path), *command[1:], *second], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"parse error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                             "in position 1: invalid start byte\n")
+
+
+def test_unreadable_input_is_an_error(runner, element_prob, monkeypatch):
+    def refuse(self, encoding=None):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    result = runner.invoke(main, ["solve", element_prob], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert (result.stdout, result.stderr) == ("", f"error: cannot read {element_prob}: Permission denied\n")
+
+
+@pytest.mark.parametrize("command", [["solve", "--trace"], ["solve", "--palm", "--trace"]])
+def test_unwritable_trace_output_is_an_error(runner, element_prob, tmp_path, command):
+    target = tmp_path / "missing" / "x.trace"
+    result = runner.invoke(main, [command[0], element_prob, *command[1:], str(target)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_unwritable_mapped_output_is_an_error(runner, element_prob, tmp_path):
+    palm_out = tmp_path / "palm.trace"
+    assert runner.invoke(main, ["solve", element_prob, "--palm", "--trace", str(palm_out)]).exit_code == 0
+    target = tmp_path / "missing" / "mapped.trace"
+    result = runner.invoke(main, ["map-palm", str(palm_out), "-o", str(target)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert (result.stdout, result.stderr) == ("", f"error: cannot write {target}: No such file or directory\n")

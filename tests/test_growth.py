@@ -1,12 +1,15 @@
 """Per-event cost guards: work per event must not grow with trace length.
 
 Wall-clock time is too noisy for a unit test, so each guard counts a
-deterministic proxy for the work instead and compares events at the bottom
-and the top of the path-colouring ladder.
+deterministic proxy for the work instead (line events, rule applications,
+state comparisons, or bytes held) and compares events at the bottom and the
+top of the path-colouring ladder.
 """
 
 import dataclasses
+import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -210,3 +213,48 @@ def test_verdict_rule_steps_stay_within_their_line_events(machine):
         lines, ok = _line_events(verdict)
     assert ok
     assert lines <= VERDICT_LINE_EVENTS_PER_EVENT[machine] * len(events), lines / len(events)
+
+
+# Bytes a run holds per event when it returns, measured with tracemalloc:
+# mostly the virtual trace, one state per event, so a bigger state shows
+# here at every size and only an absolute bound sees it.  Measured with
+# Python 3.11 at ladder k = 4 and 6: the palm replay holds 686 and 716 bytes
+# per event and palm_solve 907 and 940; with the store's sleeping, solved
+# and rejected parts as frozensets they held 987 and 1,132, and 1,208 and
+# 1,355.  Each bound is the larger measurement plus about 15%.
+HELD_BYTES_PER_EVENT = {"palm-replay": 825, "palm-solve": 1080}
+
+
+def _held_bytes(run):
+    """Run ``run()``, which returns a result and its number of events, and
+    return the bytes per event it allocated and still holds with the result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result, events = run()  # the result stays alive while it is measured
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held / events
+
+
+@pytest.mark.parametrize("path", sorted(HELD_BYTES_PER_EVENT))
+def test_held_bytes_per_event_stay_flat_and_bounded(path):
+    if path == "palm-replay":
+        os = make_palm_semantics()
+        actual = {k: Trace(palm_initial_state(), tuple(map(ActualPayload, palm_solve(ladder(k)).events)))
+                  for k in (4, 6)}
+
+        def run(k):
+            virtual = reconstruct(os, actual[k])
+            return virtual, virtual.size
+    else:
+        problems = {k: ladder(k) for k in (4, 6)}
+
+        def run(k):
+            result = palm_solve(problems[k])
+            return result, len(result.events)
+    per_event = {k: _held_bytes(lambda: run(k)) for k in (4, 6)}
+    assert per_event[6] <= GROWTH_LIMIT * per_event[4], per_event
+    assert max(per_event.values()) <= HELD_BYTES_PER_EVENT[path], per_event

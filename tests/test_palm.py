@@ -87,7 +87,7 @@ def test_reject_fires_exactly_on_empty_domain():
         "reduce", constraint="c1", variable="x", removed=FiniteDomain.interval(0, 5),
         generated=(), cause=BOTTOM, explanation=frozenset({"c1"})))
     rejected = palm_apply(wiped, Action.of("reject", constraint="c1", cause=BOTTOM))
-    assert rejected.solver.rejected == {"c1"}
+    assert rejected.solver.rejected == ("c1",)
     assert rejected.solver.active == ()
 
 

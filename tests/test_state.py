@@ -2,20 +2,28 @@
 
 Solver events and domains are named tuples: they compare and hash in C, as
 tuples of their fields, and print, validate and fail as the frozen
-dataclasses they replaced did.  ``solution_state`` tests the fixed
-assignment; ``support.entailed_solution_state`` keeps the entailment-based
-reading it must agree with.
+dataclasses they replaced did.  The sleeping, solved and rejected parts of
+the store are sorted, duplicate-free tuples of identifiers, whatever built
+the state.  ``solution_state`` tests the fixed assignment;
+``support.entailed_solution_state`` keeps the entailment-based reading it
+must agree with.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentra.constraints import ConstraintDecl
-from gentra.errors import GentraError, StateInvariantError
+from gentra.errors import GentraError, StateInvariantError, TransitionError
 from gentra.fdomain import EMPTY_DOMAIN, FiniteDomain
-from gentra.state import BOTTOM, SolverEvent, SolverState, solution_state
+from gentra.formats import parse_trace
+from gentra.gentra4cp import make_semantics, validate
+from gentra.palm import make_palm_semantics, palm_initial_state
+from gentra.semantics import Action, reconstruct
+from gentra.state import BOTTOM, FullState, SolverEvent, SolverState, initial_state, solution_state
+from gentra.trace import ActualPayload, Trace
 
 from support import entailed_solution_state
+from test_golden_traces import GOLDEN, emitted_text
 
 small_sets = st.sets(st.integers(min_value=0, max_value=12), max_size=8)
 
@@ -123,3 +131,86 @@ def test_solution_state_on_fixed_states_of_each_kind():
         state = SolverState(variables=("x", "y"), constraints=(("c1", decl),), domains={"x": x, "y": y},
                             initial_domains={"x": x, "y": y}, sleeping=frozenset({"c1"}))
         assert solution_state(state) is verdict is entailed_solution_state(state), decl
+
+
+# the store parts: sorted, duplicate-free tuples of identifiers
+
+PARTS = ("sleeping", "solved", "rejected")
+# "c10" sorts before "c2": the order is the identifiers' own, not a number's
+IDS = ("c1", "c2", "c10", "c11", "b", "a7")
+
+
+def _is_canonical(part) -> bool:
+    return type(part) is tuple and part == tuple(sorted(set(part)))
+
+
+@given(st.lists(st.sampled_from(IDS), max_size=12), st.lists(st.sampled_from(IDS), max_size=6),
+       st.randoms(use_true_random=False))
+def test_parts_built_from_any_iterable_compare_and_hash_equal(sleeping, solved, rng):
+    shuffled = list(sleeping)
+    rng.shuffle(shuffled)
+    forms = [SolverState(sleeping=frozenset(sleeping), solved=frozenset(solved)),
+             SolverState(sleeping=sleeping, solved=solved),
+             SolverState(sleeping=shuffled + sleeping, solved=tuple(reversed(solved)))]
+    for state in forms:
+        assert state == forms[0] and hash(state) == hash(forms[0])
+        assert state.sleeping == tuple(sorted(set(sleeping))) and state.solved == tuple(sorted(set(solved)))
+        assert all(_is_canonical(getattr(state, part)) for part in PARTS)
+
+
+# ``x`` is fixed at 1: ``eqc(x, 1)`` is entailed, so it may be solved, and
+# ``eqc(x, 0)`` is falsified, so it may be rejected
+_STORE_RULES = ("post", "suspend", "awake", "deactivate", "solved", "reject")
+_MOVES = {"suspend": ("active", "sleeping"), "awake": ("sleeping", "active"),
+          "solved": ("active", "solved"), "reject": ("active", "rejected")}
+
+
+def _declared_store() -> FullState:
+    apply = make_semantics().apply
+    full = apply(initial_state(), Action.of("newVariable", variable="x", domain=FiniteDomain.of([1])))
+    for i, cid in enumerate(IDS):
+        full = apply(full, Action.of("newConstraint", constraint=cid, decl=ConstraintDecl.eqc("x", i % 2)))
+    return full
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(_STORE_RULES), st.sampled_from(IDS)), max_size=60))
+def test_store_rules_keep_the_parts_sorted(steps):
+    # every applicable step moves its constraint between the parts as the set
+    # model says, and each part stays the sorted tuple of its model set
+    apply = make_semantics().apply
+    full = _declared_store()
+    model = {part: set() for part in ("active", *PARTS)}
+    for rule, cid in steps:
+        args = {"cause": BOTTOM} if rule == "awake" else {}
+        try:
+            full = apply(full, Action.of(rule, constraint=cid, **args))
+        except TransitionError:
+            continue
+        if rule == "post":
+            model["active"].add(cid)
+        elif rule == "deactivate":
+            for part in model.values():
+                part.discard(cid)
+        else:
+            source, target = _MOVES[rule]
+            model[source].remove(cid)
+            model[target].add(cid)
+        s = full.solver
+        assert sorted(c for c, _ in s.active) == sorted(model["active"])
+        for part in PARTS:
+            assert getattr(s, part) == tuple(sorted(model[part])), (rule, cid, part)
+
+
+@pytest.mark.parametrize("name,run", sorted(GOLDEN))
+def test_every_replayed_golden_step_has_canonical_parts(name, run):
+    _, text = emitted_text(name, run)
+    if run == "palm":
+        events = parse_trace(text, dialect="palm").events
+        steps = reconstruct(make_palm_semantics(),
+                            Trace(palm_initial_state(), tuple(map(ActualPayload, events)))).events
+    else:
+        steps = validate(parse_trace(text).events, os=make_semantics(strict_reduce=run == "strict"),
+                         guards=()).virtual.events
+    for i, step in enumerate(steps):
+        assert all(_is_canonical(getattr(step.state.solver, part)) for part in PARTS), (i, step.action)
