@@ -88,6 +88,9 @@ def main():
 @click.option("--mx", type=int, default=DEFAULT_MX, show_default=False, help="domain upper sentinel")
 def solve_cmd(problem, trace_out, strict_reduce, use_palm, mx):
     """Solve a problem file, printing solutions and emitting the trace."""
+    if use_palm and strict_reduce:
+        click.echo("usage error: --strict-reduce applies to the fd solver, not to --palm", err=True)
+        sys.exit(2)
     try:
         prob = parse_problem(_read(problem), mx=mx)
     except GentraError as exc:

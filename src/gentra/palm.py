@@ -44,9 +44,10 @@ from .solver import (
     _close_solution,
     _fresh_events,
     _next_alternatives,
+    _post_and_propagate,
     _Run,
 )
-from .state import FullState, SolverEvent, initial_state, store, watchers
+from .state import FullState, SolverEvent, initial_state, store
 from .trace import Trace, _payload
 
 PALM_EVENT_TYPES = (
@@ -232,85 +233,35 @@ class _Frame:
 
 
 class _PalmRun(_Run):
-    """The generic run context on the palm machine, knowing the problem constraints."""
+    """The generic run context on the palm machine: a falsified constraint is
+    filtered until a domain empties, a schedule names no witness, and a
+    reduce carries its explanation.  Change notifications are queued only
+    for variables a problem constraint observes (``problem_vars``): branch
+    constraints may be relaxed permanently, so events only they could
+    consume would sit in the queue forever; problem constraints always come
+    back to the store, which keeps every queued event consumable."""
 
-    def __init__(self, limits: SolveLimits, problem_ids: frozenset):
+    reject_falsified = False
+
+    def __init__(self, limits: SolveLimits):
         super().__init__(limits, make_palm_semantics(), initial_state())
-        self.problem_ids = problem_ids
+        self.problem_vars: set[str] = set()
 
+    def schedule_action(self, event: SolverEvent, woken: list[str]) -> Action:
+        return Action.of("schedule", event=event)
 
-def _problem_watches(run: _PalmRun, var: str) -> bool:
-    """Does a problem constraint observe ``var``?  Change notifications are
-    queued only then: branch constraints may be relaxed permanently, so events
-    only they could consume would sit in the queue forever; problem
-    constraints always come back to the store, which keeps every queued event
-    consumable."""
-    return any(decl is not None and var in decl.variables
-               for decl in map(run.solver.declaration, run.problem_ids))
-
-
-def _explanation_for(run: _PalmRun, cid: str, var: str) -> frozenset:
-    """The active constraint plus the explanations of the sibling-domain facts
-    its filtering consulted."""
-    decl = run.solver.declaration(cid)
-    out = {cid}
-    for v in decl.variables:
-        if v != var:
-            for _vals, expl in run.full.explanations.get(v, ()):
-                out |= expl
-    return frozenset(out)
-
-
-def _handle_palm_active(run: _PalmRun, cid: str, cause: SolverEvent) -> None:
-    decl = run.solver.declaration(cid)
-    changed = True
-    while changed:
-        changed = False
-        for var in decl.variables:
-            old = run.solver.domain(var)
-            removed = old.subtract(decl.supported(var, run.solver.domains))
-            if removed.is_empty():
-                continue
-            new = old.subtract(removed)
-            run.emit(Action.of("reduce", constraint=cid, variable=var, removed=removed,
-                               generated=_fresh_events(run, var, old, new, cid) if _problem_watches(run, var) else (),
-                               cause=cause,
-                               explanation=_explanation_for(run, cid, var)))
-            changed = True
-            if new.is_empty():
-                run.emit(Action.of("reject", constraint=cid, cause=cause))
-                return
-    run.emit(Action.of("suspend", constraint=cid))
-
-
-def palm_propagate(run: _PalmRun) -> None:
-    """Drain the queue: schedule each consumable event, wake its dependents
-    in identifier order, and filter each woken constraint.  Events whose
-    observers are temporarily out of the store are left queued."""
-    skip = 0
-    while True:
-        s = run.solver
-        if s.rejected:
-            return
-        if s.active:
-            cid, cause = s.active[0]
-            _handle_palm_active(run, cid, cause)
-            continue
-        if skip < len(s.pending):
-            event = s.pending[skip]
-            woken = watchers(s, event)
-            if not woken:
-                skip += 1
-                continue
-            run.emit(Action.of("schedule", event=event))
-            for cid in woken:
-                if run.solver.rejected:
-                    break
-                run.emit(Action.of("awake", constraint=cid, cause=event))
-                _handle_palm_active(run, cid, event)
-            skip = 0
-            continue
-        return
+    def reduce_action(self, cid: str, var: str, old: FiniteDomain, new: FiniteDomain,
+                      removed: FiniteDomain, cause: SolverEvent) -> Action:
+        """The reduce, explained by the active constraint plus the explanations
+        of the sibling-domain facts its filtering consulted."""
+        explanation = {cid}
+        for v in self.solver.declaration(cid).variables:
+            if v != var:
+                for _vals, expl in self.full.explanations.get(v, ()):
+                    explanation |= expl
+        return Action.of("reduce", constraint=cid, variable=var, removed=removed,
+                         generated=_fresh_events(self, var, old, new, cid) if var in self.problem_vars else (),
+                         cause=cause, explanation=frozenset(explanation))
 
 
 def _emit_restores(run: _PalmRun) -> None:
@@ -325,7 +276,7 @@ def _emit_restores(run: _PalmRun) -> None:
         if values.is_empty():
             continue
         gen = ()
-        if _problem_watches(run, var):
+        if var in run.problem_vars:
             ev = SolverEvent("dom", var)
             if ev not in run.solver.pending:
                 gen = (ev,)
@@ -347,7 +298,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
     """
     problem = problem.rebased(0)
     problem_ids = frozenset(cid for cid, _ in problem.constraints)
-    run = _PalmRun(limits or SolveLimits(), problem_ids)
+    run = _PalmRun(limits or SolveLimits())
     start = run.full
     for var, dom in problem.variables:
         run.emit(Action.of("newVariable", variable=var, domain=dom))
@@ -400,10 +351,9 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
             continue
         if posts:
             cid, decl = posts.pop(0)
-            if decl is not None and not run.solver.is_declared(cid):
-                run.emit(Action.of("newConstraint", constraint=cid, decl=decl))
-            run.emit(Action.of("post", constraint=cid))
-            palm_propagate(run)
+            if decl is not None and cid in problem_ids:
+                run.problem_vars.update(decl.variables)
+            _post_and_propagate(run, cid, decl)
             continue
         alternatives = _next_alternatives(run, strategy, len(frames))
         if alternatives is not None:

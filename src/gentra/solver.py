@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constraints import ConstraintDecl
-from .errors import ProblemError, SolveLimitError, TransitionError
+from .errors import ProblemError, SolveLimitError
 from .fdomain import FiniteDomain
 from .gentra4cp import GenericEvent, generated_events, make_semantics
 from .semantics import Action, ObservationalSemantics
@@ -84,7 +84,11 @@ class SolveResult:
 class _Run:
     """Mutable run context: applies rules and extracts records through the
     run's semantics, the same ones its traces are checked with, and
-    collects both trace views."""
+    collects both trace views.  What the machines do differently in
+    propagation, the run says: ``reject_falsified``, ``schedule_action``
+    and ``reduce_action``."""
+
+    reject_falsified = True
 
     def __init__(self, limits: SolveLimits, os: ObservationalSemantics, start: FullState,
                  strict_reduce: bool = False):
@@ -121,6 +125,14 @@ class _Run:
     def solver(self):
         return self.full.solver
 
+    def schedule_action(self, event: SolverEvent, woken: list[str]) -> Action:
+        return Action.of("schedule", event=event, witness=woken[0])
+
+    def reduce_action(self, cid: str, var: str, old: FiniteDomain, new: FiniteDomain,
+                      removed: FiniteDomain, cause: SolverEvent) -> Action:
+        return Action.of("reduce", constraint=cid, variable=var, removed=removed,
+                         generated=_fresh_events(self, var, old, new, cid), cause=cause)
+
 
 def _fresh_events(run: _Run, var: str, old: FiniteDomain, new: FiniteDomain, origin: str):
     """Generated events not already pending (the rule unions them in)."""
@@ -128,16 +140,16 @@ def _fresh_events(run: _Run, var: str, old: FiniteDomain, new: FiniteDomain, ori
                  if e not in run.solver.pending)
 
 
-def _handle_active(run: _Run, cid: str, cause: SolverEvent) -> None:
+def _filter(run: _Run, cid: str, cause: SolverEvent) -> None:
     """Filter the active constraint to arc consistency, then retire it.
 
-    Falsity is checked first, so a rejection happens before any wipe-out
-    reduce would.  Entailment is not checked here: constraints always go
-    back to sleep and are retired as solved only at the propagation
-    fixpoint, which keeps every pending event schedulable.
+    A run that rejects falsified constraints does so before any wipe-out
+    reduce would; otherwise a reduce that empties a domain is followed by
+    the rejection.  Entailment is not checked here: constraints always go
+    back to sleep and are retired as solved only at the quiet point.
     """
     decl = run.solver.declaration(cid)
-    if decl.falsified(run.solver.domains):
+    if run.reject_falsified and decl.falsified(run.solver.domains):
         run.emit(Action.of("reject", constraint=cid, cause=cause))
         return
     changed = True
@@ -152,42 +164,51 @@ def _handle_active(run: _Run, cid: str, cause: SolverEvent) -> None:
             if removed.is_empty():
                 continue
             new = old.subtract(removed)
-            run.emit(Action.of("reduce", constraint=cid, variable=var, removed=removed,
-                               generated=_fresh_events(run, var, old, new, cid), cause=cause))
+            run.emit(run.reduce_action(cid, var, old, new, removed, cause))
             changed = True
+            if new.is_empty():
+                run.emit(Action.of("reject", constraint=cid, cause=cause))
+                return
     run.emit(Action.of("suspend", constraint=cid))
 
 
 def propagate(run: _Run) -> None:
-    """Run propagation to a fixpoint: nothing active, nothing pending.
+    """Run propagation to a quiet point: nothing active, and no pending
+    event that a sleeping constraint watches.
 
     Stops at the first rejection.  Pending events are consumed in FIFO
-    order; scheduling an event wakes exactly the constraints watching it at
-    that moment, in identifier order (a constraint woken and suspended again
-    is not re-woken for the same event).  At the quiet point, sleeping
-    constraints that became entailed are woken with the bottom event and
-    retired as solved.
+    order; an event no sleeper watches is skipped and left queued.
+    Scheduling an event wakes exactly the constraints watching it at that
+    moment, in identifier order (a constraint woken and suspended again is
+    not re-woken for the same event).  On a machine with the solved rule,
+    sleeping constraints that became entailed are woken at the quiet point
+    with the bottom event and retired as solved.
     """
+    skip = 0
     while True:
         s = run.solver
         if s.rejected:
             return
         if s.active:
             cid, cause = s.active[0]
-            _handle_active(run, cid, cause)
+            _filter(run, cid, cause)
             continue
-        if s.pending:
-            event = s.pending[0]
+        if skip < len(s.pending):
+            event = s.pending[skip]
             woken = watchers(s, event)
             if not woken:
-                raise TransitionError("schedule", f"pending event {event} has no watcher")
-            run.emit(Action.of("schedule", event=event, witness=woken[0]))
+                skip += 1
+                continue
+            run.emit(run.schedule_action(event, woken))
             for cid in woken:
                 if run.solver.rejected:
                     break
                 run.emit(Action.of("awake", constraint=cid, cause=event))
-                _handle_active(run, cid, event)
+                _filter(run, cid, event)
+            skip = 0
             continue
+        if "solved" not in run.os.action_kinds:
+            return
         retired = False
         for cid in s.sleeping:
             decl = s.declaration(cid)
@@ -199,8 +220,9 @@ def propagate(run: _Run) -> None:
             return
 
 
-def _post_and_propagate(run: _Run, cid: str, decl: ConstraintDecl) -> None:
-    if not run.solver.is_declared(cid):
+def _post_and_propagate(run: _Run, cid: str, decl: ConstraintDecl | None) -> None:
+    """Post a constraint, declaring it first when ``decl`` is new, and propagate."""
+    if decl is not None and not run.solver.is_declared(cid):
         run.emit(Action.of("newConstraint", constraint=cid, decl=decl))
     run.emit(Action.of("post", constraint=cid))
     propagate(run)

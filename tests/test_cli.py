@@ -53,6 +53,17 @@ def test_solve_strict_reduce_flag(runner, element_prob, tmp_path):
     assert check.exit_code == 0, check.output
 
 
+def test_solve_palm_refuses_strict_reduce(runner, element_prob, tmp_path):
+    # the strict reduce rule belongs to the fd machine; palm would silently
+    # ignore it and write a palm trace
+    out = tmp_path / "palm.trace"
+    result = runner.invoke(main, ["solve", element_prob, "--palm", "--strict-reduce", "--trace", str(out)])
+    assert result.exit_code == 2
+    assert (result.stdout, result.stderr) == (
+        "", "usage error: --strict-reduce applies to the fd solver, not to --palm\n")
+    assert not out.exists()
+
+
 def test_solve_parse_error_exit_code(runner, tmp_path):
     bad = tmp_path / "bad.prob"
     bad.write_text("nonsense directive")

@@ -130,3 +130,16 @@ def test_golden_table_covers_every_problem_and_run():
 @pytest.mark.parametrize("name,run", sorted(GOLDEN))
 def test_emitted_trace_matches_golden(name, run):
     assert digest(name, run) == GOLDEN[name, run]
+
+
+# On fd every queued event has a watcher: a reducing constraint always goes
+# back to sleep watching its own variables.  So the propagation loop, which
+# skips and leaves queued an event no sleeper watches, never leaves one
+# behind there, and every leaf and every choice sees an empty queue.
+@pytest.mark.parametrize("run", ["solve", "strict"])
+@pytest.mark.parametrize("name", sorted(problems()))
+def test_fd_runs_leave_nothing_pending_at_solutions_and_choices(name, run):
+    _dialect, result = RUNS[run](problems()[name])
+    for i, step in enumerate(result.virtual.events):
+        if step.action.kind in ("solution", "newChild"):
+            assert step.state.solver.pending == (), (i, step.action, step.state.solver.pending)

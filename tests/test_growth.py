@@ -152,6 +152,21 @@ def test_palm_solve_work_per_event_stays_flat():
     _assert_flat(lambda k: len(palm_solve(ladder(k)).events))
 
 
+# At ladder k = 6 one solve takes about 136 line events per event and one
+# palm_solve about 152, both through the one shared propagation loop.  A
+# costlier loop or filter step costs the same per event at every size, so
+# only an absolute bound sees it; each bound is that count plus about 5%.
+SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 143, "palm": 160}
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_solve_line_events_per_event_stay_bounded(machine):
+    problem = ladder(6)
+    lines, result = _line_events(lambda: (palm_solve if machine == "palm" else solve)(problem))
+    per_event = lines / len(result.events)
+    assert per_event <= SOLVE_LINE_EVENTS_PER_EVENT[machine], per_event
+
+
 def test_validate_work_per_event_stays_flat():
     events = {k: solve(ladder(k)).events for k in (4, 6)}
     _assert_flat(lambda k: validate(events[k]).checked)
