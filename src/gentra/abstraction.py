@@ -25,7 +25,7 @@ from .errors import GentraError, MappingError, ProjectionError, ReconstructionEr
 from .gentra4cp import (DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, get_parameter, make_semantics,
                         reset_parameters, validate)
 from .palm import PALM_EVENT_TYPES, make_palm_semantics
-from .semantics import Action, ObservationalSemantics, extract, reconstruct, replay_divergence, transition_holds
+from .semantics import Action, ObservationalSemantics, extract, first_divergence, reconstruct, transition_holds
 from .state import NO_EXPLANATIONS, FullState, initial_state
 from .trace import Trace, VirtualPayload, _actual_payloads, _payload
 
@@ -542,8 +542,7 @@ def commutation_check(os_c: ObservationalSemantics, os_d: ObservationalSemantics
     reconstructing at the derived level must equal mapping the virtual trace
     directly.  (The actual-trace route has to start with extraction at the
     concrete level and end with reconstruction at the derived level; the
-    reverse order does not type-check.)  The derived-level replay is compared
-    with the direct route step by step as it goes (:func:`replay_divergence`).
+    reverse order does not type-check.)
     """
     violations = []
     samples = list(samples)
@@ -557,7 +556,7 @@ def commutation_check(os_c: ObservationalSemantics, os_d: ObservationalSemantics
             )
             mapped_records = map_events(tuple(p.record for p in actual.events))
             mapped_actual = Trace(direct.initial_state, _actual_payloads(mapped_records))
-            pos = replay_divergence(os_d, mapped_actual, direct)
+            pos = first_divergence(direct, reconstruct(os_d, mapped_actual))
         except (TransitionError, ReconstructionError, MappingError) as exc:
             violations.append(SimulationViolation(ti, getattr(exc, "index", None), str(exc)))
             continue

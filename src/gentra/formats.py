@@ -11,9 +11,12 @@ Trace grammar (canonical form, one event per line):
 The chrono numbers must increase by one from the first line (any start).
 Header lines ``# key: value`` may precede the events.
 
-Strict mode accepts exactly the canonical shapes, and reads a canonical line
-by its event type's pattern, without tokens.  Every other line (lenient mode,
-foreign idioms, errors) is read by the tokenizer.  Lenient mode additionally
+Each event type's attributes and their order are ``gentra4cp.LAYOUT``'s; the
+patterns of canonical lines and the writer are built from it.  Strict mode
+accepts the canonical shapes up to spacing.  It reads a canonical line by its
+event type's pattern, without tokens; every other line (lenient mode, foreign
+idioms, errors) is read by the tokenizer, which in strict mode must use every
+token, one per attribute (two for a scheduled event).  Lenient mode additionally
 accepts the idioms of existing solver tracers, recording every deviation:
 declaration spill-over onto continuation lines, ``choice point`` as an alias
 for newChild, reduce records without generated events or causes, awake
@@ -43,7 +46,7 @@ from typing import NamedTuple
 from .constraints import ConstraintDecl
 from .errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
 from .fdomain import DEFAULT_MX, FiniteDomain, format_domain, parse_domain, parse_range
-from .gentra4cp import EVENT_TYPES, GenericEvent, shape_error
+from .gentra4cp import DIALECT_EXTRAS, EVENT_TYPES, LAYOUT, GenericEvent, shape_error
 from .solver import Problem
 from .state import BOTTOM, EVENT_KINDS, SolverEvent
 
@@ -192,36 +195,33 @@ def _render_event_token(ev: SolverEvent) -> str:
     return f"{ev.kind}({ev.variable})"
 
 
-# canonical lines: per event type, a pattern of the text after the type name
-# and the record fields its groups fill, in order
+# canonical lines: per attribute, a pattern fragment whose one group captures
+# the text its reader reads; a source-name alias and a declaration that is not
+# canonical have none, and are read by the tokenizer only
 _NAME, _KIND, _PART = r"[A-Za-z_][A-Za-z0-9_]*", "|".join(EVENT_KINDS), r"\d+(?:-(?:\d+|mx))?"
-_EVENT, _DOMAIN = rf"(?:{_KIND})\({_NAME}\)", rf"(\[(?:{_PART}(?:,{_PART})*)?\])"
-_GEN = rf"gen\{{((?:{_EVENT}(?:,{_EVENT})*)?)\}}"
+_EVENT, _NODE = rf"(?:{_KIND})\({_NAME}\)", r"node\((\d+)\)"
 _DECL = rf"element0?\({_NAME},\[-?\d+(?:,-?\d+)*\],{_NAME}\)|n?eq\({_NAME},{_NAME}\)|eqc\({_NAME},-?\d+\)"
-_REDUCE = rf" ({_NAME}) ({_NAME}) {_GEN} {_DOMAIN} ({_EVENT}|bot)", "constraint variable generated domain cause"
-_CANONICAL = {
-    "newVariable": (rf" ({_NAME}) {_DOMAIN}", "variable domain"),
-    "newConstraint": (rf" ({_NAME})(?: ({_DECL}))?", "constraint decl"),
-    **dict.fromkeys(("post", "deactivate", "suspend", "solved"), (rf" ({_NAME})", "constraint")),
-    **dict.fromkeys(("newChild", "solution", "failure"), (r" node\((\d+)\)", "node")),
-    "jumpTo": (r" node\((\d+)\) node\((\d+)\)", "node node2"),
-    "restore": (rf" ({_NAME}) {_DOMAIN}(?: {_GEN})?", "variable domain generated"),
-    "reduce": _REDUCE,
-    **dict.fromkeys(("reject", "awake"), (rf" ({_NAME}) ({_EVENT}|bot)", "constraint cause")),
-    "schedule": (rf" (?:({_NAME}) )?({_NAME} (?:{_KIND}))", "constraint event"),
-}
-_PALM_REDUCE = _REDUCE[0] + rf"(?: expl\{{((?:{_NAME}(?:,{_NAME})*)?)\}})?(?: ({_KIND}|empty))?"
+_FRAGMENTS = dict(constraint=f"({_NAME})", variable=f"({_NAME})", node=_NODE, node2=_NODE,
+                  domain=rf"(\[(?:{_PART}(?:,{_PART})*)?\])", generated=rf"gen\{{((?:{_EVENT}(?:,{_EVENT})*)?)\}}",
+                  cause=f"({_EVENT}|bot)", event=f"({_NAME} (?:{_KIND}))", decl=f"({_DECL})")
+# the palm dialect writes its extras, an explanation and a wake kind, on reduce records only
+_PALM_FRAGMENTS = dict(_FRAGMENTS, explanation=rf"expl\{{((?:{_NAME}(?:,{_NAME})*)?)\}}",
+                       wake_kind=f"({_KIND}|empty)")
 
 
-def _compiled(pattern: str, fields: str):
-    """The matcher, the fields, and a getter laying ``(type, depth, *values, None)`` out as a record."""
-    fields = ("type", "depth", *fields.split())
+def _compiled(kind: str, fragments: dict):
+    """The matcher of a canonical ``kind`` line, after its type name, built from
+    the layout's attributes that have a fragment; the fields its groups fill;
+    and a getter laying ``(type, depth, *values, None)`` out as a record."""
+    layout = [(name, optional) for name, optional in LAYOUT[kind] if name in fragments]
+    pattern = "".join(f"(?: {fragments[name]})?" if optional else f" {fragments[name]}" for name, optional in layout)
+    fields = ("type", "depth", *(name for name, _ in layout))
     return re.compile(pattern).fullmatch, fields[2:], itemgetter(*(fields.index(f) if f in fields else -1
                                                                    for f in GenericEvent._fields))
 
 
-_READERS = {kind: _compiled(*spec) for kind, spec in _CANONICAL.items()}
-_PALM_READERS = {**_READERS, "reduce": _compiled(_PALM_REDUCE, _REDUCE[1] + " explanation wake_kind")}
+_READERS = {kind: _compiled(kind, _FRAGMENTS) for kind in LAYOUT}
+_PALM_READERS = {**_READERS, "reduce": _compiled("reduce", _PALM_FRAGMENTS)}
 _record = partial(tuple.__new__, GenericEvent)
 
 
@@ -310,10 +310,15 @@ class _EventParser:
         problem = shape_error(ev, strict=not self.lenient)
         if problem:
             raise TraceShapeError(type_name, problem, line=line_no)
-        if not self.lenient and self.dialect == "generic":
-            for extra in ("explanation", "wake_kind", "var_alias"):
+        if self.lenient:
+            return ev
+        if self.dialect == "generic":
+            for extra in DIALECT_EXTRAS:
                 if getattr(ev, extra) is not None:
                     raise TraceShapeError(type_name, f"dialect attribute {extra!r} not allowed here", line=line_no)
+        # one token per attribute the record carries, two for a scheduled event
+        if len(toks) != sum(getattr(ev, name) is not None for name, _ in LAYOUT[type_name]) + (ev.event is not None):
+            raise TraceShapeError(type_name, "surplus attribute tokens", line=line_no)
         return ev
 
     def _parse_attrs(self, type_name, toks, depth, line_no) -> GenericEvent:
@@ -423,7 +428,7 @@ class _EventParser:
                 its = _tokenize(item)
             except TraceSyntaxError:  # its column would count from the item
                 its = ()
-            if len(its) != 1:
+            if len(its) != 1 or its[0].text == "bot":  # a generated event names its variable
                 raise TraceSyntaxError(f"bad generated-event item {item!r}", line=line_no)
             out.append(_parse_event_token(its[0]))
         return tuple(out)
@@ -526,56 +531,26 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
                          deviations=tuple(continuation_notes + parser.deviations), mx=mx)
 
 
+# per attribute, its writer; a name (a constraint, variable, wake kind, alias
+# or foreign declaration text) has none and is written as it is
+_WRITERS = dict(node=lambda v, mx: f"node({v})", node2=lambda v, mx: f"node({v})", domain=format_domain,
+                generated=lambda v, mx: "gen{" + ",".join(map(_render_event_token, v)) + "}",
+                cause=lambda v, mx: _render_event_token(v), event=lambda v, mx: f"{v.variable} {v.kind}",
+                decl=lambda v, mx: v.render(), explanation=lambda v, mx: "expl{" + ",".join(v) + "}")
+_WRITE = {kind: tuple((GenericEvent._fields.index(name), _WRITERS.get(name)) for name, _ in layout)
+          for kind, layout in LAYOUT.items()}
+
+
 def serialize_event(ev: GenericEvent, mx: int = DEFAULT_MX) -> str:
-    """Render one event's type and attributes in canonical order."""
-    parts = [ev.type]
-    if ev.type == "newVariable":
-        parts.append(ev.variable)
-        if ev.var_alias:
-            parts.append(ev.var_alias)
-        parts.append(format_domain(ev.domain, mx))
-    elif ev.type == "newConstraint":
-        parts.append(ev.constraint)
-        if ev.decl is not None:
-            parts.append(ev.decl.render())
-        elif ev.decl_text is not None:
-            parts.append(ev.decl_text)
-    elif ev.type in ("post", "deactivate", "suspend", "solved"):
-        parts.append(ev.constraint)
-    elif ev.type in ("newChild", "solution", "failure"):
-        if ev.node is not None:
-            parts.append(f"node({ev.node})")
-    elif ev.type == "jumpTo":
-        parts.append(f"node({ev.node})")
-        if ev.node2 is not None:
-            parts.append(f"node({ev.node2})")
-    elif ev.type == "restore":
-        parts.extend([ev.variable, format_domain(ev.domain, mx)])
-        if ev.generated is not None:
-            parts.append("gen{" + ",".join(_render_event_token(e) for e in ev.generated) + "}")
-    elif ev.type == "reduce":
-        parts.extend([ev.constraint, ev.variable])
-        if ev.generated is not None:
-            parts.append("gen{" + ",".join(_render_event_token(e) for e in ev.generated) + "}")
-        parts.append(format_domain(ev.domain, mx))
-        if ev.cause is not None:
-            parts.append(_render_event_token(ev.cause))
-        if ev.explanation is not None:
-            parts.append("expl{" + ",".join(ev.explanation) + "}")
-        if ev.wake_kind is not None:
-            parts.append(ev.wake_kind)
-    elif ev.type in ("reject", "awake"):
-        parts.append(ev.constraint)
-        if ev.cause is not None:
-            parts.append(_render_event_token(ev.cause))
-        if ev.wake_kind is not None:
-            parts.append(ev.wake_kind)
-    elif ev.type == "schedule":
-        if ev.constraint is not None:
-            parts.append(ev.constraint)
-        parts.extend([ev.event.variable, ev.event.kind])
-    else:
+    """Render one event's type and attributes in ``LAYOUT`` order."""
+    writers = _WRITE.get(ev.type)
+    if writers is None:
         raise TraceShapeError(ev.type, "unknown event type")
+    parts = [ev.type]
+    for at, write in writers:
+        value = ev[at]
+        if value is not None:
+            parts.append(value if write is None else write(value, mx))
     return " ".join(parts)
 
 

@@ -39,7 +39,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .constraints import ConstraintDecl
-from .errors import ReconstructionError, TransitionError
+from .errors import ReconstructionError, StateInvariantError, TransitionError
 from .fdomain import FiniteDomain
 from .semantics import Action, ObservationalSemantics, reconstruct
 from .state import (
@@ -97,27 +97,37 @@ class GenericEvent(NamedTuple):
     var_alias: str | None = None
 
 
-# required / optional attribute fields per event type (strict shape)
-_SHAPES = {
-    "newVariable": (("variable", "domain"), ("var_alias",)),
-    "newConstraint": (("constraint",), ("decl", "decl_text")),
-    "post": (("constraint",), ()),
-    "newChild": (("node",), ()),
-    "jumpTo": (("node", "node2"), ()),
-    "solution": (("node",), ()),
-    "failure": (("node",), ()),
-    "deactivate": (("constraint",), ()),
-    "restore": (("variable", "domain"), ("generated",)),
-    "reduce": (("constraint", "variable", "generated", "domain", "cause"), ()),
-    "suspend": (("constraint",), ()),
-    "solved": (("constraint",), ()),
-    "reject": (("constraint", "cause"), ()),
-    "awake": (("constraint", "cause"), ()),
-    "schedule": (("event",), ("constraint",)),
-}
+DIALECT_EXTRAS = ("explanation", "wake_kind", "var_alias")
 
-_ALL_ATTRS = ("constraint", "variable", "node", "node2", "domain",
-              "generated", "cause", "event", "decl", "decl_text")
+# The record layout, the format's reference: per event type, the record's
+# attributes in text order, dialect extras included, each paired with whether
+# a record may leave it out ("?" below).  A declaration is written as ``decl``,
+# or as the foreign ``decl_text`` that could not be read as one.  The shape
+# check, the strict reader's patterns and the writer are all derived from it.
+LAYOUT = {kind: tuple((name.rstrip("?"), name.endswith("?")) for name in spec.split()) for kind, spec in {
+    "newVariable": "variable var_alias? domain",
+    "newConstraint": "constraint decl? decl_text?",
+    "post": "constraint",
+    "newChild": "node",
+    "jumpTo": "node node2",
+    "solution": "node",
+    "failure": "node",
+    "deactivate": "constraint",
+    "restore": "variable domain generated?",
+    "reduce": "constraint variable generated domain cause explanation? wake_kind?",
+    "suspend": "constraint",
+    "solved": "constraint",
+    "reject": "constraint cause wake_kind?",
+    "awake": "constraint cause wake_kind?",
+    "schedule": "constraint? event",
+}.items()}
+
+# required / optional attributes per event type (strict shape)
+_SHAPES = {kind: (tuple(name for name, optional in layout if not optional),
+                  tuple(name for name, optional in layout if optional))
+           for kind, layout in LAYOUT.items()}
+
+_ALL_ATTRS = tuple(name for name in GenericEvent._fields[2:] if name not in DIALECT_EXTRAS)
 # the attributes foreign to each event type, in ``_ALL_ATTRS`` order
 _FOREIGN = {kind: tuple(name for name in _ALL_ATTRS if name not in required + optional)
             for kind, (required, optional) in _SHAPES.items()}
@@ -484,7 +494,10 @@ def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
     read = readers.get(ev.type)
     if read is None:
         _fail(ev.type, "event type outside the rule set")
-    return read(full, ev)
+    try:
+        return read(full, ev)
+    except StateInvariantError as exc:  # a solver event no state can hold, such as a generated bot
+        raise ReconstructionError(ev.type, str(exc)) from exc
 
 
 def check_depth(ev: GenericEvent, new: FullState) -> None:

@@ -127,16 +127,6 @@ def replay(os: ObservationalSemantics, state: Any, record: Any) -> VirtualPayloa
     return _payload(VirtualPayload, (action, new))
 
 
-def _check_replayable(os: ObservationalSemantics, atrace: Trace) -> None:
-    """Refuse a trace ``reconstruct`` cannot start: a state outside the
-    initial-state set, or virtual events (a trace has one kind, so the first
-    event would be the offending one)."""
-    if not os.is_initial(atrace.initial_state):
-        raise ReconstructionError(os.name, "initial state not in the initial-state set")
-    if atrace.kind == "virtual":
-        raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=0)
-
-
 def _read_step(os: ObservationalSemantics, state: Any, i: int, ev: ActualPayload) -> Action:
     """The action record ``i`` encodes in ``state``, or the
     :class:`ReconstructionError` that ``reconstruct`` reports for reading it."""
@@ -161,7 +151,10 @@ def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: ActualPaylo
 
 def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
     """Replay an actual trace into the virtual trace it encodes, built by ``os``."""
-    _check_replayable(os, atrace)
+    if not os.is_initial(atrace.initial_state):
+        raise ReconstructionError(os.name, "initial state not in the initial-state set")
+    if atrace.kind == "virtual":  # a trace has one kind, so the first event is the offending one
+        raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=0)
     state = atrace.initial_state
     steps = []
     for i, ev in enumerate(atrace.events):
@@ -169,35 +162,6 @@ def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
         steps.append(step)
         state = step.state
     return Trace.built_by(os, atrace.initial_state, tuple(steps))
-
-
-def replay_divergence(os: ObservationalSemantics, atrace: Trace, reference: Trace) -> int | None:
-    """``first_divergence(reference, reconstruct(os, atrace))`` in one pass.
-
-    Each replayed step is compared with the reference step as soon as it is
-    built.  While the two agree, replay goes on from the reference's own
-    state, which equals the replayed one: the next successor then shares
-    every unchanged field with the next reference state, so comparing them
-    costs what changed rather than the size of the state.  After the first
-    divergence replay goes on along its own chain, as ``reconstruct`` does,
-    so a later record that does not replay still raises its
-    :class:`ReconstructionError`.
-    """
-    _check_replayable(os, atrace)
-    refs = reference.events
-    pos = None if reference.initial_state == atrace.initial_state else -1
-    state = atrace.initial_state if pos is not None else reference.initial_state
-    for i, ev in enumerate(atrace.events):
-        step = _replay_step(os, state, i, ev)
-        state = step.state
-        if pos is None:
-            if i == len(refs) or refs[i] != step:
-                pos = i
-            else:
-                state = refs[i].state
-    if pos is None and atrace.size < len(refs):
-        pos = atrace.size
-    return pos
 
 
 def first_divergence(a: Trace, b: Trace) -> int | None:
@@ -245,8 +209,8 @@ class FaithfulnessReport:
 
 
 def _faithful_divergence(os: ObservationalSemantics, vtrace: Trace) -> int | None:
-    """``replay_divergence(os, extract(os, vtrace), vtrace)`` with one rule
-    application per step, or none on a trace ``os`` built itself.
+    """``first_divergence(vtrace, reconstruct(os, extract(os, vtrace)))`` with
+    one rule application per step, or none on a trace ``os`` built itself.
 
     ``extract`` has proven ``apply(s, a) == s'`` for every step of
     ``vtrace`` (by applying the rule, or by ``vtrace.applied_by is os``),

@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
+from gentra.abstraction import check_generic, palm_process, palm_profile, project
 from gentra.cli import main
-from gentra.formats import document_for_events, parse_problem, serialize_trace
+from gentra.errors import GentraError
+from gentra.formats import document_for_events, parse_problem, parse_trace, serialize_trace
+from gentra.gentra4cp import GUARD_NAMES, make_semantics, validate
 from gentra.palm import palm_solve
 from gentra.solver import solve
 
@@ -291,6 +294,57 @@ def test_every_command_exits_0_1_or_2_on_near_misses(script):
                 # an exception other than SystemExit propagates and fails the test
                 result = runner.invoke(main, [command[0], "input", *command[1:]], catch_exceptions=False)
                 assert result.exit_code in (0, 1, 2), (command, result.output)
+
+
+# one-token edits of the emitted element traces: a token of a line's
+# attributes is inserted, replaced or deleted.  The edited trace either fails
+# to parse with a GentraError, or the library calls behind `gentra validate`
+# (plain and --profile palm) and `gentra check-compliance` report on it
+# without raising, in strict and in lenient mode
+
+
+EMITTED_TRACES = {"fd": NEAR_MISS_SOURCES[3], "palm": NEAR_MISS_SOURCES[4]}
+ATTRIBUTE_TOKENS = sorted({token for text in EMITTED_TRACES.values() for line in text.splitlines()
+                           if not line.startswith("#") for token in line.split(" ")[1:]})
+
+
+def _token_edit(machine: str, line: int, op: str, at: int, token: str) -> str:
+    lines = EMITTED_TRACES[machine].splitlines()
+    events = [i for i, text in enumerate(lines) if not text.startswith("#")]
+    i = events[line % len(events)]
+    head, *attrs = lines[i].split(" ")
+    if op == "insert":
+        attrs.insert(at % (len(attrs) + 1), token)
+    elif op == "replace":
+        attrs[at % len(attrs)] = token
+    else:
+        del attrs[at % len(attrs)]
+    lines[i] = " ".join([head, *attrs])
+    return "\n".join(lines) + "\n"
+
+
+def _checks():
+    gt = make_semantics()
+    palm_os = project(gt, palm_profile())
+    return (("generic", lambda events: validate(events, os=gt)),
+            ("palm", lambda events: validate(events, os=palm_os, guards=GUARD_NAMES)),
+            ("palm", lambda events: check_generic(gt, palm_process(), events)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(EMITTED_TRACES)), st.integers(0, 2**10), st.sampled_from(["insert", "replace", "delete"]),
+       st.integers(0, 8), st.sampled_from(ATTRIBUTE_TOKENS + ["gen{bot}"]))
+@example("fd", 4, "replace", 2, "gen{bot}")  # 5[0]reduce c1 I gen{bot} [0,4-mx] bot
+@example("fd", 3, "insert", 1, "c1")  # 4[0]post c1 c1
+def test_validate_and_check_compliance_report_on_one_token_edits(machine, line, op, at, token):
+    text = _token_edit(machine, line, op, at, token)
+    for mode in ("strict", "lenient"):
+        for dialect, check in _checks():
+            try:
+                events = parse_trace(text, mode=mode, dialect=dialect).events
+            except GentraError:
+                continue
+            check(events)  # an exception fails the test
 
 
 # a file a command cannot read as text, or cannot write: one error line on

@@ -89,6 +89,29 @@ def test_explanation_block_round_trip():
     assert serialize_trace(doc).strip().endswith(line.split("]", 1)[1])
 
 
+# the tokenizer reads what a record needs; strict mode refuses a line with
+# tokens left over, which it used to drop or let overwrite an attribute
+
+
+@pytest.mark.parametrize("dialect", ["generic", "palm"])
+@pytest.mark.parametrize("line", ["1[0]post c1 c2", "1[0]newChild node(1) node(2)", "1[0]suspend c1 bot",
+                                  "1[0]reduce c1 x gen{} [0-2] [4] bot"])
+def test_strict_parsing_refuses_surplus_attribute_tokens(line, dialect):
+    kind = line.split("]")[1].split(" ")[0]
+    with pytest.raises(TraceShapeError) as exc:
+        parse_trace(line, mode="strict", dialect=dialect)
+    assert str(exc.value) == f"{kind}: surplus attribute tokens (line 1)"
+    assert parse_trace(line, mode="lenient", dialect=dialect).events[0].type == kind
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("line", ["1[0]reduce c1 x gen{bot} [0-2] bot", "1[0]restore x [0-2] gen{dom(x), bot}"])
+def test_a_generated_event_names_its_variable(line, mode):
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_trace(line, mode=mode)
+    assert str(exc.value) == "bad generated-event item 'bot' (line 1)"
+
+
 # fixtures
 
 

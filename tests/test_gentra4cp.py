@@ -1,6 +1,7 @@
 """Rule-level and replay-level tests of the trace format semantics."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from gentra.errors import ReconstructionError, StateInvariantError, TransitionEr
 from gentra.fdomain import FiniteDomain, full_domain, parse_domain
 from gentra.gentra4cp import (
     GUARD_NAMES,
+    LAYOUT,
     GenericEvent,
     check_guards,
     extract_event,
@@ -373,6 +375,19 @@ def test_validate_flags_corrupted_reduce(element_run):
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_validate_reports_a_generated_bot_at_its_record(machine):
+    # no state can hold a bot generated by a reduce: validate reports the
+    # record, as it does any record that does not replay
+    run, os = (solve, make_semantics()) if machine == "fd" else (palm.palm_solve, palm.make_palm_semantics())
+    events = list(run(element_problem()).events)
+    idx = next(i for i, ev in enumerate(events) if ev.type == "reduce")
+    events[idx] = events[idx]._replace(generated=(BOTTOM,))
+    report = validate(events, os=os)
+    assert not report.ok
+    assert report.error == gentra4cp.ValidationError(idx, "reduce", "the bottom event carries no variable and no origin")
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
 def test_replay_checks_each_record_depth_after_its_rule(element_run, machine):
     if machine == "fd":
         os, events = make_semantics(), list(element_run.events)
@@ -669,6 +684,21 @@ def test_read_record_refuses_a_foreign_attribute_with_the_shape_error_text(kind)
     with pytest.raises(ReconstructionError) as exc:
         gentra4cp.read_record(initial_state(), GenericEvent("frobnicate", 0))
     assert exc.value.condition == "unknown event type 'frobnicate'"
+
+
+# README's notation of each attribute; the dialect extras, and a declaration
+# kept as foreign text, are left out of its list of records
+README_NOTATION = {"constraint": "c", "variable": "v", "node": "node(n)", "node2": "node(origin)", "domain": "D",
+                   "generated": "gen{…}", "cause": "cause", "event": "v kind", "decl": "decl"}
+
+
+def test_readme_states_each_record_layout():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = " ".join(readme.split("\n## The trace format\n")[1].split("\n## ")[0].split())
+    for kind, layout in LAYOUT.items():
+        notation = [f"[{README_NOTATION[name]}]" if optional else README_NOTATION[name]
+                    for name, optional in layout if name in README_NOTATION]
+        assert f"`{' '.join([kind, *notation])}`" in section
 
 
 def test_records_and_actions_stay_immutable():

@@ -16,7 +16,6 @@ from gentra.semantics import (
     extract,
     first_divergence,
     reconstruct,
-    replay_divergence,
     transition_holds,
 )
 from gentra.solver import solve
@@ -269,17 +268,3 @@ def test_one_pass_check_matches_the_long_way_on_both_machines():
                 entry = check_faithful(os, [sample]).entries[0]
                 assert entry.ok == (sample is t)
                 assert (entry.ok, entry.divergence, entry.detail) == _two_pass_entry(os, sample)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6), st.integers(-1, 1))
-def test_replay_divergence_matches_first_divergence(seed, ref_steps, actual_steps, start_shift):
-    # the reference and the replayed trace may differ in their initial
-    # states (position -1), in their lengths (position min(size)) or in
-    # any step
-    os = counter_os()
-    rng = random.Random(seed)
-    reference = random_walk(rng, steps=ref_steps)
-    walk = random_walk(rng, steps=actual_steps) if rng.random() < 0.5 else reference
-    actual = extract(os, Trace(0, walk.events[:actual_steps]))
-    reference = Trace(reference.initial_state + start_shift, reference.events)
-    assert replay_divergence(os, actual, reference) == first_divergence(reference, reconstruct(os, actual))
