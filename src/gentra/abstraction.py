@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import GentraError, MappingError, ProjectionError, ReconstructionError, TransitionError
-from .gentra4cp import (DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, get_parameter, make_semantics,
+from .gentra4cp import (ARGS, DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, get_parameter, make_semantics,
                         reset_parameters, validate)
 from .palm import PALM_EVENT_TYPES, make_palm_semantics
 from .semantics import Action, ObservationalSemantics, extract, first_divergence, reconstruct, transition_holds
@@ -184,7 +184,11 @@ class StateMapping:
     def carry_action(self, action: Action) -> Action:
         if self.map_action is not None:
             return self.map_action(action)
-        return Action(self.action_map[action.kind], action.args)
+        kind = self.action_map[action.kind]
+        if kind == action.kind:
+            return action
+        named = dict(zip(ARGS[action.kind], action.args))  # a relabelled action keeps the arguments its kind takes
+        return Action.of(kind, **{k: named[k] for k in ARGS[kind] if k in named})
 
 
 @dataclass(frozen=True)
@@ -419,11 +423,12 @@ def map_palm_state(full: FullState) -> FullState:
 
 
 def _strip_explanation(action: Action) -> Action:
-    """The action without its explanation argument; the action itself when
-    it carries none (no action is its own argument, so it is the default)."""
-    if action.get("explanation", action) is action:
+    """The action with its explanation slot (a reduce's third argument)
+    emptied; the action itself when it carries none."""
+    kind, args = action
+    if kind != "reduce" or args[2] is None:
         return action
-    return Action(action.kind, tuple((k, v) for k, v in action.args if k != "explanation"))
+    return _payload(Action, (kind, (args[0], args[1], None, *args[3:])))
 
 
 def palm_mapping() -> StateMapping:

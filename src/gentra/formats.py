@@ -207,6 +207,13 @@ _FRAGMENTS = dict(constraint=f"({_NAME})", variable=f"({_NAME})", node=_NODE, no
 # the palm dialect writes its extras, an explanation and a wake kind, on reduce records only
 _PALM_FRAGMENTS = dict(_FRAGMENTS, explanation=rf"expl\{{((?:{_NAME}(?:,{_NAME})*)?)\}}",
                        wake_kind=f"({_KIND}|empty)")
+# per attribute a strict line may carry, the tokens that may fill it: a strict
+# line's tokens fill its record's attributes in layout order (an event takes two)
+_FITS = {**dict.fromkeys(("constraint", "variable", "event"), lambda t: t.kind == "word"),
+         **dict.fromkeys(("node", "node2"), lambda t: t.text.startswith("node(")),
+         "domain": lambda t: t.kind == "domain", "decl": lambda t: t.kind == "call",
+         "cause": lambda t: t.text == "bot" or t.kind == "call", "generated": lambda t: t.text.startswith("gen{"),
+         "explanation": lambda t: t.text.startswith("expl{"), "wake_kind": lambda t: t.text in (*EVENT_KINDS, "empty")}
 
 
 def _compiled(kind: str, fragments: dict):
@@ -317,9 +324,20 @@ class _EventParser:
                 if getattr(ev, extra) is not None:
                     raise TraceShapeError(type_name, f"dialect attribute {extra!r} not allowed here", line=line_no)
         # one token per attribute the record carries, two for a scheduled event
-        if len(toks) != sum(getattr(ev, name) is not None for name, _ in LAYOUT[type_name]) + (ev.event is not None):
+        slots = [name for name, _ in LAYOUT[type_name] if getattr(ev, name) is not None]
+        slots += ["event"] * (ev.event is not None)
+        if len(toks) != len(slots):
             raise TraceShapeError(type_name, "surplus attribute tokens", line=line_no)
+        for tok, name in zip(toks, slots):
+            if not _FITS[name](tok):
+                raise TraceShapeError(type_name, f"expected attribute {name!r}, got {tok.text!r}", line=line_no)
         return ev
+
+    def _ident(self, text: str, line_no: int) -> str:
+        """An identifier (or None), noted (refused when strict) unless it is the grammar's IDENT."""
+        if text is not None and not _STRICT_IDENT.match(text):
+            self.note(line_no, f"irregular identifier {text!r}")
+        return text
 
     def _parse_attrs(self, type_name, toks, depth, line_no) -> GenericEvent:
         words = [t for t in toks if t.kind == "word"]
@@ -333,15 +351,14 @@ class _EventParser:
             if len(names) > 1:
                 alias = names[1]
                 self.note(line_no, f"source-name token {alias!r} on newVariable")
-            if not _STRICT_IDENT.match(var):
-                self.note(line_no, f"irregular identifier {var!r}")
+            self._ident(var, line_no)
             return GenericEvent(type_name, depth, variable=var,
                                 domain=parse_domain(doms[0].text, self.mx), var_alias=alias)
 
         if type_name == "newConstraint":
             if not toks:
                 raise TraceShapeError(type_name, "missing constraint identifier", line=line_no)
-            cid = toks[0].text
+            cid = self._ident(toks[0].text, line_no)
             decl = decl_text = None
             if len(toks) > 1:
                 decl_txt = " ".join(t.text for t in toks[1:])
@@ -353,7 +370,7 @@ class _EventParser:
         if type_name in ("post", "deactivate", "suspend", "solved"):
             if not words:
                 raise TraceShapeError(type_name, "missing constraint identifier", line=line_no)
-            return GenericEvent(type_name, depth, constraint=words[0].text)
+            return GenericEvent(type_name, depth, constraint=self._ident(words[0].text, line_no))
 
         if type_name in ("newChild", "solution", "failure"):
             nodes = [t for t in toks if t.kind in ("call", "int")]
@@ -380,7 +397,7 @@ class _EventParser:
             for t in toks:
                 if t.kind == "block" and t.name == "gen":
                     generated = self._gen_events(t, line_no)
-            return GenericEvent(type_name, depth, variable=words[0].text,
+            return GenericEvent(type_name, depth, variable=self._ident(words[0].text, line_no),
                                 domain=parse_domain(doms[0].text, self.mx), generated=generated)
 
         if type_name == "reduce":
@@ -389,7 +406,7 @@ class _EventParser:
         if type_name in ("reject", "awake"):
             if not words:
                 raise TraceShapeError(type_name, "missing constraint identifier", line=line_no)
-            cid = words[0].text
+            cid = self._ident(words[0].text, line_no)
             cause = None
             wake = None
             for t in toks[1:]:
@@ -414,7 +431,8 @@ class _EventParser:
                 raise TraceShapeError(type_name, "expected [constraint] variable kind", line=line_no)
             if kind not in EVENT_KINDS:
                 raise TraceShapeError(type_name, f"unknown event kind {kind!r}", line=line_no)
-            return GenericEvent(type_name, depth, constraint=cid, event=SolverEvent(kind, var))
+            return GenericEvent(type_name, depth, constraint=self._ident(cid, line_no),
+                                event=SolverEvent(kind, self._ident(var, line_no)))
 
         raise TraceSyntaxError(f"unknown event type {type_name!r}", line=line_no)
 
@@ -437,9 +455,7 @@ class _EventParser:
         words = [t for t in toks if t.kind == "word"]
         if len(words) < 2:
             raise TraceShapeError("reduce", "expected constraint and variable", line=line_no)
-        cid, var = words[0].text, words[1].text
-        if not _STRICT_IDENT.match(var):
-            self.note(line_no, f"irregular identifier {var!r}")
+        cid, var = self._ident(words[0].text, line_no), self._ident(words[1].text, line_no)
         domain = generated = cause = explanation = wake = None
         for t in toks[2:]:
             if t.kind == "domain":

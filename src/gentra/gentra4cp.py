@@ -42,21 +42,10 @@ from .constraints import ConstraintDecl
 from .errors import ReconstructionError, StateInvariantError, TransitionError
 from .fdomain import FiniteDomain
 from .semantics import Action, ObservationalSemantics, reconstruct
-from .state import (
-    BOTTOM,
-    FullState,
-    SolverEvent,
-    SolverState,
-    awake_condition,
-    choice_point,
-    failure_state,
-    initial_state,
-    schedulable,
-    solution_state,
-    store,
-    with_id,
-    without_id,
-)
+from .state import (ACTIVE, BOTTOM, CONSTRAINTS, CURRENT_EVENT, DOMAINS, INITIAL_DOMAINS, PENDING, REJECTED,
+                    SLEEPING, SOLVED, VARIABLES, FullState, SolverEvent, SolverState, awake_condition,
+                    choice_point, failure_state, initial_state, schedulable, solution_state, store,
+                    with_id, without_id)
 from .trace import Trace, _actual_payloads, _payload
 
 CONTROL_TYPES = (
@@ -121,6 +110,18 @@ LAYOUT = {kind: tuple((name.rstrip("?"), name.endswith("?")) for name in spec.sp
     "awake": "constraint cause wake_kind?",
     "schedule": "constraint? event",
 }.items()}
+
+# The action arguments, the rules' reference: per action kind, its argument names sorted, the order of an
+# action's ``args``, which the rules read by position.  The optional ones, ``ARG_DEFAULTS``'s, are always there,
+# at their default if left out: a generic reduce has palm's explanation slot, so both share one reduce rule.
+ARGS = {kind: tuple(spec.split()) for kind, spec in {
+    "newVariable": "domain variable", "newConstraint": "constraint decl", "post": "constraint",
+    "newChild": "node", "jumpTo": "node", "solution": "node", "failure": "node", "deactivate": "constraint",
+    "restore": "generated values variable", "reduce": "cause constraint explanation generated removed variable",
+    "suspend": "constraint", "solved": "constraint", "reject": "cause constraint", "awake": "cause constraint",
+    "schedule": "event witness",
+}.items()}
+ARG_DEFAULTS = {"explanation": None, "generated": (), "witness": None}
 
 # required / optional attributes per event type (strict shape)
 _SHAPES = {kind: (tuple(name for name, optional in layout if not optional),
@@ -188,55 +189,57 @@ def _need(cond: bool, rule: str, text: str):
 
 
 def _step_new_variable(full: FullState, act: Action) -> FullState:
-    var, dom = act.get("variable"), act.get("domain")
+    dom, var = act.args
     s = full.solver
     _need(var not in s.variables, "newVariable", f"{var} already declared")
-    return full.with_solver(variables=s.variables + (var,), domains={**s.domains, var: dom},
-                            initial_domains={**s.initial_domains, var: dom})
+    return full.with_solver(VARIABLES, s.variables + (var,), DOMAINS, {**s.domains, var: dom},
+                            INITIAL_DOMAINS, {**s.initial_domains, var: dom})
 
 
 def _step_new_constraint(full: FullState, act: Action) -> FullState:
-    cid, decl = act.get("constraint"), act.get("decl")
+    cid, decl = act.args
     s = full.solver
     _need(not s.is_declared(cid), "newConstraint", f"{cid} already declared")
     if decl is not None:
         missing = [v for v in decl.variables if v not in s.variables]
         _need(not missing, "newConstraint", f"undeclared variables {missing}")
-    return full.with_solver(constraints=s.constraints.with_entry(cid, decl))
+    return full.with_solver(CONSTRAINTS, s.constraints.with_entry(cid, decl))
 
 
 def _step_post(full: FullState, act: Action) -> FullState:
-    cid = act.get("constraint")
+    cid, = act.args
     s = full.solver
     _need(s.is_declared(cid), "post", f"{cid} not declared")
     _need(cid not in store(s), "post", f"{cid} already in the store")
-    return full.with_solver(active=s.active + ((cid, BOTTOM),))
+    return full.with_solver(ACTIVE, s.active + ((cid, BOTTOM),))
 
 
 def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullState:
-    node = act.get("node")
+    node, = act.args
     _need(not full.tree.has_node(node), rule, f"node {node} already exists")
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
     depth = full.tree.depth(full.tree.current) + 1
-    return full._replace(tree=full.tree.with_node(node, full.solver, depth))
+    return _payload(FullState, (full[0], full.tree.with_node(node, full.solver, depth), full[2]))
 
 
 def _step_jump_to(full: FullState, act: Action) -> FullState:
-    node = act.get("node")
+    node, = act.args
     _need(full.tree.has_node(node), "jumpTo", f"unknown node {node}")
     _need(node != full.tree.current, "jumpTo", "target is already the current node")
     snap = full.tree.snapshot(node)
     _need(choice_point(snap), "jumpTo", f"node {node} is not a choice point")
-    return full._replace(solver=snap, tree=full.tree.jumped_to(node))
+    return _payload(FullState, (snap, full.tree.jumped_to(node), full[2]))
 
 
 def _step_deactivate(full: FullState, act: Action) -> FullState:
-    cid = act.get("constraint")
+    cid, = act.args
     s = full.solver
     _need(cid in store(s), "deactivate", f"{cid} not in the store")
-    return full.with_solver(active=tuple(p for p in s.active if p[0] != cid),
-                            sleeping=without_id(s.sleeping, cid), solved=without_id(s.solved, cid),
-                            rejected=without_id(s.rejected, cid))
+    # the store's parts are disjoint: the constraint leaves the one holding it
+    for part in (SLEEPING, SOLVED, REJECTED):
+        if cid in s[part]:
+            return full.with_solver(part, without_id(s[part], cid))
+    return full.with_solver(ACTIVE, _retire(s, cid, None, "deactivate"))
 
 
 def _pushed(pending: tuple[SolverEvent, ...], events) -> tuple[SolverEvent, ...]:
@@ -246,19 +249,17 @@ def _pushed(pending: tuple[SolverEvent, ...], events) -> tuple[SolverEvent, ...]
 
 
 def _step_restore(full: FullState, act: Action) -> FullState:
-    var, values = act.get("variable"), act.get("values")
-    generated = act.get("generated", ())
+    generated, restored, var = act.args
     s = full.solver
     _need(var in s.variables, "restore", f"{var} not declared")
     dom = s.domain(var)
-    _need(values.disjoint(dom), "restore", "restored values are still in the domain")
-    _need(values.issubset(s.initial_domain(var)), "restore", "restored values exceed the initial domain")
-    return full.with_solver(domains={**s.domains, var: dom.union(values)}, pending=_pushed(s.pending, generated))
+    _need(restored.disjoint(dom), "restore", "restored values are still in the domain")
+    _need(restored.issubset(s.initial_domain(var)), "restore", "restored values exceed the initial domain")
+    return full.with_solver(DOMAINS, {**s.domains, var: dom.union(restored)}, PENDING, _pushed(s.pending, generated))
 
 
 def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullState:
-    cid, var = act.get("constraint"), act.get("variable")
-    removed, generated, cause = act.get("removed"), act.get("generated", ()), act.get("cause")
+    cause, cid, _explanation, generated, removed, var = act.args
     s = full.solver
     pair_event = s.active_event(cid)
     if pair_event is None or pair_event != cause:
@@ -272,48 +273,48 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
     _need(removed.issubset(dom), "reduce", "removed values are not all in the domain")
     domains, pending = {**s.domains, var: dom.subtract(removed)}, _pushed(s.pending, generated)
     if strict:
-        return full.with_solver(domains=domains, pending=pending, active=tuple(p for p in s.active if p[0] != cid))
-    return full.with_solver(domains=domains, pending=pending)
+        return full.with_solver(DOMAINS, domains, PENDING, pending, ACTIVE, _retire(s, cid, None, "reduce"))
+    return full.with_solver(DOMAINS, domains, PENDING, pending)
 
 
-def _retire(full: FullState, act: Action, rule: str) -> tuple[str, tuple]:
-    """The retired constraint and the active pairs left without it."""
-    cid = act.get("constraint")
-    s = full.solver
-    pair_event = s.active_event(cid)
-    if pair_event is None:
-        raise TransitionError(rule, f"{cid} is not active")
-    cause = act.get("cause")
-    if cause is not None and pair_event != cause:
-        raise TransitionError(rule, f"({cid}, {cause}) is not the active pair")
-    return cid, tuple(p for p in s.active if p[0] != cid)
+def _retire(s: SolverState, cid: str, cause: SolverEvent | None, rule: str) -> tuple:
+    """The active pairs left without ``cid``'s, checked against ``cause`` when there is one."""
+    for i, (c, event) in enumerate(s.active):
+        if c == cid:
+            if cause is not None and event != cause:
+                raise TransitionError(rule, f"({cid}, {cause}) is not the active pair")
+            return s.active[:i] + s.active[i + 1:]
+    raise TransitionError(rule, f"{cid} is not active")
 
 
 def _step_suspend(full: FullState, act: Action) -> FullState:
-    cid, active = _retire(full, act, "suspend")
-    return full.with_solver(active=active, sleeping=with_id(full.solver.sleeping, cid))
+    cid, = act.args
+    s = full.solver
+    return full.with_solver(ACTIVE, _retire(s, cid, None, "suspend"), SLEEPING, with_id(s.sleeping, cid))
 
 
 def _step_solved(full: FullState, act: Action) -> FullState:
-    cid, active = _retire(full, act, "solved")
+    cid, = act.args
     s = full.solver
+    active = _retire(s, cid, None, "solved")
     decl = s.declaration(cid)
     _need(decl is not None, "solved", f"no declaration recorded for {cid}")
     _need(decl.entailed(s.domains), "solved", f"{cid} is not entailed")
-    return full.with_solver(active=active, solved=with_id(s.solved, cid))
+    return full.with_solver(ACTIVE, active, SOLVED, with_id(s.solved, cid))
 
 
 def _step_reject(full: FullState, act: Action) -> FullState:
-    cid, active = _retire(full, act, "reject")
+    cause, cid = act.args
     s = full.solver
+    active = _retire(s, cid, cause, "reject")
     decl = s.declaration(cid)
     _need(decl is not None, "reject", f"no declaration recorded for {cid}")
     _need(decl.falsified(s.domains), "reject", f"{cid} is not falsified")
-    return full.with_solver(active=active, rejected=with_id(s.rejected, cid))
+    return full.with_solver(ACTIVE, active, REJECTED, with_id(s.rejected, cid))
 
 
 def _step_awake(full: FullState, act: Action) -> FullState:
-    cid, cause = act.get("constraint"), act.get("cause")
+    cause, cid = act.args
     s = full.solver
     if cid not in s.sleeping:
         raise TransitionError("awake", f"{cid} is not sleeping")
@@ -321,11 +322,11 @@ def _step_awake(full: FullState, act: Action) -> FullState:
           "waking event is neither bot nor the scheduled event")
     if not awake_condition(s, cid, cause):
         raise TransitionError("awake", f"{cid} does not watch {cause}")
-    return full.with_solver(active=s.active + ((cid, cause),), sleeping=without_id(s.sleeping, cid))
+    return full.with_solver(ACTIVE, s.active + ((cid, cause),), SLEEPING, without_id(s.sleeping, cid))
 
 
 def _step_schedule(full: FullState, act: Action) -> FullState:
-    event, witness = act.get("event"), act.get("witness")
+    event, witness = act.args
     s = full.solver
     if event not in s.pending:
         raise TransitionError("schedule", f"{event} is not pending")
@@ -333,7 +334,7 @@ def _step_schedule(full: FullState, act: Action) -> FullState:
     if witness is not None and not awake_condition(s, witness, event):
         raise TransitionError("schedule", f"{witness} does not react to the event")
     idx = s.pending.index(event)
-    return full.with_solver(pending=s.pending[:idx] + s.pending[idx + 1:], current_event=event)
+    return full.with_solver(PENDING, s.pending[:idx] + s.pending[idx + 1:], CURRENT_EVENT, event)
 
 
 RULES = {
@@ -373,35 +374,32 @@ def _pending_suffix(old: SolverState, new: SolverState) -> tuple[SolverEvent, ..
 
 def extract_event(full: FullState, action: Action, new: FullState) -> GenericEvent:
     """Compute the attribute record of a transition from its state delta."""
-    kind = action.kind
+    kind, args = action
     depth = new.tree.depth(new.tree.current)
-    if kind == "newVariable":
-        var = action.get("variable")
-        return GenericEvent(kind, depth, variable=var, domain=new.solver.domain(var))
-    if kind == "newConstraint":
-        cid = action.get("constraint")
-        return GenericEvent(kind, depth, constraint=cid, decl=new.solver.declaration(cid))
     if kind in ("post", "deactivate", "suspend", "solved"):
-        return GenericEvent(kind, depth, constraint=action.get("constraint"))
+        return GenericEvent(kind, depth, constraint=args[0])
+    if kind in ("reject", "awake"):
+        return GenericEvent(kind, depth, constraint=args[1], cause=args[0])
+    if kind == "schedule":
+        return GenericEvent(kind, depth, event=args[0], constraint=args[1])
+    if kind == "reduce":
+        cause, cid, _explanation, _generated, _removed, var = args
+        delta = full.solver.domain(var).subtract(new.solver.domain(var))
+        return GenericEvent(kind, depth, constraint=cid, variable=var, domain=delta,
+                            generated=_pending_suffix(full.solver, new.solver), cause=cause)
     if kind in ("newChild", "solution", "failure"):
-        return GenericEvent(kind, depth, node=action.get("node"))
+        return GenericEvent(kind, depth, node=args[0])
+    if kind == "newVariable":
+        return GenericEvent(kind, depth, variable=args[1], domain=new.solver.domain(args[1]))
+    if kind == "newConstraint":
+        return GenericEvent(kind, depth, constraint=args[0], decl=new.solver.declaration(args[0]))
     if kind == "jumpTo":
-        return GenericEvent(kind, depth, node=action.get("node"), node2=full.tree.current)
+        return GenericEvent(kind, depth, node=args[0], node2=full.tree.current)
     if kind == "restore":
-        var = action.get("variable")
+        var = args[2]
         removed = new.solver.domain(var).subtract(full.solver.domain(var))
         return GenericEvent(kind, depth, variable=var, domain=removed,
                             generated=_pending_suffix(full.solver, new.solver) or None)
-    if kind == "reduce":
-        var = action.get("variable")
-        delta = full.solver.domain(var).subtract(new.solver.domain(var))
-        return GenericEvent(kind, depth, constraint=action.get("constraint"), variable=var,
-                            domain=delta, generated=_pending_suffix(full.solver, new.solver),
-                            cause=action.get("cause"))
-    if kind in ("reject", "awake"):
-        return GenericEvent(kind, depth, constraint=action.get("constraint"), cause=action.get("cause"))
-    if kind == "schedule":
-        return GenericEvent(kind, depth, event=action.get("event"), constraint=action.get("witness"))
     raise TransitionError(kind, "unknown rule")
 
 
@@ -425,19 +423,18 @@ def _active_cause(full: FullState, ev: GenericEvent) -> SolverEvent:
 def _read_jump(full: FullState, ev: GenericEvent) -> Action:
     if ev.node2 is not None and ev.node2 != full.tree.current:
         _fail(ev.type, f"origin node {ev.node2} is not the current node")
-    return _payload(Action, (ev.type, (("node", ev.node),)))
+    return _payload(Action, (ev.type, (ev.node,)))
 
 
 def _read_restore(full: FullState, ev: GenericEvent) -> Action:
     gen = tuple(SolverEvent(e.kind, e.variable) for e in ev.generated or ())
-    return _payload(Action, (ev.type, (("generated", gen), ("values", ev.domain), ("variable", ev.variable))))
+    return _payload(Action, (ev.type, (gen, ev.domain, ev.variable)))
 
 
 def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
     cause = _active_cause(full, ev)
     gen = tuple(SolverEvent(e.kind, e.variable, ev.constraint) for e in ev.generated or ())
-    return _payload(Action, (ev.type, (("cause", cause), ("constraint", ev.constraint), ("generated", gen),
-                                       ("removed", ev.domain), ("variable", ev.variable))))
+    return _payload(Action, (ev.type, (cause, ev.constraint, None, gen, ev.domain, ev.variable)))
 
 
 def _read_awake(full: FullState, ev: GenericEvent) -> Action:
@@ -448,35 +445,29 @@ def _read_awake(full: FullState, ev: GenericEvent) -> Action:
         cause = current
     else:
         _fail(ev.type, "recorded cause is not the scheduled event")
-    return _payload(Action, (ev.type, (("cause", cause), ("constraint", ev.constraint))))
+    return _payload(Action, (ev.type, (cause, ev.constraint)))
 
 
 def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
     event = next((e for e in full.solver.pending if e.matches(ev.event.kind, ev.event.variable)), None)
     if event is None:
         _fail(ev.type, f"no pending event matches {ev.event.kind} {ev.event.variable}")
-    if ev.constraint is not None:
-        return _payload(Action, (ev.type, (("event", event), ("witness", ev.constraint))))
-    return _payload(Action, (ev.type, (("event", event),)))
+    return _payload(Action, (ev.type, (event, ev.constraint)))
 
 
-# record readers: the action each record type encodes, read against the
-# pre-state (solver events are serialized without their originating
-# constraint; the origin is recovered from the active pair for causes and
-# from the pending pool for scheduled events), arguments in ``Action.of``
-# order; each builds its action positionally, without a Python-level call
+# record readers: the action each record type encodes, read against the pre-state (solver events are
+# serialized without their originating constraint; the origin is recovered from the active pair for causes
+# and from the pending pool for scheduled events), each built positionally, its arguments in ``ARGS`` order
 READERS = {
-    "newVariable": lambda full, ev: _payload(Action, (ev.type, (("domain", ev.domain), ("variable", ev.variable)))),
-    "newConstraint": lambda full, ev: _payload(Action, (ev.type, (("constraint", ev.constraint), ("decl", ev.decl)))),
+    "newVariable": lambda full, ev: _payload(Action, (ev.type, (ev.domain, ev.variable))),
+    "newConstraint": lambda full, ev: _payload(Action, (ev.type, (ev.constraint, ev.decl))),
     **dict.fromkeys(("post", "deactivate", "suspend", "solved"),
-                    lambda full, ev: _payload(Action, (ev.type, (("constraint", ev.constraint),)))),
-    **dict.fromkeys(("newChild", "solution", "failure"),
-                    lambda full, ev: _payload(Action, (ev.type, (("node", ev.node),)))),
+                    lambda full, ev: _payload(Action, (ev.type, (ev.constraint,)))),
+    **dict.fromkeys(("newChild", "solution", "failure"), lambda full, ev: _payload(Action, (ev.type, (ev.node,)))),
     "jumpTo": _read_jump,
     "restore": _read_restore,
     "reduce": _read_reduce,
-    "reject": lambda full, ev: _payload(Action, (ev.type, (("cause", _active_cause(full, ev)),
-                                                          ("constraint", ev.constraint)))),
+    "reject": lambda full, ev: _payload(Action, (ev.type, (_active_cause(full, ev), ev.constraint))),
     "awake": _read_awake,
     "schedule": _read_schedule,
 }
@@ -510,8 +501,7 @@ def check_depth(ev: GenericEvent, new: FullState) -> None:
 
 # semantics bundle and parameter tables
 
-_SOLVER_PARAMS = ("variables", "constraints", "domains", "initial_domains", "active",
-                  "solved", "rejected", "sleeping", "pending", "current_event")
+_SOLVER_PARAMS = SolverState._fields
 _TREE_PARAMS = ("nodes", "snapshots", "depths", "current")
 PARAMETERS = _SOLVER_PARAMS + _TREE_PARAMS
 

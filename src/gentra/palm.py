@@ -37,16 +37,8 @@ from .fdomain import EMPTY_DOMAIN, FiniteDomain
 from .gentra4cp import (READERS, RULES, GenericEvent, _need, apply_rule, check_depth, extract_event,
                         is_initial, read_record)
 from .semantics import Action, ObservationalSemantics
-from .solver import (
-    Problem,
-    SolveLimits,
-    SolveResult,
-    _close_solution,
-    _fresh_events,
-    _next_alternatives,
-    _post_and_propagate,
-    _Run,
-)
+from .solver import (Problem, SolveLimits, SolveResult, _close_solution, _fresh_events, _next_alternatives,
+                     _post_and_propagate, _Run)
 from .state import FullState, SolverEvent, initial_state, store
 from .trace import Trace, _payload
 
@@ -92,14 +84,14 @@ def _post(full: FullState, act: Action) -> FullState:
 
 def _restore(full: FullState, act: Action) -> FullState:
     """Only values whose explanation broke may come back; their explanations go."""
-    var, values = act.get("variable"), act.get("values")
+    _generated, restored, var = act.args
     new = RULES["restore"](full, act)
-    _need(not values.is_empty(), "restore", "nothing to restore")
-    _need(values.issubset(broken_values(full, var)), "restore",
+    _need(not restored.is_empty(), "restore", "nothing to restore")
+    _need(restored.issubset(broken_values(full, var)), "restore",
           "restored values are not explained by relaxed constraints")
     kept = []
     for vals, expl in full.explanations.get(var, ()):
-        vals = vals.subtract(values)
+        vals = vals.subtract(restored)
         if not vals.is_empty():
             kept.append((vals, expl))
     table = dict(full.explanations)
@@ -107,27 +99,26 @@ def _restore(full: FullState, act: Action) -> FullState:
         table[var] = tuple(kept)
     else:
         table.pop(var, None)
-    return new._replace(explanations=table)
+    return _payload(FullState, (new[0], new[1], table))
 
 
 def _reduce(full: FullState, act: Action) -> FullState:
     """A nonempty removal while nothing is rejected, recorded with its explanation."""
+    _cause, _cid, explanation, _generated, removed, var = act.args
     s = full.solver
-    explanation = act.get("explanation")
     _need(not s.rejected, "reduce", "a constraint is rejected")
     new = RULES["reduce"](full, act)
-    _need(not act.get("removed").is_empty(), "reduce", "nothing to remove")
+    _need(not removed.is_empty(), "reduce", "nothing to remove")
     _need(explanation is not None and explanation <= store(s), "reduce",
           "explanation is not a set of store constraints")
-    var, table = act.get("variable"), new.explanations
-    entry = (act.get("removed"), explanation)
-    return new._replace(explanations={**table, var: table.get(var, ()) + (entry,)})
+    table = new[2]
+    return _payload(FullState, (new[0], new[1], {**table, var: table.get(var, ()) + ((removed, explanation),)}))
 
 
 def _reject(full: FullState, act: Action) -> FullState:
     """Rejection needs an emptied domain, not just falsity."""
     new = RULES["reject"](full, act)
-    decl = full.solver.declaration(act.get("constraint"))
+    decl = full.solver.declaration(act.args[1])
     _need(any(full.solver.domain(v).is_empty() for v in decl.variables), "reject",
           "no variable of the constraint has an empty domain")
     return new
@@ -176,16 +167,16 @@ def palm_extract(full: FullState, action: Action, new: FullState) -> GenericEven
     ev = extract_event(full, action, new)
     if action.kind != "reduce":
         return ev
-    var = action.get("variable")
-    return ev._replace(explanation=tuple(sorted(action.get("explanation"))),
+    _cause, _cid, explanation, _generated, _removed, var = action.args
+    return ev._replace(explanation=tuple(sorted(explanation)),
                        wake_kind=wake_kind_of(full.solver.domain(var), new.solver.domain(var)))
 
 
 def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
-    kind, args = READERS["reduce"](full, ev)
+    kind, (cause, cid, _none, gen, removed, var) = READERS["reduce"](full, ev)
     if ev.explanation is None:
         raise ReconstructionError("reduce", "reduce record carries no explanation")
-    return _payload(Action, (kind, tuple(sorted((*args, ("explanation", frozenset(ev.explanation)))))))
+    return _payload(Action, (kind, (cause, cid, frozenset(ev.explanation), gen, removed, var)))
 
 
 PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}
@@ -248,7 +239,7 @@ class _PalmRun(_Run):
         self.problem_vars: set[str] = set()
 
     def schedule_action(self, event: SolverEvent, woken: list[str]) -> Action:
-        return Action.of("schedule", event=event)
+        return _payload(Action, ("schedule", (event, None)))
 
     def reduce_action(self, cid: str, var: str, old: FiniteDomain, new: FiniteDomain,
                       removed: FiniteDomain, cause: SolverEvent) -> Action:
@@ -259,9 +250,8 @@ class _PalmRun(_Run):
             if v != var:
                 for _vals, expl in self.full.explanations.get(v, ()):
                     explanation |= expl
-        return Action.of("reduce", constraint=cid, variable=var, removed=removed,
-                         generated=_fresh_events(self, var, old, new, cid) if var in self.problem_vars else (),
-                         cause=cause, explanation=frozenset(explanation))
+        generated = _fresh_events(self, var, old, new, cid) if var in self.problem_vars else ()
+        return _payload(Action, ("reduce", (cause, cid, frozenset(explanation), generated, removed, var)))
 
 
 def _emit_restores(run: _PalmRun) -> None:
@@ -280,7 +270,7 @@ def _emit_restores(run: _PalmRun) -> None:
             ev = SolverEvent("dom", var)
             if ev not in run.solver.pending:
                 gen = (ev,)
-        run.emit(Action.of("restore", variable=var, values=values, generated=gen))
+        run.emit(_payload(Action, ("restore", (gen, values, var))))
     try:
         check_palm_invariants(run.full)
     except StateInvariantError as exc:
@@ -301,7 +291,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
     run = _PalmRun(limits or SolveLimits())
     start = run.full
     for var, dom in problem.variables:
-        run.emit(Action.of("newVariable", variable=var, domain=dom))
+        run.emit(_payload(Action, ("newVariable", (dom, var))))
 
     posts: list[tuple[str, ConstraintDecl | None]] = list(problem.constraints)
     strategy = [("branch", alts) for alts in problem.branches]
@@ -321,7 +311,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
         while frames:
             frame = frames[-1]
             if frame.bc is not None and frame.bc in store(run.solver):
-                run.emit(Action.of("deactivate", constraint=frame.bc))
+                run.emit(_payload(Action, ("deactivate", (frame.bc,))))
                 _emit_restores(run)
             frame.index += 1
             if frame.index < len(frame.alternatives):
@@ -332,7 +322,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
 
     while True:
         if run.solver.rejected:
-            run.emit(Action.of("failure", node=run.fresh_node()))
+            run.emit(_payload(Action, ("failure", (run.fresh_node(),))))
             if not any(f.index + 1 < len(f.alternatives) for f in frames):
                 break
             # drop postings queued for the abandoned alternative, keeping
@@ -342,7 +332,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
                     repost.append(cid)
             posts.clear()
             c_rej = run.solver.rejected[0]
-            run.emit(Action.of("deactivate", constraint=c_rej))
+            run.emit(_payload(Action, ("deactivate", (c_rej,))))
             _emit_restores(run)
             if c_rej in problem_ids and c_rej not in repost:
                 repost.append(c_rej)
@@ -357,7 +347,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
             continue
         alternatives = _next_alternatives(run, strategy, len(frames))
         if alternatives is not None:
-            run.emit(Action.of("newChild", node=run.fresh_node()))
+            run.emit(_payload(Action, ("newChild", (run.fresh_node(),))))
             frames.append(_Frame(alternatives))
             enter_alternative(frames[-1])
             continue

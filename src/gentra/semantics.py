@@ -23,25 +23,31 @@ class Action(NamedTuple):
     """A transition label: a rule kind plus its instantiated arguments.
 
     An immutable named tuple, so it compares and hashes by value, as tuples
-    do; ``of`` sorts the arguments by name, so equal labels are equal tuples.
+    do.  ``args`` holds the argument values in the order
+    ``gentra4cp.ARGS`` states for the kind, and the rules read them by
+    position; ``of`` lays keyword arguments out in that order.
     """
 
     kind: str
-    args: tuple[tuple[str, Any], ...] = ()
+    args: tuple = ()
 
     @classmethod
     def of(cls, kind: str, **kwargs: Any) -> "Action":
-        return cls(kind, tuple(sorted(kwargs.items())))
-
-    def get(self, name: str, default: Any = None) -> Any:
-        for k, v in self.args:
-            if k == name:
-                return v
-        return default
+        """The ``kind`` action of keyword arguments, those left out at their default (None unless ``ARG_DEFAULTS``)."""
+        from .gentra4cp import ARG_DEFAULTS, ARGS
+        names = ARGS.get(kind, ())
+        unknown = set(kwargs).difference(names)
+        if unknown:
+            raise TypeError(f"{kind} takes no argument {min(unknown)!r}")
+        return cls(kind, tuple(kwargs.get(name, ARG_DEFAULTS.get(name)) for name in names))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.args)
-        return f"Action({self.kind}{', ' if inner else ''}{inner})"
+        from .gentra4cp import ARG_DEFAULTS, ARGS
+        names = ARGS.get(self.kind, ())
+        if len(names) != len(self.args):  # not a gentra4cp action
+            return f"Action({self.kind}, {self.args!r})"
+        shown = (f", {k}={v!r}" for k, v in zip(names, self.args) if v is not None or k not in ARG_DEFAULTS)
+        return f"Action({self.kind}{''.join(shown)})"  # an optional argument left at None is not shown
 
 
 def _always(_: Any) -> bool:
@@ -127,24 +133,13 @@ def replay(os: ObservationalSemantics, state: Any, record: Any) -> VirtualPayloa
     return _payload(VirtualPayload, (action, new))
 
 
-def _read_step(os: ObservationalSemantics, state: Any, i: int, ev: ActualPayload) -> Action:
-    """The action record ``i`` encodes in ``state``, or the
-    :class:`ReconstructionError` that ``reconstruct`` reports for reading it."""
+def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: ActualPayload, read_only: bool = False):
+    """:func:`replay` of record ``i`` from ``state``, the step it encodes (its action alone if ``read_only``),
+    or the :class:`ReconstructionError` that ``reconstruct`` reports."""
     if not os.is_record(ev.record):
         raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
     try:
-        return os.read_action(state, ev.record)
-    except ReconstructionError as exc:
-        raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
-
-
-def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: ActualPayload) -> VirtualPayload:
-    """:func:`replay` of record ``i`` from ``state``: the step it encodes, or
-    the :class:`ReconstructionError` that ``reconstruct`` reports."""
-    if not os.is_record(ev.record):
-        raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
-    try:
-        return replay(os, state, ev.record)
+        return os.read_action(state, ev.record) if read_only else replay(os, state, ev.record)
     except ReconstructionError as exc:
         raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
 
@@ -227,7 +222,7 @@ def _faithful_divergence(os: ObservationalSemantics, vtrace: Trace) -> int | Non
     pos = None
     for i, (ev, ref) in enumerate(zip(atrace.events, vtrace.events)):
         if pos is None:
-            if _read_step(os, state, i, ev) == ref.action:
+            if _replay_step(os, state, i, ev, read_only=True) == ref.action:
                 state = ref.state
                 continue
             pos = i

@@ -21,7 +21,7 @@ from .fdomain import FiniteDomain
 from .gentra4cp import GenericEvent, generated_events, make_semantics
 from .semantics import Action, ObservationalSemantics
 from .state import BOTTOM, FullState, SolverEvent, initial_state, solution_state, watchers
-from .trace import Trace, VirtualPayload
+from .trace import Trace, VirtualPayload, _payload
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class _Run:
             raise SolveLimitError(f"event budget {self.limits.max_events} exceeded", self.events)
         new = self.os.apply(self.full, action)
         self.events.append(self.os.extract_local(self.full, action, new))
-        self.steps.append(VirtualPayload(action, new))
+        self.steps.append(_payload(VirtualPayload, (action, new)))
         self.full = new
 
     def fresh_node(self) -> int:
@@ -126,12 +126,12 @@ class _Run:
         return self.full.solver
 
     def schedule_action(self, event: SolverEvent, woken: list[str]) -> Action:
-        return Action.of("schedule", event=event, witness=woken[0])
+        return _payload(Action, ("schedule", (event, woken[0])))
 
     def reduce_action(self, cid: str, var: str, old: FiniteDomain, new: FiniteDomain,
                       removed: FiniteDomain, cause: SolverEvent) -> Action:
-        return Action.of("reduce", constraint=cid, variable=var, removed=removed,
-                         generated=_fresh_events(self, var, old, new, cid), cause=cause)
+        generated = _fresh_events(self, var, old, new, cid)
+        return _payload(Action, ("reduce", (cause, cid, None, generated, removed, var)))
 
 
 def _fresh_events(run: _Run, var: str, old: FiniteDomain, new: FiniteDomain, origin: str):
@@ -150,14 +150,14 @@ def _filter(run: _Run, cid: str, cause: SolverEvent) -> None:
     """
     decl = run.solver.declaration(cid)
     if run.reject_falsified and decl.falsified(run.solver.domains):
-        run.emit(Action.of("reject", constraint=cid, cause=cause))
+        run.emit(_payload(Action, ("reject", (cause, cid))))
         return
     changed = True
     while changed:
         changed = False
         for var in decl.variables:
             if run.strict_reduce and run.solver.active_event(cid) is None:
-                run.emit(Action.of("post", constraint=cid))
+                run.emit(_payload(Action, ("post", (cid,))))
                 cause = BOTTOM
             old = run.solver.domain(var)
             removed = old.subtract(decl.supported(var, run.solver.domains))
@@ -167,9 +167,9 @@ def _filter(run: _Run, cid: str, cause: SolverEvent) -> None:
             run.emit(run.reduce_action(cid, var, old, new, removed, cause))
             changed = True
             if new.is_empty():
-                run.emit(Action.of("reject", constraint=cid, cause=cause))
+                run.emit(_payload(Action, ("reject", (cause, cid))))
                 return
-    run.emit(Action.of("suspend", constraint=cid))
+    run.emit(_payload(Action, ("suspend", (cid,))))
 
 
 def propagate(run: _Run) -> None:
@@ -203,7 +203,7 @@ def propagate(run: _Run) -> None:
             for cid in woken:
                 if run.solver.rejected:
                     break
-                run.emit(Action.of("awake", constraint=cid, cause=event))
+                run.emit(_payload(Action, ("awake", (event, cid))))
                 _filter(run, cid, event)
             skip = 0
             continue
@@ -213,8 +213,8 @@ def propagate(run: _Run) -> None:
         for cid in s.sleeping:
             decl = s.declaration(cid)
             if decl is not None and decl.entailed(s.domains):
-                run.emit(Action.of("awake", constraint=cid, cause=BOTTOM))
-                run.emit(Action.of("solved", constraint=cid))
+                run.emit(_payload(Action, ("awake", (BOTTOM, cid))))
+                run.emit(_payload(Action, ("solved", (cid,))))
                 retired = True
         if not retired:
             return
@@ -223,8 +223,8 @@ def propagate(run: _Run) -> None:
 def _post_and_propagate(run: _Run, cid: str, decl: ConstraintDecl | None) -> None:
     """Post a constraint, declaring it first when ``decl`` is new, and propagate."""
     if decl is not None and not run.solver.is_declared(cid):
-        run.emit(Action.of("newConstraint", constraint=cid, decl=decl))
-    run.emit(Action.of("post", constraint=cid))
+        run.emit(_payload(Action, ("newConstraint", (cid, decl))))
+    run.emit(_payload(Action, ("post", (cid,))))
     propagate(run)
 
 
@@ -254,7 +254,7 @@ def _close_solution(run: _Run, solutions: list) -> None:
     the fixed assignment; anywhere else the branch is an unlabelled dead end."""
     if not solution_state(run.solver):
         return
-    run.emit(Action.of("solution", node=run.fresh_node()))
+    run.emit(_payload(Action, ("solution", (run.fresh_node(),))))
     solutions.append(tuple((v, d.singleton_value()) for v, d in run.solver.domains.items() if d.is_singleton()))
 
 
@@ -271,14 +271,14 @@ def _search(run: _Run, strategy, solutions: list) -> None:
     frames: list[_Choice] = []
     while True:
         if run.solver.rejected:
-            run.emit(Action.of("failure", node=run.fresh_node()))
+            run.emit(_payload(Action, ("failure", (run.fresh_node(),))))
         else:
             alternatives = _next_alternatives(run, strategy, len(frames))
             if alternatives is None:
                 _close_solution(run, solutions)
             else:
                 frames.append(_Choice(run.fresh_node(), alternatives))
-                run.emit(Action.of("newChild", node=frames[-1].node))
+                run.emit(_payload(Action, ("newChild", (frames[-1].node,))))
         while frames and frames[-1].index == len(frames[-1].alternatives):
             frames.pop()
         if not frames:
@@ -288,8 +288,8 @@ def _search(run: _Run, strategy, solutions: list) -> None:
             if run.full.tree.current == frame.node:
                 # the previous alternative ended without a leaf node; open a
                 # marker child so the jump target differs from the current node
-                run.emit(Action.of("newChild", node=run.fresh_node()))
-            run.emit(Action.of("jumpTo", node=frame.node))
+                run.emit(_payload(Action, ("newChild", (run.fresh_node(),))))
+            run.emit(_payload(Action, ("jumpTo", (frame.node,))))
         frame.index += 1
         _post_and_propagate(run, run.fresh_branch_id(), frame.alternatives[frame.index - 1])
 
@@ -307,7 +307,7 @@ def solve(problem: Problem, limits: SolveLimits | None = None, *,
                strict_reduce)
     start = run.full
     for var, dom in problem.variables:
-        run.emit(Action.of("newVariable", variable=var, domain=dom))
+        run.emit(_payload(Action, ("newVariable", (dom, var))))
     for cid, decl in problem.constraints:
         _post_and_propagate(run, cid, decl)
         if run.solver.rejected:

@@ -309,17 +309,20 @@ class FullState(_FullFields):
     def __hash__(self):
         return hash((self.solver, self.tree))
 
-    def with_solver(self, **changes) -> "FullState":
-        """This state with the named solver fields replaced, the tree and the
-        table shared: the solver part and the state are each rebuilt in one
-        positional construction."""
-        values = [*self[0]]
-        for name, value in changes.items():
-            values[_SOLVER_AT[name]] = value
-        return tuple.__new__(FullState, (tuple.__new__(SolverState, values), self[1], self[2]))
+    def with_solver(self, i, value, j=None, value_j=None, k=None, value_k=None) -> "FullState":
+        """This state with the solver field at position ``i`` (see ``ACTIVE``) set to ``value``, and those at
+        ``j`` and ``k`` if given; the tree and table shared, each part built in one positional construction."""
+        fields = [*self[0]]
+        fields[i] = value
+        if j is not None:
+            fields[j] = value_j
+            if k is not None:
+                fields[k] = value_k
+        return tuple.__new__(FullState, (tuple.__new__(SolverState, fields), self[1], self[2]))
 
 
-_SOLVER_AT = {name: i for i, name in enumerate(_SolverFields._fields)}
+# each solver field's position, for the rules that rebuild a solver state
+VARIABLES, CONSTRAINTS, DOMAINS, INITIAL_DOMAINS, ACTIVE, SOLVED, REJECTED, SLEEPING, PENDING, CURRENT_EVENT = range(10)
 
 
 def initial_state() -> FullState:

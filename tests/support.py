@@ -18,10 +18,23 @@ from hypothesis import strategies as st
 from gentra.constraints import ConstraintDecl
 from gentra.errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain
+from gentra.gentra4cp import ARGS
 from gentra.semantics import Action, ObservationalSemantics, replay
 from gentra.solver import Problem
 from gentra.state import SolverState, store
 from gentra.trace import BOTTOM_DOMAIN, PrefixSet, Trace, TraceDomain, VirtualPayload
+
+
+def arg(action: Action, name: str) -> Any:
+    """The argument ``name`` of a gentra4cp action, found by its position in ``ARGS``."""
+    return action.args[ARGS[action.kind].index(name)]
+
+
+def relabelled(action: Action, kind: str) -> Action:
+    """``action`` as a ``kind`` action: the arguments ``kind`` takes, by name,
+    and no explanation."""
+    named = dict(zip(ARGS[action.kind], action.args), explanation=None)
+    return Action.of(kind, **{name: named[name] for name in ARGS[kind] if name in named})
 
 
 def _product(values):

@@ -41,7 +41,7 @@ from gentra.solver import Problem, SolveLimits, solve
 from gentra.state import initial_state
 from gentra.trace import ActualPayload, Trace, VirtualPayload
 
-from support import ladder, random_problem
+from support import arg, ladder, random_problem, relabelled
 
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
 
@@ -165,9 +165,7 @@ def test_swapped_kind_map_fails_at_first_swap(gt, palm_os, palm_run):
     swapped["suspend"], swapped["awake"] = "awake", "suspend"
 
     def swap_action(action):
-        from gentra.semantics import Action
-        args = tuple((k, v) for k, v in action.args if k != "explanation")
-        return Action(swapped[action.kind], args)
+        return relabelled(action, swapped[action.kind])
 
     mapping = StateMapping("swapped", map_palm_state, swapped, swap_action)
     report = check_simulable(palm_os, projected, mapping, [palm_run.virtual])
@@ -250,10 +248,9 @@ def test_strip_explanation_returns_actions_without_one_as_they_are(palm_ladder_r
     explained = 0
     for action in actions:
         stripped = _strip_explanation(action)
-        if "explanation" in dict(action.args):
+        if action.kind == "reduce" and arg(action, "explanation") is not None:
             explained += 1
-            assert stripped.kind == action.kind
-            assert dict(stripped.args) == {k: v for k, v in action.args if k != "explanation"}
+            assert stripped == relabelled(action, "reduce")
         else:
             assert stripped is action
     assert 0 < explained < len(actions)

@@ -32,7 +32,8 @@ from gentra.solver import Problem, SolveLimits, solve
 from gentra.state import BOTTOM, initial_state
 from gentra.trace import ActualPayload, Trace, all_prefixes, domain_join, domain_meet, is_prefix_closed
 
-from support import element_oracle, oracle_solutions, random_problem, random_trace_set, solutions_as_set
+from support import (arg, element_oracle, oracle_solutions, random_problem, random_trace_set, relabelled,
+                     solutions_as_set)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
@@ -145,7 +146,7 @@ def test_criterion_6_negative_controls():
     target = None
     for i, stepped in enumerate(run.virtual.events):
         if (stepped.action.kind == "reduce"
-                and prev.solver.domain(stepped.action.get("variable")) != full_domain()):
+                and prev.solver.domain(arg(stepped.action, "variable")) != full_domain()):
             target = i
             break
         prev = stepped.state
@@ -165,11 +166,9 @@ def test_criterion_6_negative_controls():
     swapped = dict(palm_mapping().action_map)
     swapped["suspend"], swapped["awake"] = "awake", "suspend"
     from gentra.abstraction import StateMapping, map_palm_state
-    from gentra.semantics import Action
 
     def swap_action(action):
-        args = tuple((k, v) for k, v in action.args if k != "explanation")
-        return Action(swapped[action.kind], args)
+        return relabelled(action, swapped[action.kind])
 
     sim = check_simulable(PALM_OS, projected,
                           StateMapping("swapped", map_palm_state, swapped, swap_action),

@@ -104,6 +104,37 @@ def test_strict_parsing_refuses_surplus_attribute_tokens(line, dialect):
     assert parse_trace(line, mode="lenient", dialect=dialect).events[0].type == kind
 
 
+# strict mode checks every identifier, a constraint's or a variable's, and
+# pairs each token with the attribute its position gives; it used to check
+# only the variables of newVariable and reduce, and to pick a domain, a
+# generated-event block and a cause by their token kind wherever they stood
+
+
+@pytest.mark.parametrize("line", ["1[0]post c-1", "1[0]post c.1", "1[0]newConstraint c-1 eq(x,y)",
+                                  "1[0]schedule c-1 x dom", "1[0]schedule x.y dom"])
+def test_strict_parsing_refuses_irregular_identifiers(line):
+    name = "x.y" if "x.y" in line else line.split(" ")[1]
+    with pytest.raises(GentraError) as exc:
+        parse_trace(line, mode="strict")
+    assert exc.value.line == 1
+    assert str(exc.value) == f"irregular identifier {name!r} (line 1)"
+    assert parse_trace(line, mode="lenient").deviations == (f"line 1: irregular identifier {name!r}",)
+
+
+@pytest.mark.parametrize("line,canonical,error", [
+    ("1[0]newVariable [0-2] x", "1[0]newVariable x [0-2]", "newVariable: expected attribute 'variable', got '[0-2]'"),
+    ("1[0]restore x gen{} [0-2]", "1[0]restore x [0-2] gen{}", "restore: expected attribute 'domain', got 'gen{}'"),
+    ("1[0]reduce c1 x bot [0-2] gen{}", "1[0]reduce c1 x gen{} [0-2] bot",
+     "reduce: expected attribute 'generated', got 'bot'"),
+])
+def test_strict_parsing_refuses_attributes_out_of_layout_order(line, canonical, error):
+    with pytest.raises(TraceShapeError) as exc:
+        parse_trace(line, mode="strict")
+    assert str(exc.value) == f"{error} (line 1)"
+    assert parse_trace(canonical.replace(" ", "  "), mode="strict").events == parse_trace(canonical).events
+    assert parse_trace(line, mode="lenient").events == parse_trace(canonical).events
+
+
 @pytest.mark.parametrize("mode", ["strict", "lenient"])
 @pytest.mark.parametrize("line", ["1[0]reduce c1 x gen{bot} [0-2] bot", "1[0]restore x [0-2] gen{dom(x), bot}"])
 def test_a_generated_event_names_its_variable(line, mode):

@@ -11,6 +11,9 @@ from gentra.constraints import ConstraintDecl
 from gentra.errors import ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain, full_domain, parse_domain
 from gentra.gentra4cp import (
+    ARG_DEFAULTS,
+    ARGS,
+    EVENT_TYPES,
     GUARD_NAMES,
     LAYOUT,
     GenericEvent,
@@ -25,7 +28,7 @@ from gentra.solver import Problem, solve
 from gentra.state import BOTTOM, SolverEvent, SolverState, initial_state, store
 from gentra.trace import ActualPayload, Trace, VirtualPayload, all_prefixes
 
-from support import RuleCalls, ladder
+from support import RuleCalls, arg, ladder
 from test_golden_traces import GOLDEN, RUNS, problems
 
 D05 = FiniteDomain.interval(0, 5)
@@ -359,7 +362,7 @@ def test_validate_flags_corrupted_reduce(element_run):
     idx = None
     for i, stepped in enumerate(element_run.virtual.events):
         if (stepped.action.kind == "reduce"
-                and prev.solver.domain(stepped.action.get("variable")) != full_domain()):
+                and prev.solver.domain(arg(stepped.action, "variable")) != full_domain()):
             idx = i
             break
         prev = stepped.state
@@ -429,7 +432,7 @@ def test_new_child_increments_depth(element_run):
     prev = initial_state()
     for stepped in element_run.virtual.events:
         if stepped.action.kind in ("newChild", "solution", "failure"):
-            node = stepped.action.get("node")
+            node, = stepped.action.args
             assert stepped.state.tree.depth(node) == prev.tree.depth(prev.tree.current) + 1
         prev = stepped.state
 
@@ -453,7 +456,7 @@ def test_jump_restores_snapshot_exactly(element_run):
     seen = False
     for stepped in element_run.virtual.events:
         if stepped.action.kind == "jumpTo":
-            node = stepped.action.get("node")
+            node, = stepped.action.args
             assert stepped.state.solver == prev.tree.snapshot(node)
             # every domain equals its snapshot value after the jump
             for var, dom in stepped.state.solver.domains.items():
@@ -701,6 +704,15 @@ def test_readme_states_each_record_layout():
         assert f"`{' '.join([kind, *notation])}`" in section
 
 
+def test_readme_states_each_rule_arguments():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = " ".join(readme.split("\n## The trace format\n")[1].split("\n## ")[0].split())
+    assert set(ARGS) == set(EVENT_TYPES)
+    for kind, names in ARGS.items():
+        notation = [f"[{name}]" if name in ARG_DEFAULTS else name for name in names]
+        assert f"`{' '.join([kind, *notation])}`" in section
+
+
 def test_records_and_actions_stay_immutable():
     ev = GenericEvent("post", 0, constraint="c1")
     action = Action.of("post", constraint="c1")
@@ -743,9 +755,9 @@ def test_readers_build_actions_in_name_order(name, run):
     state, explained = result.virtual.initial_state, 0
     for ev, record in zip(result.virtual.events, result.events):
         action = read(state, record)
-        assert action == Action.of(action.kind, **dict(action.args))
+        assert action == Action.of(action.kind, **dict(zip(ARGS[action.kind], action.args)))
         assert action == ev.action
-        explained += action.get("explanation") is not None
+        explained += action.kind == "reduce" and arg(action, "explanation") is not None
         state = ev.state
     assert explained == (sum(ev.type == "reduce" for ev in result.events) if dialect == "palm" else 0)
 

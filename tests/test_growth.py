@@ -18,7 +18,7 @@ from gentra.abstraction import check_generic, palm_process
 from gentra.formats import document_for_events, parse_trace, serialize_trace
 from gentra.gentra4cp import make_semantics, validate
 from gentra.palm import make_palm_semantics, palm_initial_state, palm_solve
-from gentra.semantics import check_faithful, reconstruct
+from gentra.semantics import Action, check_faithful, reconstruct
 from gentra.solver import solve
 from gentra.state import SolverState
 from gentra.trace import ActualPayload, Trace
@@ -109,6 +109,23 @@ def test_faithfulness_check_applies_no_rule_on_traces_its_semantics_built(monkey
     assert counter.calls == 0
 
 
+def test_verdicts_and_solves_read_arguments_by_position(monkeypatch):
+    # an action's arguments are values in ``ARGS`` order: there is no lookup
+    # by name (``Action.get`` is gone), and no path a benchmark times lays
+    # keyword arguments out by name (``Action.of``, kept for tests)
+    assert not hasattr(Action, "get")
+
+    def refuse(cls, kind, **kwargs):
+        raise AssertionError(f"Action.of({kind!r}) reached")
+
+    monkeypatch.setattr(Action, "of", classmethod(refuse))
+    problem = ladder(4)
+    fd, palm_run = solve(problem), palm_solve(problem)
+    report = validate(fd.events)
+    assert report.ok and check_faithful(make_semantics(), [report.virtual]).ok
+    assert check_generic(make_semantics(), palm_process(), palm_run.events).ok
+
+
 # Python line events count the interpreted work: a linear scan of an
 # association tuple that grows along the run (declarations, nodes, the
 # explanation table) adds lines per element, a keyed lookup a constant few.
@@ -152,11 +169,11 @@ def test_palm_solve_work_per_event_stays_flat():
     _assert_flat(lambda k: len(palm_solve(ladder(k)).events))
 
 
-# At ladder k = 6 one solve takes about 136 line events per event and one
-# palm_solve about 152, both through the one shared propagation loop.  A
+# At ladder k = 6 one solve takes about 112 line events per event and one
+# palm_solve about 122, both through the one shared propagation loop.  A
 # costlier loop or filter step costs the same per event at every size, so
 # only an absolute bound sees it; each bound is that count plus about 5%.
-SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 143, "palm": 160}
+SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 117, "palm": 128}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -206,11 +223,11 @@ def test_strict_parse_reads_canonical_lines_without_tokens(machine):
 
 
 # At ladder k = 6 the palm verdict (three rule applications per event)
-# takes about 241 line events per event, and the fd verdict (validate and
-# check_faithful, one application) about 140.  A slower rule step costs the
+# takes about 199 line events per event, and the fd verdict (validate and
+# check_faithful, one application) about 118.  A slower rule step costs the
 # same per event at every size, so only an absolute bound sees it; each
 # bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 253, "fd": 147}
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 209, "fd": 124}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -233,11 +250,12 @@ def test_verdict_rule_steps_stay_within_their_line_events(machine):
 # Bytes a run holds per event when it returns, measured with tracemalloc:
 # mostly the virtual trace, one state per event, so a bigger state shows
 # here at every size and only an absolute bound sees it.  Measured with
-# Python 3.11 at ladder k = 4 and 6: the palm replay holds 686 and 716 bytes
-# per event and palm_solve 907 and 940; with the store's sleeping, solved
-# and rejected parts as frozensets they held 987 and 1,132, and 1,208 and
-# 1,355.  Each bound is the larger measurement plus about 15%.
-HELD_BYTES_PER_EVENT = {"palm-replay": 825, "palm-solve": 1080}
+# Python 3.11 at ladder k = 4 and 6: the palm replay holds 595 and 625 bytes
+# per event and palm_solve 816 and 848 (686 and 716, and 907 and 940, while
+# actions held (name, value) pairs; with the store's sleeping, solved and
+# rejected parts as frozensets they held 987 and 1,132, and 1,208 and 1,355).
+# Each bound is the larger measurement plus about 15%.
+HELD_BYTES_PER_EVENT = {"palm-replay": 719, "palm-solve": 976}
 
 
 def _held_bytes(run):

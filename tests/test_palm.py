@@ -217,8 +217,9 @@ def test_both_invariant_checks_catch_corrupted_tables():
         Action.of("deactivate", constraint="c1"),
         Action.of("restore", variable="x", values=parse_domain("[0-1]")),
     ], start=reduced)
-    stale = repaired.with_solver(domains={**repaired.solver.domains, "x": parse_domain("[0-4]")})._replace(
-        explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
+    stale = repaired._replace(solver=repaired.solver._replace(domains={**repaired.solver.domains,
+                                                                       "x": parse_domain("[0-4]")}),
+                              explanations={"x": ((FiniteDomain.of([5]), frozenset({"c1"})),)})
     # c1 relaxed, x not yet repaired
     relaxed = palm_apply(reduced, Action.of("deactivate", constraint="c1"))
     check_palm_invariants(reduced)
@@ -290,7 +291,7 @@ def test_solution_state_matches_generic_reading(element_run):
     for stepped in element_run.virtual.events:
         if stepped.action.kind == "solution":
             pre = solution_state  # the rule enforced it; re-check the predicate
-            node = stepped.action.get("node")
+            node, = stepped.action.args
             snap = stepped.state.tree.snapshot(node)
             assert pre(snap)
 

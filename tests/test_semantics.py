@@ -25,7 +25,7 @@ from support import extraction_from_reconstruction, ladder, random_problem
 
 
 def _apply(state, action):
-    amount = action.get("amount")
+    amount, = action.args
     if action.kind not in ("inc", "dec") or amount is None or amount <= 0:
         raise TransitionError(action.kind, "unknown action or non-positive amount")
     return state + amount if action.kind == "inc" else state - amount
@@ -38,9 +38,9 @@ def _extract(state, action, successor):
 def _read(state, record):
     kind, delta = record
     if kind == "inc" and delta > 0:
-        return Action.of("inc", amount=delta)
+        return Action("inc", (delta,))
     if kind == "dec" and delta < 0:
-        return Action.of("dec", amount=-delta)
+        return Action("dec", (-delta,))
     raise ReconstructionError(kind, f"malformed record {record!r}")
 
 
@@ -94,7 +94,7 @@ def random_walk(rng, steps=5):
     for _ in range(steps):
         kind = rng.choice(["inc", "dec"])
         amount = rng.randint(1, 4)
-        action = Action.of(kind, amount=amount)
+        action = Action(kind, (amount,))
         state = _apply(state, action)
         events.append(VirtualPayload(action, state))
     return Trace(0, tuple(events))
@@ -112,8 +112,8 @@ def test_extract_requires_initial_state():
 
 
 def test_extract_flags_first_bad_transition():
-    good = VirtualPayload(Action.of("inc", amount=2), 2)
-    bad = VirtualPayload(Action.of("inc", amount=1), 7)  # 2 + 1 != 7
+    good = VirtualPayload(Action("inc", (2,)), 2)
+    bad = VirtualPayload(Action("inc", (1,)), 7)  # 2 + 1 != 7
     with pytest.raises(TransitionError) as err:
         extract(counter_os(), Trace(0, (good, bad)))
     assert err.value.index == 1
@@ -166,9 +166,9 @@ def test_reconstruct_rejects_bad_record():
 
 def test_transition_relation_membership():
     os = counter_os()
-    assert transition_holds(os, 1, Action.of("inc", amount=2), 3)
-    assert not transition_holds(os, 1, Action.of("inc", amount=2), 4)
-    assert not transition_holds(os, 1, Action.of("inc", amount=0), 1)
+    assert transition_holds(os, 1, Action("inc", (2,)), 3)
+    assert not transition_holds(os, 1, Action("inc", (2,)), 4)
+    assert not transition_holds(os, 1, Action("inc", (0,)), 1)
 
 
 def test_first_divergence_cases():
@@ -195,7 +195,7 @@ def test_extraction_inversion_needs_unique_candidate():
     os = counter_os()
     derived = extraction_from_reconstruction(os, lambda s: [])
     with pytest.raises(TransitionError):
-        derived(0, Action.of("inc", amount=1), 1)
+        derived(0, Action("inc", (1,)), 1)
 
 
 def _two_pass_entry(os, t):
@@ -218,7 +218,7 @@ def _corrupt(t, index, how):
     if how == "state":
         events[index] = VirtualPayload(ev.action, ev.state + 1)
     else:
-        events[index] = VirtualPayload(Action.of(ev.action.kind, amount=0), ev.state)
+        events[index] = VirtualPayload(Action(ev.action.kind, (0,)), ev.state)
     return Trace(t.initial_state, tuple(events))
 
 
@@ -243,8 +243,8 @@ def test_replay_keeps_its_own_chain_after_a_divergence():
     steps = [("inc", 3), ("dec", 1), ("dec", 1), ("dec", 1)]
     state, events = 0, []
     for kind, amount in steps:
-        state = _apply(state, Action.of(kind, amount=amount))
-        events.append(VirtualPayload(Action.of(kind, amount=amount), state))
+        state = _apply(state, Action(kind, (amount,)))
+        events.append(VirtualPayload(Action(kind, (amount,)), state))
     t = Trace(0, tuple(events))
     os = floored_lossy_counter_os()
     assert first_divergence(t, reconstruct(lossy_counter_os(), extract(os, t))) == 0
