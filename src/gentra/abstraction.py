@@ -24,8 +24,9 @@ from typing import Any, Callable, Iterable, Mapping
 from .errors import GentraError, MappingError, ProjectionError, ReconstructionError, TransitionError
 from .gentra4cp import (ARGS, DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, get_parameter, make_semantics,
                         reset_parameters, validate)
-from .palm import PALM_EVENT_TYPES, make_palm_semantics
-from .semantics import Action, ObservationalSemantics, extract, first_divergence, reconstruct, transition_holds
+from .palm import PALM_EVENT_TYPES, PALM_KINDS, make_palm_semantics
+from .semantics import (Action, ObservationalSemantics, extract, first_divergence, reconstruct, replay_records,
+                        transition_holds)
 from .state import NO_EXPLANATIONS, FullState, initial_state
 from .trace import Trace, VirtualPayload, _actual_payloads, _payload
 
@@ -86,11 +87,12 @@ def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalS
     values, so no further state surgery is required.
     """
     check_projection(os, proj)
+    kept_kinds, inner = proj.kept_kinds, os.apply
 
     def apply(state, action):
-        if action.kind not in proj.kept_kinds:
+        if action[0] not in kept_kinds:
             raise TransitionError(action.kind, f"action outside projection {proj.name}")
-        return os.apply(state, action)
+        return inner(state, action)
 
     return replace(
         os,
@@ -241,10 +243,11 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
             None, None, f"derived kinds {sorted(unreachable)} unreachable through the kind map"))
     samples = list(samples)
     transitions = 0
+    map_state, carry = mapping.map_state, mapping.map_action or mapping.carry_action
     if not violations:
         for ti, t in enumerate(samples):
             try:
-                mapped = mapping.map_state(t.initial_state)
+                mapped = map_state(t.initial_state)
             except Exception as exc:  # d must be total on sample states
                 violations.append(SimulationViolation(ti, None, f"state map failed on the initial state: {exc}"))
                 continue
@@ -254,17 +257,17 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
             if t.kind == "actual":  # one kind per trace: the first event is the culprit
                 violations.append(SimulationViolation(ti, 0, "simulation expects virtual traces"))
                 continue
-            for ei, ev in enumerate(t.events):
+            for ei, (action, state) in enumerate(t.events):
                 transitions += 1
-                carried = mapping.carry_action(ev.action)
+                carried = carry(action)
                 try:
-                    post = mapping.map_state(ev.state)
+                    post = map_state(state)
                 except Exception as exc:
                     violations.append(SimulationViolation(ti, ei, f"state map failed: {exc}"))
                     break
                 if not transition_holds(os_d, mapped, carried, post):
                     violations.append(SimulationViolation(
-                        ti, ei, f"{ev.action.kind} transition is not simulated by {carried.kind}"))
+                        ti, ei, f"{action.kind} transition is not simulated by {carried.kind}"))
                     break
                 mapped = post
     return SimulationReport(mapping.name, len(samples), transitions, tuple(violations))
@@ -447,9 +450,9 @@ def palm_event_to_generic(ev: GenericEvent) -> GenericEvent:
 
     A record that carries none is returned as it is.
     """
-    if ev.type in ("jumpTo", "solved"):
-        raise MappingError(f"{ev.type} has no counterpart in the mapped profile")
-    if ev.type not in PALM_EVENT_TYPES:
+    if ev.type not in PALM_KINDS:
+        if ev.type in ("jumpTo", "solved"):
+            raise MappingError(f"{ev.type} has no counterpart in the mapped profile")
         raise MappingError(f"unknown event type {ev.type!r}")
     if ev.explanation is None and ev.wake_kind is None and ev.var_alias is None:
         return ev
@@ -457,7 +460,7 @@ def palm_event_to_generic(ev: GenericEvent) -> GenericEvent:
 
 
 def palm_to_generic(events: Iterable[GenericEvent]) -> tuple[GenericEvent, ...]:
-    return tuple(palm_event_to_generic(ev) for ev in events)
+    return tuple(map(palm_event_to_generic, events))
 
 
 # compliance of a process against the reference format
@@ -503,9 +506,9 @@ def check_generic(gt_os: ObservationalSemantics, spec: ProcessSpec,
         projected = project(gt_os, spec.projection)
     except ProjectionError as exc:
         return ComplianceReport(False, (f"FAIL compliance {spec.name}: invalid projection: {exc}",))
-    events = tuple(events)
+    events, start = tuple(events), initial_state()
     try:
-        virtual = reconstruct(spec.os, Trace(initial_state(), _actual_payloads(events)))
+        virtual = Trace.built_by(spec.os, start, replay_records(spec.os, start, events))
     except GentraError as exc:
         return ComplianceReport(False, (f"FAIL replay under the {spec.name} rules: {exc}",))
     lines = [f"PASS {spec.name} replay events={virtual.size}"]

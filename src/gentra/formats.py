@@ -339,6 +339,12 @@ class _EventParser:
             self.note(line_no, f"irregular identifier {text!r}")
         return text
 
+    def _event(self, tok: _Tok, line_no: int) -> SolverEvent:
+        """The solver event of a cause or generated-event token, its variable read by ``_ident``."""
+        event = _parse_event_token(tok)
+        self._ident(event.variable, line_no)
+        return event
+
     def _parse_attrs(self, type_name, toks, depth, line_no) -> GenericEvent:
         words = [t for t in toks if t.kind == "word"]
 
@@ -413,7 +419,7 @@ class _EventParser:
                 if t.kind in ("call", "paren") or (t.kind == "word" and t.text == "bot"):
                     if t.kind == "paren":
                         self.note(line_no, f"paired cause form {t.text}")
-                    cause = _parse_event_token(t)
+                    cause = self._event(t, line_no)
                 elif t.kind == "word" and t.text in EVENT_KINDS + ("empty",):
                     wake = t.text
                     self.note(line_no, f"wake-kind token {t.text!r} on {type_name}")
@@ -448,7 +454,7 @@ class _EventParser:
                 its = ()
             if len(its) != 1 or its[0].text == "bot":  # a generated event names its variable
                 raise TraceSyntaxError(f"bad generated-event item {item!r}", line=line_no)
-            out.append(_parse_event_token(its[0]))
+            out.append(self._event(its[0], line_no))
         return tuple(out)
 
     def _parse_reduce(self, toks, depth, line_no) -> GenericEvent:
@@ -466,7 +472,7 @@ class _EventParser:
                 body = t.body.strip()
                 explanation = tuple(_split_top(body)) if body else ()
             elif t.kind in ("call", "paren"):
-                cause = _parse_event_token(t)
+                cause = self._event(t, line_no)
             elif t.kind == "word" and t.text == "bot":
                 cause = BOTTOM
             elif t.kind == "word" and t.text in EVENT_KINDS + ("empty",):

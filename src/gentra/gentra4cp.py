@@ -41,12 +41,12 @@ from typing import NamedTuple
 from .constraints import ConstraintDecl
 from .errors import ReconstructionError, StateInvariantError, TransitionError
 from .fdomain import FiniteDomain
-from .semantics import Action, ObservationalSemantics, reconstruct
+from .semantics import Action, ObservationalSemantics, replay_records
 from .state import (ACTIVE, BOTTOM, CONSTRAINTS, CURRENT_EVENT, DOMAINS, INITIAL_DOMAINS, PENDING, REJECTED,
-                    SLEEPING, SOLVED, VARIABLES, FullState, SolverEvent, SolverState, awake_condition,
-                    choice_point, failure_state, initial_state, schedulable, solution_state, store,
+                    SLEEPING, SOLVED, VARIABLES, FullState, SolverEvent, SolverState,
+                    choice_point, failure_state, initial_state, outside_store, schedulable, solution_state, watches,
                     with_id, without_id)
-from .trace import Trace, _actual_payloads, _payload
+from .trace import Trace, _payload
 
 CONTROL_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "jumpTo",
@@ -55,7 +55,11 @@ CONTROL_TYPES = (
 PROPAGATION_TYPES = ("reduce", "suspend", "solved", "reject", "awake", "schedule")
 EVENT_TYPES = CONTROL_TYPES + PROPAGATION_TYPES
 
-GUARD_NAMES = ("g3", "g4", "g5")
+# per run-level guard, the event kind it watches, whether an active pair trips it, and its violation text
+_GUARDS = {"g3": ("reduce", False, "reduce while a constraint is rejected"),
+           "g4": ("awake", True, "awake requires no rejection and no active pair"),
+           "g5": ("schedule", True, "schedule requires no rejection and no active pair")}
+GUARD_NAMES = tuple(_GUARDS)
 DEFAULT_GUARDS = ("g3",)
 
 
@@ -132,29 +136,33 @@ _ALL_ATTRS = tuple(name for name in GenericEvent._fields[2:] if name not in DIAL
 # the attributes foreign to each event type, in ``_ALL_ATTRS`` order
 _FOREIGN = {kind: tuple(name for name in _ALL_ATTRS if name not in required + optional)
             for kind, (required, optional) in _SHAPES.items()}
-# per event type, a getter of its foreign attributes (two or more, so it
-# returns a tuple) and what it returns on a record that carries none
-_FOREIGN_AT = {kind: (itemgetter(*map(GenericEvent._fields.index, names)), (None,) * len(names))
-               for kind, names in _FOREIGN.items()}
+# the required attributes replay reads: all but those lenient idioms leave out
+_READ_NEEDS = {kind: tuple(name for name in required if name not in ("node", "node2", "cause", "generated"))
+               for kind, (required, _) in _SHAPES.items()}
+# per event type, a getter of its foreign attributes (two or more: it returns a tuple), what it returns on a
+# record that carries none, and a getter of the type twice (so that it returns a tuple) and what replay reads
+_SHAPE_AT = {kind: (itemgetter(*map(GenericEvent._fields.index, names)), (None,) * len(names),
+                    itemgetter(0, 0, *map(GenericEvent._fields.index, _READ_NEEDS[kind])))
+             for kind, names in _FOREIGN.items()}
 
 
-def shape_error(ev: GenericEvent, strict: bool = True) -> str | None:
+def shape_error(ev: GenericEvent, strict: bool = True, required=None) -> str | None:
     """Return a description of the first shape violation, or None.
 
     In lenient mode missing attributes are tolerated (foreign traces omit
     generated events, causes, and node identifiers); attributes foreign to
-    the event type are rejected in both modes.
+    the event type are rejected in both modes.  ``required`` maps each type
+    to the attributes strict mode requires, its layout's by default.
     """
-    foreign = _FOREIGN_AT.get(ev.type)
-    if foreign is None:
+    shape = _SHAPE_AT.get(ev.type)
+    if shape is None:
         return f"unknown event type {ev.type!r}"
-    at, nones = foreign
-    if at(ev) != nones:
+    if shape[0](ev) != shape[1]:
         for name in _FOREIGN[ev.type]:
             if getattr(ev, name) is not None:
                 return f"attribute {name!r} does not belong to {ev.type}"
     if strict:
-        for name in _SHAPES[ev.type][0]:
+        for name in _SHAPES[ev.type][0] if required is None else required[ev.type]:
             if getattr(ev, name) is None:
                 return f"missing required attribute {name!r}"
     return None
@@ -210,7 +218,7 @@ def _step_post(full: FullState, act: Action) -> FullState:
     cid, = act.args
     s = full.solver
     _need(s.is_declared(cid), "post", f"{cid} not declared")
-    _need(cid not in store(s), "post", f"{cid} already in the store")
+    _need(outside_store(s, {cid}), "post", f"{cid} already in the store")
     return full.with_solver(ACTIVE, s.active + ((cid, BOTTOM),))
 
 
@@ -218,8 +226,7 @@ def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullStat
     node, = act.args
     _need(not full.tree.has_node(node), rule, f"node {node} already exists")
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
-    depth = full.tree.depth(full.tree.current) + 1
-    return _payload(FullState, (full[0], full.tree.with_node(node, full.solver, depth), full[2]))
+    return _payload(FullState, (full[0], full.tree.with_node(node, full.solver, full.tree.level + 1), full[2]))
 
 
 def _step_jump_to(full: FullState, act: Action) -> FullState:
@@ -234,11 +241,11 @@ def _step_jump_to(full: FullState, act: Action) -> FullState:
 def _step_deactivate(full: FullState, act: Action) -> FullState:
     cid, = act.args
     s = full.solver
-    _need(cid in store(s), "deactivate", f"{cid} not in the store")
     # the store's parts are disjoint: the constraint leaves the one holding it
     for part in (SLEEPING, SOLVED, REJECTED):
         if cid in s[part]:
             return full.with_solver(part, without_id(s[part], cid))
+    _need(s.active_event(cid) is not None, "deactivate", f"{cid} not in the store")
     return full.with_solver(ACTIVE, _retire(s, cid, None, "deactivate"))
 
 
@@ -318,9 +325,9 @@ def _step_awake(full: FullState, act: Action) -> FullState:
     s = full.solver
     if cid not in s.sleeping:
         raise TransitionError("awake", f"{cid} is not sleeping")
-    _need(cause in (BOTTOM, s.current_event), "awake",
-          "waking event is neither bot nor the scheduled event")
-    if not awake_condition(s, cid, cause):
+    if cause != BOTTOM and cause != s.current_event:
+        raise TransitionError("awake", "waking event is neither bot nor the scheduled event")
+    if not watches(s, cid, cause):
         raise TransitionError("awake", f"{cid} does not watch {cause}")
     return full.with_solver(ACTIVE, s.active + ((cid, cause),), SLEEPING, without_id(s.sleeping, cid))
 
@@ -330,8 +337,9 @@ def _step_schedule(full: FullState, act: Action) -> FullState:
     s = full.solver
     if event not in s.pending:
         raise TransitionError("schedule", f"{event} is not pending")
-    _need(schedulable(s, event), "schedule", "no sleeping constraint reacts to the event")
-    if witness is not None and not awake_condition(s, witness, event):
+    if not schedulable(s, event):
+        raise TransitionError("schedule", "no sleeping constraint reacts to the event")
+    if witness is not None and not (witness in s.sleeping and watches(s, witness, event)):
         raise TransitionError("schedule", f"{witness} does not react to the event")
     idx = s.pending.index(event)
     return full.with_solver(PENDING, s.pending[:idx] + s.pending[idx + 1:], CURRENT_EVENT, event)
@@ -357,12 +365,13 @@ RULES = {
 STRICT_RULES = {**RULES, "reduce": lambda full, act: _step_reduce(full, act, strict=True)}
 
 
+def _unknown_rule(full: FullState, action: Action):
+    raise TransitionError(action.kind, "unknown rule")
+
+
 def apply_rule(rules, full: FullState, action: Action) -> FullState:
     """Apply the rule ``rules`` maps the action's kind to."""
-    rule = rules.get(action.kind)
-    if rule is None:
-        raise TransitionError(action.kind, "unknown rule")
-    return rule(full, action)
+    return rules.get(action[0], _unknown_rule)(full, action)
 
 
 # extraction: transition -> attribute record
@@ -372,35 +381,38 @@ def _pending_suffix(old: SolverState, new: SolverState) -> tuple[SolverEvent, ..
     return new.pending[len(old.pending):]
 
 
+_NONES = (None,) * len(GenericEvent._fields)
+
+
 def extract_event(full: FullState, action: Action, new: FullState) -> GenericEvent:
-    """Compute the attribute record of a transition from its state delta."""
+    """Compute the attribute record of a transition from its state delta, positionally: ``fields`` are its
+    values from ``constraint`` on (variable, node, node2, domain, generated, cause, event, decl), the rest None."""
     kind, args = action
-    depth = new.tree.depth(new.tree.current)
     if kind in ("post", "deactivate", "suspend", "solved"):
-        return GenericEvent(kind, depth, constraint=args[0])
-    if kind in ("reject", "awake"):
-        return GenericEvent(kind, depth, constraint=args[1], cause=args[0])
-    if kind == "schedule":
-        return GenericEvent(kind, depth, event=args[0], constraint=args[1])
-    if kind == "reduce":
+        fields = (args[0],)
+    elif kind in ("reject", "awake"):
+        fields = (args[1], None, None, None, None, None, args[0])
+    elif kind == "schedule":
+        fields = (args[1], None, None, None, None, None, None, args[0])
+    elif kind == "reduce":
         cause, cid, _explanation, _generated, _removed, var = args
         delta = full.solver.domain(var).subtract(new.solver.domain(var))
-        return GenericEvent(kind, depth, constraint=cid, variable=var, domain=delta,
-                            generated=_pending_suffix(full.solver, new.solver), cause=cause)
-    if kind in ("newChild", "solution", "failure"):
-        return GenericEvent(kind, depth, node=args[0])
-    if kind == "newVariable":
-        return GenericEvent(kind, depth, variable=args[1], domain=new.solver.domain(args[1]))
-    if kind == "newConstraint":
-        return GenericEvent(kind, depth, constraint=args[0], decl=new.solver.declaration(args[0]))
-    if kind == "jumpTo":
-        return GenericEvent(kind, depth, node=args[0], node2=full.tree.current)
-    if kind == "restore":
+        fields = (cid, var, None, None, delta, _pending_suffix(full.solver, new.solver), cause)
+    elif kind in ("newChild", "solution", "failure"):
+        fields = (None, None, args[0])
+    elif kind == "newVariable":
+        fields = (None, args[1], None, None, new.solver.domain(args[1]))
+    elif kind == "newConstraint":
+        fields = (args[0], None, None, None, None, None, None, None, new.solver.declaration(args[0]))
+    elif kind == "jumpTo":
+        fields = (None, None, args[0], full.tree.current)
+    elif kind == "restore":
         var = args[2]
         removed = new.solver.domain(var).subtract(full.solver.domain(var))
-        return GenericEvent(kind, depth, variable=var, domain=removed,
-                            generated=_pending_suffix(full.solver, new.solver) or None)
-    raise TransitionError(kind, "unknown rule")
+        fields = (None, var, None, None, removed, _pending_suffix(full.solver, new.solver) or None)
+    else:
+        raise TransitionError(kind, "unknown rule")
+    return _payload(GenericEvent, (kind, new.tree.level, *fields, *_NONES[len(fields) + 2:]))
 
 
 # reconstruction: attribute record -> transition
@@ -415,7 +427,7 @@ def _active_cause(full: FullState, ev: GenericEvent) -> SolverEvent:
     pair_event = full.solver.active_event(ev.constraint)
     if pair_event is None:
         _fail(ev.type, f"{ev.constraint} is not active")
-    if ev.cause is not None and not pair_event.matches(ev.cause.kind, ev.cause.variable):
+    if ev.cause is not None and pair_event[:2] != ev.cause[:2]:  # (kind, variable): records carry no origin
         _fail(ev.type, "recorded cause does not match the active pair")
     return pair_event
 
@@ -439,9 +451,9 @@ def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
 
 def _read_awake(full: FullState, ev: GenericEvent) -> Action:
     current = full.solver.current_event
-    if ev.cause is None or ev.cause.kind == "bot":
+    if ev.cause is None or ev.cause[0] == "bot":
         cause = BOTTOM
-    elif current is not None and current.matches(ev.cause.kind, ev.cause.variable):
+    elif current is not None and current[:2] == ev.cause[:2]:
         cause = current
     else:
         _fail(ev.type, "recorded cause is not the scheduled event")
@@ -449,7 +461,8 @@ def _read_awake(full: FullState, ev: GenericEvent) -> Action:
 
 
 def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
-    event = next((e for e in full.solver.pending if e.matches(ev.event.kind, ev.event.variable)), None)
+    key = ev.event[:2]
+    event = next((e for e in full.solver.pending if e[:2] == key), None)
     if event is None:
         _fail(ev.type, f"no pending event matches {ev.event.kind} {ev.event.variable}")
     return _payload(Action, (ev.type, (event, ev.constraint)))
@@ -477,26 +490,27 @@ def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
     """The action a record encodes in ``full``, read with ``readers``.
 
     Reading recovers every serialized-away origin from the replayed state, so
-    replay yields structurally identical states to the original run.
+    replay yields structurally identical states to the original run.  A
+    record with a foreign attribute, or without one that replay reads, is
+    refused with the shape check's text.
     """
-    problem = shape_error(ev, strict=False)
-    if problem:
-        _fail(ev.type, problem)
-    read = readers.get(ev.type)
+    kind = ev[0]
+    shape = _SHAPE_AT.get(kind)
+    if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
+        _fail(kind, shape_error(ev, required=_READ_NEEDS))
+    read = readers.get(kind)
     if read is None:
-        _fail(ev.type, "event type outside the rule set")
+        _fail(kind, "event type outside the rule set")
     try:
         return read(full, ev)
     except StateInvariantError as exc:  # a solver event no state can hold, such as a generated bot
-        raise ReconstructionError(ev.type, str(exc)) from exc
+        raise ReconstructionError(kind, str(exc)) from exc
 
 
 def check_depth(ev: GenericEvent, new: FullState) -> None:
     """A replayed record must carry the depth of the node its rule reached."""
-    tree = new.tree
-    depth = tree.entries.get(tree.current)[1]  # the rules keep the current node in the tree
-    if ev.depth != depth:
-        _fail(ev.type, f"depth {ev.depth} != current node depth {depth}")
+    if ev.depth != new.tree.level:
+        _fail(ev.type, f"depth {ev.depth} != current node depth {new.tree.level}")
 
 
 # semantics bundle and parameter tables
@@ -593,7 +607,7 @@ def _build_semantics(strict_reduce: bool) -> ObservationalSemantics:
         extract_local=extract_event,
         read_action=read_record,
         is_initial=is_initial,
-        is_record=lambda r: isinstance(r, GenericEvent),
+        is_record=GenericEvent.__instancecheck__,  # isinstance(r, GenericEvent), with no Python frame
         check_record=check_depth,
         parameters=PARAMETERS,
         param_deps=MappingProxyType({k: frozenset(v) for k, v in PARAM_DEPS.items()}),
@@ -656,18 +670,14 @@ def check_guards(vtrace: Trace, guards=DEFAULT_GUARDS) -> GuardReport:
     it evaluated.
     """
     guards = tuple(g for g in guards if g in GUARD_NAMES)
+    watched = {kind: (name, busy, detail) for name, (kind, busy, detail) in _GUARDS.items() if name in guards}
     violations = []
     pre = vtrace.initial_state
-    for i, ev in enumerate(vtrace.events):
-        s = pre.solver
-        kind = ev.action.kind
-        if "g3" in guards and kind == "reduce" and s.rejected:
-            violations.append(GuardViolation(i, "g3", "reduce while a constraint is rejected"))
-        if "g4" in guards and kind == "awake" and (s.rejected or s.active):
-            violations.append(GuardViolation(i, "g4", "awake requires no rejection and no active pair"))
-        if "g5" in guards and kind == "schedule" and (s.rejected or s.active):
-            violations.append(GuardViolation(i, "g5", "schedule requires no rejection and no active pair"))
-        pre = ev.state
+    for i, (action, state) in enumerate(vtrace.events):
+        guard = watched.get(action[0])
+        if guard is not None and (pre.solver.rejected or guard[1] and pre.solver.active):
+            violations.append(GuardViolation(i, guard[0], guard[2]))
+        pre = state
     return GuardReport(guards=guards, checked=vtrace.size, violations=tuple(violations))
 
 
@@ -707,16 +717,18 @@ def validate(events, *, os: ObservationalSemantics | None = None,
     """Replay an actual event sequence from the initial state.
 
     The records before the first one outside ``os``'s profile replay through
-    :func:`reconstruct`.  Reports the first event that fails, a record
-    outside the profile included (with the rule and violated condition, a
-    wrong record depth included); on success returns the virtual trace
-    ``os`` built and the guard-check log.
+    :func:`replay_records`, the loop :func:`reconstruct` runs.  Reports the
+    first event that fails, a record outside the profile included (with the
+    rule and violated condition, a wrong record depth included); on success
+    returns the virtual trace ``os`` built and the guard-check log.
     """
     os = os or make_semantics()
-    events = tuple(events)
-    kept = next((i for i, ev in enumerate(events) if ev.type not in os.action_kinds), len(events))
+    events, kinds = tuple(events), os.action_kinds
+    kept = (len(events) if kinds.issuperset(map(itemgetter(0), events))  # no scan when every record is kept
+            else next(i for i, ev in enumerate(events) if ev.type not in kinds))
+    start = initial_state()
     try:
-        virtual = reconstruct(os, Trace(initial_state(), _actual_payloads(events[:kept])))
+        virtual = Trace.built_by(os, start, replay_records(os, start, events[:kept]))
     except ReconstructionError as exc:
         return ValidationReport(False, exc.index, error=ValidationError(exc.index, exc.rule, exc.condition))
     if kept < len(events):

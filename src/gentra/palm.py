@@ -39,13 +39,14 @@ from .gentra4cp import (READERS, RULES, GenericEvent, _need, apply_rule, check_d
 from .semantics import Action, ObservationalSemantics
 from .solver import (Problem, SolveLimits, SolveResult, _close_solution, _fresh_events, _next_alternatives,
                      _post_and_propagate, _Run)
-from .state import FullState, SolverEvent, initial_state, store
+from .state import FullState, SolverEvent, initial_state, outside_store, store
 from .trace import Trace, _payload
 
 PALM_EVENT_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "solution", "failure",
     "deactivate", "restore", "reduce", "suspend", "reject", "awake", "schedule",
 )
+PALM_KINDS = frozenset(PALM_EVENT_TYPES)
 
 
 class PalmAssertionError(GentraError):
@@ -64,10 +65,9 @@ def palm_initial_state() -> FullState:
 
 def broken_values(full: FullState, var: str) -> FiniteDomain:
     """Removed values of ``var`` whose explanation mentions a relaxed constraint."""
-    sigma = store(full.solver)
     out = EMPTY_DOMAIN
     for vals, expl in full.explanations.get(var, ()):
-        if not expl <= sigma:
+        if outside_store(full.solver, expl):
             out = out.union(vals)
     return out
 
@@ -109,7 +109,7 @@ def _reduce(full: FullState, act: Action) -> FullState:
     _need(not s.rejected, "reduce", "a constraint is rejected")
     new = RULES["reduce"](full, act)
     _need(not removed.is_empty(), "reduce", "nothing to remove")
-    _need(explanation is not None and explanation <= store(s), "reduce",
+    _need(explanation is not None and not outside_store(s, explanation), "reduce",
           "explanation is not a set of store constraints")
     table = new[2]
     return _payload(FullState, (new[0], new[1], {**table, var: table.get(var, ()) + ((removed, explanation),)}))
@@ -186,12 +186,12 @@ PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": 
 def make_palm_semantics() -> ObservationalSemantics:
     return ObservationalSemantics(
         name="palm",
-        action_kinds=frozenset(PALM_EVENT_TYPES),
+        action_kinds=PALM_KINDS,
         apply=partial(apply_rule, PALM_RULES),
         extract_local=palm_extract,
         read_action=partial(read_record, readers=PALM_READERS),
         is_initial=is_initial,
-        is_record=lambda r: isinstance(r, GenericEvent),
+        is_record=GenericEvent.__instancecheck__,  # isinstance(r, GenericEvent), with no Python frame
         check_record=check_depth,
     )
 
@@ -310,7 +310,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
     def advance() -> bool:
         while frames:
             frame = frames[-1]
-            if frame.bc is not None and frame.bc in store(run.solver):
+            if frame.bc is not None and not outside_store(run.solver, {frame.bc}):
                 run.emit(_payload(Action, ("deactivate", (frame.bc,))))
                 _emit_restores(run)
             frame.index += 1
@@ -328,7 +328,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
             # drop postings queued for the abandoned alternative, keeping
             # problem constraints that still await their return to the store
             for cid, _decl in posts:
-                if cid in problem_ids and cid not in repost and cid not in store(run.solver):
+                if cid in problem_ids and cid not in repost and outside_store(run.solver, {cid}):
                     repost.append(cid)
             posts.clear()
             c_rej = run.solver.rejected[0]

@@ -12,6 +12,7 @@ assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -107,13 +108,14 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
         raise TransitionError(os.name, "initial state not in the initial-state set")
     if vtrace.kind == "actual":
         raise TransitionError(os.name, "extract expects a virtual trace", index=0)
+    checked, extract_local = vtrace.applied_by is not os, os.extract_local
     state = vtrace.initial_state
     records = []
-    for i, ev in enumerate(vtrace.events):
-        if vtrace.applied_by is not os and not transition_holds(os, state, ev.action, ev.state):
-            raise TransitionError(os.name, f"step is not a {ev.action.kind} transition", index=i)
-        records.append(_payload(ActualPayload, (os.extract_local(state, ev.action, ev.state),)))
-        state = ev.state
+    for i, (action, successor) in enumerate(vtrace.events):
+        if checked and not transition_holds(os, state, action, successor):
+            raise TransitionError(os.name, f"step is not a {action.kind} transition", index=i)
+        records.append(_payload(ActualPayload, (extract_local(state, action, successor),)))
+        state = successor
     return Trace(vtrace.initial_state, tuple(records))
 
 
@@ -133,15 +135,20 @@ def replay(os: ObservationalSemantics, state: Any, record: Any) -> VirtualPayloa
     return _payload(VirtualPayload, (action, new))
 
 
-def _replay_step(os: ObservationalSemantics, state: Any, i: int, ev: ActualPayload, read_only: bool = False):
-    """:func:`replay` of record ``i`` from ``state``, the step it encodes (its action alone if ``read_only``),
-    or the :class:`ReconstructionError` that ``reconstruct`` reports."""
-    if not os.is_record(ev.record):
-        raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
-    try:
-        return os.read_action(state, ev.record) if read_only else replay(os, state, ev.record)
-    except ReconstructionError as exc:
-        raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
+def replay_records(os: ObservationalSemantics, state: Any, records: Iterable, start: int = 0) -> tuple:
+    """The steps ``records`` encode from ``state``, each :func:`replay` of a record from the state the step
+    before reached; a record that fails raises its :class:`ReconstructionError` at its index from ``start``."""
+    is_record, steps = os.is_record, []
+    for i, record in enumerate(records, start):
+        if not is_record(record):
+            raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
+        try:
+            step = replay(os, state, record)
+        except ReconstructionError as exc:
+            raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
+        steps.append(step)
+        state = step[1]
+    return tuple(steps)
 
 
 def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
@@ -150,13 +157,8 @@ def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
         raise ReconstructionError(os.name, "initial state not in the initial-state set")
     if atrace.kind == "virtual":  # a trace has one kind, so the first event is the offending one
         raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=0)
-    state = atrace.initial_state
-    steps = []
-    for i, ev in enumerate(atrace.events):
-        step = _replay_step(os, state, i, ev)
-        steps.append(step)
-        state = step.state
-    return Trace.built_by(os, atrace.initial_state, tuple(steps))
+    steps = replay_records(os, atrace.initial_state, map(itemgetter(0), atrace.events))
+    return Trace.built_by(os, atrace.initial_state, steps)
 
 
 def first_divergence(a: Trace, b: Trace) -> int | None:
@@ -217,17 +219,19 @@ def _faithful_divergence(os: ObservationalSemantics, vtrace: Trace) -> int | Non
     in full along replay's own chain, so that a rule failure is still
     reported at its index.
     """
-    atrace = extract(os, vtrace)
-    state = vtrace.initial_state
-    pos = None
-    for i, (ev, ref) in enumerate(zip(atrace.events, vtrace.events)):
-        if pos is None:
-            if _replay_step(os, state, i, ev, read_only=True) == ref.action:
-                state = ref.state
-                continue
-            pos = i
-        state = _replay_step(os, state, i, ev).state
-    return pos
+    records = tuple(map(itemgetter(0), extract(os, vtrace).events))
+    is_record, read, state = os.is_record, os.read_action, vtrace.initial_state
+    try:
+        for i, (record, (action, successor)) in enumerate(zip(records, vtrace.events)):
+            if not is_record(record) or read(state, record) != action:
+                break
+            state = successor
+        else:
+            return None
+    except ReconstructionError:
+        pass  # a record that encodes no action fails again, at its index, in the replay below
+    replay_records(os, state, records[i:], i)
+    return i
 
 
 def check_faithful(os: ObservationalSemantics, samples: Iterable[Trace]) -> FaithfulnessReport:

@@ -20,6 +20,7 @@ new values.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Iterator, Mapping, NamedTuple
 
@@ -53,9 +54,6 @@ class SolverEvent(_EventFields):
         elif kind not in EVENT_KINDS:
             raise StateInvariantError(f"unknown solver-event kind {kind!r}")
         return tuple.__new__(cls, (kind, variable, origin))
-
-    def matches(self, kind: str, variable: str | None) -> bool:
-        return self.kind == kind and self.variable == variable
 
 
 BOTTOM = SolverEvent("bot")
@@ -216,7 +214,8 @@ def store(state: SolverState) -> frozenset:
     """The constraint store: every constraint currently taken into account.
 
     Validates that the four parts partition the store and stay within the
-    declared constraints.
+    declared constraints.  The rules keep that so, and test membership on
+    the parts (``outside_store``) without building the store.
     """
     active = frozenset(c for c, _ in state.active)
     union = active.union(state.sleeping, state.solved, state.rejected)
@@ -228,15 +227,22 @@ def store(state: SolverState) -> frozenset:
     return union
 
 
+def outside_store(state: SolverState, ids: frozenset) -> frozenset:
+    """The constraints of ``ids`` that are not in the store, read off its parts."""
+    return ids.difference(state.sleeping, state.solved, state.rejected, map(itemgetter(0), state.active))
+
+
 class SearchTreeState(NamedTuple):
     """Creation-ordered nodes with solver-state snapshots and depths.
 
     ``entries`` maps each node to its (snapshot, depth); ``nodes``,
-    ``snapshots`` and ``depths`` read them back as tuples.
+    ``snapshots`` and ``depths`` read them back as tuples.  ``level`` is the
+    current node's depth, so that a replayed record's depth check reads no entry.
     """
 
     entries: Entries
     current: int
+    level: int
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -266,20 +272,19 @@ class SearchTreeState(NamedTuple):
         return self._entry(node)[1]
 
     def with_node(self, node: int, snapshot: Any, depth: int) -> "SearchTreeState":
-        return SearchTreeState(self.entries.with_entry(node, (snapshot, depth)), node)
+        return SearchTreeState(self.entries.with_entry(node, (snapshot, depth)), node, depth)
 
     def jumped_to(self, node: int) -> "SearchTreeState":
-        return SearchTreeState(self.entries, node)
+        return SearchTreeState(self.entries, node, self.depth(node))
 
     def with_snapshots(self, update) -> "SearchTreeState":
         """The same tree with ``update`` applied to every snapshot."""
-        return SearchTreeState(Entries((n, (update(snap), depth)) for n, (snap, depth) in self.entries),
-                               self.current)
+        return self._replace(entries=Entries((n, (update(snap), depth)) for n, (snap, depth) in self.entries))
 
 
 def initial_tree(snapshot: Any) -> SearchTreeState:
     """A fresh tree whose root (node 0, depth 0) snapshots the initial state."""
-    return SearchTreeState(Entries(((0, (snapshot, 0)),)), current=0)
+    return SearchTreeState(Entries(((0, (snapshot, 0)),)), current=0, level=0)
 
 
 NO_EXPLANATIONS: Mapping = MappingProxyType({})
@@ -354,11 +359,7 @@ def solution_state(state: SolverState) -> bool:
     """
     if state.rejected:
         return False
-    try:
-        sigma = store(state)
-    except StateInvariantError:
-        return False
-    decls = [*map(state.constraints.get, sigma)]
+    decls = [*map(state.constraints.get, (*map(itemgetter(0), state.active), *state.sleeping, *state.solved))]
     if not all(decls):  # a constraint declared without a declaration
         return False
     domains, assignment = state.domains, {}
@@ -371,24 +372,22 @@ def solution_state(state: SolverState) -> bool:
     return all(decl.satisfied(assignment) for decl in decls)
 
 
-def awake_condition(state: SolverState, cid: str, event: SolverEvent) -> bool:
-    """May the sleeping constraint ``cid`` be woken by ``event``?
+def watches(state: SolverState, cid: str, event: SolverEvent) -> bool:
+    """Does the constraint ``cid`` react to ``event``?  A sleeping one that does may be woken by it.
 
     The bottom event wakes any sleeping constraint; a domain event wakes the
     constraints whose variables it concerns (every constraint watches all
     event kinds on all of its variables, and one declared without a
     declaration watches no variable).
     """
-    if cid not in state.sleeping:
-        return False
     if event.kind == "bot":
         return True
-    decl = state.declaration(cid)
+    decl = state.constraints.get(cid)
     return decl is not None and event.variable in decl.variables
 
 
 def _woken(state: SolverState, event: SolverEvent) -> Iterator[str]:
-    """The sleeping constraints ``event`` wakes (``awake_condition`` over the
+    """The sleeping constraints ``event`` wakes (``watches`` over the
     sleeping part), in identifier order, with no call per constraint.  Every
     sleeping constraint is declared: the rules keep the store declared."""
     if event.kind == "bot":

@@ -121,6 +121,19 @@ def test_strict_parsing_refuses_irregular_identifiers(line):
     assert parse_trace(line, mode="lenient").deviations == (f"line 1: irregular identifier {name!r}",)
 
 
+@pytest.mark.parametrize("line,name", [
+    ("1[0]awake c1 dom(x.y)", "x.y"),
+    ("1[0]reduce c1 x gen{dom(x-1)} [0] bot", "x-1"),
+    ("1[0]reduce c1 x gen{} [0] dom(a-b)", "a-b"),
+])
+def test_strict_parsing_refuses_irregular_identifiers_inside_solver_events(line, name):
+    # a cause's or a generated event's variable is an identifier too
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_trace(line, mode="strict")
+    assert str(exc.value) == f"irregular identifier {name!r} (line 1)"
+    assert parse_trace(line, mode="lenient").deviations == (f"line 1: irregular identifier {name!r}",)
+
+
 @pytest.mark.parametrize("line,canonical,error", [
     ("1[0]newVariable [0-2] x", "1[0]newVariable x [0-2]", "newVariable: expected attribute 'variable', got '[0-2]'"),
     ("1[0]restore x gen{} [0-2]", "1[0]restore x [0-2] gen{}", "restore: expected attribute 'domain', got 'gen{}'"),

@@ -689,6 +689,31 @@ def test_read_record_refuses_a_foreign_attribute_with_the_shape_error_text(kind)
     assert exc.value.condition == "unknown event type 'frobnicate'"
 
 
+@pytest.mark.parametrize("record,missing", [
+    (GenericEvent("newVariable", 0, variable="x"), "domain"),
+    (GenericEvent("schedule", 0, constraint="c1"), "event"),
+])
+def test_replay_refuses_a_record_without_an_attribute_its_reader_reads(record, missing):
+    # refused in shape_error's strict words, not replayed with None for the
+    # attribute nor left to fail on it
+    report = validate([record])
+    assert not report.ok and report.virtual is None
+    assert (report.error.index, report.error.rule) == (0, record.type)
+    assert report.error.condition == f"missing required attribute {missing!r}" == shape_error(record)
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_replay_reads_records_without_what_lenient_idioms_leave_out(machine):
+    # node ids, causes, generated events and jumpTo's origin may be left out:
+    # every record of a ladder trace reads, in the state its step starts
+    # from, with all four removed
+    os, run = (make_semantics(), solve) if machine == "fd" else (palm.make_palm_semantics(), palm.palm_solve)
+    result = run(ladder(4))
+    states = (result.virtual.initial_state, *(step.state for step in result.virtual.events))
+    for state, ev in zip(states, result.events):
+        assert os.read_action(state, ev._replace(node=None, node2=None, cause=None, generated=None)).kind == ev.type
+
+
 # README's notation of each attribute; the dialect extras, and a declaration
 # kept as foreign text, are left out of its list of records
 README_NOTATION = {"constraint": "c", "variable": "v", "node": "node(n)", "node2": "node(origin)", "domain": "D",

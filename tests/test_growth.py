@@ -13,14 +13,16 @@ import tracemalloc
 
 import pytest
 
-from gentra import gentra4cp, palm
-from gentra.abstraction import check_generic, palm_process
+from gentra import formats, gentra4cp, palm, state
+from gentra.abstraction import (check_generic, check_simulable, palm_mapping, palm_process, palm_profile,
+                                palm_to_generic, project)
+from gentra.errors import ReconstructionError
 from gentra.formats import document_for_events, parse_trace, serialize_trace
-from gentra.gentra4cp import make_semantics, validate
+from gentra.gentra4cp import GUARD_NAMES, ValidationError, make_semantics, validate
 from gentra.palm import make_palm_semantics, palm_initial_state, palm_solve
 from gentra.semantics import Action, check_faithful, reconstruct
 from gentra.solver import solve
-from gentra.state import SolverState
+from gentra.state import SolverEvent, SolverState
 from gentra.trace import ActualPayload, Trace
 
 from support import RuleCalls, ladder
@@ -126,6 +128,72 @@ def test_verdicts_and_solves_read_arguments_by_position(monkeypatch):
     assert check_generic(make_semantics(), palm_process(), palm_run.events).ok
 
 
+def _pipeline_verdicts(problem):
+    """Solve ``problem`` on both machines and run the fd and palm verdicts on
+    the trace texts, making the library calls ``perfbench/pipeline.py`` makes."""
+    fd_text = serialize_trace(document_for_events(solve(problem).events, solver="fd"))
+    palm_text = serialize_trace(document_for_events(palm_solve(problem).events, dialect="palm", solver="palm"))
+    report = validate(parse_trace(fd_text).events, guards=("g1", "g2", "g3"))
+    assert report.ok and check_faithful(make_semantics(), [report.virtual]).ok
+    palm_os, projected = make_palm_semantics(), project(make_semantics(), palm_profile())
+    events = parse_trace(palm_text, dialect="palm").events
+    virtual = reconstruct(palm_os, Trace(palm_initial_state(), tuple(ActualPayload(e) for e in events)))
+    assert validate(palm_to_generic(events), os=projected, guards=GUARD_NAMES).ok
+    assert check_simulable(palm_os, projected, palm_mapping(), [virtual]).ok
+
+
+def test_verdicts_and_solves_build_no_store_and_word_no_shape_error(monkeypatch):
+    # the rules test membership on the store's parts, and a record that
+    # reads is never handed to shape_error, which only words refusals; the
+    # validating view ``store`` is left to palm's repair invariant
+    assert not hasattr(SolverEvent, "matches")
+    in_invariant = False
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} reached")
+        return call
+
+    def store_in_invariant(solver, store=state.store):
+        assert in_invariant, "store reached outside palm's repair invariant"
+        return store(solver)
+
+    def invariant(full, check=palm.check_palm_invariants):
+        nonlocal in_invariant
+        in_invariant = True
+        try:
+            check(full)
+        finally:
+            in_invariant = False
+
+    monkeypatch.setattr(palm, "check_palm_invariants", invariant)
+    monkeypatch.setattr(palm, "store", store_in_invariant)
+    monkeypatch.setattr(state, "store", refused("store"))
+    monkeypatch.setattr(gentra4cp, "store", refused("store"), raising=False)  # the rules import none
+    monkeypatch.setattr(gentra4cp, "shape_error", refused("shape_error"))
+    monkeypatch.setattr(formats, "shape_error", refused("shape_error"))
+    _pipeline_verdicts(ladder(4))
+
+
+def test_store_refusals_keep_their_texts():
+    # one edit of a passing trace each: a post of a constraint already in the
+    # store, a deactivate of one no longer in it, and a palm reduce whose
+    # explanation names a constraint outside it
+    fd, events = solve(ladder(4)).events, palm_solve(ladder(4)).events
+    i = next(i for i, ev in enumerate(fd) if ev.type == "post")
+    report = validate(fd[:i + 1] + fd[i:])
+    assert report.error == ValidationError(i + 1, "post", f"{fd[i].constraint} already in the store")
+    j = next(j for j, ev in enumerate(events) if ev.type == "deactivate")
+    r = next(r for r, ev in enumerate(events) if ev.type == "reduce")
+    wider = events[r]._replace(explanation=events[r].explanation + ("nowhere",))
+    edits = {j + 1: (events[:j + 1] + events[j:], "deactivate", f"{events[j].constraint} not in the store"),
+             r: (events[:r] + (wider,) + events[r + 1:], "reduce", "explanation is not a set of store constraints")}
+    for index, (edited, rule, condition) in edits.items():
+        with pytest.raises(ReconstructionError) as exc:
+            reconstruct(make_palm_semantics(), Trace(palm_initial_state(), tuple(map(ActualPayload, edited))))
+        assert (exc.value.index, exc.value.rule, exc.value.condition) == (index, rule, condition)
+
+
 # Python line events count the interpreted work: a linear scan of an
 # association tuple that grows along the run (declarations, nodes, the
 # explanation table) adds lines per element, a keyed lookup a constant few.
@@ -169,11 +237,11 @@ def test_palm_solve_work_per_event_stays_flat():
     _assert_flat(lambda k: len(palm_solve(ladder(k)).events))
 
 
-# At ladder k = 6 one solve takes about 112 line events per event and one
-# palm_solve about 122, both through the one shared propagation loop.  A
+# At ladder k = 6 one solve takes about 100 line events per event and one
+# palm_solve about 108, both through the one shared propagation loop.  A
 # costlier loop or filter step costs the same per event at every size, so
 # only an absolute bound sees it; each bound is that count plus about 5%.
-SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 117, "palm": 128}
+SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 105, "palm": 113}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -223,11 +291,11 @@ def test_strict_parse_reads_canonical_lines_without_tokens(machine):
 
 
 # At ladder k = 6 the palm verdict (three rule applications per event)
-# takes about 199 line events per event, and the fd verdict (validate and
-# check_faithful, one application) about 118.  A slower rule step costs the
+# takes about 154 line events per event, and the fd verdict (validate and
+# check_faithful, one application) about 80.  A slower rule step costs the
 # same per event at every size, so only an absolute bound sees it; each
 # bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 209, "fd": 124}
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 161, "fd": 84}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
