@@ -243,7 +243,7 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
             None, None, f"derived kinds {sorted(unreachable)} unreachable through the kind map"))
     samples = list(samples)
     transitions = 0
-    map_state, carry = mapping.map_state, mapping.map_action or mapping.carry_action
+    map_state, carry = mapping.map_state, mapping.carry_action
     if not violations:
         for ti, t in enumerate(samples):
             try:

@@ -136,7 +136,7 @@ _ALL_ATTRS = tuple(name for name in GenericEvent._fields[2:] if name not in DIAL
 # the attributes foreign to each event type, in ``_ALL_ATTRS`` order
 _FOREIGN = {kind: tuple(name for name in _ALL_ATTRS if name not in required + optional)
             for kind, (required, optional) in _SHAPES.items()}
-# the required attributes replay reads: all but those lenient idioms leave out
+# the required attributes replay reads and lenient mode requires: all but those lenient idioms leave out
 _READ_NEEDS = {kind: tuple(name for name in required if name not in ("node", "node2", "cause", "generated"))
                for kind, (required, _) in _SHAPES.items()}
 # per event type, a getter of its foreign attributes (two or more: it returns a tuple), what it returns on a
@@ -146,13 +146,14 @@ _SHAPE_AT = {kind: (itemgetter(*map(GenericEvent._fields.index, names)), (None,)
              for kind, names in _FOREIGN.items()}
 
 
-def shape_error(ev: GenericEvent, strict: bool = True, required=None) -> str | None:
+def shape_error(ev: GenericEvent, strict: bool = True) -> str | None:
     """Return a description of the first shape violation, or None.
 
-    In lenient mode missing attributes are tolerated (foreign traces omit
-    generated events, causes, and node identifiers); attributes foreign to
-    the event type are rejected in both modes.  ``required`` maps each type
-    to the attributes strict mode requires, its layout's by default.
+    In lenient mode the attributes foreign traces omit may be missing
+    (generated events, causes, node identifiers and jumpTo's origin), but
+    not those replay reads (``_READ_NEEDS``); attributes foreign to the
+    event type are rejected in both modes.  ``read_record`` refuses exactly
+    the records lenient mode does, with its text.
     """
     shape = _SHAPE_AT.get(ev.type)
     if shape is None:
@@ -161,10 +162,9 @@ def shape_error(ev: GenericEvent, strict: bool = True, required=None) -> str | N
         for name in _FOREIGN[ev.type]:
             if getattr(ev, name) is not None:
                 return f"attribute {name!r} does not belong to {ev.type}"
-    if strict:
-        for name in _SHAPES[ev.type][0] if required is None else required[ev.type]:
-            if getattr(ev, name) is None:
-                return f"missing required attribute {name!r}"
+    for name in _SHAPES[ev.type][0] if strict else _READ_NEEDS[ev.type]:
+        if getattr(ev, name) is None:
+            return f"missing required attribute {name!r}"
     return None
 
 
@@ -226,7 +226,8 @@ def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullStat
     node, = act.args
     _need(not full.tree.has_node(node), rule, f"node {node} already exists")
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
-    return _payload(FullState, (full[0], full.tree.with_node(node, full.solver, full.tree.level + 1), full[2]))
+    depth = full.tree.depth(full.tree.current) + 1
+    return _payload(FullState, (full[0], full.tree.with_node(node, full.solver, depth), full[2]))
 
 
 def _step_jump_to(full: FullState, act: Action) -> FullState:
@@ -412,7 +413,8 @@ def extract_event(full: FullState, action: Action, new: FullState) -> GenericEve
         fields = (None, var, None, None, removed, _pending_suffix(full.solver, new.solver) or None)
     else:
         raise TransitionError(kind, "unknown rule")
-    return _payload(GenericEvent, (kind, new.tree.level, *fields, *_NONES[len(fields) + 2:]))
+    depth = new.tree.entries.get(new.tree.current)[1]  # the rules keep the current node in the tree
+    return _payload(GenericEvent, (kind, depth, *fields, *_NONES[len(fields) + 2:]))
 
 
 # reconstruction: attribute record -> transition
@@ -497,7 +499,7 @@ def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
     kind = ev[0]
     shape = _SHAPE_AT.get(kind)
     if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
-        _fail(kind, shape_error(ev, required=_READ_NEEDS))
+        _fail(kind, shape_error(ev, strict=False))
     read = readers.get(kind)
     if read is None:
         _fail(kind, "event type outside the rule set")
@@ -509,8 +511,10 @@ def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
 
 def check_depth(ev: GenericEvent, new: FullState) -> None:
     """A replayed record must carry the depth of the node its rule reached."""
-    if ev.depth != new.tree.level:
-        _fail(ev.type, f"depth {ev.depth} != current node depth {new.tree.level}")
+    tree = new.tree
+    depth = tree.entries.get(tree.current)[1]  # the rules keep the current node in the tree
+    if ev.depth != depth:
+        _fail(ev.type, f"depth {ev.depth} != current node depth {depth}")
 
 
 # semantics bundle and parameter tables

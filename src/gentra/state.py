@@ -236,13 +236,11 @@ class SearchTreeState(NamedTuple):
     """Creation-ordered nodes with solver-state snapshots and depths.
 
     ``entries`` maps each node to its (snapshot, depth); ``nodes``,
-    ``snapshots`` and ``depths`` read them back as tuples.  ``level`` is the
-    current node's depth, so that a replayed record's depth check reads no entry.
+    ``snapshots`` and ``depths`` read them back as tuples.
     """
 
     entries: Entries
     current: int
-    level: int
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -272,10 +270,10 @@ class SearchTreeState(NamedTuple):
         return self._entry(node)[1]
 
     def with_node(self, node: int, snapshot: Any, depth: int) -> "SearchTreeState":
-        return SearchTreeState(self.entries.with_entry(node, (snapshot, depth)), node, depth)
+        return SearchTreeState(self.entries.with_entry(node, (snapshot, depth)), node)
 
     def jumped_to(self, node: int) -> "SearchTreeState":
-        return SearchTreeState(self.entries, node, self.depth(node))
+        return SearchTreeState(self.entries, node)
 
     def with_snapshots(self, update) -> "SearchTreeState":
         """The same tree with ``update`` applied to every snapshot."""
@@ -284,7 +282,7 @@ class SearchTreeState(NamedTuple):
 
 def initial_tree(snapshot: Any) -> SearchTreeState:
     """A fresh tree whose root (node 0, depth 0) snapshots the initial state."""
-    return SearchTreeState(Entries(((0, (snapshot, 0)),)), current=0, level=0)
+    return SearchTreeState(Entries(((0, (snapshot, 0)),)), current=0)
 
 
 NO_EXPLANATIONS: Mapping = MappingProxyType({})

@@ -237,11 +237,11 @@ def test_palm_solve_work_per_event_stays_flat():
     _assert_flat(lambda k: len(palm_solve(ladder(k)).events))
 
 
-# At ladder k = 6 one solve takes about 100 line events per event and one
-# palm_solve about 108, both through the one shared propagation loop.  A
+# At ladder k = 6 one solve takes about 103 line events per event and one
+# palm_solve about 111, both through the one shared propagation loop.  A
 # costlier loop or filter step costs the same per event at every size, so
 # only an absolute bound sees it; each bound is that count plus about 5%.
-SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 105, "palm": 113}
+SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 108, "palm": 116}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -291,11 +291,11 @@ def test_strict_parse_reads_canonical_lines_without_tokens(machine):
 
 
 # At ladder k = 6 the palm verdict (three rule applications per event)
-# takes about 154 line events per event, and the fd verdict (validate and
-# check_faithful, one application) about 80.  A slower rule step costs the
+# takes about 164 line events per event, and the fd verdict (validate and
+# check_faithful, one application) about 87.  A slower rule step costs the
 # same per event at every size, so only an absolute bound sees it; each
 # bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 161, "fd": 84}
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 173, "fd": 92}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
