@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 for a passing verdict, 1 for a failing verdict (validation,
-compliance, differing traces, exceeded budgets), 2 for usage or parse
-errors.
+compliance, differing traces, a solve that exceeds its budgets or breaks an
+invariant), 2 for usage or parse errors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from .abstraction import check_generic, palm_process, palm_profile, palm_to_generic, project
-from .errors import GentraError, SolveLimitError
+from .errors import GentraError
 from .fdomain import DEFAULT_MX
 from .formats import (
     diff_events,
@@ -103,7 +103,7 @@ def solve_cmd(problem, trace_out, strict_reduce, use_palm, mx):
         else:
             result = fd_solve(prob, strict_reduce=strict_reduce)
             doc = document_for_events(result.events, solver="fd-strict" if strict_reduce else "fd", mx=mx)
-    except SolveLimitError as exc:
+    except GentraError as exc:
         click.echo(f"FAIL solve: {exc}", err=True)
         sys.exit(1)
     for assignment in result.solutions:

@@ -40,7 +40,7 @@ from .semantics import Action, ObservationalSemantics
 from .solver import (Problem, SolveLimits, SolveResult, _close_solution, _fresh_events, _next_alternatives,
                      _post_and_propagate, _Run)
 from .state import FullState, SolverEvent, initial_state, outside_store, store
-from .trace import Trace, _payload
+from .trace import _payload
 
 PALM_EVENT_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "solution", "failure",
@@ -285,11 +285,11 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
     value whose explanation involved it.  Each step goes through a palm
     rule; after each repair the run checks that the explanation table is
     explained by the store, raising ``PalmAssertionError`` otherwise.
+    Returns the solutions and the emitted palm-dialect records.
     """
     problem = problem.rebased(0)
     problem_ids = frozenset(cid for cid, _ in problem.constraints)
     run = _PalmRun(limits or SolveLimits())
-    start = run.full
     for var, dom in problem.variables:
         run.emit(_payload(Action, ("newVariable", (dom, var))))
 
@@ -355,5 +355,4 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
         if not advance():
             break
 
-    virtual = Trace.built_by(run.os, start, tuple(run.steps))
-    return SolveResult(solutions=tuple(solutions), events=tuple(run.events), virtual=virtual)
+    return SolveResult(solutions=tuple(solutions), events=tuple(run.events))

@@ -2,7 +2,8 @@
 
 Every internal state change goes through one trace rule application, so a
 run *is* its trace: the returned actual events replay cleanly under the
-format semantics and the virtual steps are the corresponding ground truth.
+format semantics into the states the run went through.  The run keeps only
+its current state; the virtual trace is the records' reconstruction.
 
 Search structure: explicit disjunctions and variable labellings are both
 choice points.  A choice opens one child node; alternatives are explored by
@@ -21,7 +22,7 @@ from .fdomain import FiniteDomain
 from .gentra4cp import GenericEvent, generated_events, make_semantics
 from .semantics import Action, ObservationalSemantics
 from .state import BOTTOM, FullState, SolverEvent, initial_state, solution_state, watchers
-from .trace import Trace, VirtualPayload, _payload
+from .trace import _payload
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ Assignment = tuple[tuple[str, int], ...]
 class SolveResult:
     solutions: tuple[Assignment, ...]
     events: tuple[GenericEvent, ...]
-    virtual: Trace
 
     def solution_dicts(self) -> list[dict[str, int]]:
         return [dict(s) for s in self.solutions]
@@ -83,10 +83,10 @@ class SolveResult:
 
 class _Run:
     """Mutable run context: applies rules and extracts records through the
-    run's semantics, the same ones its traces are checked with, and
-    collects both trace views.  What the machines do differently in
-    propagation, the run says: ``reject_falsified``, ``schedule_action``
-    and ``reduce_action``."""
+    run's semantics, the same ones its traces are checked with, keeping
+    the records and only the current state.  What the machines do
+    differently in propagation, the run says: ``reject_falsified``,
+    ``schedule_action`` and ``reduce_action``."""
 
     reject_falsified = True
 
@@ -97,7 +97,6 @@ class _Run:
         self.limits = limits
         self.strict_reduce = strict_reduce
         self.events: list[GenericEvent] = []
-        self.steps: list[VirtualPayload] = []
         self.next_node = 1
         self.next_branch = 1
 
@@ -106,7 +105,6 @@ class _Run:
             raise SolveLimitError(f"event budget {self.limits.max_events} exceeded", self.events)
         new = self.os.apply(self.full, action)
         self.events.append(self.os.extract_local(self.full, action, new))
-        self.steps.append(_payload(VirtualPayload, (action, new)))
         self.full = new
 
     def fresh_node(self) -> int:
@@ -299,13 +297,13 @@ def solve(problem: Problem, limits: SolveLimits | None = None, *,
     """Solve a problem by propagation and exhaustive depth-first search.
 
     Returns every solution (a fixed assignment per reported solution leaf)
-    together with the emitted actual trace and the matching virtual trace.
+    together with the emitted actual trace, which ``validate`` replays into
+    the virtual trace of the run.
     Raises SolveLimitError, carrying the partial trace, when the run exceeds
     its budgets.
     """
     run = _Run(limits or SolveLimits(), make_semantics(strict_reduce=strict_reduce), initial_state(),
                strict_reduce)
-    start = run.full
     for var, dom in problem.variables:
         run.emit(_payload(Action, ("newVariable", (dom, var))))
     for cid, decl in problem.constraints:
@@ -316,5 +314,4 @@ def solve(problem: Problem, limits: SolveLimits | None = None, *,
     strategy += [("label", v) for v in problem.labels]
     solutions: list = []
     _search(run, strategy, solutions)
-    virtual = Trace.built_by(run.os, start, tuple(run.steps))
-    return SolveResult(solutions=tuple(solutions), events=tuple(run.events), virtual=virtual)
+    return SolveResult(solutions=tuple(solutions), events=tuple(run.events))

@@ -57,7 +57,7 @@ class Trace:
 
     @classmethod
     def built_by(cls, os: Any, initial_state: Hashable, events: tuple[TraceEvent, ...]) -> "Trace":
-        """A trace whose every step ``os.apply`` built (replay and the solvers),
+        """A trace whose every step ``os.apply`` built (replay),
         which ``extract`` under ``os`` need not check; prefixes keep ``applied_by``."""
         trace = cls(initial_state, events)
         object.__setattr__(trace, "applied_by", os)

@@ -1,6 +1,7 @@
 """Shared test helpers: an independent brute-force oracle, brute-force
 entailment, the solution predicate read through entailment, random inputs,
-near-miss text edits, and an extraction derived by inverting reconstruction.
+near-miss text edits, an extraction derived by inverting reconstruction,
+and the virtual trace of a solver's own steps.
 
 The oracle never touches the propagation machinery: it re-implements each
 constraint's relation directly on integers and enumerates total assignments
@@ -13,15 +14,17 @@ import itertools
 import random
 from typing import Any, Callable, Iterable, Mapping
 
+import pytest
 from hypothesis import strategies as st
 
+from gentra import solver
 from gentra.constraints import ConstraintDecl
 from gentra.errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain
 from gentra.gentra4cp import ARGS
 from gentra.semantics import Action, ObservationalSemantics, replay
 from gentra.solver import Problem
-from gentra.state import SolverState, store
+from gentra.state import SolverState, initial_state, store
 from gentra.trace import BOTTOM_DOMAIN, PrefixSet, Trace, TraceDomain, VirtualPayload
 
 
@@ -182,6 +185,27 @@ def entailed_solution_state(state: SolverState) -> bool:
     if any(not domains[v].is_singleton() for v in constrained):
         return False
     return all(state.declaration(cid).entailed(domains) for cid in sorted(sigma))
+
+
+def solved(solve_fn: Callable, problem: Problem, **kwargs):
+    """``solve_fn(problem, **kwargs)`` and the virtual trace of the steps the
+    solver itself took: each action it applied and the state it reached, as
+    its run emitted them, not a replay of the records.  Records the steps by
+    wrapping ``_Run.emit`` for this one call."""
+    steps: list[VirtualPayload] = []
+    os = None
+    emit = solver._Run.emit
+
+    def recording(run, action):
+        nonlocal os
+        emit(run, action)
+        os = run.os
+        steps.append(VirtualPayload(action, run.full))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Run, "emit", recording)
+        result = solve_fn(problem, **kwargs)
+    return result, Trace.built_by(os, initial_state(), tuple(steps))
 
 
 def solutions_as_set(result) -> set:

@@ -41,7 +41,7 @@ from gentra.solver import Problem, SolveLimits, solve
 from gentra.state import initial_state
 from gentra.trace import ActualPayload, Trace, VirtualPayload
 
-from support import arg, ladder, random_problem, relabelled
+from support import arg, ladder, random_problem, relabelled, solved
 
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
 
@@ -56,13 +56,33 @@ def element_problem(cids=("c0",)):
 
 
 @pytest.fixture(scope="module")
-def fd_run():
-    return solve(element_problem(("c1",)))
+def fd_solved():
+    return solved(solve, element_problem(("c1",)))
 
 
 @pytest.fixture(scope="module")
-def palm_run():
-    return palm_solve(element_problem())
+def fd_run(fd_solved):
+    return fd_solved[0]
+
+
+@pytest.fixture(scope="module")
+def fd_virtual(fd_solved):
+    return fd_solved[1]
+
+
+@pytest.fixture(scope="module")
+def palm_solved():
+    return solved(palm_solve, element_problem())
+
+
+@pytest.fixture(scope="module")
+def palm_run(palm_solved):
+    return palm_solved[0]
+
+
+@pytest.fixture(scope="module")
+def palm_virtual(palm_solved):
+    return palm_solved[1]
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +99,11 @@ def identity_mapping(os):
     return StateMapping("identity", lambda s: s, {k: k for k in os.action_kinds})
 
 
-def mapped_palm_virtual(palm_run):
+def mapped_palm_virtual(virtual):
     m = palm_mapping()
-    return Trace(map_palm_state(palm_run.virtual.initial_state),
+    return Trace(map_palm_state(virtual.initial_state),
                  tuple(VirtualPayload(m.carry_action(ev.action), map_palm_state(ev.state))
-                       for ev in palm_run.virtual.events))
+                       for ev in virtual.events))
 
 
 # projections
@@ -133,14 +153,14 @@ def test_projected_replay_refuses_a_dropped_kind_where_its_rule_applies(gt):
     assert (err.value.index, err.value.rule, err.value.condition) == (37, "jumpTo", "action outside projection palm")
 
 
-def test_projection_audit_on_mapped_palm_traces(gt, palm_run):
-    samples = [mapped_palm_virtual(palm_run)]
+def test_projection_audit_on_mapped_palm_traces(gt, palm_virtual):
+    samples = [mapped_palm_virtual(palm_virtual)]
     report = audit_projection(gt, palm_profile(), samples)
     assert report.ok, report.lines()
 
 
-def test_projection_audit_flags_dropped_actions(gt, fd_run):
-    report = audit_projection(gt, palm_profile(), [fd_run.virtual])
+def test_projection_audit_flags_dropped_actions(gt, fd_virtual):
+    report = audit_projection(gt, palm_profile(), [fd_virtual])
     assert not report.ok  # the run jumps and solves, both outside the profile
     assert any("dropped action" in v.detail for v in report.violations)
 
@@ -148,18 +168,18 @@ def test_projection_audit_flags_dropped_actions(gt, fd_run):
 # simulation
 
 
-def test_identity_simulation(gt, fd_run):
-    report = check_simulable(gt, gt, identity_mapping(gt), [fd_run.virtual])
-    assert report.ok and report.transitions == fd_run.virtual.size
+def test_identity_simulation(gt, fd_virtual):
+    report = check_simulable(gt, gt, identity_mapping(gt), [fd_virtual])
+    assert report.ok and report.transitions == fd_virtual.size
 
 
-def test_palm_mapping_simulation(gt, palm_os, palm_run):
+def test_palm_mapping_simulation(gt, palm_os, palm_virtual):
     projected = project(gt, palm_profile())
-    report = check_simulable(palm_os, projected, palm_mapping(), [palm_run.virtual])
+    report = check_simulable(palm_os, projected, palm_mapping(), [palm_virtual])
     assert report.ok, report.lines()
 
 
-def test_swapped_kind_map_fails_at_first_swap(gt, palm_os, palm_run):
+def test_swapped_kind_map_fails_at_first_swap(gt, palm_os, palm_virtual):
     projected = project(gt, palm_profile())
     swapped = dict(palm_mapping().action_map)
     swapped["suspend"], swapped["awake"] = "awake", "suspend"
@@ -168,18 +188,18 @@ def test_swapped_kind_map_fails_at_first_swap(gt, palm_os, palm_run):
         return relabelled(action, swapped[action.kind])
 
     mapping = StateMapping("swapped", map_palm_state, swapped, swap_action)
-    report = check_simulable(palm_os, projected, mapping, [palm_run.virtual])
+    report = check_simulable(palm_os, projected, mapping, [palm_virtual])
     assert not report.ok
-    kinds = [ev.action.kind for ev in palm_run.virtual.events]
+    kinds = [ev.action.kind for ev in palm_virtual.events]
     expected = min(kinds.index("suspend"), kinds.index("awake"))
     assert report.violations[0].event == expected
 
 
-def test_non_bijective_kind_map_is_structural_failure(gt, palm_os, palm_run):
+def test_non_bijective_kind_map_is_structural_failure(gt, palm_os, palm_virtual):
     projected = project(gt, palm_profile())
     mapping = StateMapping("collapse", map_palm_state,
                            {k: "suspend" for k in palm_os.action_kinds})
-    report = check_simulable(palm_os, projected, mapping, [palm_run.virtual])
+    report = check_simulable(palm_os, projected, mapping, [palm_virtual])
     assert not report.ok
     assert report.violations[0].trace is None  # flagged before any replay
 
@@ -188,8 +208,8 @@ def test_simulation_evidence_implies_mapped_validation(gt, palm_os):
     projected = project(gt, palm_profile())
     rng = random.Random(11)
     for _ in range(5):
-        res = palm_solve(random_problem(rng), CORPUS_LIMITS)
-        sim = check_simulable(palm_os, projected, palm_mapping(), [res.virtual])
+        res, virtual = solved(palm_solve, random_problem(rng), limits=CORPUS_LIMITS)
+        sim = check_simulable(palm_os, projected, palm_mapping(), [virtual])
         assert sim.ok
         report = validate(palm_to_generic(res.events), os=projected,
                           guards=("g1", "g2", "g3", "g4", "g5"))
@@ -213,9 +233,9 @@ def _map_failing_on_call(n):
     (1, "FAIL simulate trace=0 event=None state map failed on the initial state: no image"),
     (3, "FAIL simulate trace=0 event=1 state map failed: no image"),
 ], ids=["initial", "later"])
-def test_state_map_failure_is_reported_and_stops_its_trace(gt, fd_run, call, line):
+def test_state_map_failure_is_reported_and_stops_its_trace(gt, fd_virtual, call, line):
     mapping = StateMapping("partial", _map_failing_on_call(call), {k: k for k in gt.action_kinds})
-    report = check_simulable(gt, gt, mapping, [fd_run.virtual, fd_run.virtual])
+    report = check_simulable(gt, gt, mapping, [fd_virtual, fd_virtual])
     assert report.lines()[:-1] == [line]
     assert not report.ok
 
@@ -224,8 +244,18 @@ def test_state_map_failure_is_reported_and_stops_its_trace(gt, fd_run, call, lin
 
 
 @pytest.fixture(scope="module")
-def palm_ladder_run():
-    return palm_solve(ladder(4))
+def palm_ladder_solved():
+    return solved(palm_solve, ladder(4))
+
+
+@pytest.fixture(scope="module")
+def palm_ladder_run(palm_ladder_solved):
+    return palm_ladder_solved[0]
+
+
+@pytest.fixture(scope="module")
+def palm_ladder_virtual(palm_ladder_solved):
+    return palm_ladder_solved[1]
 
 
 def _has_extras(ev):
@@ -243,8 +273,8 @@ def test_palm_to_generic_returns_records_without_extras_as_they_are(palm_ladder_
             assert mapped == ev._replace(explanation=None, wake_kind=None, var_alias=None)
 
 
-def test_strip_explanation_returns_actions_without_one_as_they_are(palm_ladder_run):
-    actions = [ev.action for ev in palm_ladder_run.virtual.events]
+def test_strip_explanation_returns_actions_without_one_as_they_are(palm_ladder_virtual):
+    actions = [ev.action for ev in palm_ladder_virtual.events]
     explained = 0
     for action in actions:
         stripped = _strip_explanation(action)
@@ -256,10 +286,9 @@ def test_strip_explanation_returns_actions_without_one_as_they_are(palm_ladder_r
     assert 0 < explained < len(actions)
 
 
-def test_check_simulable_maps_each_sample_state_once(gt, palm_os, palm_ladder_run):
+def test_check_simulable_maps_each_sample_state_once(gt, palm_os, palm_ladder_virtual):
     # n + 1 states on an n-event trace: a mapped post-state is carried over
     # as the mapped pre-state of the next transition
-    virtual = palm_ladder_run.virtual
     calls = 0
 
     def counting(state):
@@ -268,23 +297,23 @@ def test_check_simulable_maps_each_sample_state_once(gt, palm_os, palm_ladder_ru
         return map_palm_state(state)
 
     mapping = dataclasses.replace(palm_mapping(), map_state=counting)
-    report = check_simulable(palm_os, project(gt, palm_profile()), mapping, [virtual])
-    assert report.ok and report.transitions == virtual.size
-    assert calls == virtual.size + 1
+    report = check_simulable(palm_os, project(gt, palm_profile()), mapping, [palm_ladder_virtual])
+    assert report.ok and report.transitions == palm_ladder_virtual.size
+    assert calls == palm_ladder_virtual.size + 1
 
 
 # derivations
 
 
-def test_identity_style_derivation(fd_run):
-    actual = extract(make_semantics(), fd_run.virtual)
+def test_identity_style_derivation(fd_virtual):
+    actual = extract(make_semantics(), fd_virtual)
     report = check_derivation(identity_derivation(), [actual],
                               lambda s: s == initial_state())
     assert report.ok
 
 
-def test_event_erasing_derivation(fd_run):
-    actual = extract(make_semantics(), fd_run.virtual)
+def test_event_erasing_derivation(fd_virtual):
+    actual = extract(make_semantics(), fd_virtual)
 
     def erase_schedule(prefix):
         kept = tuple(e for e in prefix.events if e.record.type != "schedule")
@@ -295,8 +324,8 @@ def test_event_erasing_derivation(fd_run):
     assert report.ok, report.lines()
 
 
-def test_skipping_derivation_breaks_the_chain(fd_run):
-    actual = extract(make_semantics(), fd_run.virtual)
+def test_skipping_derivation_breaks_the_chain(fd_virtual):
+    actual = extract(make_semantics(), fd_virtual)
 
     def doubler(prefix):
         return actual.prefix(min(2 * prefix.size, actual.size))
@@ -308,8 +337,8 @@ def test_skipping_derivation_breaks_the_chain(fd_run):
     assert report.notes  # the fallback scan and its bound are recorded
 
 
-def test_compose_identity(fd_run):
-    actual = extract(make_semantics(), fd_run.virtual)
+def test_compose_identity(fd_virtual):
+    actual = extract(make_semantics(), fd_virtual)
     D = Derivation("drop-schedule",
                    lambda p: Trace(p.initial_state,
                                    tuple(e for e in p.events if e.record.type != "schedule")))
@@ -320,8 +349,8 @@ def test_compose_identity(fd_run):
     assert report.ok
 
 
-def test_composed_derivations_pass_chain_checks(fd_run):
-    actual = extract(make_semantics(), fd_run.virtual)
+def test_composed_derivations_pass_chain_checks(fd_virtual):
+    actual = extract(make_semantics(), fd_virtual)
     drop_schedule = Derivation(
         "drop-schedule",
         lambda p: Trace(p.initial_state,
@@ -424,15 +453,15 @@ def test_compliance_validate_failure_keeps_the_simulation_verdict(gt, fd_run):
 # commutation
 
 
-def test_commutation_identity(gt, fd_run):
-    report = commutation_check(gt, gt, identity_mapping(gt), lambda evs: evs, [fd_run.virtual])
+def test_commutation_identity(gt, fd_virtual):
+    report = commutation_check(gt, gt, identity_mapping(gt), lambda evs: evs, [fd_virtual])
     assert report.ok
 
 
-def test_commutation_palm_pipeline(gt, palm_os, palm_run):
+def test_commutation_palm_pipeline(gt, palm_os, palm_virtual):
     projected = project(gt, palm_profile())
     report = commutation_check(palm_os, projected, palm_mapping(), palm_to_generic,
-                               [palm_run.virtual])
+                               [palm_virtual])
     assert report.ok, report.lines()
 
 
@@ -454,7 +483,7 @@ def test_checks_of_virtual_samples_report_an_actual_one(gt, palm_os):
                                "FAIL commutation traces=1"]
 
 
-def test_commutation_flags_corrupted_mapping(gt, palm_os, palm_run):
+def test_commutation_flags_corrupted_mapping(gt, palm_os, palm_run, palm_virtual):
     projected = project(gt, palm_profile())
     first_reduce = next(i for i, e in enumerate(palm_run.events) if e.type == "reduce")
 
@@ -463,7 +492,7 @@ def test_commutation_flags_corrupted_mapping(gt, palm_os, palm_run):
         return mapped[:first_reduce] + mapped[first_reduce + 1:]
 
     report = commutation_check(palm_os, projected, palm_mapping(), dropping,
-                               [palm_run.virtual])
+                               [palm_virtual])
     assert not report.ok
     # localized: flagged at the first position where the dropped record is
     # observable, never before the drop itself

@@ -33,7 +33,7 @@ from gentra.state import BOTTOM, initial_state
 from gentra.trace import ActualPayload, Trace, all_prefixes, domain_join, domain_meet, is_prefix_closed
 
 from support import (arg, element_oracle, oracle_solutions, random_problem, random_trace_set, relabelled,
-                     solutions_as_set)
+                     solutions_as_set, solved)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
@@ -58,12 +58,13 @@ def element_problem():
 
 @pytest.fixture(scope="module")
 def fd_corpus():
-    """100 random problems with their runs (criteria 3 and 4 share them)."""
+    """100 random problems with their runs and the runs' own steps (criteria
+    3 and 4 share them)."""
     rng = random.Random(20260808)
     corpus = []
     for _ in range(100):
         p = random_problem(rng)
-        corpus.append((p, solve(p, CORPUS_LIMITS)))
+        corpus.append((p, *solved(solve, p, limits=CORPUS_LIMITS)))
     return corpus
 
 
@@ -80,11 +81,11 @@ def test_criterion_1_worked_example():
 
 
 def test_criterion_2_propagation_values():
-    result = solve(element_problem())
+    result, virtual = solved(solve, element_problem())
     reduces = [e for e in result.events if e.type == "reduce"]
     removed_i = format_domain(reduces[0].domain, DEFAULT_MX)
     removed_a = format_domain(reduces[1].domain, DEFAULT_MX)
-    first_fixpoint = next(s.state for s, e in zip(result.virtual.events, result.events)
+    first_fixpoint = next(s.state for s, e in zip(virtual.events, result.events)
                           if e.type == "suspend")
     ok = (removed_i == "[0,4-mx]"
           and removed_a == "[0-1,3-4,6,8-mx]"
@@ -96,8 +97,8 @@ def test_criterion_2_propagation_values():
 def test_criterion_3_faithfulness_suite(fd_corpus):
     start = time.monotonic()
     failures = []
-    for i, (_p, res) in enumerate(fd_corpus):
-        if not check_faithful(GT, [res.virtual]).ok:
+    for i, (_p, res, virtual) in enumerate(fd_corpus):
+        if not check_faithful(GT, [virtual]).ok:
             failures.append((i, "faithfulness"))
         report = validate(res.events)
         if not report.ok:
@@ -108,7 +109,7 @@ def test_criterion_3_faithfulness_suite(fd_corpus):
 
 
 def test_criterion_4_oracle_equivalence(fd_corpus):
-    mismatches = [i for i, (p, res) in enumerate(fd_corpus)
+    mismatches = [i for i, (p, res, _virtual) in enumerate(fd_corpus)
                   if solutions_as_set(res) != oracle_solutions(p)]
     _report(4, not mismatches, f"runs={len(fd_corpus)} mismatches={mismatches[:3]}")
 
@@ -121,13 +122,13 @@ def test_criterion_5_mapping_pipeline():
     failures = []
     for i in range(50):
         p = random_problem(rng)
-        res = palm_solve(p, CORPUS_LIMITS)
+        res, virtual = solved(palm_solve, p, limits=CORPUS_LIMITS)
         report = validate(palm_to_generic(res.events), os=projected,
                           guards=("g1", "g2", "g3", "g4", "g5"))
         if not report.ok:
             failures.append((i, "validation", report.lines()[:2]))
             continue
-        sim = check_simulable(PALM_OS, projected, mapping, [res.virtual])
+        sim = check_simulable(PALM_OS, projected, mapping, [virtual])
         if not sim.ok or sim.violations:
             failures.append((i, "simulation", sim.lines()[:2]))
     elapsed = time.monotonic() - start
@@ -139,12 +140,12 @@ def test_criterion_6_negative_controls():
     # (a) one corrupted attribute record is flagged at its exact position:
     # claim the full universe as a reduce's removed values where the domain
     # is already narrowed, and replay must refuse that very record
-    run = solve(element_problem())
-    actual = extract(GT, run.virtual)
+    _run, virtual = solved(solve, element_problem())
+    actual = extract(GT, virtual)
     records = list(actual.events)
     prev = initial_state()
     target = None
-    for i, stepped in enumerate(run.virtual.events):
+    for i, stepped in enumerate(virtual.events):
         if (stepped.action.kind == "reduce"
                 and prev.solver.domain(arg(stepped.action, "variable")) != full_domain()):
             target = i
@@ -161,7 +162,7 @@ def test_criterion_6_negative_controls():
         flagged_a = getattr(exc, "index", None)
 
     # (b) a swapped action-kind map breaks simulation at the first swapped event
-    palm_run = palm_solve(element_problem())
+    _palm_run, palm_virtual = solved(palm_solve, element_problem())
     projected = project(GT, palm_profile())
     swapped = dict(palm_mapping().action_map)
     swapped["suspend"], swapped["awake"] = "awake", "suspend"
@@ -172,8 +173,8 @@ def test_criterion_6_negative_controls():
 
     sim = check_simulable(PALM_OS, projected,
                           StateMapping("swapped", map_palm_state, swapped, swap_action),
-                          [palm_run.virtual])
-    kinds = [ev.action.kind for ev in palm_run.virtual.events]
+                          [palm_virtual])
+    kinds = [ev.action.kind for ev in palm_virtual.events]
     expected_b = min(kinds.index("suspend"), kinds.index("awake"))
     flagged_b = sim.violations[0].event if sim.violations else None
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from gentra.abstraction import check_generic, palm_process, palm_profile, project
 from gentra.cli import main
 from gentra.errors import GentraError
+from gentra.fdomain import EMPTY_DOMAIN
 from gentra.formats import document_for_events, parse_problem, parse_trace, serialize_trace
 from gentra.gentra4cp import GUARD_NAMES, make_semantics, validate
 from gentra.palm import palm_solve
@@ -65,6 +66,28 @@ def test_solve_palm_refuses_strict_reduce(runner, element_prob, tmp_path):
     assert (result.stdout, result.stderr) == (
         "", "usage error: --strict-reduce applies to the fd solver, not to --palm\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("palm", [False, True], ids=["fd", "palm"])
+def test_solve_over_budget_fails_in_one_line(runner, tmp_path, palm):
+    # 8 labelled variables over [0-9] open far more than the 500 nodes a run may
+    names = [f"x{i}" for i in range(8)]
+    prob = tmp_path / "big.prob"
+    prob.write_text("".join(f"var {n} 0..9\n" for n in names) + f"label {','.join(names)}\n")
+    result = runner.invoke(main, ["solve", str(prob), *(["--palm"] if palm else [])])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert (result.stdout, result.stderr) == ("", "FAIL solve: node budget 500 exceeded\n")
+
+
+def test_solve_broken_palm_invariant_fails_in_one_line(runner, element_prob, monkeypatch):
+    # a repair that restores nothing leaves an explanation naming a relaxed
+    # constraint, which palm's run-level check reports
+    monkeypatch.setattr("gentra.palm.broken_values", lambda full, var: EMPTY_DOMAIN)
+    result = runner.invoke(main, ["solve", element_prob, "--palm"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == ("FAIL solve: state-invariant failed at event 35: "
+                             "an explanation for I mentions relaxed constraints\n")
 
 
 def test_solve_parse_error_exit_code(runner, tmp_path):

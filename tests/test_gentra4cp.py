@@ -28,8 +28,8 @@ from gentra.solver import Problem, solve
 from gentra.state import BOTTOM, SolverEvent, SolverState, initial_state, store
 from gentra.trace import ActualPayload, Trace, VirtualPayload, all_prefixes
 
-from support import RuleCalls, arg, ladder
-from test_golden_traces import GOLDEN, RUNS, problems
+from support import RuleCalls, arg, ladder, solved
+from test_golden_traces import GOLDEN, solved_run
 
 D05 = FiniteDomain.interval(0, 5)
 apply = make_semantics().apply
@@ -343,8 +343,18 @@ def test_reconstruct_strict_reduce_removes_pair():
 
 
 @pytest.fixture(scope="module")
-def element_run():
-    return solve(element_problem())
+def element_solved():
+    return solved(solve, element_problem())
+
+
+@pytest.fixture(scope="module")
+def element_run(element_solved):
+    return element_solved[0]
+
+
+@pytest.fixture(scope="module")
+def element_virtual(element_solved):
+    return element_solved[1]
 
 
 def test_validate_empty_and_self_generated(element_run):
@@ -354,13 +364,13 @@ def test_validate_empty_and_self_generated(element_run):
     assert report.guard_report.ok
 
 
-def test_validate_flags_corrupted_reduce(element_run):
+def test_validate_flags_corrupted_reduce(element_run, element_virtual):
     events = list(element_run.events)
     # pick a reduce whose variable is already narrowed, so that claiming the
     # full universe as removed values breaks the subset condition right there
     prev = initial_state()
     idx = None
-    for i, stepped in enumerate(element_run.virtual.events):
+    for i, stepped in enumerate(element_virtual.events):
         if (stepped.action.kind == "reduce"
                 and prev.solver.domain(arg(stepped.action, "variable")) != full_domain()):
             idx = i
@@ -419,8 +429,8 @@ def test_replay_checks_each_record_depth_after_its_rule(element_run, machine):
         assert (report.error.index, report.error.condition) == (i, exc.value.condition)
 
 
-def test_depth_law(element_run):
-    for record, stepped in zip(element_run.events, element_run.virtual.events):
+def test_depth_law(element_run, element_virtual):
+    for record, stepped in zip(element_run.events, element_virtual.events):
         tree = stepped.state.tree
         assert record.depth == tree.depth(tree.current)
         if record.type == "newChild":
@@ -428,33 +438,33 @@ def test_depth_law(element_run):
             assert parent_depth >= 0
 
 
-def test_new_child_increments_depth(element_run):
+def test_new_child_increments_depth(element_virtual):
     prev = initial_state()
-    for stepped in element_run.virtual.events:
+    for stepped in element_virtual.events:
         if stepped.action.kind in ("newChild", "solution", "failure"):
             node, = stepped.action.args
             assert stepped.state.tree.depth(node) == prev.tree.depth(prev.tree.current) + 1
         prev = stepped.state
 
 
-def test_partition_invariant_after_every_step(element_run):
-    for stepped in element_run.virtual.events:
+def test_partition_invariant_after_every_step(element_virtual):
+    for stepped in element_virtual.events:
         store(stepped.state.solver)  # raises on violation
 
 
-def test_monotone_reduction_between_jumps(element_run):
+def test_monotone_reduction_between_jumps(element_virtual):
     prev = initial_state()
-    for stepped in element_run.virtual.events:
+    for stepped in element_virtual.events:
         if stepped.action.kind not in ("restore", "jumpTo", "newVariable"):
             for var, dom in stepped.state.solver.domains.items():
                 assert dom.issubset(prev.solver.domain(var))
         prev = stepped.state
 
 
-def test_jump_restores_snapshot_exactly(element_run):
+def test_jump_restores_snapshot_exactly(element_virtual):
     prev = initial_state()
     seen = False
-    for stepped in element_run.virtual.events:
+    for stepped in element_virtual.events:
         if stepped.action.kind == "jumpTo":
             node, = stepped.action.args
             assert stepped.state.solver == prev.tree.snapshot(node)
@@ -466,9 +476,9 @@ def test_jump_restores_snapshot_exactly(element_run):
     assert seen
 
 
-def test_stepwise_extract_reconstruct_inverse(element_run):
+def test_stepwise_extract_reconstruct_inverse(element_virtual):
     prev = initial_state()
-    for stepped in element_run.virtual.events:
+    for stepped in element_virtual.events:
         record = extract_event(prev, stepped.action, stepped.state)
         action, again = replay(make_semantics(), prev, record)
         assert action == stepped.action
@@ -494,27 +504,27 @@ def test_replay_applies_each_rule_once(monkeypatch, machine):
     assert counter.calls == len(events)
 
 
-def test_faithfulness_on_element_run(element_run):
-    assert check_faithful(make_semantics(), [element_run.virtual]).ok
+def test_faithfulness_on_element_run(element_virtual):
+    assert check_faithful(make_semantics(), [element_virtual]).ok
 
 
-def test_dual_faithfulness_on_emitted_trace(element_run):
+def test_dual_faithfulness_on_emitted_trace(element_virtual):
     from gentra.semantics import extract, reconstruct
     os = make_semantics()
-    actual = extract(os, element_run.virtual)
+    actual = extract(os, element_virtual)
     assert extract(os, reconstruct(os, actual)) == actual
 
 
-def test_locality_of_extraction(element_run):
+def test_locality_of_extraction(element_virtual):
     os = make_semantics()
     j = 5
-    prefix = Trace(initial_state(), element_run.virtual.events[:j + 1])
+    prefix = Trace(initial_state(), element_virtual.events[:j + 1])
     # replace the step at j with a different but valid transition
-    base = element_run.virtual.events[j - 1].state
+    base = element_virtual.events[j - 1].state
     alt_action = Action.of("newVariable", variable="zz", domain=D05)
     alt_state = apply(base, alt_action)
     mutated = Trace(initial_state(),
-                    element_run.virtual.events[:j] + (VirtualPayload(alt_action, alt_state),))
+                    element_virtual.events[:j] + (VirtualPayload(alt_action, alt_state),))
     from gentra.semantics import extract
     a1 = extract(os, prefix)
     a2 = extract(os, mutated)
@@ -547,13 +557,13 @@ def test_guard_g3_flags_reduce_under_rejection():
     assert any(v.guard == "g3" and v.index == 7 for v in violations)
 
 
-def test_guard_g2_failure_needs_rejection(element_run):
-    report = check_guards(element_run.virtual)
+def test_guard_g2_failure_needs_rejection(element_run, element_virtual):
+    report = check_guards(element_virtual)
     assert report.ok
     # the run contains a failure event; its pre-state must be a failure state
     idx = [i for i, ev in enumerate(element_run.events) if ev.type == "failure"]
     assert idx, "expected a failure event in the element run"
-    pre = element_run.virtual.events[idx[0] - 1].state
+    pre = element_virtual.events[idx[0] - 1].state
     assert pre.solver.rejected
 
 
@@ -732,8 +742,8 @@ def test_replay_reads_records_without_what_lenient_idioms_leave_out(machine):
     # every record of a ladder trace reads, in the state its step starts
     # from, with all four removed
     os, run = (make_semantics(), solve) if machine == "fd" else (palm.make_palm_semantics(), palm.palm_solve)
-    result = run(ladder(4))
-    states = (result.virtual.initial_state, *(step.state for step in result.virtual.events))
+    result, virtual = solved(run, ladder(4))
+    states = (virtual.initial_state, *(step.state for step in virtual.events))
     for state, ev in zip(states, result.events):
         assert os.read_action(state, ev._replace(node=None, node2=None, cause=None, generated=None)).kind == ev.type
 
@@ -776,7 +786,7 @@ def test_records_and_actions_stay_immutable():
 @pytest.mark.parametrize("level", ["solver", "tree", "full"])
 def test_states_keep_the_copy_contract(level):
     # each field of an early state of a palm run replaced by the last state's
-    virtual = palm.palm_solve(element_problem()).virtual
+    _result, virtual = solved(palm.palm_solve, element_problem())
     state, other = virtual.events[20].state, virtual.events[-1].state
     if level != "full":
         state, other = getattr(state, level), getattr(other, level)
@@ -799,10 +809,10 @@ def test_readers_build_actions_in_name_order(name, run):
     # a reader-built action is the one ``Action.of`` builds from its
     # arguments, and the one the solver applied: faithfulness compares them
     # (strict runs read like the others: the readers do not depend on it)
-    dialect, result = RUNS[run](problems()[name])
+    dialect, result, virtual = solved_run(name, run)
     read = (palm.make_palm_semantics() if dialect == "palm" else make_semantics()).read_action
-    state, explained = result.virtual.initial_state, 0
-    for ev, record in zip(result.virtual.events, result.events):
+    state, explained = virtual.initial_state, 0
+    for ev, record in zip(virtual.events, result.events):
         action = read(state, record)
         assert action == Action.of(action.kind, **dict(zip(ARGS[action.kind], action.args)))
         assert action == ev.action
@@ -857,7 +867,7 @@ def test_extract_checks_a_replayed_trace_under_another_semantics(element_run):
     assert _transition_error(copy, marked) == 7
 
 
-def test_a_replayed_trace_equals_and_hashes_as_a_caller_built_one(element_run):
+def test_a_replayed_trace_equals_and_hashes_as_a_caller_built_one(element_run, element_virtual):
     t = _replayed(element_run)
     copy = Trace(t.initial_state, t.events)
     assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
@@ -866,7 +876,7 @@ def test_a_replayed_trace_equals_and_hashes_as_a_caller_built_one(element_run):
     edited = dataclasses.replace(t, events=_state_swapped(t, 7))
     assert edited.applied_by is None
     assert _transition_error(make_semantics(), edited) == 7
-    assert all_prefixes([t, copy, element_run.virtual]) == all_prefixes([copy])
+    assert all_prefixes([t, copy, element_virtual]) == all_prefixes([copy])
     assert len(all_prefixes([t, copy])) == t.size + 1
 
 

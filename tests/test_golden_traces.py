@@ -17,7 +17,7 @@ from gentra.formats import document_for_events, parse_problem, serialize_trace
 from gentra.palm import palm_solve
 from gentra.solver import Problem, SolveLimits, solve
 
-from support import ladder, random_problem
+from support import ladder, random_problem, solved
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
@@ -33,18 +33,26 @@ def problems() -> dict[str, Problem]:
     return out
 
 
-# each run's dialect and solve result
+# each run's dialect, solver and solver arguments
 RUNS = {
-    "solve": lambda p: ("generic", solve(p, LIMITS)),
-    "strict": lambda p: ("generic", solve(p, LIMITS, strict_reduce=True)),
-    "palm": lambda p: ("palm", palm_solve(p, LIMITS)),
+    "solve": ("generic", solve, {"limits": LIMITS}),
+    "strict": ("generic", solve, {"limits": LIMITS, "strict_reduce": True}),
+    "palm": ("palm", palm_solve, {"limits": LIMITS}),
 }
+
+
+def solved_run(name: str, run: str):
+    """The dialect of one golden run, its solve result, and the virtual trace
+    of the solver's own steps."""
+    dialect, solve_fn, kwargs = RUNS[run]
+    return (dialect, *solved(solve_fn, problems()[name], **kwargs))
 
 
 @cache
 def emitted_text(name: str, run: str) -> tuple[int, str]:
     """The event count and serialized trace of one golden run, solved once."""
-    dialect, result = RUNS[run](problems()[name])
+    dialect, solve_fn, kwargs = RUNS[run]
+    result = solve_fn(problems()[name], **kwargs)
     return len(result.events), serialize_trace(document_for_events(result.events, dialect=dialect))
 
 
@@ -139,7 +147,7 @@ def test_emitted_trace_matches_golden(name, run):
 @pytest.mark.parametrize("run", ["solve", "strict"])
 @pytest.mark.parametrize("name", sorted(problems()))
 def test_fd_runs_leave_nothing_pending_at_solutions_and_choices(name, run):
-    _dialect, result = RUNS[run](problems()[name])
-    for i, step in enumerate(result.virtual.events):
+    _dialect, _result, virtual = solved_run(name, run)
+    for i, step in enumerate(virtual.events):
         if step.action.kind in ("solution", "newChild"):
             assert step.state.solver.pending == (), (i, step.action, step.state.solver.pending)

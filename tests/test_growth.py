@@ -25,7 +25,7 @@ from gentra.solver import solve
 from gentra.state import SolverEvent, SolverState
 from gentra.trace import ActualPayload, Trace
 
-from support import RuleCalls, ladder
+from support import RuleCalls, ladder, solved
 
 GROWTH_LIMIT = 1.2
 
@@ -47,8 +47,8 @@ def test_faithfulness_state_comparisons_per_event_stay_flat(monkeypatch):
     per_event = {}
     for k in (4, 6):
         # a caller-built copy, so that extraction checks every transition
-        solved = solve(ladder(k)).virtual
-        virtual = Trace(solved.initial_state, solved.events)
+        _result, steps = solved(solve, ladder(k))
+        virtual = Trace(steps.initial_state, steps.events)
         calls = 0
         assert check_faithful(os, [virtual]).ok
         per_event[k] = calls / virtual.size
@@ -61,7 +61,7 @@ def test_faithfulness_check_applies_each_rule_once(machine):
     # replaying the step's record then reads the action back and, when it is
     # the step's own, does not apply the rule a second time
     os, run = (make_semantics(), solve) if machine == "fd" else (make_palm_semantics(), palm_solve)
-    virtual = run(ladder(4)).virtual
+    _result, virtual = solved(run, ladder(4))
     calls = 0
 
     def counting(state, action):
@@ -96,11 +96,9 @@ def test_palm_verdict_applies_three_rules_per_event(monkeypatch, k):
     assert counter.calls == 3 * len(events)
 
 
-@pytest.mark.parametrize("source", ["solve", "validate", "palm-reconstruct"])
+@pytest.mark.parametrize("source", ["validate", "palm-reconstruct"])
 def test_faithfulness_check_applies_no_rule_on_traces_its_semantics_built(monkeypatch, source):
-    if source == "solve":
-        os, virtual = make_semantics(), solve(ladder(4)).virtual
-    elif source == "validate":
+    if source == "validate":
         os, virtual = make_semantics(), validate(solve(ladder(4)).events).virtual
     else:
         os, events = make_palm_semantics(), palm_solve(ladder(4)).events
@@ -315,15 +313,16 @@ def test_verdict_rule_steps_stay_within_their_line_events(machine):
     assert lines <= VERDICT_LINE_EVENTS_PER_EVENT[machine] * len(events), lines / len(events)
 
 
-# Bytes a run holds per event when it returns, measured with tracemalloc:
-# mostly the virtual trace, one state per event, so a bigger state shows
-# here at every size and only an absolute bound sees it.  Measured with
-# Python 3.11 at ladder k = 4 and 6: the palm replay holds 595 and 625 bytes
-# per event and palm_solve 816 and 848 (686 and 716, and 907 and 940, while
-# actions held (name, value) pairs; with the store's sleeping, solved and
-# rejected parts as frozensets they held 987 and 1,132, and 1,208 and 1,355).
+# Bytes a run holds per event when it returns, measured with tracemalloc.
+# The palm replay holds its virtual trace, one state per event, so a bigger
+# state shows there at every size and only an absolute bound sees it; a
+# solve result holds only its records, so a solver that kept a state, a
+# step or an action per event shows in its bound.  Measured with Python
+# 3.11 at ladder k = 4 and 6: the palm replay holds 595 and 625 bytes per
+# event, palm_solve 223 and 221 and solve 219 and 221 (818 and 848, and 738
+# and 752, while a solve result also held the virtual trace of its run).
 # Each bound is the larger measurement plus about 15%.
-HELD_BYTES_PER_EVENT = {"palm-replay": 719, "palm-solve": 976}
+HELD_BYTES_PER_EVENT = {"palm-replay": 719, "palm-solve": 256, "fd-solve": 254}
 
 
 def _held_bytes(run):
@@ -351,10 +350,11 @@ def test_held_bytes_per_event_stay_flat_and_bounded(path):
             virtual = reconstruct(os, actual[k])
             return virtual, virtual.size
     else:
+        solve_fn = palm_solve if path == "palm-solve" else solve
         problems = {k: ladder(k) for k in (4, 6)}
 
         def run(k):
-            result = palm_solve(problems[k])
+            result = solve_fn(problems[k])
             return result, len(result.events)
     per_event = {k: _held_bytes(lambda: run(k)) for k in (4, 6)}
     assert per_event[6] <= GROWTH_LIMIT * per_event[4], per_event

@@ -20,7 +20,7 @@ from gentra.semantics import Action, check_faithful
 from gentra.solver import Problem, SolveLimits
 from gentra.state import BOTTOM, FullState, SolverEvent, SolverState, solution_state
 
-from support import ladder, oracle_solutions, random_problem, solutions_as_set
+from support import ladder, oracle_solutions, random_problem, solutions_as_set, solved
 
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
 palm_apply = make_palm_semantics().apply
@@ -36,8 +36,18 @@ def element_problem():
 
 
 @pytest.fixture(scope="module")
-def element_run():
-    return palm_solve(element_problem())
+def element_solved():
+    return solved(palm_solve, element_problem())
+
+
+@pytest.fixture(scope="module")
+def element_run(element_solved):
+    return element_solved[0]
+
+
+@pytest.fixture(scope="module")
+def element_virtual(element_solved):
+    return element_solved[1]
 
 
 def run_palm(actions, start=None):
@@ -154,12 +164,12 @@ def test_element_palm_solution(element_run):
     assert element_run.solution_dicts() == [{"I": 0, "A": 2}]
 
 
-def test_element_initial_reduction(element_run):
+def test_element_initial_reduction(element_run, element_virtual):
     first = next(e for e in element_run.events if e.type == "reduce")
     assert first.variable == "I"
     assert format_domain(first.domain, DEFAULT_MX) == "[3-mx]"
     assert first.wake_kind == "max"
-    after = next(s.state for s in element_run.virtual.events
+    after = next(s.state for s in element_virtual.events
                  if s.action.kind == "reduce")
     assert after.solver.domain("I") == parse_domain("[0-2]")
 
@@ -181,14 +191,14 @@ def test_element_repair_uses_deactivate_and_restore(element_run):
     assert "jumpTo" not in kinds
 
 
-def test_state_invariants_along_run(element_run):
+def test_state_invariants_along_run(element_virtual):
     """What the palm rules make of every state they return: at most one
     active pair, and every explained value out of its variable's domain."""
     rng = random.Random(11)
     problems = [ladder(4)] + [random_problem(rng) for _ in range(20)]
-    runs = [element_run] + [palm_solve(p, CORPUS_LIMITS) for p in problems]
-    for run in runs:
-        for full in [run.virtual.initial_state] + [ev.state for ev in run.virtual.events]:
+    traces = [element_virtual] + [solved(palm_solve, p, limits=CORPUS_LIMITS)[1] for p in problems]
+    for virtual in traces:
+        for full in [virtual.initial_state] + [ev.state for ev in virtual.events]:
             s = full.solver
             assert len(s.active) <= 1
             for var, entries in full.explanations.items():
@@ -229,9 +239,9 @@ def test_both_invariant_checks_catch_corrupted_tables():
             check_palm_invariants(corrupted)
 
 
-def test_snapshots_are_generic_and_the_map_shares_them(element_run):
+def test_snapshots_are_generic_and_the_map_shares_them(element_virtual):
     from gentra.abstraction import map_palm_state
-    states = [element_run.virtual.initial_state] + [ev.state for ev in element_run.virtual.events]
+    states = [element_virtual.initial_state] + [ev.state for ev in element_virtual.events]
     for s in states:
         for n in s.tree.nodes:
             assert type(s.tree.snapshot(n)) is SolverState
@@ -239,25 +249,25 @@ def test_snapshots_are_generic_and_the_map_shares_them(element_run):
         assert mapped.solver is s.solver and mapped.tree is s.tree
 
 
-def test_palm_faithfulness(element_run):
-    assert check_faithful(make_palm_semantics(), [element_run.virtual]).ok
+def test_palm_faithfulness(element_virtual):
+    assert check_faithful(make_palm_semantics(), [element_virtual]).ok
 
 
-def test_palm_dual_faithfulness(element_run):
+def test_palm_dual_faithfulness(element_virtual):
     from gentra.semantics import extract, reconstruct
     os = make_palm_semantics()
-    actual = extract(os, element_run.virtual)
+    actual = extract(os, element_virtual)
     assert extract(os, reconstruct(os, actual)) == actual
 
 
-def test_mapped_guards_hold_on_palm_states(element_run):
+def test_mapped_guards_hold_on_palm_states(element_virtual):
     from gentra.abstraction import palm_mapping, map_palm_state
     from gentra.gentra4cp import GUARD_NAMES, check_guards
     from gentra.trace import Trace, VirtualPayload
     m = palm_mapping()
-    mapped = Trace(map_palm_state(element_run.virtual.initial_state),
+    mapped = Trace(map_palm_state(element_virtual.initial_state),
                    tuple(VirtualPayload(m.carry_action(ev.action), map_palm_state(ev.state))
-                         for ev in element_run.virtual.events))
+                         for ev in element_virtual.events))
     report = check_guards(mapped, guards=GUARD_NAMES)
     assert report.guards == GUARD_NAMES
     assert report.ok, report.lines()
@@ -282,13 +292,13 @@ def test_unsatisfiable_problem_fails_without_repair():
     assert "restore" not in kinds  # nothing relaxable at the root
 
 
-def test_solution_state_matches_generic_reading(element_run):
-    final = element_run.virtual.events[-1].state
+def test_solution_state_matches_generic_reading(element_virtual):
+    final = element_virtual.events[-1].state
     # after the run the machine has relaxed its way out of the last leaf
     assert isinstance(final, FullState)
-    seen_solution = any(s.action.kind == "solution" for s in element_run.virtual.events)
+    seen_solution = any(s.action.kind == "solution" for s in element_virtual.events)
     assert seen_solution
-    for stepped in element_run.virtual.events:
+    for stepped in element_virtual.events:
         if stepped.action.kind == "solution":
             pre = solution_state  # the rule enforced it; re-check the predicate
             node, = stepped.action.args

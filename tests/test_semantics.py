@@ -21,7 +21,7 @@ from gentra.semantics import (
 from gentra.solver import solve
 from gentra.trace import ActualPayload, Trace, VirtualPayload
 
-from support import extraction_from_reconstruction, ladder, random_problem
+from support import extraction_from_reconstruction, ladder, random_problem, solved
 
 
 def _apply(state, action):
@@ -260,7 +260,7 @@ def test_one_pass_check_matches_the_long_way_on_both_machines():
     problems = [ladder(4)] + [random_problem(rng) for _ in range(20)]
     for os, run in ((make_semantics(), solve), (make_palm_semantics(), palm_solve)):
         for problem in problems:
-            t = run(problem).virtual
+            _result, t = solved(run, problem)
             j = rng.randrange(t.size - 1)
             events = list(t.events)
             events[j] = VirtualPayload(events[j].action, events[j + 1].state)

@@ -19,6 +19,7 @@ from support import (
     oracle_solutions,
     random_problem,
     solutions_as_set,
+    solved,
 )
 
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
@@ -34,8 +35,18 @@ def element_problem():
 
 
 @pytest.fixture(scope="module")
-def element_run():
-    return solve(element_problem())
+def element_solved():
+    return solved(solve, element_problem())
+
+
+@pytest.fixture(scope="module")
+def element_run(element_solved):
+    return element_solved[0]
+
+
+@pytest.fixture(scope="module")
+def element_virtual(element_solved):
+    return element_solved[1]
 
 
 def test_element_problem_single_solution(element_run):
@@ -44,13 +55,13 @@ def test_element_problem_single_solution(element_run):
     assert len(element_oracle()) == 1
 
 
-def test_element_propagation_values(element_run):
+def test_element_propagation_values(element_run, element_virtual):
     reduces = [e for e in element_run.events if e.type == "reduce"]
     assert format_domain(reduces[0].domain, DEFAULT_MX) == "[0,4-mx]"
     assert format_domain(reduces[1].domain, DEFAULT_MX) == "[0-1,3-4,6,8-mx]"
     # the surviving domains after the first activation
     first_suspend = next(i for i, e in enumerate(element_run.events) if e.type == "suspend")
-    state = element_run.virtual.events[first_suspend].state
+    state = element_virtual.events[first_suspend].state
     assert state.solver.domain("I") == parse_domain("[1-3]")
     assert state.solver.domain("A") == FiniteDomain.of([2, 5, 7])
 
@@ -249,11 +260,11 @@ def test_oracle_equivalence_random_sample():
     os = make_semantics()
     for _ in range(25):
         p = random_problem(rng)
-        res = solve(p, CORPUS_LIMITS)
+        res, virtual = solved(solve, p, limits=CORPUS_LIMITS)
         assert solutions_as_set(res) == oracle_solutions(p)
         report = validate(res.events)
         assert report.ok, report.lines()
-        assert check_faithful(os, [res.virtual]).ok
+        assert check_faithful(os, [virtual]).ok
 
 
 def test_solution_soundness_by_direct_evaluation():

@@ -22,7 +22,7 @@ from gentra.trace import (
     is_prefix_closed,
 )
 
-from support import canonical_traces, generated_domain, ladder, random_trace_set
+from support import canonical_traces, generated_domain, ladder, random_trace_set, solved
 
 E1, E2, E3 = (VirtualPayload(a, s) for a, s in [("a", "s1"), ("b", "s2"), ("c", "s3")])
 
@@ -85,7 +85,7 @@ def test_all_prefixes_examples():
 @pytest.mark.parametrize("run", [solve, palm_solve])
 def test_solver_traces_hash_into_prefix_sets(run):
     # states hash by every field but their dicts, so prefix sets take them
-    v = run(ladder(2)).virtual
+    _result, v = solved(run, ladder(2))
     ps = all_prefixes([v])
     assert len(ps) == v.size + 1
     assert is_prefix_closed(ps)
