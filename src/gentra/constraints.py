@@ -119,18 +119,18 @@ class ConstraintDecl:
                 return FiniteDomain.of(ok)
             reachable = FiniteDomain.of(values[i - self.index_base] for i in valid.values())
             return domains[vvar].intersect(reachable)
-        if self.kind == "eq":
-            return domains[self.args[0]].intersect(domains[self.args[1]])
         if self.kind == "eqc":
             k = self.args[1]
-            return domains[var].intersect(FiniteDomain.of([k]))
-        # neq: var loses support only when the other side is a forced equal value
+            return domains[var].intersect(FiniteDomain.interval(k, k))
         x, y = self.args
         other = domains[y] if var == x else domains[x]
+        if self.kind == "eq":
+            return domains[var].intersect(other)
+        # neq: var loses support only when the other side is a forced equal value
         if other.is_empty():
             return EMPTY_DOMAIN
         if other.is_singleton():
-            return domains[var].subtract(FiniteDomain.of([other.singleton_value()]))
+            return domains[var].subtract(other)
         return domains[var]
 
     def falsified(self, domains: Mapping[str, FiniteDomain]) -> bool:

@@ -7,6 +7,8 @@ sentinel symbolically (``[0-mx]``, ``[0-1,3-4,6,8-mx]``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GentraError
@@ -15,6 +17,8 @@ DEFAULT_MX = 2**28 - 1
 
 # Iterating a domain wider than this is almost certainly a bug.
 _VALUES_GUARD = 1 << 20
+
+_LO, _HI = itemgetter(0), itemgetter(1)
 
 
 class _Intervals(NamedTuple):
@@ -66,11 +70,15 @@ class FiniteDomain(_Intervals):
 
     @staticmethod
     def from_intervals(parts: Iterable[tuple[int, int]]) -> "FiniteDomain":
-        """Normalize possibly overlapping/unsorted intervals into a domain."""
-        acc = EMPTY_DOMAIN
-        for lo, hi in parts:
-            acc = acc.union(FiniteDomain.interval(lo, hi))
-        return acc
+        """Normalize possibly overlapping/unsorted intervals into a domain in one
+        sort-and-merge pass; an interval with ``lo > hi`` is empty."""
+        out: list[tuple[int, int]] = []
+        for lo, hi in sorted(p for p in parts if p[0] <= p[1]):
+            if out and lo <= out[-1][1] + 1:
+                out[-1] = (out[-1][0], max(out[-1][1], hi))
+            else:
+                out.append((lo, hi))
+        return _normal(tuple(out))
 
     # set queries
 
@@ -108,50 +116,72 @@ class FiniteDomain(_Intervals):
         for lo, hi in self.intervals:
             yield from range(lo, hi + 1)
 
-    # set algebra
+    # set algebra: merges over the two ascending interval tuples; an operation
+    # that changes nothing returns its operand
 
     def union(self, other: "FiniteDomain") -> "FiniteDomain":
-        merged = sorted(self.intervals + other.intervals)
-        parts: list[tuple[int, int]] = []
-        for lo, hi in merged:
-            if parts and lo <= parts[-1][1] + 1:
-                parts[-1] = (parts[-1][0], max(parts[-1][1], hi))
-            else:
-                parts.append((lo, hi))
-        return _normal(tuple(parts))
+        if not (self.intervals and other.intervals):
+            return other if other.intervals else self
+        return FiniteDomain.from_intervals(self.intervals + other.intervals)
 
     def intersect(self, other: "FiniteDomain") -> "FiniteDomain":
+        a, b = self.intervals, other.intervals
         parts = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo <= hi:
-                    parts.append((lo, hi))
-        return _normal(tuple(parts))
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            if alo <= bhi and blo <= ahi:
+                parts.append((max(alo, blo), min(ahi, bhi)))
+            if ahi < bhi:
+                i += 1
+            else:
+                j += 1
+        parts = tuple(parts)
+        return self if parts == a else _normal(parts)
 
     def subtract(self, other: "FiniteDomain") -> "FiniteDomain":
+        a, b = self.intervals, other.intervals
+        if len(b) == 1:  # one range: keep a's intervals outside it, cut the two it ends in
+            blo, bhi = b[0]
+            i, k = bisect_left(a, blo, key=_HI), bisect_right(a, bhi, key=_LO)
+            if i == k:
+                return self
+            head = ((a[i][0], blo - 1),) if a[i][0] < blo else ()
+            tail = ((bhi + 1, a[k - 1][1]),) if a[k - 1][1] > bhi else ()
+            return _normal(a[:i] + head + tail + a[k:])
         parts = []
-        for lo, hi in self.intervals:
-            segments = [(lo, hi)]
-            for blo, bhi in other.intervals:
-                nxt = []
-                for slo, shi in segments:
-                    if bhi < slo or blo > shi:
-                        nxt.append((slo, shi))
-                        continue
-                    if slo < blo:
-                        nxt.append((slo, blo - 1))
-                    if bhi < shi:
-                        nxt.append((bhi + 1, shi))
-                segments = nxt
-            parts.extend(segments)
-        return _normal(tuple(parts))
+        j = 0
+        for lo, hi in a:
+            while j < len(b) and b[j][1] < lo:
+                j += 1
+            k = j
+            while k < len(b) and b[k][0] <= hi:  # each b[k] here ends at or after lo
+                if b[k][0] > lo:
+                    parts.append((lo, b[k][0] - 1))
+                lo = b[k][1] + 1
+                k += 1
+            if lo <= hi:
+                parts.append((lo, hi))
+        parts = tuple(parts)
+        return self if parts == a else _normal(parts)
 
     def issubset(self, other: "FiniteDomain") -> bool:
-        return self.subtract(other).is_empty()
+        # other's intervals are maximal: each of self's lies inside the first that ends at or after its start
+        b = other.intervals
+        for lo, hi in self.intervals:
+            j = bisect_left(b, lo, key=_HI)
+            if j == len(b) or b[j][0] > lo or b[j][1] < hi:
+                return False
+        return True
 
     def disjoint(self, other: "FiniteDomain") -> bool:
-        return self.intersect(other).is_empty()
+        # each of self's intervals ends before the first of other's that ends at or after its start
+        b = other.intervals
+        for lo, hi in self.intervals:
+            j = bisect_left(b, lo, key=_HI)
+            if j < len(b) and b[j][0] <= hi:
+                return False
+        return True
 
 
 def _normal(intervals: tuple[tuple[int, int], ...]) -> FiniteDomain:

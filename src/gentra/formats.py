@@ -67,6 +67,7 @@ class _Tok(NamedTuple):
     text: str
     name: str = ""
     body: str = ""
+    at: int = 0  # a domain token's offset in the text, where strict reading refuses it
 
 
 def _scan_balanced(text: str, i: int, open_ch: str, close_ch: str) -> int:
@@ -92,7 +93,7 @@ def _tokenize(text: str) -> list[_Tok]:
             continue
         if c == "[":
             j = _scan_balanced(text, i, "[", "]")
-            toks.append(_Tok("domain", text[i:j + 1]))
+            toks.append(_Tok("domain", text[i:j + 1], at=i))
             i = j + 1
             continue
         if c == "(":
@@ -273,7 +274,7 @@ class _EventParser:
         events = _Memo(lambda t: BOTTOM if t == "bot" else SolverEvent(*t[:-1].split("(")))
         names, numbers, blocks = _Memo(str), _Memo(int), _Memo(lambda t: tuple(t.split(",")) if t else ())
         read = dict(constraint=names, variable=names, node=numbers, node2=numbers, cause=events, wake_kind=names,
-                    explanation=blocks, domain=_Memo(partial(parse_domain, mx=mx)),
+                    explanation=blocks, domain=_Memo(lambda t: self._domain(_Tok("domain", t))),
                     generated=_Memo(lambda t: tuple(map(events.__getitem__, blocks[t]))),
                     event=_Memo(lambda t: SolverEvent(*reversed(t.split(" ")))),
                     decl=_Memo(lambda t: parse_declaration(t, self.base)[0]))
@@ -333,6 +334,14 @@ class _EventParser:
                 raise TraceShapeError(type_name, f"expected attribute {name!r}, got {tok.text!r}", line=line_no)
         return ev
 
+    def _domain(self, tok: _Tok) -> FiniteDomain:
+        """A domain literal's domain; strict reading takes only the text ``format_domain`` writes."""
+        dom = parse_domain(tok.text, self.mx)
+        if not self.lenient and format_domain(dom, self.mx) != tok.text:
+            raise TraceSyntaxError(f"non-canonical domain literal {tok.text!r}; canonical form is "
+                                   f"{format_domain(dom, self.mx)!r}", column=tok.at + 1)
+        return dom
+
     def _ident(self, text: str, line_no: int) -> str:
         """An identifier (or None), noted (refused when strict) unless it is the grammar's IDENT."""
         if text is not None and not _STRICT_IDENT.match(text):
@@ -359,7 +368,7 @@ class _EventParser:
                 self.note(line_no, f"source-name token {alias!r} on newVariable")
             self._ident(var, line_no)
             return GenericEvent(type_name, depth, variable=var,
-                                domain=parse_domain(doms[0].text, self.mx), var_alias=alias)
+                                domain=self._domain(doms[0]), var_alias=alias)
 
         if type_name == "newConstraint":
             if not toks:
@@ -404,7 +413,7 @@ class _EventParser:
                 if t.kind == "block" and t.name == "gen":
                     generated = self._gen_events(t, line_no)
             return GenericEvent(type_name, depth, variable=self._ident(words[0].text, line_no),
-                                domain=parse_domain(doms[0].text, self.mx), generated=generated)
+                                domain=self._domain(doms[0]), generated=generated)
 
         if type_name == "reduce":
             return self._parse_reduce(toks, depth, line_no)
@@ -465,7 +474,7 @@ class _EventParser:
         domain = generated = cause = explanation = wake = None
         for t in toks[2:]:
             if t.kind == "domain":
-                domain = parse_domain(t.text, self.mx)
+                domain = self._domain(t)
             elif t.kind == "block" and t.name == "gen":
                 generated = self._gen_events(t, line_no)
             elif t.kind == "block" and t.name == "expl":
@@ -542,8 +551,12 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
         read = parser.canonical.get(type_name)
         try:
             canonical = read and read[0](line, m.end(3))
-            events.append(_record(read[2]((type_name, depth, *map(getitem, read[1], canonical.groups()), None)))
-                          if canonical else parser.parse(type_name, m.group(4), depth, line_no))
+            try:
+                event = canonical and _record(read[2]((type_name, depth, *map(getitem, read[1], canonical.groups()),
+                                                       None)))
+            except GentraError:  # a value its reader refuses: the tokenizer refuses it again, with its column
+                event = None
+            events.append(event or parser.parse(type_name, m.group(4), depth, line_no))
         except GentraError as exc:  # raised without a line: a domain, declaration or token error
             if getattr(exc, "line", None) is not None:
                 raise

@@ -158,8 +158,8 @@ def _filter(run: _Run, cid: str, cause: SolverEvent) -> None:
                 run.emit(_payload(Action, ("post", (cid,))))
                 cause = BOTTOM
             old = run.solver.domain(var)
-            removed = old.subtract(decl.supported(var, run.solver.domains))
-            if removed.is_empty():
+            supported = decl.supported(var, run.solver.domains)
+            if supported is old or (removed := old.subtract(supported)).is_empty():
                 continue
             new = old.subtract(removed)
             run.emit(run.reduce_action(cid, var, old, new, removed, cause))

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from gentra import fdomain
 from gentra.errors import GentraError
 from gentra.fdomain import (
     DEFAULT_MX,
@@ -38,14 +41,42 @@ def test_queries():
     assert EMPTY_DOMAIN.is_empty()
 
 
-@given(small_sets, small_sets)
-def test_set_algebra_matches_python_sets(a, b):
+# one range, the common right operand of subtract: it takes a direct path
+ranges = st.builds(lambda lo, n: set(range(lo, lo + n)), st.integers(0, 30), st.integers(1, 8))
+
+
+@given(small_sets, st.one_of(small_sets, ranges), st.booleans())
+def test_set_algebra_matches_python_sets(a, b, high):
+    if high:  # the same sets placed just below the universe's upper bound
+        a, b = {DEFAULT_MX - v for v in a}, {DEFAULT_MX - v for v in b}
     da, db = FiniteDomain.of(a), FiniteDomain.of(b)
-    assert set(da.union(db).values()) == a | b
-    assert set(da.intersect(db).values()) == a & b
-    assert set(da.subtract(db).values()) == a - b
+    for result, expected in ((da.union(db), a | b), (da.intersect(db), a & b), (da.subtract(db), a - b)):
+        assert set(result.values()) == expected
+        assert FiniteDomain(result.intervals) == result  # normal: the checking constructor accepts it
     assert da.issubset(db) == (a <= b)
     assert da.disjoint(db) == (not (a & b))
+    # an operation that changes nothing returns its operand
+    assert (da.subtract(db) is da) == (not (a & b))
+    if not b:
+        assert da.union(db) is da
+    if not a:
+        assert da.union(db) is db
+
+
+@given(small_sets, st.one_of(small_sets, ranges))
+def test_subset_and_disjointness_build_no_domain(a, b):
+    da, db = FiniteDomain.of(a), FiniteDomain.of(b)
+    with mock.patch.object(fdomain, "_normal", side_effect=AssertionError("built a domain")):
+        assert da.issubset(db) == (a <= b)
+        assert da.disjoint(db) == (not (a & b))
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5)), max_size=8))
+def test_parse_merges_shuffled_overlapping_literals(pieces):
+    # the pieces come in any order, may overlap or touch, and may repeat
+    literal = "[" + ",".join(f"{lo}-{lo + n}" if n else str(lo) for lo, n in pieces) + "]"
+    values = {v for lo, n in pieces for v in range(lo, lo + n + 1)}
+    assert parse_domain(literal) == FiniteDomain.of(values)
 
 
 def test_wide_intervals_never_enumerate():

@@ -148,6 +148,27 @@ def test_strict_parsing_refuses_attributes_out_of_layout_order(line, canonical, 
     assert parse_trace(line, mode="lenient").events == parse_trace(canonical).events
 
 
+# strict mode reads a domain literal only as ``format_domain`` writes it; it
+# used to normalize any literal, so writing the record back changed the line
+NON_CANONICAL_DOMAINS = {"[2,0-1]": "[0-2]", "[1,1]": "[1]", "[0-1,2]": "[0-2]", "[0-2,1-3]": "[0-3]",
+                         "[0-0]": "[0]", "[00-2]": "[0-2]", "[0- 2]": "[0-2]"}
+
+
+@pytest.mark.parametrize("literal", list(NON_CANONICAL_DOMAINS))
+@pytest.mark.parametrize("line", ["2[0]newVariable x {}", "2[0]restore x {} gen{{}}", "2[0]reduce c1 x gen{{}} {} bot"],
+                         ids=["newVariable", "restore", "reduce"])
+def test_strict_parsing_refuses_non_canonical_domain_literals(line, literal):
+    canonical = NON_CANONICAL_DOMAINS[literal]
+    text = "1[0]post c1\n" + line.format(literal)
+    column = line.format(literal).index("[", 4) + 1
+    error = f"non-canonical domain literal {literal!r}; canonical form is {canonical!r} (line 2, col {column})"
+    # the pattern reading (all but the spaced literal) and the tokenizer refuse it alike
+    assert _outcome(text) == _tokenized_outcome(text) == ("TraceSyntaxError", error, 2, column)
+    written = parse_trace(text.replace(literal, canonical))
+    assert serialize_trace(written) == text.replace(literal, canonical) + "\n"
+    assert parse_trace(text, mode="lenient").events == written.events
+
+
 @pytest.mark.parametrize("mode", ["strict", "lenient"])
 @pytest.mark.parametrize("line", ["1[0]reduce c1 x gen{bot} [0-2] bot", "1[0]restore x [0-2] gen{dom(x), bot}"])
 def test_a_generated_event_names_its_variable(line, mode):

@@ -235,11 +235,13 @@ def test_palm_solve_work_per_event_stays_flat():
     _assert_flat(lambda k: len(palm_solve(ladder(k)).events))
 
 
-# At ladder k = 6 one solve takes about 103 line events per event and one
-# palm_solve about 111, both through the one shared propagation loop.  A
-# costlier loop or filter step costs the same per event at every size, so
-# only an absolute bound sees it; each bound is that count plus about 5%.
-SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 108, "palm": 116}
+# At ladder k = 6 one solve takes about 84 line events per event and one
+# palm_solve about 87, both through the one shared propagation loop, whose
+# filter step skips a variable its constraint leaves whole and subtracts one
+# value or one range without a walk.  A costlier loop, filter step or domain
+# operation costs the same per event at every size, so only an absolute
+# bound sees it; each bound is that count plus about 5%.
+SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 88, "palm": 92}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -274,7 +276,7 @@ def test_parse_work_per_event_stays_flat(machine):
     _assert_flat(lambda k: len(parse_trace(texts[k]).events))
 
 
-# Strict parsing reads a canonical line by its type's pattern in about 16
+# Strict parsing reads a canonical line by its type's pattern in about 19
 # line events; the tokenizer takes about 130.  A reader that silently falls
 # back to the tokenizer costs the same per event at every size, so only an
 # absolute bound sees it.
