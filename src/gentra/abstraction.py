@@ -19,14 +19,13 @@ traces", never "proved".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GentraError, MappingError, ProjectionError, ReconstructionError, TransitionError
 from .gentra4cp import (ARGS, DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, get_parameter, make_semantics,
                         reset_parameters, validate)
 from .palm import PALM_EVENT_TYPES, PALM_KINDS, make_palm_semantics
-from .semantics import (Action, ObservationalSemantics, extract, first_divergence, reconstruct, replay_records,
-                        transition_holds)
+from .semantics import Action, ObservationalSemantics, extract, first_divergence, reconstruct, replay_records
 from .state import NO_EXPLANATIONS, FullState, initial_state
 from .trace import Trace, VirtualPayload, _actual_payloads, _payload
 
@@ -105,8 +104,7 @@ def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalS
     )
 
 
-@dataclass(frozen=True)
-class SimulationViolation:
+class SimulationViolation(NamedTuple):
     """A failed check of the audit, simulation or commutation on one sample
     trace (``None`` for a check on the mapping itself), at one event (``None``
     for the trace's initial state)."""
@@ -193,8 +191,7 @@ class StateMapping:
         return Action.of(kind, **{k: named[k] for k in ARGS[kind] if k in named})
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     mapping: str
     traces: int
     transitions: int
@@ -243,7 +240,9 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
             None, None, f"derived kinds {sorted(unreachable)} unreachable through the kind map"))
     samples = list(samples)
     transitions = 0
-    map_state, carry = mapping.map_state, mapping.carry_action
+    # the carry and the transition test of each step are made inline: ``mapping.carry_action`` and
+    # ``transition_holds`` without their frames
+    map_state, map_action, carry, apply_d = mapping.map_state, mapping.map_action, mapping.carry_action, os_d.apply
     if not violations:
         for ti, t in enumerate(samples):
             try:
@@ -259,15 +258,21 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
                 continue
             for ei, (action, state) in enumerate(t.events):
                 transitions += 1
-                carried = carry(action)
+                kind = action[0]
+                carried = (map_action(action) if map_action is not None
+                           else action if h[kind] == kind else carry(action))
                 try:
                     post = map_state(state)
                 except Exception as exc:
                     violations.append(SimulationViolation(ti, ei, f"state map failed: {exc}"))
                     break
-                if not transition_holds(os_d, mapped, carried, post):
+                try:
+                    holds = apply_d(mapped, carried) == post
+                except TransitionError:
+                    holds = False
+                if not holds:
                     violations.append(SimulationViolation(
-                        ti, ei, f"{action.kind} transition is not simulated by {carried.kind}"))
+                        ti, ei, f"{kind} transition is not simulated by {carried.kind}"))
                     break
                 mapped = post
     return SimulationReport(mapping.name, len(samples), transitions, tuple(violations))
@@ -486,8 +491,7 @@ def palm_process() -> ProcessSpec:
                        palm_to_generic, GUARD_NAMES)
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
+class ComplianceReport(NamedTuple):
     ok: bool
     lines: tuple[str, ...]
 

@@ -216,9 +216,10 @@ def parse_domain(text: str, mx: int = DEFAULT_MX) -> FiniteDomain:
     parts = []
     for chunk in body.split(","):
         chunk = chunk.strip()
+        cut = chunk.find("-", 1)  # a '-' in front is the lower bound's sign, not the range's dash
         try:
-            if "-" in chunk:
-                lo_txt, hi_txt = chunk.split("-", 1)
+            if cut > 0:
+                lo_txt, hi_txt = chunk[:cut], chunk[cut + 1:]
                 lo = int(lo_txt)
                 hi = mx if hi_txt.strip() == "mx" else int(hi_txt)
             else:

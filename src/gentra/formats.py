@@ -7,14 +7,20 @@ Trace grammar (canonical form, one event per line):
     domain  := "[" part ("," part)* "]"        part := INT | INT "-" (INT|"mx")
     event   := "bot" | KIND "(" IDENT ")"      KIND := dom|min|max|val
     block   := ("gen"|"expl") "{" item ("," item)* "}" | ("gen"|"expl") "{}"
+    INT     := "-"? NAT
 
+Both bounds of a domain part are signed: -2..1 is written ``-2-1`` and
+-3..-1 is ``-3--1``.
 The chrono numbers must increase by one from the first line (any start).
-Header lines ``# key: value`` may precede the events.
+Header lines ``# key: value`` may precede the events.  A dialect other than
+``generic`` and ``palm``, named by a ``dialect`` header or by the caller, is
+refused.
 
 Each event type's attributes and their order are ``gentra4cp.LAYOUT``'s; the
-patterns of canonical lines and the writer are built from it.  Strict mode
-accepts the canonical shapes up to spacing.  It reads a canonical line by its
-event type's pattern, without tokens; every other line (lenient mode, foreign
+patterns of canonical lines and the writer are built from it, once per
+dialect, at import.  Strict mode accepts the canonical shapes up to spacing.
+It reads a canonical line by its event type's pattern, without tokens, a
+constraint declaration included; every other line (lenient mode, foreign
 idioms, errors) is read by the tokenizer, which in strict mode must use every
 token, one per attribute (two for a scheduled event).  Lenient mode additionally
 accepts the idioms of existing solver tracers, recording every deviation:
@@ -38,7 +44,6 @@ Problem files use one declaration per line:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from operator import getitem, itemgetter
 from typing import NamedTuple
@@ -199,7 +204,7 @@ def _render_event_token(ev: SolverEvent) -> str:
 # canonical lines: per attribute, a pattern fragment whose one group captures
 # the text its reader reads; a source-name alias and a declaration that is not
 # canonical have none, and are read by the tokenizer only
-_NAME, _KIND, _PART = r"[A-Za-z_][A-Za-z0-9_]*", "|".join(EVENT_KINDS), r"\d+(?:-(?:\d+|mx))?"
+_NAME, _KIND, _PART = r"[A-Za-z_][A-Za-z0-9_]*", "|".join(EVENT_KINDS), r"-?\d+(?:-(?:-?\d+|mx))?"
 _EVENT, _NODE = rf"(?:{_KIND})\({_NAME}\)", r"node\((\d+)\)"
 _DECL = rf"element0?\({_NAME},\[-?\d+(?:,-?\d+)*\],{_NAME}\)|n?eq\({_NAME},{_NAME}\)|eqc\({_NAME},-?\d+\)"
 _FRAGMENTS = dict(constraint=f"({_NAME})", variable=f"({_NAME})", node=_NODE, node2=_NODE,
@@ -230,6 +235,7 @@ def _compiled(kind: str, fragments: dict):
 
 _READERS = {kind: _compiled(kind, _FRAGMENTS) for kind in LAYOUT}
 _PALM_READERS = {**_READERS, "reduce": _compiled("reduce", _PALM_FRAGMENTS)}
+_DIALECTS = ("generic", "palm")
 _record = partial(tuple.__new__, GenericEvent)
 
 
@@ -237,7 +243,7 @@ class _Memo(dict):
     """Values one parse reads, each built once from its text; None reads as None."""
 
     def __init__(self, build):
-        super().__init__({None: None})
+        self[None] = None
         self.build = build
 
     def __missing__(self, text):
@@ -245,11 +251,72 @@ class _Memo(dict):
         return value
 
 
+# the values of canonical attribute texts, each read without tokens
+
+
+def _solver_event(text: str) -> SolverEvent:
+    return BOTTOM if text == "bot" else SolverEvent(*text[:-1].split("("))
+
+
+def _items(text: str) -> tuple[str, ...]:
+    return tuple(text.split(",")) if text else ()
+
+
+def _events_of(events: _Memo, items: _Memo, text: str) -> tuple[SolverEvent, ...]:
+    return tuple(map(events.__getitem__, items[text]))
+
+
+def _scheduled(text: str) -> SolverEvent:
+    variable, kind = text.split(" ")
+    return SolverEvent(kind, variable)
+
+
+def _declaration(base: int, text: str) -> ConstraintDecl:
+    """The declaration of a text ``_DECL`` matched: what ``parse_declaration`` reads from it."""
+    name, body = text[:-1].split("(", 1)
+    if name.startswith("element"):
+        ivar, rest = body.split(",", 1)
+        values, vvar = rest.rsplit(",", 1)
+        return ConstraintDecl.element(ivar, map(int, values[1:-1].split(",")), vvar, 0 if name == "element0" else base)
+    x, y = body.split(",")
+    return ConstraintDecl.eqc(x, int(y)) if name == "eqc" else ConstraintDecl(name, (x, y))
+
+
+def _strict_domain(mx: int, text: str, at: int = 0) -> FiniteDomain:
+    """The domain of a literal at offset ``at``, which must be the text ``format_domain`` writes."""
+    dom = parse_domain(text, mx)
+    if format_domain(dom, mx) != text:
+        raise TraceSyntaxError(f"non-canonical domain literal {text!r}; canonical form is "
+                               f"{format_domain(dom, mx)!r}", column=at + 1)
+    return dom
+
+
+class _Canonical(dict):
+    """Per parse, each event type's canonical matcher, value memos and record getter, bound at the type's
+    first line; the memos, one per attribute (names, numbers and events shared), are made at the first."""
+
+    def __init__(self, table: dict, mx: int, base: int):
+        self.table, self.mx, self.base, self.read = table, mx, base, None
+
+    def __missing__(self, kind: str):
+        entry = self.table.get(kind)
+        if entry is not None:
+            if self.read is None:
+                names, numbers, events, items = _Memo(str), _Memo(int), _Memo(_solver_event), _Memo(_items)
+                self.read = dict(constraint=names, variable=names, wake_kind=names, node=numbers, node2=numbers,
+                                 cause=events, explanation=items, domain=_Memo(partial(_strict_domain, self.mx)),
+                                 generated=_Memo(partial(_events_of, events, items)), event=_Memo(_scheduled),
+                                 decl=_Memo(partial(_declaration, self.base)))
+            match, fields, at = entry
+            entry = match, tuple(map(self.read.__getitem__, fields)), at
+        self[kind] = entry
+        return entry
+
+
 # trace documents
 
 
-@dataclass(frozen=True)
-class TraceDocument:
+class TraceDocument(NamedTuple):
     """A parsed trace: ordered events, the chrono base, and parse metadata."""
 
     events: tuple[GenericEvent, ...]
@@ -270,17 +337,9 @@ class _EventParser:
         self.mx = mx
         self.deviations: list[str] = []
         self.base = 0 if dialect == "palm" else 1
-        # per event type, the canonical matcher, field readers and record getter
-        events = _Memo(lambda t: BOTTOM if t == "bot" else SolverEvent(*t[:-1].split("(")))
-        names, numbers, blocks = _Memo(str), _Memo(int), _Memo(lambda t: tuple(t.split(",")) if t else ())
-        read = dict(constraint=names, variable=names, node=numbers, node2=numbers, cause=events, wake_kind=names,
-                    explanation=blocks, domain=_Memo(lambda t: self._domain(_Tok("domain", t))),
-                    generated=_Memo(lambda t: tuple(map(events.__getitem__, blocks[t]))),
-                    event=_Memo(lambda t: SolverEvent(*reversed(t.split(" ")))),
-                    decl=_Memo(lambda t: parse_declaration(t, self.base)[0]))
-        self.canonical = {} if self.lenient else {
-            kind: (match, tuple(map(read.get, fields)), at)
-            for kind, (match, fields, at) in (_PALM_READERS if dialect == "palm" else _READERS).items()}
+        # nothing in it refers back to the parser, so a parse's memos go when it returns
+        self.canonical = _Canonical({} if self.lenient else _PALM_READERS if dialect == "palm" else _READERS,
+                                    mx, self.base)
 
     def note(self, line_no: int, text: str):
         if not self.lenient:
@@ -334,13 +393,9 @@ class _EventParser:
                 raise TraceShapeError(type_name, f"expected attribute {name!r}, got {tok.text!r}", line=line_no)
         return ev
 
-    def _domain(self, tok: _Tok) -> FiniteDomain:
-        """A domain literal's domain; strict reading takes only the text ``format_domain`` writes."""
-        dom = parse_domain(tok.text, self.mx)
-        if not self.lenient and format_domain(dom, self.mx) != tok.text:
-            raise TraceSyntaxError(f"non-canonical domain literal {tok.text!r}; canonical form is "
-                                   f"{format_domain(dom, self.mx)!r}", column=tok.at + 1)
-        return dom
+    def _domain(self, text: str, at: int) -> FiniteDomain:
+        """The domain of a literal at offset ``at``; strict reading takes only the text ``format_domain`` writes."""
+        return parse_domain(text, self.mx) if self.lenient else _strict_domain(self.mx, text, at)
 
     def _ident(self, text: str, line_no: int) -> str:
         """An identifier (or None), noted (refused when strict) unless it is the grammar's IDENT."""
@@ -368,7 +423,7 @@ class _EventParser:
                 self.note(line_no, f"source-name token {alias!r} on newVariable")
             self._ident(var, line_no)
             return GenericEvent(type_name, depth, variable=var,
-                                domain=self._domain(doms[0]), var_alias=alias)
+                                domain=self._domain(doms[0].text, doms[0].at), var_alias=alias)
 
         if type_name == "newConstraint":
             if not toks:
@@ -413,7 +468,7 @@ class _EventParser:
                 if t.kind == "block" and t.name == "gen":
                     generated = self._gen_events(t, line_no)
             return GenericEvent(type_name, depth, variable=self._ident(words[0].text, line_no),
-                                domain=self._domain(doms[0]), generated=generated)
+                                domain=self._domain(doms[0].text, doms[0].at), generated=generated)
 
         if type_name == "reduce":
             return self._parse_reduce(toks, depth, line_no)
@@ -474,7 +529,7 @@ class _EventParser:
         domain = generated = cause = explanation = wake = None
         for t in toks[2:]:
             if t.kind == "domain":
-                domain = self._domain(t)
+                domain = self._domain(t.text, t.at)
             elif t.kind == "block" and t.name == "gen":
                 generated = self._gen_events(t, line_no)
             elif t.kind == "block" and t.name == "expl":
@@ -508,6 +563,8 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
     """
     if mode not in ("strict", "lenient"):
         raise TraceSyntaxError(f"unknown mode {mode!r}")
+    if dialect not in _DIALECTS:
+        raise TraceSyntaxError(f"unknown dialect {dialect!r}")
     header: list[tuple[str, str]] = []
     logical: list[tuple[int, str]] = []
     continuation_notes: list[str] = []
@@ -524,6 +581,8 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
                 key, value = m.group(1), m.group(2).strip()
                 header.append((key, value))
                 if key == "dialect":
+                    if value not in _DIALECTS:
+                        raise TraceSyntaxError(f"unknown dialect {value!r}", line=line_no)
                     dialect = value
                 elif key == "mx":
                     try:
@@ -541,18 +600,18 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
             continuation_notes.append(f"line {line_no}: continuation joined to line {prev_no}")
 
     parser = _EventParser(mode, dialect, mx)
-    events = []
+    canonical, events = parser.canonical, []
     chrono_start = int(_LINE_RE.match(logical[0][1]).group(1)) if logical else 1
     for expected, (line_no, line, m) in enumerate(logical, chrono_start):
         m = m or _LINE_RE.match(line)
         chrono, depth, type_name = int(m.group(1)), int(m.group(2)), m.group(3)
         if chrono != expected:
             raise TraceSyntaxError(f"chrono {chrono} breaks the consecutive numbering", line=line_no)
-        read = parser.canonical.get(type_name)
+        read = canonical[type_name]
         try:
-            canonical = read and read[0](line, m.end(3))
+            matched = read and read[0](line, m.end(3))
             try:
-                event = canonical and _record(read[2]((type_name, depth, *map(getitem, read[1], canonical.groups()),
+                event = matched and _record(read[2]((type_name, depth, *map(getitem, read[1], matched.groups()),
                                                        None)))
             except GentraError:  # a value its reader refuses: the tokenizer refuses it again, with its column
                 event = None

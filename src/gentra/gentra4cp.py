@@ -31,7 +31,6 @@ validate foreign traces), and the run-level guard checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import filterfalse
 from operator import itemgetter
@@ -413,7 +412,8 @@ def extract_event(full: FullState, action: Action, new: FullState) -> GenericEve
         fields = (None, var, None, None, removed, _pending_suffix(full.solver, new.solver) or None)
     else:
         raise TransitionError(kind, "unknown rule")
-    depth = new.tree.entries.get(new.tree.current)[1]  # the rules keep the current node in the tree
+    store = new.tree.entries._store  # the rules keep the current node in the tree, as check_depth reads it
+    depth = store.values[store.index[new.tree.current]][1]
     return _payload(GenericEvent, (kind, depth, *fields, *_NONES[len(fields) + 2:]))
 
 
@@ -488,31 +488,38 @@ READERS = {
 }
 
 
-def read_record(full: FullState, ev: GenericEvent, readers=READERS) -> Action:
-    """The action a record encodes in ``full``, read with ``readers``.
+def record_reader(readers):
+    """The record reader of ``readers``: ``read(full, ev)`` is the action a record encodes in ``full``.
 
     Reading recovers every serialized-away origin from the replayed state, so
     replay yields structurally identical states to the original run.  A
     record with a foreign attribute, or without one that replay reads, is
     refused with the shape check's text.
     """
-    kind = ev[0]
-    shape = _SHAPE_AT.get(kind)
-    if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
-        _fail(kind, shape_error(ev, strict=False))
-    read = readers.get(kind)
-    if read is None:
-        _fail(kind, "event type outside the rule set")
-    try:
-        return read(full, ev)
-    except StateInvariantError as exc:  # a solver event no state can hold, such as a generated bot
-        raise ReconstructionError(kind, str(exc)) from exc
+    def read(full: FullState, ev: GenericEvent) -> Action:
+        kind = ev[0]
+        shape = _SHAPE_AT.get(kind)
+        if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
+            _fail(kind, shape_error(ev, strict=False))
+        rule_reader = readers.get(kind)
+        if rule_reader is None:
+            _fail(kind, "event type outside the rule set")
+        try:
+            return rule_reader(full, ev)
+        except StateInvariantError as exc:  # a solver event no state can hold, such as a generated bot
+            raise ReconstructionError(kind, str(exc)) from exc
+
+    return read
+
+
+read_record = record_reader(READERS)
 
 
 def check_depth(ev: GenericEvent, new: FullState) -> None:
     """A replayed record must carry the depth of the node its rule reached."""
     tree = new.tree
-    depth = tree.entries.get(tree.current)[1]  # the rules keep the current node in the tree
+    store = tree.entries._store  # the rules keep the current node in the tree: its first entry is the node's
+    depth = store.values[store.index[tree.current]][1]
     if ev.depth != depth:
         _fail(ev.type, f"depth {ev.depth} != current node depth {depth}")
 
@@ -636,15 +643,13 @@ def make_semantics(*, strict_reduce: bool = False) -> ObservationalSemantics:
 # guard checks
 
 
-@dataclass(frozen=True)
-class GuardViolation:
+class GuardViolation(NamedTuple):
     index: int
     guard: str
     detail: str
 
 
-@dataclass(frozen=True)
-class GuardReport:
+class GuardReport(NamedTuple):
     guards: tuple[str, ...]
     checked: int
     violations: tuple[GuardViolation, ...]
@@ -688,15 +693,13 @@ def check_guards(vtrace: Trace, guards=DEFAULT_GUARDS) -> GuardReport:
 # trace validation
 
 
-@dataclass(frozen=True)
-class ValidationError:
+class ValidationError(NamedTuple):
     index: int
     rule: str
     condition: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     checked: int
     error: ValidationError | None = None

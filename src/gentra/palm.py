@@ -35,7 +35,7 @@ from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
 from .gentra4cp import (READERS, RULES, GenericEvent, _need, apply_rule, check_depth, extract_event,
-                        is_initial, read_record)
+                        is_initial, record_reader)
 from .semantics import Action, ObservationalSemantics
 from .solver import (Problem, SolveLimits, SolveResult, _close_solution, _fresh_events, _next_alternatives,
                      _post_and_propagate, _Run)
@@ -189,7 +189,7 @@ def make_palm_semantics() -> ObservationalSemantics:
         action_kinds=PALM_KINDS,
         apply=partial(apply_rule, PALM_RULES),
         extract_local=palm_extract,
-        read_action=partial(read_record, readers=PALM_READERS),
+        read_action=record_reader(PALM_READERS),
         is_initial=is_initial,
         is_record=GenericEvent.__instancecheck__,  # isinstance(r, GenericEvent), with no Python frame
         check_record=check_depth,

@@ -137,17 +137,25 @@ def replay(os: ObservationalSemantics, state: Any, record: Any) -> VirtualPayloa
 
 def replay_records(os: ObservationalSemantics, state: Any, records: Iterable, start: int = 0) -> tuple:
     """The steps ``records`` encode from ``state``, each :func:`replay` of a record from the state the step
-    before reached; a record that fails raises its :class:`ReconstructionError` at its index from ``start``."""
-    is_record, steps = os.is_record, []
+    before reached; a record that fails raises its :class:`ReconstructionError` at its index from ``start``.
+
+    The loop reads, applies and checks each record itself, as :func:`replay` does, with no call per record.
+    """
+    name, is_record, read, apply, check = os.name, os.is_record, os.read_action, os.apply, os.check_record
+    steps = []
     for i, record in enumerate(records, start):
         if not is_record(record):
-            raise ReconstructionError(os.name, "record outside the actual-state domain", index=i)
+            raise ReconstructionError(name, "record outside the actual-state domain", index=i)
         try:
-            step = replay(os, state, record)
+            action = read(state, record)
+            try:
+                state = apply(state, action)
+            except TransitionError as exc:
+                raise ReconstructionError(exc.rule, exc.condition) from exc
+            check(record, state)
         except ReconstructionError as exc:
             raise ReconstructionError(exc.rule, exc.condition, index=i) from exc
-        steps.append(step)
-        state = step[1]
+        steps.append(_payload(VirtualPayload, (action, state)))
     return tuple(steps)
 
 
@@ -177,16 +185,14 @@ def first_divergence(a: Trace, b: Trace) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class FaithfulnessEntry:
+class FaithfulnessEntry(NamedTuple):
     index: int
     ok: bool
     detail: str = ""
     divergence: int | None = None
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
+class FaithfulnessReport(NamedTuple):
     entries: tuple[FaithfulnessEntry, ...]
 
     @property

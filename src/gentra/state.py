@@ -59,16 +59,26 @@ class SolverEvent(_EventFields):
 BOTTOM = SolverEvent("bot")
 
 
+_KEY, _VALUE = itemgetter(0), itemgetter(1)
+
+
 class _Store:
     """The entries behind every ``Entries`` that shares them."""
 
     __slots__ = ("keys", "values", "index")
 
-    def __init__(self, keys, values):
-        self.keys = list(keys)
-        self.values = list(values)
+    def __init__(self, keys: list, values: list, index: dict | None = None):
+        self.keys = keys
+        self.values = values
         # the first position of each key (built right to left, so it wins)
-        self.index = dict(zip(reversed(self.keys), range(len(self.keys) - 1, -1, -1)))
+        self.index = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))) if index is None else index
+
+
+def _over(store: _Store, size: int) -> "Entries":
+    """The first ``size`` entries of ``store``, built without ``Entries.__init__``."""
+    entries = object.__new__(Entries)
+    entries._store, entries._size = store, size
+    return entries
 
 
 class Entries:
@@ -86,7 +96,7 @@ class Entries:
 
     def __init__(self, pairs=()):
         pairs = tuple(pairs)
-        self._store = _Store((k for k, _ in pairs), (v for _, v in pairs))
+        self._store = _Store(list(map(_KEY, pairs)), list(map(_VALUE, pairs)))
         self._size = len(pairs)
 
     def get(self, key, default=None):
@@ -111,9 +121,7 @@ class Entries:
             store.index.setdefault(key, n)
         elif not (store.keys[n] == key and (store.values[n] is value or store.values[n] == value)):
             store = _Store(store.keys[:n] + [key], store.values[:n] + [value])
-        new = object.__new__(Entries)
-        new._store, new._size = store, n + 1
-        return new
+        return _over(store, n + 1)
 
     def keys(self) -> tuple:
         return tuple(self._store.keys[:self._size])
@@ -329,8 +337,14 @@ VARIABLES, CONSTRAINTS, DOMAINS, INITIAL_DOMAINS, ACTIVE, SOLVED, REJECTED, SLEE
 
 
 def initial_state() -> FullState:
-    solver = SolverState()
-    return FullState(solver=solver, tree=initial_tree(solver))
+    """The state before any event: nothing declared, and a tree of the root node alone.
+
+    Each part is built in one positional construction, and its two stores, of declarations and of nodes,
+    from their lists and index, as ``SolverState()`` and ``initial_tree`` build them with passes over pairs.
+    """
+    solver = tuple.__new__(SolverState, ((), _over(_Store([], [], {}), 0), {}, {}, (), (), (), (), (), None))
+    tree = tuple.__new__(SearchTreeState, (_over(_Store([0], [(solver, 0)], {0: 0}), 1), 0))
+    return tuple.__new__(FullState, (solver, tree, NO_EXPLANATIONS))
 
 
 # predicates over solver states

@@ -275,6 +275,29 @@ def test_malformed_numbers_are_parse_errors(runner, tmp_path, command, text):
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("palm", [False, True], ids=["fd", "palm"])
+def test_negative_domain_trace_round_trips(runner, tmp_path, palm):
+    problem, trace = tmp_path / "neg.prob", tmp_path / "neg.trace"
+    problem.write_text("var x -2..1\nvar y -3..-1\ncon c1 neq(x,y)\nlabel x,y\n")
+    solved = runner.invoke(main, ["solve", str(problem), "--trace", str(trace)] + ["--palm"] * palm)
+    assert solved.exit_code == 0, solved.output
+    assert "[-2-1]" in trace.read_text() and "[-3--1]" in trace.read_text()
+    for command in ["validate", "reconstruct"] + ["check-compliance"] * palm:
+        result = runner.invoke(main, [command, str(trace)] + ["--profile", "palm"] * (palm and command == "validate"))
+        assert result.exit_code == 0, (command, result.output)
+
+
+@pytest.mark.parametrize("command", ["validate", "check-compliance", "reconstruct"])
+def test_unknown_dialect_is_a_parse_error(runner, tmp_path, command):
+    path = tmp_path / "foo.trace"
+    path.write_text("# dialect: foo\n1[0]newVariable x [0-3]\n2[0]newConstraint c1 eqc(x,1)\n3[0]post c1\n"
+                    "4[0]awake c1 bot\n5[0]reduce c1 x [0,2-3] gen{val(x)} bot expl{c1}\n")
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "parse error: unknown dialect 'foo' (line 1)\n"
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_usage_error_exit_code(runner):
     assert runner.invoke(main, ["validate", "/nonexistent/file"]).exit_code == 2
 

@@ -103,6 +103,21 @@ def test_parse_inverts_format(values):
     assert parse_domain(format_domain(d)) == d
 
 
+@given(st.sets(st.integers(-40, 40), max_size=12), st.sampled_from([DEFAULT_MX, 20]))
+def test_parse_inverts_format_with_negative_bounds(values, mx):
+    # a signed lower bound, and a signed upper bound after the range's dash
+    d = FiniteDomain.of(values)
+    assert parse_domain(format_domain(d, mx), mx) == d
+
+
+@pytest.mark.parametrize("literal,lo,hi", [("[-2-1]", -2, 1), ("[-3--1]", -3, -1), ("[-5]", -5, -5),
+                                          ("[-7-mx]", -7, DEFAULT_MX)])
+def test_negative_intervals_read_back(literal, lo, hi):
+    d = FiniteDomain.interval(lo, hi)
+    assert format_domain(d) == literal
+    assert parse_domain(literal) == d
+
+
 def test_parse_domain_forms():
     assert parse_domain("[0,4-mx]") == FiniteDomain.of([0]).union(
         FiniteDomain.interval(4, DEFAULT_MX))

@@ -372,6 +372,36 @@ def test_mx_header_error_names_its_line():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_unknown_dialect_is_refused_at_its_line(mode):
+    # a generic reduce that carries an explanation, which only the palm dialect writes
+    body = ("1[0]newVariable x [0-3]\n2[0]newConstraint c1 eqc(x,1)\n3[0]post c1\n4[0]awake c1 bot\n"
+            "5[0]reduce c1 x [0,2-3] gen{val(x)} bot expl{c1}\n")
+    with pytest.raises(TraceShapeError, match="dialect attribute 'explanation' not allowed here"):
+        parse_trace("# solver: fd\n# dialect: generic\n" + body)
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace("# solver: fd\n# dialect: foo\n" + body, mode=mode)
+    assert (str(info.value), info.value.line) == ("unknown dialect 'foo' (line 2)", 2)
+    with pytest.raises(TraceSyntaxError, match="unknown dialect 'foo'"):
+        parse_trace(body, mode=mode, dialect="foo")
+
+
+NEGATIVE_PROBLEM = "var I -2..1\nvar A -8..6\ncon c1 element(I,[-2,5,-7,3],A)\ncon c2 neq(I,A)\nlabel I,A\n"
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_negative_domains_round_trip_by_pattern(monkeypatch, machine):
+    # both bounds of a domain part are signed, and a strict parse reads the
+    # trace's lines, domains and declarations by pattern, without tokens
+    problem = parse_problem(NEGATIVE_PROBLEM)
+    run, dialect = (solve, "generic") if machine == "fd" else (palm_solve, "palm")
+    doc = document_for_events(run(problem).events, dialect=dialect)
+    text = serialize_trace(doc)
+    assert "[-2-1]" in text
+    monkeypatch.setattr(formats, "_tokenize", mock.Mock(side_effect=AssertionError("tokenized")))
+    assert parse_trace(text).events == doc.events
+
+
 def test_chrono_must_be_consecutive():
     with pytest.raises(TraceSyntaxError):
         parse_trace("1[0]post c1\n3[0]suspend c1", mode="lenient")

@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -26,6 +27,7 @@ from gentra.state import SolverEvent, SolverState
 from gentra.trace import ActualPayload, Trace
 
 from support import RuleCalls, ladder, solved
+from test_golden_traces import GOLDEN, emitted_text
 
 GROWTH_LIMIT = 1.2
 
@@ -276,11 +278,11 @@ def test_parse_work_per_event_stays_flat(machine):
     _assert_flat(lambda k: len(parse_trace(texts[k]).events))
 
 
-# Strict parsing reads a canonical line by its type's pattern in about 19
+# Strict parsing reads a canonical line by its type's pattern in about 18.5
 # line events; the tokenizer takes about 130.  A reader that silently falls
 # back to the tokenizer costs the same per event at every size, so only an
-# absolute bound sees it.
-PARSE_LINE_EVENTS_PER_RECORD = 45
+# absolute bound sees it; the bound is that count plus about 5%.
+PARSE_LINE_EVENTS_PER_RECORD = 19.5
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -290,12 +292,45 @@ def test_strict_parse_reads_canonical_lines_without_tokens(machine):
     assert lines <= PARSE_LINE_EVENTS_PER_RECORD * len(doc.events), lines / len(doc.events)
 
 
+# What one parse costs before its first event line: the header-only text of
+# an emitted trace takes about 63 line events.  A parse binds the canonical
+# reader of an event type, and makes its value memos, at the first line that
+# needs them; binding every type's reader and building every memo up front
+# took 150.  Short traces pay this once per call, so only an absolute bound
+# sees it; the bound is that count plus about 5%.
+HEADER_PARSE_LINE_EVENTS = 66
+
+
+def test_header_only_parse_stays_within_its_line_events():
+    text = "# solver: palm\n# dialect: palm\n# mx: 268435455\n"
+    lines, doc = _line_events(lambda: parse_trace(text))
+    assert doc.events == () and doc.dialect == "palm"
+    assert lines <= HEADER_PARSE_LINE_EVENTS, lines
+
+
+@pytest.mark.parametrize("source", ["golden", "ladder"])
+def test_strict_parse_of_emitted_traces_makes_no_token(monkeypatch, source):
+    # every line an emitted trace holds, a constraint declaration included,
+    # is read by its type's pattern
+    if source == "golden":
+        texts = [emitted_text(name, run)[1] for name, run in sorted(GOLDEN)]
+    else:
+        texts = [_ladder_text(machine, 4) for machine in ("fd", "palm")]
+    docs = [parse_trace(text) for text in texts]
+    monkeypatch.setattr(formats, "_tokenize", mock.Mock(side_effect=AssertionError("tokenized")))
+    monkeypatch.setattr(formats, "parse_declaration", mock.Mock(side_effect=AssertionError("declaration tokenized")))
+    for text, doc in zip(texts, docs):
+        assert parse_trace(text) == doc
+
+
 # At ladder k = 6 the palm verdict (three rule applications per event)
-# takes about 164 line events per event, and the fd verdict (validate and
-# check_faithful, one application) about 87.  A slower rule step costs the
+# takes about 149 line events per event, and the fd verdict (validate and
+# check_faithful, one application) about 80: replay reads, applies and
+# checks each record in its own loop, and check_simulable carries each
+# action and tests its transition in its own.  A slower rule step costs the
 # same per event at every size, so only an absolute bound sees it; each
 # bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 173, "fd": 92}
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 157, "fd": 84}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
