@@ -1,9 +1,7 @@
-"""Relating trace levels: projections, derivations, simulation, compliance.
+"""Relating trace levels: projections, simulation, compliance.
 
 A *projection* restricts a semantics to a dependency-closed subset of its
-state parameters and to the action types that only touch them.  A
-*derivation* maps concrete trace prefixes to derived prefixes, growing one
-derived event at a time along a chain of concrete prefixes.  A *state
+state parameters and to the action types that only touch them.  A *state
 mapping* (a state function ``d`` plus an action-kind bijection ``h``)
 carrying every concrete transition to a derived transition is machine
 evidence of simulation, and hence (on the behaviours checked) that the
@@ -24,9 +22,9 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 from .errors import GentraError, MappingError, ProjectionError, ReconstructionError, TransitionError
 from .gentra4cp import (ARGS, DEFAULT_GUARDS, GUARD_NAMES, GenericEvent, get_parameter, make_semantics,
                         reset_parameters, validate)
-from .palm import PALM_EVENT_TYPES, PALM_KINDS, make_palm_semantics
+from .palm import PALM_KINDS, make_palm_semantics, map_palm_state  # noqa: F401 (map_palm_state: re-exported)
 from .semantics import Action, ObservationalSemantics, extract, first_divergence, reconstruct, replay_records
-from .state import NO_EXPLANATIONS, FullState, initial_state
+from .state import initial_state
 from .trace import Trace, VirtualPayload, _actual_payloads, _payload
 
 
@@ -80,24 +78,21 @@ def check_projection(os: ObservationalSemantics, proj: ParamProjection) -> None:
 def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalSemantics:
     """The semantics restricted to a valid projection.
 
-    Only the transition function changes: it refuses dropped action kinds,
-    so replaying a record of a dropped kind fails where its rule would apply.
-    On the states it is used for, dropped parameters hold their initial
-    values, so no further state surgery is required.
+    Only the rule table changes: a dropped action kind's rule refuses it,
+    so replaying a record of a dropped kind fails where its rule would apply;
+    a kept kind keeps its rule itself.  On the states it is used for, dropped
+    parameters hold their initial values, so no further state surgery is required.
     """
     check_projection(os, proj)
-    kept_kinds, inner = proj.kept_kinds, os.apply
 
-    def apply(state, action):
-        if action[0] not in kept_kinds:
-            raise TransitionError(action.kind, f"action outside projection {proj.name}")
-        return inner(state, action)
+    def outside(state, action):
+        raise TransitionError(action.kind, f"action outside projection {proj.name}")
 
     return replace(
         os,
         name=f"{os.name}/{proj.name}",
         action_kinds=frozenset(proj.kept_kinds),
-        apply=apply,
+        rules={k: rule if k in proj.kept_kinds else outside for k, rule in os.rules.items()},
         parameters=tuple(p for p in os.parameters if p in proj.kept_params),
         param_deps={k: v for k, v in os.param_deps.items() if k in proj.kept_params},
         action_writes={k: v for k, v in os.action_writes.items() if k in proj.kept_kinds},
@@ -211,6 +206,14 @@ class SimulationReport(NamedTuple):
         return "\n".join(self.lines())
 
 
+def _refines(os_c: ObservationalSemantics, os_d: ObservationalSemantics, mapping: StateMapping) -> bool:
+    """Is ``os_c``'s rule table a refinement, under ``mapping``, of the rules ``os_d`` applies?"""
+    ref = os_c.refines
+    return (ref is not None and ref.rules is os_c.rules and mapping.map_state is ref.map_state
+            and mapping.map_action is ref.map_action and dict(mapping.action_map) == ref.action_map
+            and all(k in ref.base and os_d.rules.get(ref.action_map.get(k)) is ref.base[k] for k in ref.rules))
+
+
 def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
                     mapping: StateMapping, samples: Iterable[Trace]) -> SimulationReport:
     """Check the simulation conditions on every transition of the samples.
@@ -225,6 +228,16 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
     those behaviours, the derived semantics is a derivation field.
     Each sample state is mapped once: the mapped post-state of a transition
     is the mapped pre-state of the next.
+
+    The steps of a trace ``os_c`` built (``t.applied_by is os_c``) are
+    counted, not checked, when ``os_c.refines`` is a refinement under
+    ``mapping`` of the very rules of ``os_d``: ``os_d.rules[h(k)] is
+    base[k]`` for each kind k.  Such a step (s, a, s') has s' = u(g(s, a)),
+    where g is ``base[k]`` behind conditions that only refuse and u sets
+    only the explanation table, which d empties.  The generic rules read no
+    explanation table and return their input's, and the generic reduce
+    ignores its explanation (both pinned by tests), so g(d(s), h(a)) has
+    g(s, a)'s solver and tree parts and d(s)'s empty table: it is d(s').
     """
     violations = []
     h = dict(mapping.action_map)
@@ -243,6 +256,7 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
     # the carry and the transition test of each step are made inline: ``mapping.carry_action`` and
     # ``transition_holds`` without their frames
     map_state, map_action, carry, apply_d = mapping.map_state, mapping.map_action, mapping.carry_action, os_d.apply
+    refined = not violations and _refines(os_c, os_d, mapping)
     if not violations:
         for ti, t in enumerate(samples):
             try:
@@ -255,6 +269,9 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
                 continue
             if t.kind == "actual":  # one kind per trace: the first event is the culprit
                 violations.append(SimulationViolation(ti, 0, "simulation expects virtual traces"))
+                continue
+            if refined and t.applied_by is os_c:
+                transitions += t.size
                 continue
             for ei, (action, state) in enumerate(t.events):
                 transitions += 1
@@ -278,138 +295,6 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
     return SimulationReport(mapping.name, len(samples), transitions, tuple(violations))
 
 
-# derivations
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """A prefix-to-prefix map between trace levels."""
-
-    name: str
-    fn: Callable[[Trace], Trace]
-    surjective_hint: bool = False
-
-    def __call__(self, prefix: Trace) -> Trace:
-        return self.fn(prefix)
-
-
-def identity_derivation() -> Derivation:
-    return Derivation("identity", lambda t: t, surjective_hint=True)
-
-
-def compose(d1: Derivation, d2: Derivation) -> Derivation:
-    """Apply ``d1`` first, then ``d2``."""
-    return Derivation(f"{d2.name}.{d1.name}", lambda t: d2.fn(d1.fn(t)),
-                      surjective_hint=d1.surjective_hint and d2.surjective_hint)
-
-
-@dataclass(frozen=True)
-class ComposeReport:
-    ok: bool
-    warnings: tuple[str, ...]
-
-    def lines(self) -> list[str]:
-        return [f"WARN compose {w}" for w in self.warnings] + [
-            f"{'PASS' if self.ok else 'WARN'} compose"]
-
-
-def check_composable(d1: Derivation, d2: Derivation, samples: Iterable[Trace]) -> ComposeReport:
-    """Sample-check the composition precondition: d1 surjective or d2 total.
-
-    Surjectivity cannot be established from samples, so a surjectivity hint
-    is only reported, while totality of ``d2`` is tried on every image of a
-    sample prefix.  Unverifiable preconditions produce warnings, not errors.
-    """
-    warnings = []
-    total = True
-    for t in samples:
-        for p in t.prefixes():
-            try:
-                d2.fn(d1.fn(p))
-            except Exception as exc:
-                total = False
-                warnings.append(f"second map undefined on an image ({exc})")
-                break
-        if not total:
-            break
-    if not total and not d1.surjective_hint:
-        warnings.append("first map is not claimed surjective and second map is not total on samples")
-    if d1.surjective_hint:
-        warnings.append("surjectivity of the first map is a hint, spot-checked only")
-    return ComposeReport(ok=total or d1.surjective_hint, warnings=tuple(warnings))
-
-
-@dataclass(frozen=True)
-class ChainViolation:
-    trace: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    derivation: str
-    traces: int
-    violations: tuple[ChainViolation, ...]
-    notes: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def lines(self) -> list[str]:
-        out = [f"FAIL chain trace={v.trace} {v.detail}" for v in self.violations]
-        out += [f"NOTE chain {n}" for n in self.notes]
-        out.append(f"{'PASS' if self.ok else 'FAIL'} derivation {self.derivation} traces={self.traces}")
-        return out
-
-
-def check_derivation(D: Derivation, concrete: Iterable[Trace],
-                     is_initial_derived: Callable[[Any], bool]) -> ChainReport:
-    """Verify the prefix-chain condition of a derivation on sample traces.
-
-    For each concrete trace, the images of its prefixes must start at a
-    derived initial state and reach every derived prefix length through a
-    growing chain of concrete prefixes.  Contiguous one-step growth is
-    checked first; on gaps, all prefixes are scanned for witnesses (the
-    scan bound, the trace length, is recorded in the report).
-    """
-    violations = []
-    notes = []
-    concrete = list(concrete)
-    for ti, t in enumerate(concrete):
-        try:
-            images = [D(t.prefix(k)) for k in range(t.size + 1)]
-        except Exception as exc:
-            violations.append(ChainViolation(ti, f"derivation not total on prefixes: {exc}"))
-            continue
-        if images[0].size != 0 or not is_initial_derived(images[0].initial_state):
-            violations.append(ChainViolation(ti, "the empty prefix does not map to a derived initial state"))
-            continue
-        derived = images[-1]
-        contiguous = True
-        for k in range(t.size):
-            a, b = images[k], images[k + 1]
-            if not a.is_prefix_of(b) or b.size - a.size > 1:
-                contiguous = False
-                break
-        if contiguous:
-            continue
-        # fall back: scan all prefixes for a witness of every derived length
-        notes.append(f"trace {ti}: contiguous chain failed; scanned all {t.size + 1} prefixes")
-        witness = []
-        ok = True
-        for length in range(derived.size + 1):
-            ks = [k for k, img in enumerate(images) if img.size == length and img.is_prefix_of(derived)]
-            if not ks:
-                violations.append(ChainViolation(ti, f"no concrete prefix maps to derived length {length}"))
-                ok = False
-                break
-            witness.append(min(ks))
-        if ok and witness != sorted(witness):
-            violations.append(ChainViolation(ti, "witness prefixes are not an increasing chain"))
-    return ChainReport(D.name, len(concrete), tuple(violations), tuple(notes))
-
-
 # the explanation-based machine against the generic format
 
 
@@ -424,30 +309,12 @@ def palm_profile() -> ParamProjection:
     )
 
 
-def map_palm_state(full: FullState) -> FullState:
-    """The state map: shares the solver state and tree, empties the
-    explanation table (one positional construction)."""
-    return tuple.__new__(FullState, (full.solver, full.tree, NO_EXPLANATIONS))
-
-
-def _strip_explanation(action: Action) -> Action:
-    """The action with its explanation slot (a reduce's third argument)
-    emptied; the action itself when it carries none."""
-    kind, args = action
-    if kind != "reduce" or args[2] is None:
-        return action
-    return _payload(Action, (kind, (args[0], args[1], None, *args[3:])))
-
-
 def palm_mapping() -> StateMapping:
-    """The simulation evidence for the explanation-based machine: identity
-    on the shared parameters and on action names, explanations ignored."""
-    return StateMapping(
-        name="palm-to-generic",
-        map_state=map_palm_state,
-        action_map={k: k for k in PALM_EVENT_TYPES},
-        map_action=_strip_explanation,
-    )
+    """The simulation evidence for the explanation-based machine, the mapping
+    its rules refine the generic ones under: identity on the shared
+    parameters and on action names, explanations ignored."""
+    ref = make_palm_semantics().refines
+    return StateMapping("palm-to-generic", ref.map_state, ref.action_map, ref.map_action)
 
 
 def palm_event_to_generic(ev: GenericEvent) -> GenericEvent:

@@ -12,9 +12,10 @@ Trace grammar (canonical form, one event per line):
 Both bounds of a domain part are signed: -2..1 is written ``-2-1`` and
 -3..-1 is ``-3--1``.
 The chrono numbers must increase by one from the first line (any start).
-Header lines ``# key: value`` may precede the events.  A dialect other than
-``generic`` and ``palm``, named by a ``dialect`` header or by the caller, is
-refused.
+Header lines ``# key: value`` may precede the events; a ``dialect`` or ``mx``
+header after the first event line, or a second one, is refused in strict mode
+and ignored in lenient mode.  A dialect other than ``generic`` and ``palm``,
+named by a ``dialect`` header or by the caller, is refused.
 
 Each event type's attributes and their order are ``gentra4cp.LAYOUT``'s; the
 patterns of canonical lines and the writer are built from it, once per
@@ -558,8 +559,9 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
     """Parse trace text into a document.
 
     ``mode`` is ``strict`` (canonical shapes only) or ``lenient`` (foreign
-    idioms accepted and recorded as deviations).  Header lines may override
-    ``dialect`` and ``mx``.
+    idioms accepted and recorded as deviations).  Header lines before the
+    first event line may override ``dialect`` and ``mx``, once each; a later
+    or second one is an error, or in lenient mode a deviation it is ignored for.
     """
     if mode not in ("strict", "lenient"):
         raise TraceSyntaxError(f"unknown mode {mode!r}")
@@ -567,7 +569,7 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
         raise TraceSyntaxError(f"unknown dialect {dialect!r}")
     header: list[tuple[str, str]] = []
     logical: list[tuple[int, str]] = []
-    continuation_notes: list[str] = []
+    notes: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line:
@@ -579,6 +581,12 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
             m = _HEADER_RE.match(line.strip())
             if m:
                 key, value = m.group(1), m.group(2).strip()
+                if key in ("dialect", "mx") and (logical or key in dict(header)):  # it would change read lines
+                    problem = f"{key} header {'after the first event line' if logical else 'repeated'}"
+                    if mode != "lenient":
+                        raise TraceSyntaxError(problem, line=line_no)
+                    notes.append(f"line {line_no}: {problem}, ignored")
+                    continue
                 header.append((key, value))
                 if key == "dialect":
                     if value not in _DIALECTS:
@@ -597,7 +605,7 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
             prev_no, prev, _ = logical[-1]
             # a joined line is matched again once it is complete
             logical[-1] = (prev_no, prev + " " + line.strip(), None)
-            continuation_notes.append(f"line {line_no}: continuation joined to line {prev_no}")
+            notes.append(f"line {line_no}: continuation joined to line {prev_no}")
 
     parser = _EventParser(mode, dialect, mx)
     canonical, events = parser.canonical, []
@@ -622,7 +630,7 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
             column = getattr(exc, "column", None)  # counted from the attribute text
             raise TraceSyntaxError(str(exc), line_no, None if column is None else m.start(4) + column) from exc
     return TraceDocument(events=tuple(events), chrono_start=chrono_start, dialect=dialect, header=tuple(header),
-                         deviations=tuple(continuation_notes + parser.deviations), mx=mx)
+                         deviations=tuple(notes + parser.deviations), mx=mx)
 
 
 # per attribute, its writer; a name (a constraint, variable, wake kind, alias

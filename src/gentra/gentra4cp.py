@@ -365,15 +365,6 @@ RULES = {
 STRICT_RULES = {**RULES, "reduce": lambda full, act: _step_reduce(full, act, strict=True)}
 
 
-def _unknown_rule(full: FullState, action: Action):
-    raise TransitionError(action.kind, "unknown rule")
-
-
-def apply_rule(rules, full: FullState, action: Action) -> FullState:
-    """Apply the rule ``rules`` maps the action's kind to."""
-    return rules.get(action[0], _unknown_rule)(full, action)
-
-
 # extraction: transition -> attribute record
 
 
@@ -614,7 +605,7 @@ def _build_semantics(strict_reduce: bool) -> ObservationalSemantics:
     return ObservationalSemantics(
         name="gentra4cp" + ("-strict" if strict_reduce else ""),
         action_kinds=frozenset(EVENT_TYPES),
-        apply=partial(apply_rule, STRICT_RULES if strict_reduce else RULES),
+        rules=STRICT_RULES if strict_reduce else RULES,
         extract_local=extract_event,
         read_action=read_record,
         is_initial=is_initial,

@@ -1,26 +1,29 @@
 """An explanation-based solver simulator with repair backtracking.
 
 The machine is the generic one of ``gentra4cp`` without the jump and solved
-rules, and with six rules of its own.  At most one constraint is active at
-a time (post); the pending solver events form a queue whose selected head
-is the scheduled event, and waking starts only from an idle state (awake,
-schedule); every value removal carries an *explanation*, the set of store
-constraints justifying it (reduce); rejection needs an emptied domain
-(reject).  Search undoes decisions by deactivating the responsible
-constraint and restoring exactly the values whose explanations mention a
-relaxed constraint (restore).
+rules, and its rule table is a refinement of the generic one: ``PALM_RULES``
+is built from the table ``REFINEMENT``, whose entry for a kind is the generic
+rule of that kind, named extra conditions, and for reduce and restore the
+step's explanation table.  At most one constraint is active at a time
+(post); waking starts only from an idle state (awake, schedule); every value
+removal carries an *explanation*, the set of store constraints justifying it
+(reduce); rejection needs an emptied domain (reject).  Search undoes
+decisions by deactivating the responsible constraint and restoring exactly
+the values whose explanations mention a relaxed constraint (restore).
 
 The state is the generic ``FullState`` with its explanation table filled
 in: the solver part and every tree snapshot are generic solver states, and
 snapshots need no explanations, since the machine never jumps back to one.
-Mapping to the generic format empties the table and changes nothing else.
+A refined rule keeps the generic rule's solver and tree parts and sets only
+the table, which the map to the generic format (``map_palm_state``) empties.
+The bundle records the refinement (``refines``), so that
+``abstraction.check_simulable`` accepts the steps of a trace it built.
 
 The rules make every state they return hold at most one active pair and
-keep explained values out of their domains.  The one invariant no rule
-makes is that every explanation names only store constraints after a
-repair, when deactivation has shrunk the store under the table; the run
-checks it once where each repair ends.  Everything else is checked from
-outside, by replaying the emitted trace (``check-compliance``).
+keep explained values out of their domains.  The one invariant no rule makes
+is that every explanation names only store constraints after a repair, when
+deactivation has shrunk the store under the table; the run checks it once
+where each repair ends.
 
 The element constraint is read 0-based here; ``palm_solve`` rebases its
 input accordingly.
@@ -29,17 +32,16 @@ input accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
-from .gentra4cp import (READERS, RULES, GenericEvent, _need, apply_rule, check_depth, extract_event,
-                        is_initial, record_reader)
-from .semantics import Action, ObservationalSemantics
+from .gentra4cp import READERS, RULES, GenericEvent, check_depth, extract_event, is_initial, record_reader
+from .semantics import Action, ObservationalSemantics, Refinement
 from .solver import (Problem, SolveLimits, SolveResult, _close_solution, _fresh_events, _next_alternatives,
                      _post_and_propagate, _Run)
-from .state import FullState, SolverEvent, initial_state, outside_store, store
+from .state import NO_EXPLANATIONS, FullState, SolverEvent, initial_state, outside_store, store
 from .trace import _payload
 
 PALM_EVENT_TYPES = (
@@ -72,77 +74,82 @@ def broken_values(full: FullState, var: str) -> FiniteDomain:
     return out
 
 
-# transition rules: the generic ones, minus jump and solved, with six
-# overrides that add single activation, explanations and repair
+# transition rules: the generic ones, minus jump and solved, refined
 
 
-def _post(full: FullState, act: Action) -> FullState:
-    new = RULES["post"](full, act)
-    _need(not full.solver.active, "post", "another constraint is active")
-    return new
-
-
-def _restore(full: FullState, act: Action) -> FullState:
-    """Only values whose explanation broke may come back; their explanations go."""
+def _restored(full: FullState, act: Action) -> dict:
+    """restore's explanation table: the restored values leave it."""
     _generated, restored, var = act.args
-    new = RULES["restore"](full, act)
-    _need(not restored.is_empty(), "restore", "nothing to restore")
-    _need(restored.issubset(broken_values(full, var)), "restore",
-          "restored values are not explained by relaxed constraints")
-    kept = []
-    for vals, expl in full.explanations.get(var, ()):
-        vals = vals.subtract(restored)
-        if not vals.is_empty():
-            kept.append((vals, expl))
+    kept = tuple((vals, expl) for vals, expl in ((v.subtract(restored), e) for v, e in full.explanations.get(var, ()))
+                 if not vals.is_empty())
     table = dict(full.explanations)
     if kept:
-        table[var] = tuple(kept)
+        table[var] = kept
     else:
         table.pop(var, None)
-    return _payload(FullState, (new[0], new[1], table))
+    return table
 
 
-def _reduce(full: FullState, act: Action) -> FullState:
-    """A nonempty removal while nothing is rejected, recorded with its explanation."""
+def _reduced(full: FullState, act: Action) -> dict:
+    """reduce's explanation table: the removed values go in with their explanation."""
     _cause, _cid, explanation, _generated, removed, var = act.args
-    s = full.solver
-    _need(not s.rejected, "reduce", "a constraint is rejected")
-    new = RULES["reduce"](full, act)
-    _need(not removed.is_empty(), "reduce", "nothing to remove")
-    _need(explanation is not None and not outside_store(s, explanation), "reduce",
-          "explanation is not a set of store constraints")
-    table = new[2]
-    return _payload(FullState, (new[0], new[1], {**table, var: table.get(var, ()) + ((removed, explanation),)}))
+    return {**full.explanations, var: full.explanations.get(var, ()) + ((removed, explanation),)}
 
 
-def _reject(full: FullState, act: Action) -> FullState:
-    """Rejection needs an emptied domain, not just falsity."""
-    new = RULES["reject"](full, act)
-    decl = full.solver.declaration(act.args[1])
-    _need(any(full.solver.domain(v).is_empty() for v in decl.variables), "reject",
-          "no variable of the constraint has an empty domain")
-    return new
+_IDLE = (("a constraint is active", lambda full, act: not full.solver.active),
+         ("a constraint is rejected", lambda full, act: not full.solver.rejected))
 
-
-def _idle(rule):
-    """The generic rule, fired only with nothing active and nothing rejected."""
-    def apply(full: FullState, act: Action) -> FullState:
-        s = full.solver
-        if s.active or s.rejected:
-            raise TransitionError(act.kind, "a constraint is active" if s.active else "a constraint is rejected")
-        return rule(full, act)
-    return apply
-
-
-PALM_RULES = {
-    **{kind: RULES[kind] for kind in PALM_EVENT_TYPES},
-    "post": _post,
-    "restore": _restore,
-    "reduce": _reduce,
-    "reject": _reject,
-    "awake": _idle(RULES["awake"]),
-    "schedule": _idle(RULES["schedule"]),
+# per refined kind: the conditions tested before the generic rule, those tested after it, each a (failure
+# text, test of the pre-state and action) pair, and the step's explanation table (None: the generic rule's)
+REFINEMENT = {
+    "post": ((), (("another constraint is active", lambda full, act: not full.solver.active),), None),
+    "restore": ((), (("nothing to restore", lambda full, act: not act.args[1].is_empty()),
+                     ("restored values are not explained by relaxed constraints",
+                      lambda full, act: act.args[1].issubset(broken_values(full, act.args[2])))), _restored),
+    "reduce": ((("a constraint is rejected", lambda full, act: not full.solver.rejected),),
+               (("nothing to remove", lambda full, act: not act.args[4].is_empty()),
+                ("explanation is not a set of store constraints",
+                 lambda full, act: act.args[2] is not None and not outside_store(full.solver, act.args[2]))),
+               _reduced),
+    "reject": ((), (("no variable of the constraint has an empty domain", lambda full, act: any(
+        full.solver.domain(v).is_empty() for v in full.solver.declaration(act.args[1]).variables)),), None),
+    "awake": (_IDLE, (), None),
+    "schedule": (_IDLE, (), None),
 }
+
+
+def _refined(kind: str, before: tuple, after: tuple, table):
+    """The generic rule of ``kind``, read from ``RULES`` at each step, fired where ``before`` holds and
+    kept where ``after`` holds; its step keeps the generic solver and tree parts and sets only the table."""
+    def rule(full: FullState, act: Action) -> FullState:
+        for text, holds in before:
+            if not holds(full, act):
+                raise TransitionError(kind, text)
+        new = RULES[kind](full, act)
+        for text, holds in after:
+            if not holds(full, act):
+                raise TransitionError(kind, text)
+        return new if table is None else _payload(FullState, (new[0], new[1], table(full, act)))
+    return rule
+
+
+PALM_RULES = {kind: _refined(kind, *REFINEMENT[kind]) if kind in REFINEMENT else RULES[kind]
+              for kind in PALM_EVENT_TYPES}
+
+
+def map_palm_state(full: FullState) -> FullState:
+    """The state map: shares the solver state and tree, empties the
+    explanation table (one positional construction)."""
+    return tuple.__new__(FullState, (full.solver, full.tree, NO_EXPLANATIONS))
+
+
+def _strip_explanation(action: Action) -> Action:
+    """The action with its explanation slot (a reduce's third argument)
+    emptied; the action itself when it carries none."""
+    kind, args = action
+    if kind != "reduce" or args[2] is None:
+        return action
+    return _payload(Action, (kind, (args[0], args[1], None, *args[3:])))
 
 
 # extraction and reconstruction (the trace dialect keeps explanations and
@@ -187,12 +194,13 @@ def make_palm_semantics() -> ObservationalSemantics:
     return ObservationalSemantics(
         name="palm",
         action_kinds=PALM_KINDS,
-        apply=partial(apply_rule, PALM_RULES),
+        rules=PALM_RULES,
         extract_local=palm_extract,
         read_action=record_reader(PALM_READERS),
         is_initial=is_initial,
         is_record=GenericEvent.__instancecheck__,  # isinstance(r, GenericEvent), with no Python frame
         check_record=check_depth,
+        refines=Refinement(PALM_RULES, RULES, map_palm_state, _strip_explanation, {k: k for k in PALM_EVENT_TYPES}),
     )
 
 

@@ -55,11 +55,27 @@ def _always(_: Any) -> bool:
     return True
 
 
+def _unknown_rule(state: Any, action: Action):
+    raise TransitionError(action.kind, "unknown rule")
+
+
+class Refinement(NamedTuple):
+    """A rule table, ``rules``, each of whose rules is ``base``'s rule of its kind, with conditions and an update
+    of only what ``map_state`` forgets: a step of it is a ``base`` step under the maps (``check_simulable``)."""
+
+    rules: Mapping[str, Callable]
+    base: Mapping[str, Callable]
+    map_state: Callable[[Any], Any]
+    map_action: Callable[[Action], Action]
+    action_map: Mapping[str, str]
+
+
 @dataclass(frozen=True)
 class ObservationalSemantics:
     """States, action kinds, transitions, and the trace translation pair.
 
-    ``apply`` realizes the transition function and must raise
+    ``rules`` is the transition function as data: kind to rule.  ``apply``
+    applies the rule of an action's kind, and a rule raises
     :class:`TransitionError` outside its domain, which doubles as the
     membership test for the transition relation.  ``extract_local`` maps a
     transition to its attribute record; ``read_action`` reads back the
@@ -70,11 +86,12 @@ class ObservationalSemantics:
     transition by construction.  The static tables (``param_deps``,
     ``action_writes``, ``neutral_writes``) say which state parameters each
     update depends on and each rule writes; the projection checks use them.
+    ``refines`` is set when ``rules`` is a :class:`Refinement`'s table.
     """
 
     name: str
     action_kinds: frozenset
-    apply: Callable[[Any, Action], Any]
+    rules: Mapping[str, Callable[[Any, Action], Any]]
     extract_local: Callable[[Any, Action, Any], Any]
     read_action: Callable[[Any, Any], Action]
     is_initial: Callable[[Any], bool]
@@ -87,6 +104,11 @@ class ObservationalSemantics:
     # snapshot rebindings, which cannot move a pinned parameter off its
     # initial value or introduce information outside the kept parameters
     neutral_writes: Mapping[str, frozenset] = field(default_factory=lambda: MappingProxyType({}))
+    refines: Refinement | None = None
+
+    def apply(self, state: Any, action: Action) -> Any:
+        """The successor of ``state`` by the rule of ``action``'s kind; a kind with no rule is an ``unknown rule``."""
+        return self.rules.get(action[0], _unknown_rule)(state, action)
 
 
 def transition_holds(os: ObservationalSemantics, state: Any, action: Action, successor: Any) -> bool:
@@ -139,9 +161,10 @@ def replay_records(os: ObservationalSemantics, state: Any, records: Iterable, st
     """The steps ``records`` encode from ``state``, each :func:`replay` of a record from the state the step
     before reached; a record that fails raises its :class:`ReconstructionError` at its index from ``start``.
 
-    The loop reads, applies and checks each record itself, as :func:`replay` does, with no call per record.
+    The loop reads, applies and checks each record itself, as :func:`replay` does, with no call per record
+    but the reader's, the rule's (looked up in ``os.rules``) and the check's.
     """
-    name, is_record, read, apply, check = os.name, os.is_record, os.read_action, os.apply, os.check_record
+    name, is_record, read, rules, check = os.name, os.is_record, os.read_action, os.rules, os.check_record
     steps = []
     for i, record in enumerate(records, start):
         if not is_record(record):
@@ -149,7 +172,7 @@ def replay_records(os: ObservationalSemantics, state: Any, records: Iterable, st
         try:
             action = read(state, record)
             try:
-                state = apply(state, action)
+                state = rules.get(action[0], _unknown_rule)(state, action)
             except TransitionError as exc:
                 raise ReconstructionError(exc.rule, exc.condition) from exc
             check(record, state)

@@ -1,7 +1,9 @@
 """Shared test helpers: an independent brute-force oracle, brute-force
 entailment, the solution predicate read through entailment, random inputs,
-near-miss text edits, an extraction derived by inverting reconstruction,
-and the virtual trace of a solver's own steps.
+the benchmark's corpus, near-miss text edits, an extraction derived by
+inverting reconstruction, the virtual trace of a solver's own steps, and the
+derivation toolkit (prefix-to-prefix maps between trace levels with their
+chain and composition checks).
 
 The oracle never touches the propagation machinery: it re-implements each
 constraint's relation directly on integers and enumerates total assignments
@@ -10,8 +12,12 @@ over the declared initial domains.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 import pytest
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 
 from gentra import solver
 from gentra.constraints import ConstraintDecl
+from gentra.formats import parse_problem
 from gentra.errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain
 from gentra.gentra4cp import ARGS
@@ -208,6 +215,21 @@ def solved(solve_fn: Callable, problem: Problem, **kwargs):
     return result, Trace.built_by(os, initial_state(), tuple(steps))
 
 
+def benchmark_corpus(seed: int, count: int) -> list[Problem]:
+    """The first ``count`` problems of the benchmark's ``corpus-short``
+    workload for ``seed`` (``perfbench/inputs.py``), read from their text."""
+    name = "perfbench_inputs"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / "perfbench" / "inputs.py")
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave no cache in the benchmark's tree
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            sys.dont_write_bytecode = writes
+    return [parse_problem(p.text) for p in sys.modules[name].corpus(random.Random(seed))[:count]]
+
+
 def solutions_as_set(result) -> set:
     return {tuple(sorted(assignment)) for assignment in result.solutions}
 
@@ -316,3 +338,136 @@ class RuleCalls:
             finally:
                 self._active -= 1
         return counting
+
+
+# derivations: prefix-to-prefix maps between trace levels, and their chain
+# and composition checks (library code with no caller outside the tests)
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """A prefix-to-prefix map between trace levels."""
+
+    name: str
+    fn: Callable[[Trace], Trace]
+    surjective_hint: bool = False
+
+    def __call__(self, prefix: Trace) -> Trace:
+        return self.fn(prefix)
+
+
+def identity_derivation() -> Derivation:
+    return Derivation("identity", lambda t: t, surjective_hint=True)
+
+
+def compose(d1: Derivation, d2: Derivation) -> Derivation:
+    """Apply ``d1`` first, then ``d2``."""
+    return Derivation(f"{d2.name}.{d1.name}", lambda t: d2.fn(d1.fn(t)),
+                      surjective_hint=d1.surjective_hint and d2.surjective_hint)
+
+
+@dataclass(frozen=True)
+class ComposeReport:
+    ok: bool
+    warnings: tuple[str, ...]
+
+    def lines(self) -> list[str]:
+        return [f"WARN compose {w}" for w in self.warnings] + [
+            f"{'PASS' if self.ok else 'WARN'} compose"]
+
+
+def check_composable(d1: Derivation, d2: Derivation, samples: Iterable[Trace]) -> ComposeReport:
+    """Sample-check the composition precondition: d1 surjective or d2 total.
+
+    Surjectivity cannot be established from samples, so a surjectivity hint
+    is only reported, while totality of ``d2`` is tried on every image of a
+    sample prefix.  Unverifiable preconditions produce warnings, not errors.
+    """
+    warnings = []
+    total = True
+    for t in samples:
+        for p in t.prefixes():
+            try:
+                d2.fn(d1.fn(p))
+            except Exception as exc:
+                total = False
+                warnings.append(f"second map undefined on an image ({exc})")
+                break
+        if not total:
+            break
+    if not total and not d1.surjective_hint:
+        warnings.append("first map is not claimed surjective and second map is not total on samples")
+    if d1.surjective_hint:
+        warnings.append("surjectivity of the first map is a hint, spot-checked only")
+    return ComposeReport(ok=total or d1.surjective_hint, warnings=tuple(warnings))
+
+
+@dataclass(frozen=True)
+class ChainViolation:
+    trace: int
+    detail: str
+
+
+@dataclass(frozen=True)
+class ChainReport:
+    derivation: str
+    traces: int
+    violations: tuple[ChainViolation, ...]
+    notes: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def lines(self) -> list[str]:
+        out = [f"FAIL chain trace={v.trace} {v.detail}" for v in self.violations]
+        out += [f"NOTE chain {n}" for n in self.notes]
+        out.append(f"{'PASS' if self.ok else 'FAIL'} derivation {self.derivation} traces={self.traces}")
+        return out
+
+
+def check_derivation(D: Derivation, concrete: Iterable[Trace],
+                     is_initial_derived: Callable[[Any], bool]) -> ChainReport:
+    """Verify the prefix-chain condition of a derivation on sample traces.
+
+    For each concrete trace, the images of its prefixes must start at a
+    derived initial state and reach every derived prefix length through a
+    growing chain of concrete prefixes.  Contiguous one-step growth is
+    checked first; on gaps, all prefixes are scanned for witnesses (the
+    scan bound, the trace length, is recorded in the report).
+    """
+    violations = []
+    notes = []
+    concrete = list(concrete)
+    for ti, t in enumerate(concrete):
+        try:
+            images = [D(t.prefix(k)) for k in range(t.size + 1)]
+        except Exception as exc:
+            violations.append(ChainViolation(ti, f"derivation not total on prefixes: {exc}"))
+            continue
+        if images[0].size != 0 or not is_initial_derived(images[0].initial_state):
+            violations.append(ChainViolation(ti, "the empty prefix does not map to a derived initial state"))
+            continue
+        derived = images[-1]
+        contiguous = True
+        for k in range(t.size):
+            a, b = images[k], images[k + 1]
+            if not a.is_prefix_of(b) or b.size - a.size > 1:
+                contiguous = False
+                break
+        if contiguous:
+            continue
+        # fall back: scan all prefixes for a witness of every derived length
+        notes.append(f"trace {ti}: contiguous chain failed; scanned all {t.size + 1} prefixes")
+        witness = []
+        ok = True
+        for length in range(derived.size + 1):
+            ks = [k for k, img in enumerate(images) if img.size == length and img.is_prefix_of(derived)]
+            if not ks:
+                violations.append(ChainViolation(ti, f"no concrete prefix maps to derived length {length}"))
+                ok = False
+                break
+            witness.append(min(ks))
+        if ok and witness != sorted(witness):
+            violations.append(ChainViolation(ti, "witness prefixes are not an increasing chain"))
+    return ChainReport(D.name, len(concrete), tuple(violations), tuple(notes))

@@ -7,22 +7,16 @@ from pathlib import Path
 import pytest
 
 from gentra.abstraction import (
-    Derivation,
     ParamProjection,
     ProcessSpec,
     StateMapping,
     palm_mapping,
     audit_projection,
-    check_composable,
-    check_derivation,
     check_generic,
     check_projection,
     check_simulable,
     commutation_check,
-    compose,
-    identity_derivation,
     identity_projection,
-    _strip_explanation,
     map_palm_state,
     palm_event_to_generic,
     palm_process,
@@ -31,17 +25,18 @@ from gentra.abstraction import (
     project,
 )
 from gentra.constraints import ConstraintDecl
-from gentra.errors import MappingError, ProjectionError, ReconstructionError
+from gentra.errors import MappingError, ProjectionError, ReconstructionError, TransitionError
 from gentra.fdomain import full_domain
 from gentra.formats import parse_problem
 from gentra.gentra4cp import GenericEvent, make_semantics, validate
-from gentra.palm import make_palm_semantics, palm_solve
-from gentra.semantics import extract, reconstruct
+from gentra.palm import _strip_explanation, make_palm_semantics, palm_solve
+from gentra.semantics import Action, extract, reconstruct
 from gentra.solver import Problem, SolveLimits, solve
 from gentra.state import initial_state
 from gentra.trace import ActualPayload, Trace, VirtualPayload
 
-from support import arg, ladder, random_problem, relabelled, solved
+from support import (Derivation, arg, check_composable, check_derivation, compose, identity_derivation, ladder,
+                     random_problem, relabelled, solved)
 
 CORPUS_LIMITS = SolveLimits(max_events=200_000, max_nodes=20_000)
 
@@ -151,6 +146,18 @@ def test_projected_replay_refuses_a_dropped_kind_where_its_rule_applies(gt):
         reconstruct(project(gt, palm_profile()), atrace)
     assert atrace.events[37].record.type == "jumpTo"
     assert (err.value.index, err.value.rule, err.value.condition) == (37, "jumpTo", "action outside projection palm")
+
+
+def test_projection_restricts_the_rule_table_alone(gt):
+    # a kept kind keeps its rule object, a dropped kind's rule refuses it, and
+    # a kind with no rule is an unknown rule, as in the unprojected bundle
+    projected = project(gt, palm_profile())
+    assert all(projected.rules[k] is gt.rules[k] for k in projected.action_kinds)
+    for kind, text in (("solved", "action outside projection palm"), ("foo", "unknown rule")):
+        for os in (projected, gt) if kind == "foo" else (projected,):
+            with pytest.raises(TransitionError) as err:
+                os.apply(initial_state(), Action(kind, ("c1",)))
+            assert (err.value.rule, err.value.condition) == (kind, text)
 
 
 def test_projection_audit_on_mapped_palm_traces(gt, palm_virtual):

@@ -386,6 +386,29 @@ def test_unknown_dialect_is_refused_at_its_line(mode):
         parse_trace(body, mode=mode, dialect="foo")
 
 
+@pytest.mark.parametrize("header,late,repeated", [
+    ("# mx: 5", "1[0]newVariable x [0-3]\n2[0]newVariable y [0-mx]\n# mx: 5\n",
+     "# mx: 7\n# mx: 5\n1[0]newVariable x [0-3]\n2[0]newVariable y [0-mx]\n"),
+    ("# dialect: palm", "1[0]newVariable x [0-3]\n# dialect: palm\n2[0]newConstraint c1 element(x,[1,2],x)\n",
+     "# dialect: generic\n# dialect: palm\n1[0]newVariable x [0-3]\n2[0]newConstraint c1 element(x,[1,2],x)\n"),
+], ids=["mx", "dialect"])
+def test_late_or_repeated_header_changes_how_no_line_is_read(header, late, repeated):
+    key = header[2:header.index(":")]
+    for text, problem in ((late, "after the first event line"), (repeated, "repeated")):
+        line = text.splitlines().index(header) + 1
+        with pytest.raises(TraceSyntaxError) as info:
+            parse_trace(text)
+        assert (str(info.value), info.value.line) == (f"{key} header {problem} (line {line})", line)
+        # lenient reading notes the header and reads every line as it would without it
+        doc = parse_trace(text, mode="lenient")
+        without = parse_trace(text.replace(header + "\n", ""), mode="lenient")
+        assert doc.deviations == (f"line {line}: {key} header {problem}, ignored",)
+        assert (doc.events, doc.mx, doc.dialect, doc.header) == (without.events, without.mx, without.dialect,
+                                                                 without.header)
+    assert parse_trace(late, mode="lenient").events[-1] != parse_trace(late.replace(header + "\n", "").replace(
+        "1[0]", header + "\n1[0]"), mode="lenient").events[-1]  # read in front of the events, it would change one
+
+
 NEGATIVE_PROBLEM = "var I -2..1\nvar A -8..6\ncon c1 element(I,[-2,5,-7,3],A)\ncon c2 neq(I,A)\nlabel I,A\n"
 
 

@@ -66,12 +66,15 @@ def test_faithfulness_check_applies_each_rule_once(machine):
     _result, virtual = solved(run, ladder(4))
     calls = 0
 
-    def counting(state, action):
-        nonlocal calls
-        calls += 1
-        return os.apply(state, action)
+    def counting(rule):
+        def count(state, action):
+            nonlocal calls
+            calls += 1
+            return rule(state, action)
+        return count
 
-    assert check_faithful(dataclasses.replace(os, apply=counting), [virtual]).ok
+    rules = {kind: counting(rule) for kind, rule in os.rules.items()}
+    assert check_faithful(dataclasses.replace(os, rules=rules), [virtual]).ok
     assert calls == virtual.size
 
 
@@ -88,14 +91,15 @@ def test_fd_verdict_applies_one_rule_per_event(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [4, 6])
-def test_palm_verdict_applies_three_rules_per_event(monkeypatch, k):
+def test_palm_verdict_applies_two_rules_per_event(monkeypatch, k):
     # check_generic, the route ``gentra check-compliance`` runs, applies each
-    # record's rule in the palm replay, in the projected validate and in
-    # check_simulable; the palm table holds most generic rules as they are
+    # record's rule in the palm replay and in the projected validate;
+    # check_simulable applies none to the trace the palm replay built, whose
+    # rules refine the projected ones
     events = palm_solve(ladder(k)).events
     counter = RuleCalls(monkeypatch, gentra4cp.RULES, palm.PALM_RULES)
     assert check_generic(make_semantics(), palm_process(), events).ok
-    assert counter.calls == 3 * len(events)
+    assert counter.calls == 2 * len(events)
 
 
 @pytest.mark.parametrize("source", ["validate", "palm-reconstruct"])
@@ -108,6 +112,16 @@ def test_faithfulness_check_applies_no_rule_on_traces_its_semantics_built(monkey
     assert virtual.applied_by is os
     counter = RuleCalls(monkeypatch, gentra4cp.RULES, palm.PALM_RULES)
     assert check_faithful(os, [virtual]).ok
+    assert counter.calls == 0
+
+
+def test_simulation_check_applies_no_rule_on_traces_palm_built(monkeypatch):
+    os, events = make_palm_semantics(), palm_solve(ladder(4)).events
+    virtual = reconstruct(os, Trace(palm_initial_state(), tuple(ActualPayload(e) for e in events)))
+    counter = RuleCalls(monkeypatch, gentra4cp.RULES, palm.PALM_RULES)
+    projected = project(make_semantics(), palm_profile())  # its table holds the counting rules
+    report = check_simulable(os, projected, palm_mapping(), [virtual])
+    assert report.ok and report.transitions == len(events)
     assert counter.calls == 0
 
 
@@ -323,14 +337,14 @@ def test_strict_parse_of_emitted_traces_makes_no_token(monkeypatch, source):
         assert parse_trace(text) == doc
 
 
-# At ladder k = 6 the palm verdict (three rule applications per event)
-# takes about 149 line events per event, and the fd verdict (validate and
-# check_faithful, one application) about 80: replay reads, applies and
-# checks each record in its own loop, and check_simulable carries each
-# action and tests its transition in its own.  A slower rule step costs the
-# same per event at every size, so only an absolute bound sees it; each
-# bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 157, "fd": 84}
+# At ladder k = 6 the palm verdict (two rule applications per event: the
+# palm replay and the projected validate; check_simulable accepts the palm
+# replay's steps by construction) takes about 108 line events per event, and
+# the fd verdict (validate and check_faithful, one application) about 80:
+# replay reads, applies and checks each record in its own loop.  A slower
+# rule step costs the same per event at every size, so only an absolute
+# bound sees it; each bound is that count plus about 5%.
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 114, "fd": 84}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])

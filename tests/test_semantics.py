@@ -31,6 +31,9 @@ def _apply(state, action):
     return state + amount if action.kind == "inc" else state - amount
 
 
+COUNTER_RULES = {"inc": _apply, "dec": _apply}
+
+
 def _extract(state, action, successor):
     return (action.kind, successor - state)
 
@@ -48,7 +51,7 @@ def counter_os():
     return ObservationalSemantics(
         name="counter",
         action_kinds=frozenset({"inc", "dec"}),
-        apply=_apply,
+        rules=COUNTER_RULES,
         extract_local=_extract,
         read_action=_read,
         is_initial=lambda s: s == 0,
@@ -60,7 +63,7 @@ def lossy_counter_os():
     return ObservationalSemantics(
         name="lossy-counter",
         action_kinds=frozenset({"inc", "dec"}),
-        apply=_apply,
+        rules=COUNTER_RULES,
         extract_local=lambda s, a, s2: (a.kind, 1 if a.kind == "inc" else -1),
         read_action=_read,
         is_initial=lambda s: s == 0,
@@ -81,7 +84,7 @@ def floored_lossy_counter_os():
     return ObservationalSemantics(
         name="floored-lossy-counter",
         action_kinds=frozenset({"inc", "dec"}),
-        apply=_apply,
+        rules=COUNTER_RULES,
         extract_local=lambda s, a, s2: (a.kind, 1 if a.kind == "inc" else -1),
         read_action=read_action,
         is_initial=lambda s: s == 0,
