@@ -241,6 +241,8 @@ def parse_range(text: str, mx: int = DEFAULT_MX) -> FiniteDomain:
         lo_txt, hi_txt = text.split("..", 1)
         lo = int(lo_txt)
         hi = mx if hi_txt.strip() == "mx" else int(hi_txt)
+        if lo > hi:
+            raise GentraError(f"descending bounds {lo} > {hi}")
         return FiniteDomain.interval(lo, hi)
     value = mx if text == "mx" else int(text)
     return FiniteDomain.interval(value, value)

@@ -19,11 +19,11 @@ named by a ``dialect`` header or by the caller, is refused.
 
 Each event type's attributes and their order are ``gentra4cp.LAYOUT``'s; the
 patterns of canonical lines and the writer are built from it, once per
-dialect, at import.  Strict mode accepts the canonical shapes up to spacing.
-It reads a canonical line by its event type's pattern, without tokens, a
-constraint declaration included; every other line (lenient mode, foreign
-idioms, errors) is read by the tokenizer, which in strict mode must use every
-token, one per attribute (two for a scheduled event).  Lenient mode additionally
+dialect, at import.  Strict mode accepts the canonical shapes up to the spacing
+between attributes.  It reads a canonical line by its event type's pattern; every
+other line (lenient mode, foreign idioms, errors) is read by the tokenizer, whose
+tokens strict mode pairs with the attributes in layout order, each matching its
+attribute's pattern fragment (a scheduled event's two as one).  Lenient mode additionally
 accepts the idioms of existing solver tracers, recording every deviation:
 declaration spill-over onto continuation lines, ``choice point`` as an alias
 for newChild, reduce records without generated events or causes, awake
@@ -52,12 +52,11 @@ from typing import NamedTuple
 from .constraints import ConstraintDecl
 from .errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
 from .fdomain import DEFAULT_MX, FiniteDomain, format_domain, parse_domain, parse_range
-from .gentra4cp import DIALECT_EXTRAS, EVENT_TYPES, LAYOUT, GenericEvent, shape_error
+from .gentra4cp import EVENT_TYPES, LAYOUT, GenericEvent, shape_error
 from .solver import Problem
 from .state import BOTTOM, EVENT_KINDS, SolverEvent
 
 _LINE_RE = re.compile(r"^\s*(\d+)\[(\d+)\]\s*([A-Za-z][\w-]*)\s*(.*)$")
-_STRICT_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _HEADER_RE = re.compile(r"^#\s*([\w-]+)\s*:\s*(.*)$")
 _WORD_RE = re.compile(r"[\w.-]+")
 _INT_RE = re.compile(r"-?\d+")
@@ -214,13 +213,10 @@ _FRAGMENTS = dict(constraint=f"({_NAME})", variable=f"({_NAME})", node=_NODE, no
 # the palm dialect writes its extras, an explanation and a wake kind, on reduce records only
 _PALM_FRAGMENTS = dict(_FRAGMENTS, explanation=rf"expl\{{((?:{_NAME}(?:,{_NAME})*)?)\}}",
                        wake_kind=f"({_KIND}|empty)")
-# per attribute a strict line may carry, the tokens that may fill it: a strict
-# line's tokens fill its record's attributes in layout order (an event takes two)
-_FITS = {**dict.fromkeys(("constraint", "variable", "event"), lambda t: t.kind == "word"),
-         **dict.fromkeys(("node", "node2"), lambda t: t.text.startswith("node(")),
-         "domain": lambda t: t.kind == "domain", "decl": lambda t: t.kind == "call",
-         "cause": lambda t: t.text == "bot" or t.kind == "call", "generated": lambda t: t.text.startswith("gen{"),
-         "explanation": lambda t: t.text.startswith("expl{"), "wake_kind": lambda t: t.text in (*EVENT_KINDS, "empty")}
+# per dialect and attribute, the matcher a strict line's token (a scheduled event's two) must fill
+_TOKEN_MATCH = {dialect: {name: re.compile(fragment).fullmatch for name, fragment in fragments.items()}
+                for dialect, fragments in (("generic", _FRAGMENTS), ("palm", _PALM_FRAGMENTS))}
+_is_name = re.compile(_NAME).fullmatch
 
 
 def _compiled(kind: str, fragments: dict):
@@ -380,18 +376,21 @@ class _EventParser:
             raise TraceShapeError(type_name, problem, line=line_no)
         if self.lenient:
             return ev
-        if self.dialect == "generic":
-            for extra in DIALECT_EXTRAS:
-                if getattr(ev, extra) is not None:
-                    raise TraceShapeError(type_name, f"dialect attribute {extra!r} not allowed here", line=line_no)
-        # one token per attribute the record carries, two for a scheduled event
-        slots = [name for name, _ in LAYOUT[type_name] if getattr(ev, name) is not None]
-        slots += ["event"] * (ev.event is not None)
-        if len(toks) != len(slots):
+        # the record's attributes in layout order, each filled by the next token (a scheduled event, the
+        # last, by two); one its dialect has no fragment for is no attribute of that dialect's lines
+        names = [name for name, _ in LAYOUT[type_name] if getattr(ev, name) is not None]
+        match = _TOKEN_MATCH[self.dialect]
+        for name in names:
+            if name not in match:
+                raise TraceShapeError(type_name, f"dialect attribute {name!r} not allowed here", line=line_no)
+        texts = [tok.text for tok in toks]
+        if len(texts) != len(names) + (ev.event is not None):
             raise TraceShapeError(type_name, "surplus attribute tokens", line=line_no)
-        for tok, name in zip(toks, slots):
-            if not _FITS[name](tok):
-                raise TraceShapeError(type_name, f"expected attribute {name!r}, got {tok.text!r}", line=line_no)
+        if ev.event is not None:
+            texts[-2:] = [" ".join(texts[-2:])]
+        for name, text in zip(names, texts):
+            if not match[name](text):
+                raise TraceShapeError(type_name, f"expected attribute {name!r}, got {text!r}", line=line_no)
         return ev
 
     def _domain(self, text: str, at: int) -> FiniteDomain:
@@ -400,7 +399,7 @@ class _EventParser:
 
     def _ident(self, text: str, line_no: int) -> str:
         """An identifier (or None), noted (refused when strict) unless it is the grammar's IDENT."""
-        if text is not None and not _STRICT_IDENT.match(text):
+        if text is not None and not _is_name(text):
             self.note(line_no, f"irregular identifier {text!r}")
         return text
 

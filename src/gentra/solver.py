@@ -39,6 +39,12 @@ class Problem:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for what, pairs in (("variable", self.variables), ("constraint", self.constraints)):
+            seen = set()
+            for name, _ in pairs:
+                if name in seen:
+                    raise ProblemError(f"{what} {name!r} declared twice")
+                seen.add(name)
         declared = {v for v, _ in self.variables}
         for cid, decl in self.constraints:
             undeclared = [v for v in decl.variables if v not in declared]

@@ -287,6 +287,22 @@ def test_negative_domain_trace_round_trips(runner, tmp_path, palm):
         assert result.exit_code == 0, (command, result.output)
 
 
+@pytest.mark.parametrize("text,error", [
+    ("var x 0..3\nvar x 0..2\nlabel x\n", "variable 'x' declared twice"),
+    ("var x 0..3\ncon c1 eqc(x,1)\ncon c1 eqc(x,2)\nlabel x\n", "constraint 'c1' declared twice"),
+    ("var x 5..1\nlabel x\n", "bad range '5..1': descending bounds 5 > 1 (line 1)"),
+], ids=["var", "con", "descending"])
+@pytest.mark.parametrize("palm", [False, True], ids=["fd", "palm"])
+def test_problem_file_refusals_are_parse_errors(runner, tmp_path, text, error, palm):
+    # a parse error (exit 2) names the problem file's fault, where a solver failure (exit 1) would not
+    path = tmp_path / "bad.prob"
+    path.write_text(text)
+    result = runner.invoke(main, ["solve", str(path)] + ["--palm"] * palm)
+    assert result.exit_code == 2, result.output
+    assert result.output == f"parse error: {error}\n"
+    assert isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize("command", ["validate", "check-compliance", "reconstruct"])
 def test_unknown_dialect_is_a_parse_error(runner, tmp_path, command):
     path = tmp_path / "foo.trace"

@@ -133,3 +133,7 @@ def test_parse_range():
     assert parse_range("2..5") == FiniteDomain.interval(2, 5)
     assert parse_range("[1,3]") == FiniteDomain.of([1, 3])
     assert parse_range("7") == FiniteDomain.of([7])
+    assert parse_range("2..2") == FiniteDomain.of([2])
+    for text in ("5..1", "-1..-3", "4..mx"):
+        with pytest.raises(GentraError, match="descending bounds"):
+            parse_range(text, mx=3)

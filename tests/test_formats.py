@@ -21,13 +21,13 @@ from gentra.formats import (
     serialize_trace,
     strip_origins,
 )
-from gentra.gentra4cp import _SHAPES, EVENT_TYPES, GenericEvent
+from gentra.gentra4cp import _SHAPES, EVENT_TYPES, LAYOUT, GenericEvent
 from gentra.palm import palm_solve
 from gentra.solver import solve
 from gentra.state import SolverEvent
 
 from support import apply_edits, edit_scripts, ladder, random_problem
-from test_golden_traces import GOLDEN, emitted_text
+from test_golden_traces import GOLDEN, RUNS, emitted_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -167,6 +167,32 @@ def test_strict_parsing_refuses_non_canonical_domain_literals(line, literal):
     written = parse_trace(text.replace(literal, canonical))
     assert serialize_trace(written) == text.replace(literal, canonical) + "\n"
     assert parse_trace(text, mode="lenient").events == written.events
+
+
+# strict mode reads each attribute token only as its pattern fragment writes
+# it: spacing inside a token is refused, since the writer would drop it
+INNER_SPACING = [  # the line, its dialect, the attribute, its spaced token, and the token as written
+    ("1[0]reduce c1 x gen{dom(x), min(x)} [0] bot", "generic", "generated", "gen{dom(x), min(x)}",
+     "gen{dom(x),min(x)}"),
+    ("1[0]restore x [0-2] gen{ }", "generic", "generated", "gen{ }", "gen{}"),
+    ("1[0]newConstraint c1 eq(x, y)", "generic", "decl", "eq(x, y)", "eq(x,y)"),
+    ("1[0]newConstraint c1 element0(x, [1,2], y)", "generic", "decl", "element0(x, [1,2], y)", "element0(x,[1,2],y)"),
+    ("1[0]newChild node( 1 )", "generic", "node", "node( 1 )", "node(1)"),
+    ("1[0]awake c1 dom( x )", "generic", "cause", "dom( x )", "dom(x)"),
+    ("1[0]reduce c1 x gen{} [0] bot expl{c1, c1} max", "palm", "explanation", "expl{c1, c1}", "expl{c1,c1}"),
+]
+
+
+@pytest.mark.parametrize("line,dialect,name,spaced,token", INNER_SPACING, ids=[f[3] for f in INNER_SPACING])
+def test_strict_parsing_refuses_spacing_inside_an_attribute(line, dialect, name, spaced, token):
+    kind = line.split("]")[1].split(" ")[0]
+    canonical = line.replace(spaced, token)
+    with pytest.raises(TraceShapeError) as exc:
+        parse_trace(line, dialect=dialect)
+    assert (str(exc.value), exc.value.line) == (f"{kind}: expected attribute {name!r}, got {spaced!r} (line 1)", 1)
+    lenient = parse_trace(line, mode="lenient", dialect=dialect)
+    assert (lenient.events, lenient.deviations) == (parse_trace(canonical, dialect=dialect).events, ())
+    assert serialize_trace(lenient) == canonical + "\n"
 
 
 @pytest.mark.parametrize("mode", ["strict", "lenient"])
@@ -510,6 +536,59 @@ def test_respaced_twin_reads_like_the_canonical_trace(monkeypatch, name, run):
 
 
 @cache
+def golden_records() -> list[tuple[str, str]]:
+    """Each distinct event line of the golden traces, renumbered 1, with its trace's dialect."""
+    records = set()
+    for name, run in GOLDEN:
+        for line in emitted_text(name, run)[1].splitlines():
+            if not line.startswith("#"):
+                records.add((RUNS[run][0], "1" + line[line.index("["):]))
+    return sorted(records)
+
+
+# the attributes whose tokens share a syntax, identifiers and node ids; every
+# other attribute's token has a syntax of its own
+_SYNTAX = dict(constraint="name", variable="name", node="node", node2="node")
+
+
+def _token_syntaxes(ev: GenericEvent) -> list[str]:
+    """The syntax of each token of a record's canonical line, in order; a scheduled event is two tokens."""
+    syntaxes = []
+    for name, _ in LAYOUT[ev.type]:
+        if getattr(ev, name) is not None:
+            syntaxes += ("name", "kind") if name == "event" else (_SYNTAX.get(name, name),)
+    return syntaxes
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_permuted_attribute_tokens_parse_strictly_only_in_layout_order(data):
+    # tokens of one syntax may trade places, which reads another record that is
+    # written back as the permuted line; any other move is refused at its line
+    dialect, line = data.draw(st.sampled_from(golden_records()))
+    head, *tokens = line.split(" ")
+    order = data.draw(st.permutations(range(len(tokens))))
+    permuted = " ".join([head, *(tokens[i] for i in order)])
+    syntax = _token_syntaxes(parse_trace(line, dialect=dialect).events[0])
+    if all(syntax[i] == syntax[j] for i, j in enumerate(order)):
+        assert serialize_trace(parse_trace(permuted, dialect=dialect)) == permuted + "\n"
+    else:
+        with pytest.raises(GentraError) as exc:
+            parse_trace(permuted, dialect=dialect)
+        assert exc.value.line == 1
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_any_spacing_between_attribute_tokens_reads_the_canonical_record(data):
+    dialect, line = data.draw(st.sampled_from(golden_records()))
+    head, *tokens = line.split(" ")
+    gaps = data.draw(st.lists(st.text(" \t", min_size=1, max_size=4), min_size=len(tokens), max_size=len(tokens)))
+    spaced = head + "".join(gap + token for gap, token in zip(gaps, tokens))
+    assert parse_trace(spaced, dialect=dialect).events == parse_trace(line, dialect=dialect).events
+
+
+@cache
 def _element_trace(machine: str) -> str:
     problem = parse_problem((FIXTURES / "element.prob").read_text())
     if machine == "palm":
@@ -579,6 +658,28 @@ def test_one_edit_mutant_keeps_its_parse_error(mutant, error):
     assert outcome == _tokenized_outcome(text)
 
 
+def _token_replacements(machine: str) -> list[str]:
+    """The emitted element trace's event lines, each alone and renumbered 1,
+    with one attribute token replaced by each other token of the trace."""
+    lines = [line.split(" ") for line in _element_trace(machine).splitlines() if not line.startswith("#")]
+    tokens = {token for head, *rest in lines for token in rest}
+    return sorted({" ".join(["1" + head[head.index("["):], *rest[:i], token, *rest[i + 1:]])
+                   for head, *rest in lines for i in range(len(rest)) for token in tokens - {rest[i]}})
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_canonical_reading_agrees_with_the_tokenizer_on_token_replacements(machine):
+    # each text is the edited line alone: the trace's other lines are
+    # canonical and read alike on both paths
+    texts = _token_replacements(machine)
+    options = [dict(mode=mode, dialect=dialect) for mode in ("strict", "lenient") for dialect in ("generic", "palm")]
+    read = [[_outcome(text, **o) for o in options] for text in texts]
+    with mock.patch.multiple(formats, _READERS={}, _PALM_READERS={}):
+        tokenized = [[_outcome(text, **o) for o in options] for text in texts]
+    assert [text for text, a, b in zip(texts, read, tokenized) if a != b] == []
+    assert {isinstance(outcomes[0][0], str) for outcomes in read} == {True, False}  # some refused, some read
+
+
 # problems
 
 
@@ -590,6 +691,18 @@ def test_element_problem_file(element_problem):
 def test_problem_undeclared_variable():
     with pytest.raises(ProblemError):
         parse_problem("var x 0..3\ncon c1 eq(x,zz)")
+
+
+@pytest.mark.parametrize("text,error", [
+    ("var x 0..3\nvar y 0..3\nvar x 0..2\n", "variable 'x' declared twice"),
+    ("var x 0..3\ncon c1 eqc(x,1)\ncon c1 eqc(x,2)\n", "constraint 'c1' declared twice"),
+    ("var x 0..3\nvar y 5..1\n", "bad range '5..1': descending bounds 5 > 1 (line 2)"),
+], ids=["var", "con", "descending"])
+def test_problem_refuses_duplicates_and_descending_ranges(text, error):
+    # each is refused where the problem is read, not left to the solver or read as an empty domain
+    with pytest.raises(ProblemError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == error
 
 
 def test_problem_empty_file():
