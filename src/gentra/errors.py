@@ -72,10 +72,11 @@ class TraceShapeError(GentraError):
 
 
 class ProblemError(GentraError):
-    """Unparseable or semantically ill-formed problem text."""
+    """Unparseable or semantically ill-formed problem text; ``entry`` names a built problem's faulty (field, index)."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, entry=None):
         self.line = line
+        self.entry = entry
         where = "" if line is None else f" (line {line})"
         super().__init__(message + where)
 

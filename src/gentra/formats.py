@@ -7,10 +7,11 @@ Trace grammar (canonical form, one event per line):
     domain  := "[" part ("," part)* "]"        part := INT | INT "-" (INT|"mx")
     event   := "bot" | KIND "(" IDENT ")"      KIND := dom|min|max|val
     block   := ("gen"|"expl") "{" item ("," item)* "}" | ("gen"|"expl") "{}"
-    INT     := "-"? NAT
+    NAT     := "0" | [1-9] DIGIT*              INT  := "0" | "-"? [1-9] DIGIT*
 
 Both bounds of a domain part are signed: -2..1 is written ``-2-1`` and
--3..-1 is ``-3--1``.
+-3..-1 is ``-3--1``.  Lenient mode also reads a number with leading zeros,
+or 0 written ``-0``.
 The chrono numbers must increase by one from the first line (any start).
 Header lines ``# key: value`` may precede the events; a ``dialect`` or ``mx``
 header after the first event line, or a second one, is refused in strict mode
@@ -56,7 +57,12 @@ from .gentra4cp import EVENT_TYPES, LAYOUT, GenericEvent, shape_error
 from .solver import Problem
 from .state import BOTTOM, EVENT_KINDS, SolverEvent
 
-_LINE_RE = re.compile(r"^\s*(\d+)\[(\d+)\]\s*([A-Za-z][\w-]*)\s*(.*)$")
+# integers as the writer writes them: no leading zero, and no minus sign on 0
+_NAT, _INT = r"(?:0|[1-9]\d*)", r"(?:0|-?[1-9]\d*)"
+_LINE = r"^\s*({0})\[({0})\]\s*([A-Za-z][\w-]*)\s*(.*)$"  # an event line, with {0} its chrono and depth numbers
+_LINE_RE = re.compile(_LINE.format(r"\d+"))
+# per mode, the event-line matcher: strict mode reads a chrono and a depth only as the writer writes them
+_LINE_MATCH = {"lenient": _LINE_RE.match, "strict": re.compile(_LINE.format(_NAT)).match}
 _HEADER_RE = re.compile(r"^#\s*([\w-]+)\s*:\s*(.*)$")
 _WORD_RE = re.compile(r"[\w.-]+")
 _INT_RE = re.compile(r"-?\d+")
@@ -204,9 +210,9 @@ def _render_event_token(ev: SolverEvent) -> str:
 # canonical lines: per attribute, a pattern fragment whose one group captures
 # the text its reader reads; a source-name alias and a declaration that is not
 # canonical have none, and are read by the tokenizer only
-_NAME, _KIND, _PART = r"[A-Za-z_][A-Za-z0-9_]*", "|".join(EVENT_KINDS), r"-?\d+(?:-(?:-?\d+|mx))?"
-_EVENT, _NODE = rf"(?:{_KIND})\({_NAME}\)", r"node\((\d+)\)"
-_DECL = rf"element0?\({_NAME},\[-?\d+(?:,-?\d+)*\],{_NAME}\)|n?eq\({_NAME},{_NAME}\)|eqc\({_NAME},-?\d+\)"
+_NAME, _KIND, _PART = r"[A-Za-z_][A-Za-z0-9_]*", "|".join(EVENT_KINDS), rf"{_INT}(?:-(?:{_INT}|mx))?"
+_EVENT, _NODE = rf"(?:{_KIND})\({_NAME}\)", rf"node\(({_NAT})\)"
+_DECL = rf"element0?\({_NAME},\[{_INT}(?:,{_INT})*\],{_NAME}\)|n?eq\({_NAME},{_NAME}\)|eqc\({_NAME},{_INT}\)"
 _FRAGMENTS = dict(constraint=f"({_NAME})", variable=f"({_NAME})", node=_NODE, node2=_NODE,
                   domain=rf"(\[(?:{_PART}(?:,{_PART})*)?\])", generated=rf"gen\{{((?:{_EVENT}(?:,{_EVENT})*)?)\}}",
                   cause=f"({_EVENT}|bot)", event=f"({_NAME} (?:{_KIND}))", decl=f"({_DECL})")
@@ -562,18 +568,17 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
     first event line may override ``dialect`` and ``mx``, once each; a later
     or second one is an error, or in lenient mode a deviation it is ignored for.
     """
-    if mode not in ("strict", "lenient"):
+    match_line = _LINE_MATCH.get(mode)
+    if match_line is None:
         raise TraceSyntaxError(f"unknown mode {mode!r}")
     if dialect not in _DIALECTS:
         raise TraceSyntaxError(f"unknown dialect {dialect!r}")
-    header: list[tuple[str, str]] = []
-    logical: list[tuple[int, str]] = []
-    notes: list[str] = []
+    header, logical, notes = [], [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line:
             continue
-        m = _LINE_RE.match(line)
+        m = match_line(line)
         if m:
             logical.append((line_no, line, m))
         elif line.lstrip().startswith("#"):
@@ -597,6 +602,11 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
                     except ValueError:
                         raise TraceSyntaxError(f"mx header is not an integer: {value!r}", line=line_no) from None
         else:
+            m = _LINE_RE.match(line)  # strict mode only: an event line with a number the writer would not write
+            if m:
+                at = 1 if m.group(1) != str(int(m.group(1))) else 2
+                raise TraceSyntaxError(f"non-canonical {('chrono', 'depth')[at - 1]} {m.group(at)!r}; canonical "
+                                       f"form is {str(int(m.group(at)))!r}", line_no, m.start(at) + 1)
             if not logical:
                 raise TraceSyntaxError("line does not start with a chrono token", line=line_no)
             if mode != "lenient":
@@ -719,11 +729,10 @@ def diff_events(a, b, limit: int = 25) -> list[str]:
 
 
 def parse_problem(text: str, mx: int = DEFAULT_MX) -> Problem:
-    """Parse a problem file; raises ProblemError with the offending line."""
-    variables: list[tuple[str, FiniteDomain]] = []
-    constraints: list[tuple[str, ConstraintDecl]] = []
-    branches: list[tuple[ConstraintDecl, ...]] = []
-    labels: list[str] = []
+    """Parse a problem file; raises ProblemError with the offending line (for
+    an error of the problem's own check, the line of the entry it names)."""
+    entries: dict[str, list] = {field: [] for field in ("variables", "constraints", "branches", "labels")}
+    lines: dict[str, list[int]] = {field: [] for field in entries}  # per field of the problem, each entry's line
 
     def decl_or_fail(text_, line_no):
         try:
@@ -745,14 +754,14 @@ def parse_problem(text: str, mx: int = DEFAULT_MX) -> Problem:
             if len(sub) != 2:
                 raise ProblemError("expected: var NAME RANGE", line=line_no)
             try:
-                variables.append((sub[0], parse_range(sub[1], mx)))
+                entries["variables"].append((sub[0], parse_range(sub[1], mx)))
             except Exception as exc:
                 raise ProblemError(f"bad range {sub[1]!r}: {exc}", line=line_no)
         elif keyword == "con":
             sub = rest.split(None, 1)
             if len(sub) != 2:
                 raise ProblemError("expected: con ID CONSTRAINT", line=line_no)
-            constraints.append((sub[0], decl_or_fail(sub[1], line_no)))
+            entries["constraints"].append((sub[0], decl_or_fail(sub[1], line_no)))
         elif keyword == "branch":
             body = rest.strip()
             if not (body.startswith("(") and body.endswith(")")):
@@ -760,11 +769,16 @@ def parse_problem(text: str, mx: int = DEFAULT_MX) -> Problem:
             alts = tuple(decl_or_fail(alt, line_no) for alt in _split_top(body[1:-1], "|"))
             if not alts:
                 raise ProblemError("empty disjunction", line=line_no)
-            branches.append(alts)
+            entries["branches"].append(alts)
         elif keyword == "label":
-            labels.extend(v.strip() for v in rest.split(",") if v.strip())
+            entries["labels"].extend(v.strip() for v in rest.split(",") if v.strip())
         else:
             raise ProblemError(f"unknown directive {keyword!r}", line=line_no)
+        for field, read in entries.items():
+            lines[field] += [line_no] * (len(read) - len(lines[field]))
 
-    return Problem(variables=tuple(variables), constraints=tuple(constraints),
-                   branches=tuple(branches), labels=tuple(labels))
+    try:
+        return Problem(**{field: tuple(read) for field, read in entries.items()})
+    except ProblemError as exc:
+        field, i = exc.entry
+        raise ProblemError(str(exc), line=lines[field][i]) from None

@@ -39,25 +39,27 @@ class Problem:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for what, pairs in (("variable", self.variables), ("constraint", self.constraints)):
+        for what in ("variable", "constraint"):
             seen = set()
-            for name, _ in pairs:
+            for i, (name, _) in enumerate(getattr(self, what + "s")):
                 if name in seen:
-                    raise ProblemError(f"{what} {name!r} declared twice")
+                    raise ProblemError(f"{what} {name!r} declared twice", entry=(what + "s", i))
                 seen.add(name)
         declared = {v for v, _ in self.variables}
-        for cid, decl in self.constraints:
+        for i, (cid, decl) in enumerate(self.constraints):
             undeclared = [v for v in decl.variables if v not in declared]
             if undeclared:
-                raise ProblemError(f"constraint {cid} uses undeclared variables {undeclared}")
-        for alts in self.branches:
+                raise ProblemError(f"constraint {cid} uses undeclared variables {undeclared}",
+                                   entry=("constraints", i))
+        for i, alts in enumerate(self.branches):
             for decl in alts:
                 undeclared = [v for v in decl.variables if v not in declared]
                 if undeclared:
-                    raise ProblemError(f"branch constraint uses undeclared variables {undeclared}")
-        for v in self.labels:
+                    raise ProblemError(f"branch constraint uses undeclared variables {undeclared}",
+                                       entry=("branches", i))
+        for i, v in enumerate(self.labels):
             if v not in declared:
-                raise ProblemError(f"label directive names undeclared variable {v!r}")
+                raise ProblemError(f"label directive names undeclared variable {v!r}", entry=("labels", i))
 
     def rebased(self, index_base: int) -> "Problem":
         """The same problem with element constraints read under another index base."""

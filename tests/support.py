@@ -215,9 +215,8 @@ def solved(solve_fn: Callable, problem: Problem, **kwargs):
     return result, Trace.built_by(os, initial_state(), tuple(steps))
 
 
-def benchmark_corpus(seed: int, count: int) -> list[Problem]:
-    """The first ``count`` problems of the benchmark's ``corpus-short``
-    workload for ``seed`` (``perfbench/inputs.py``), read from their text."""
+def benchmark_inputs():
+    """The benchmark's input module, ``perfbench/inputs.py``, loaded once."""
     name = "perfbench_inputs"
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / "perfbench" / "inputs.py")
@@ -227,7 +226,13 @@ def benchmark_corpus(seed: int, count: int) -> list[Problem]:
             spec.loader.exec_module(module)
         finally:
             sys.dont_write_bytecode = writes
-    return [parse_problem(p.text) for p in sys.modules[name].corpus(random.Random(seed))[:count]]
+    return sys.modules[name]
+
+
+def benchmark_corpus(seed: int, count: int) -> list[Problem]:
+    """The first ``count`` problems of the benchmark's ``corpus-short``
+    workload for ``seed``, read from their text."""
+    return [parse_problem(p.text) for p in benchmark_inputs().corpus(random.Random(seed))[:count]]
 
 
 def solutions_as_set(result) -> set:

@@ -8,7 +8,6 @@ import pytest
 
 from gentra.abstraction import (
     ParamProjection,
-    ProcessSpec,
     StateMapping,
     palm_mapping,
     audit_projection,
@@ -19,7 +18,6 @@ from gentra.abstraction import (
     identity_projection,
     map_palm_state,
     palm_event_to_generic,
-    palm_process,
     palm_profile,
     palm_to_generic,
     project,
@@ -390,71 +388,34 @@ def test_palm_to_generic_rejects_foreign_kinds(fd_run):
 # compliance
 
 
-def fd_process(gt, **changes):
-    spec = ProcessSpec("fd", gt, identity_projection(gt), identity_mapping(gt), lambda evs: evs)
-    return dataclasses.replace(spec, **changes)
-
-
 def _fails(report):
     return [line for line in report.lines if line.startswith("FAIL")]
 
 
 def test_compliance_three_scenarios(gt, fd_run, palm_run):
-    fd = check_generic(gt, fd_process(gt, name="fd-identity"), fd_run.events)
-    assert fd.ok and fd.lines[0] == f"PASS fd-identity replay events={len(fd_run.events)}"
-    assert fd.lines[-1] == "PASS compliance"
-    palm = check_generic(gt, palm_process(), palm_run.events)
+    palm_os = make_palm_semantics()
+    palm = check_generic(gt, palm_os, palm_run.events)
     assert palm.ok and not _fails(palm)
-    unprojected = dataclasses.replace(palm_process(), name="palm-unprojected",
-                                      projection=identity_projection(gt))
-    report = check_generic(gt, unprojected, palm_run.events)
-    assert not report.ok
-    assert any("jumpTo" in line and "solved" in line for line in _fails(report))
-    assert report.lines[-1] == "FAIL compliance"
-
-
-# each place check_generic stops or fails, tripped alone
-
-
-def test_compliance_invalid_projection_stops_the_check(gt, fd_run):
-    # current_event is updated from pending, so pending cannot be dropped alone
-    no_pending = ParamProjection("no-pending", frozenset(gt.parameters) - {"pending"},
-                                 frozenset(gt.action_kinds))
-    report = check_generic(gt, fd_process(gt, projection=no_pending), fd_run.events)
-    assert not report.ok
-    assert report.lines == ("FAIL compliance fd: invalid projection: kept parameter "
-                            "'current_event' depends on dropped ['pending']",)
+    assert palm.lines[0] == f"PASS palm replay events={len(palm_run.events)}"
+    assert palm.lines[-1] == "PASS compliance"
+    # a trace of the fd machine jumps: the palm rules refuse it at its first reduce, which carries no explanation
+    fd = check_generic(gt, palm_os, fd_run.events)
+    assert not fd.ok and fd.lines == ("FAIL replay under the palm rules: reduce: reduce record carries no "
+                                      f"explanation at event {[e.type for e in fd_run.events].index('reduce')}",)
+    # the strict reduce rule is not the rule palm's reduce refines
+    strict = check_generic(make_semantics(strict_reduce=True), palm_os, palm_run.events)
+    assert strict.lines == ("FAIL compliance palm: its rules are not a refinement of the gentra4cp-strict rules",)
+    assert not strict.ok
 
 
 def test_compliance_replay_failure_on_a_record_depth_stops_the_check(gt, palm_run):
     events = list(palm_run.events)
     i = next(i for i, ev in enumerate(events) if ev.type == "reduce")
     events[i] = events[i]._replace(depth=events[i].depth + 1)
-    report = check_generic(gt, palm_process(), events)
+    report = check_generic(gt, make_palm_semantics(), events)
     assert not report.ok
     assert report.lines == (f"FAIL replay under the palm rules: reduce: depth {events[i].depth} "
                             f"!= current node depth {events[i].depth - 1} at event {i}",)
-
-
-def test_compliance_map_failure_stops_the_check(gt, fd_run):
-    report = check_generic(gt, fd_process(gt, map_events=palm_to_generic), fd_run.events)
-    assert not report.ok
-    assert report.lines == (f"PASS fd replay events={len(fd_run.events)}",
-                            "FAIL map-fd: jumpTo has no counterpart in the mapped profile")
-
-
-def test_compliance_validate_failure_keeps_the_simulation_verdict(gt, fd_run):
-    def drop_first_reduce(events):
-        i = next(i for i, ev in enumerate(events) if ev.type == "reduce")
-        return events[:i] + events[i + 1:]
-
-    report = check_generic(gt, fd_process(gt, map_events=drop_first_reduce), fd_run.events)
-    assert not report.ok
-    fails = _fails(report)
-    assert fails[0].startswith("FAIL validate event=")
-    assert fails[1].startswith("FAIL validate events=")
-    assert fails[2:] == ["FAIL compliance"]
-    assert any(line.startswith("PASS simulate identity") for line in report.lines)
 
 
 # commutation

@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gentra import formats
 from gentra.constraints import ConstraintDecl
@@ -166,6 +166,33 @@ def test_strict_parsing_refuses_non_canonical_domain_literals(line, literal):
     assert _outcome(text) == _tokenized_outcome(text) == ("TraceSyntaxError", error, 2, column)
     written = parse_trace(text.replace(literal, canonical))
     assert serialize_trace(written) == text.replace(literal, canonical) + "\n"
+    assert parse_trace(text, mode="lenient").events == written.events
+
+
+# strict mode reads a number only as the writer writes it, with no leading
+# zero and no minus sign on 0: in a chrono, a depth, a node id or a
+# declaration's constant or value list
+NON_CANONICAL_NUMBERS = [  # the line, its canonical form, and the strict error
+    ("01[0]post c1", "1[0]post c1", "non-canonical chrono '01'; canonical form is '1' (line 2, col 1)"),
+    ("1[00]post c1", "1[0]post c1", "non-canonical depth '00'; canonical form is '0' (line 2, col 3)"),
+    ("1[0]newChild node(01)", "1[0]newChild node(1)", "newChild: expected attribute 'node', got 'node(01)' (line 2)"),
+    ("1[0]newConstraint c1 eqc(x,01)", "1[0]newConstraint c1 eqc(x,1)",
+     "newConstraint: expected attribute 'decl', got 'eqc(x,01)' (line 2)"),
+    ("1[0]newConstraint c1 eqc(x,-0)", "1[0]newConstraint c1 eqc(x,0)",
+     "newConstraint: expected attribute 'decl', got 'eqc(x,-0)' (line 2)"),
+    ("1[0]newConstraint c1 element(x,[01,2],y)", "1[0]newConstraint c1 element(x,[1,2],y)",
+     "newConstraint: expected attribute 'decl', got 'element(x,[01,2],y)' (line 2)"),
+]
+
+
+@pytest.mark.parametrize("line,canonical,error", NON_CANONICAL_NUMBERS, ids=[c[0] for c in NON_CANONICAL_NUMBERS])
+def test_strict_parsing_refuses_non_canonical_numbers(line, canonical, error):
+    text = "# solver: fd\n" + line
+    outcome = _outcome(text)
+    assert outcome[1] == error and outcome[2] == 2
+    assert outcome == _tokenized_outcome(text)
+    written = parse_trace("# solver: fd\n" + canonical)
+    assert serialize_trace(written) == "# solver: fd\n" + canonical + "\n"
     assert parse_trace(text, mode="lenient").events == written.events
 
 
@@ -694,8 +721,8 @@ def test_problem_undeclared_variable():
 
 
 @pytest.mark.parametrize("text,error", [
-    ("var x 0..3\nvar y 0..3\nvar x 0..2\n", "variable 'x' declared twice"),
-    ("var x 0..3\ncon c1 eqc(x,1)\ncon c1 eqc(x,2)\n", "constraint 'c1' declared twice"),
+    ("var x 0..3\nvar y 0..3\nvar x 0..2\n", "variable 'x' declared twice (line 3)"),
+    ("var x 0..3\ncon c1 eqc(x,1)\ncon c1 eqc(x,2)\n", "constraint 'c1' declared twice (line 3)"),
     ("var x 0..3\nvar y 5..1\n", "bad range '5..1': descending bounds 5 > 1 (line 2)"),
 ], ids=["var", "con", "descending"])
 def test_problem_refuses_duplicates_and_descending_ranges(text, error):
@@ -760,6 +787,18 @@ EDIT_CHARS = sorted(set("".join(near_miss_sources())) | set("\t\r\x00{}()|;:=#-+
 edits = edit_scripts(EDIT_CHARS)
 
 
+def leading_zero_examples(test):
+    """``test`` with examples that write a number of the emitted trace with a
+    leading zero: the first event line's chrono and depth, a node id and an
+    element value."""
+    text = near_miss_sources()[3]
+    first = text.index("\n1[") + 1
+    for at in (first, first + 2, text.index("node(") + 5, text.index(",[") + 2):
+        test = example(3, [(at, "insert", "0")])(test)
+    return test
+
+
+@leading_zero_examples
 @settings(deadline=None)
 @given(st.integers(0, 3), edits)
 def test_parsers_raise_only_gentra_errors_on_near_misses(source, script):
@@ -774,6 +813,7 @@ def test_parsers_raise_only_gentra_errors_on_near_misses(source, script):
             pass
 
 
+@leading_zero_examples
 @settings(deadline=None)
 @given(st.integers(1, 3), edits)
 def test_canonical_reading_agrees_with_the_tokenizer_on_near_misses(source, script):

@@ -10,6 +10,7 @@ from gentra.abstraction import palm_profile, project
 from gentra.constraints import ConstraintDecl
 from gentra.errors import ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain, full_domain, parse_domain
+from gentra.formats import parse_trace
 from gentra.gentra4cp import (
     ARG_DEFAULTS,
     ARGS,
@@ -506,6 +507,17 @@ def test_replay_applies_each_rule_once(monkeypatch, machine):
 
 def test_faithfulness_on_element_run(element_virtual):
     assert check_faithful(make_semantics(), [element_virtual]).ok
+
+
+def test_a_parsed_trace_that_validates_can_fail_faithfulness():
+    # the second reduce lists dom(x), which the first left pending: the rule
+    # drops it, so extraction never writes it and the read-back differs there
+    text = ("1[0]newVariable x [0-3]\n2[0]newConstraint c1 eqc(x,1)\n3[0]post c1\n"
+            "4[0]reduce c1 x gen{dom(x)} [0] bot\n5[0]reduce c1 x gen{dom(x)} [2-3] bot\n6[0]suspend c1\n")
+    report = validate(parse_trace(text).events)
+    assert report.ok and report.guard_report.guards == ("g3",)
+    assert check_faithful(make_semantics(), [report.virtual]).lines() == [
+        "FAIL faithfulness trace=0 divergence=4", "FAIL faithfulness traces=1"]
 
 
 def test_dual_faithfulness_on_emitted_trace(element_virtual):

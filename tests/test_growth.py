@@ -15,8 +15,7 @@ from unittest import mock
 import pytest
 
 from gentra import formats, gentra4cp, palm, state
-from gentra.abstraction import (check_generic, check_simulable, palm_mapping, palm_process, palm_profile,
-                                palm_to_generic, project)
+from gentra.abstraction import check_generic, check_simulable, palm_mapping, palm_profile, palm_to_generic, project
 from gentra.errors import ReconstructionError
 from gentra.formats import document_for_events, parse_trace, serialize_trace
 from gentra.gentra4cp import GUARD_NAMES, ValidationError, make_semantics, validate
@@ -91,15 +90,14 @@ def test_fd_verdict_applies_one_rule_per_event(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [4, 6])
-def test_palm_verdict_applies_two_rules_per_event(monkeypatch, k):
+def test_palm_verdict_applies_one_rule_per_event(monkeypatch, k):
     # check_generic, the route ``gentra check-compliance`` runs, applies each
-    # record's rule in the palm replay and in the projected validate;
-    # check_simulable applies none to the trace the palm replay built, whose
-    # rules refine the projected ones
+    # record's rule once, in the palm replay: palm's rules refine the generic
+    # ones, so no mapped replay or simulation check applies them again
     events = palm_solve(ladder(k)).events
     counter = RuleCalls(monkeypatch, gentra4cp.RULES, palm.PALM_RULES)
-    assert check_generic(make_semantics(), palm_process(), events).ok
-    assert counter.calls == 2 * len(events)
+    assert check_generic(make_semantics(), make_palm_semantics(), events).ok
+    assert counter.calls == len(events)
 
 
 @pytest.mark.parametrize("source", ["validate", "palm-reconstruct"])
@@ -139,7 +137,7 @@ def test_verdicts_and_solves_read_arguments_by_position(monkeypatch):
     fd, palm_run = solve(problem), palm_solve(problem)
     report = validate(fd.events)
     assert report.ok and check_faithful(make_semantics(), [report.virtual]).ok
-    assert check_generic(make_semantics(), palm_process(), palm_run.events).ok
+    assert check_generic(make_semantics(), make_palm_semantics(), palm_run.events).ok
 
 
 def _pipeline_verdicts(problem):
@@ -337,21 +335,21 @@ def test_strict_parse_of_emitted_traces_makes_no_token(monkeypatch, source):
         assert parse_trace(text) == doc
 
 
-# At ladder k = 6 the palm verdict (two rule applications per event: the
-# palm replay and the projected validate; check_simulable accepts the palm
-# replay's steps by construction) takes about 108 line events per event, and
-# the fd verdict (validate and check_faithful, one application) about 80:
-# replay reads, applies and checks each record in its own loop.  A slower
-# rule step costs the same per event at every size, so only an absolute
-# bound sees it; each bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 114, "fd": 84}
+# At ladder k = 6 the palm verdict (one rule application per event, in the
+# palm replay, whose rules refine the generic ones; the projected validate
+# and check_simulable it also ran took 108) takes about 58.5 line events per
+# event, and the fd verdict (validate and check_faithful, one application)
+# about 80: replay reads, applies and checks each record in its own loop.  A
+# slower rule step costs the same per event at every size, so only an
+# absolute bound sees it; each bound is that count plus about 5%.
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 62, "fd": 84}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
 def test_verdict_rule_steps_stay_within_their_line_events(machine):
     if machine == "palm":
         events = palm_solve(ladder(6)).events
-        lines, ok = _line_events(lambda: check_generic(make_semantics(), palm_process(), events).ok)
+        lines, ok = _line_events(lambda: check_generic(make_semantics(), make_palm_semantics(), events).ok)
     else:
         events = solve(ladder(6)).events
 

@@ -242,11 +242,14 @@ def test_search_depth_is_not_bounded_by_the_python_stack():
 
 
 def test_problem_validation_errors():
-    with pytest.raises(ProblemError):
+    # a problem built in code has no lines: its error names the entry at fault
+    with pytest.raises(ProblemError) as exc:
         Problem(variables=(("x", FiniteDomain.of([1])),),
-                constraints=(("c1", ConstraintDecl.eq("x", "zz")),))
-    with pytest.raises(ProblemError):
+                constraints=(("c0", ConstraintDecl.eqc("x", 1)), ("c1", ConstraintDecl.eq("x", "zz"))))
+    assert (str(exc.value), exc.value.entry) == ("constraint c1 uses undeclared variables ['zz']", ("constraints", 1))
+    with pytest.raises(ProblemError) as exc:
         Problem(labels=("nope",))
+    assert (exc.value.line, exc.value.entry) == (None, ("labels", 0))
 
 
 def test_determinism():
