@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GentraError, MappingError, ProjectionError, ReconstructionError, TransitionError
-from .gentra4cp import ARGS, GUARD_NAMES, GenericEvent, check_guards, get_parameter, make_semantics, reset_parameters
-from .palm import PALM_KINDS, make_palm_semantics, map_palm_state  # noqa: F401 (map_palm_state: re-exported)
+from .gentra4cp import (ARGS, GUARD_NAMES, RULES, GenericEvent, GuardReport, get_parameter, make_semantics,
+                        reset_parameters)
+from .palm import PALM_RULES, make_palm_semantics, map_palm_state  # noqa: F401 (map_palm_state: re-exported)
 from .semantics import Action, ObservationalSemantics, extract, first_divergence, reconstruct, replay_records
 from .state import initial_state
 from .trace import Trace, VirtualPayload, _actual_payloads, _payload
@@ -76,21 +77,17 @@ def check_projection(os: ObservationalSemantics, proj: ParamProjection) -> None:
 def project(os: ObservationalSemantics, proj: ParamProjection) -> ObservationalSemantics:
     """The semantics restricted to a valid projection.
 
-    Only the rule table changes: a dropped action kind's rule refuses it,
-    so replaying a record of a dropped kind fails where its rule would apply;
-    a kept kind keeps its rule itself.  On the states it is used for, dropped
-    parameters hold their initial values, so no further state surgery is required.
+    Only the rule table changes: it keeps the rules of the kept kinds
+    themselves, and a dropped kind has no rule, so replaying a record of a
+    dropped kind fails where its rule would apply, as ``event type outside
+    the profile``.  On the states it is used for, dropped parameters hold
+    their initial values, so no further state surgery is required.
     """
     check_projection(os, proj)
-
-    def outside(state, action):
-        raise TransitionError(action.kind, f"action outside projection {proj.name}")
-
     return replace(
         os,
         name=f"{os.name}/{proj.name}",
-        action_kinds=frozenset(proj.kept_kinds),
-        rules={k: rule if k in proj.kept_kinds else outside for k, rule in os.rules.items()},
+        rules={k: rule for k, rule in os.rules.items() if k in proj.kept_kinds},
         parameters=tuple(p for p in os.parameters if p in proj.kept_params),
         param_deps={k: v for k, v in os.param_deps.items() if k in proj.kept_params},
         action_writes={k: v for k, v in os.action_writes.items() if k in proj.kept_kinds},
@@ -303,13 +300,13 @@ def check_simulable(os_c: ObservationalSemantics, os_d: ObservationalSemantics,
 
 
 def palm_profile() -> ParamProjection:
-    """The generic format restricted for the explanation-based machine:
-    no jump rule, no solved rule, and no solved-constraint parameter."""
-    os = make_semantics()
+    """The generic format restricted for the explanation-based machine: the
+    kinds of the palm rule table (no jump rule, no solved rule), and no
+    solved-constraint parameter."""
     return ParamProjection(
         name="palm",
-        kept_params=frozenset(os.parameters) - {"solved"},
-        kept_kinds=frozenset(os.action_kinds) - {"jumpTo", "solved"},
+        kept_params=frozenset(make_semantics().parameters) - {"solved"},
+        kept_kinds=make_palm_semantics().action_kinds,
     )
 
 
@@ -326,8 +323,8 @@ def palm_event_to_generic(ev: GenericEvent) -> GenericEvent:
 
     A record that carries none is returned as it is.
     """
-    if ev.type not in PALM_KINDS:
-        if ev.type in ("jumpTo", "solved"):
+    if ev.type not in PALM_RULES:
+        if ev.type in RULES:
             raise MappingError(f"{ev.type} has no counterpart in the mapped profile")
         raise MappingError(f"unknown event type {ev.type!r}")
     if ev.explanation is None and ev.wake_kind is None and ev.var_alias is None:
@@ -349,29 +346,34 @@ class ComplianceReport(NamedTuple):
 
 def check_generic(gt_os: ObservationalSemantics, os: ObservationalSemantics,
                   events: Iterable[GenericEvent]) -> ComplianceReport:
-    """Check one emitted trace of a process, whose bundle ``os`` must refine the very rules ``gt_os`` applies.
+    """Check one emitted trace of a process, whose bundle ``os`` must refine the very rules ``gt_os`` applies
+    and carry every guard.
 
-    The records replay once under ``os``'s rules, and every guard is evaluated
-    on that replay's states.  Each replayed step is a format step under the
-    refinement's maps, and each record reads in the mapped state as the
-    mapped action with the same depth check (``tests/test_refinement.py``
-    pins both), so the mapped records would replay under the format with the
-    same guard verdicts and the simulation would hold.  A bundle that does
-    not refine, or a record that does not replay, stops the check.
+    The records replay once under ``os``'s rules.  Each replayed step is a
+    format step under the refinement's maps, and each record reads in the
+    mapped state as the mapped action with the same depth check, so the
+    mapped records would replay under the format and the simulation would
+    hold; a carried guard's tests (``os.refines.guards``) are conditions of
+    its kind's rule, so every step the replay accepts keeps it
+    (``tests/test_refinement.py`` pins all three).  A bundle that does not
+    refine or carry every guard, or a record that does not replay, stops
+    the check.
     """
     if not _refinement_of(os, gt_os):
         return ComplianceReport(False, (f"FAIL compliance {os.name}: its rules are not a refinement "
                                         f"of the {gt_os.name} rules",))
-    start = initial_state()
+    uncarried = [g for g in GUARD_NAMES if g not in os.refines.guards]
+    if uncarried:
+        return ComplianceReport(False, (f"FAIL compliance {os.name}: its rules do not carry the guards "
+                                        f"{','.join(uncarried)}",))
     try:
-        virtual = Trace.built_by(os, start, replay_records(os, start, events))
+        replayed = len(replay_records(os, initial_state(), events))
     except GentraError as exc:
         return ComplianceReport(False, (f"FAIL replay under the {os.name} rules: {exc}",))
-    guards = check_guards(virtual, GUARD_NAMES)
-    return ComplianceReport(guards.ok, (
-        f"PASS {os.name} replay events={virtual.size}",
+    return ComplianceReport(True, (
+        f"PASS {os.name} replay events={replayed}",
         f"PASS {os.name} rules refine the {gt_os.name} rules (properties pinned in tests/test_refinement.py)",
-        *guards.lines(), f"{'PASS' if guards.ok else 'FAIL'} compliance"))
+        *GuardReport(GUARD_NAMES, replayed, ()).lines(), "PASS compliance"))
 
 
 # the translation-square check between two faithful levels

@@ -29,8 +29,8 @@ accepts the idioms of existing solver tracers, recording every deviation:
 declaration spill-over onto continuation lines, ``choice point`` as an alias
 for newChild, reduce records without generated events or causes, awake
 causes written ``(v,max)``, trailing wake-kind tokens, a missing node id on
-failure, extra source-name tokens on newVariable, and dash-bearing
-identifiers.
+failure, a bare node id (``newChild 3``), extra source-name tokens on
+newVariable, and dash-bearing identifiers.
 
 The palm dialect keeps explanation blocks and wake-kind annotations and
 reads the element constraint 0-based.
@@ -54,7 +54,7 @@ from .constraints import ConstraintDecl
 from .errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
 from .fdomain import DEFAULT_MX, FiniteDomain, format_domain, parse_domain, parse_range
 from .gentra4cp import EVENT_TYPES, LAYOUT, GenericEvent, shape_error
-from .solver import Problem
+from .solver import Problem, problem_faults
 from .state import BOTTOM, EVENT_KINDS, SolverEvent
 
 # integers as the writer writes them: no leading zero, and no minus sign on 0
@@ -730,7 +730,7 @@ def diff_events(a, b, limit: int = 25) -> list[str]:
 
 def parse_problem(text: str, mx: int = DEFAULT_MX) -> Problem:
     """Parse a problem file; raises ProblemError with the offending line (for
-    an error of the problem's own check, the line of the entry it names)."""
+    the problem's own checks, the earliest line of an entry at fault)."""
     entries: dict[str, list] = {field: [] for field in ("variables", "constraints", "branches", "labels")}
     lines: dict[str, list[int]] = {field: [] for field in entries}  # per field of the problem, each entry's line
 
@@ -777,8 +777,10 @@ def parse_problem(text: str, mx: int = DEFAULT_MX) -> Problem:
         for field, read in entries.items():
             lines[field] += [line_no] * (len(read) - len(lines[field]))
 
-    try:
-        return Problem(**{field: tuple(read) for field, read in entries.items()})
-    except ProblemError as exc:
-        field, i = exc.entry
-        raise ProblemError(str(exc), line=lines[field][i]) from None
+    fields = {field: tuple(read) for field, read in entries.items()}
+    # the fault on the earliest line, the first in the order of the checks among those of one line
+    fault = min(problem_faults(**fields), key=lambda exc: lines[exc.entry[0]][exc.entry[1]], default=None)
+    if fault is not None:
+        field, i = fault.entry
+        raise ProblemError(str(fault), line=lines[field][i])
+    return Problem(**fields)

@@ -54,11 +54,14 @@ CONTROL_TYPES = (
 PROPAGATION_TYPES = ("reduce", "suspend", "solved", "reject", "awake", "schedule")
 EVENT_TYPES = CONTROL_TYPES + PROPAGATION_TYPES
 
-# per run-level guard, the event kind it watches, whether an active pair trips it, and its violation text
-_GUARDS = {"g3": ("reduce", False, "reduce while a constraint is rejected"),
-           "g4": ("awake", True, "awake requires no rejection and no active pair"),
-           "g5": ("schedule", True, "schedule requires no rejection and no active pair")}
-GUARD_NAMES = tuple(_GUARDS)
+# per run-level guard, the event kind it watches, its tests of the pre-state and action, each with its failure
+# text, and its violation text; a rule table whose rule of that kind makes the tests carries the guard
+_NOTHING_ACTIVE = ("a constraint is active", lambda full, act: not full.solver.active)
+_NOTHING_REJECTED = ("a constraint is rejected", lambda full, act: not full.solver.rejected)
+GUARDS = {"g3": ("reduce", (_NOTHING_REJECTED,), "reduce while a constraint is rejected"),
+          "g4": ("awake", (_NOTHING_ACTIVE, _NOTHING_REJECTED), "awake requires no rejection and no active pair"),
+          "g5": ("schedule", (_NOTHING_ACTIVE, _NOTHING_REJECTED), "schedule requires no rejection and no active pair")}
+GUARD_NAMES = tuple(GUARDS)
 DEFAULT_GUARDS = ("g3",)
 
 
@@ -480,7 +483,8 @@ READERS = {
 
 
 def record_reader(readers):
-    """The record reader of ``readers``: ``read(full, ev)`` is the action a record encodes in ``full``.
+    """The record reader of ``readers``, which has a reader for every event type: ``read(full, ev)`` is the
+    action a record encodes in ``full``, whether or not the bundle has a rule of its kind.
 
     Reading recovers every serialized-away origin from the replayed state, so
     replay yields structurally identical states to the original run.  A
@@ -492,11 +496,8 @@ def record_reader(readers):
         shape = _SHAPE_AT.get(kind)
         if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
             _fail(kind, shape_error(ev, strict=False))
-        rule_reader = readers.get(kind)
-        if rule_reader is None:
-            _fail(kind, "event type outside the rule set")
         try:
-            return rule_reader(full, ev)
+            return readers[kind](full, ev)
         except StateInvariantError as exc:  # a solver event no state can hold, such as a generated bot
             raise ReconstructionError(kind, str(exc)) from exc
 
@@ -604,7 +605,6 @@ def _build_semantics(strict_reduce: bool) -> ObservationalSemantics:
         writes["reduce"] = writes["reduce"] | {"active"}
     return ObservationalSemantics(
         name="gentra4cp" + ("-strict" if strict_reduce else ""),
-        action_kinds=frozenset(EVENT_TYPES),
         rules=STRICT_RULES if strict_reduce else RULES,
         extract_local=extract_event,
         read_action=read_record,
@@ -666,17 +666,22 @@ def check_guards(vtrace: Trace, guards=DEFAULT_GUARDS) -> GuardReport:
     g4/g5: awake/schedule fire only while nothing is rejected and nothing is
     active (the single-activation discipline profiles opt into).
 
-    Names outside ``GUARD_NAMES`` are ignored; the report lists the guards
-    it evaluated.
+    A step violates its kind's guard where one of the guard's tests (``GUARDS``) fails on its pre-state.
+    Names outside ``GUARD_NAMES`` are ignored; the report lists the guards it evaluated.
     """
-    guards = tuple(g for g in guards if g in GUARD_NAMES)
-    watched = {kind: (name, busy, detail) for name, (kind, busy, detail) in _GUARDS.items() if name in guards}
+    guards = tuple(g for g in guards if g in GUARDS)
+    watched = {kind: (name, tests, detail) for name, (kind, tests, detail) in GUARDS.items() if name in guards}
+    if not watched:
+        return GuardReport(guards=guards, checked=vtrace.size, violations=())
     violations = []
     pre = vtrace.initial_state
     for i, (action, state) in enumerate(vtrace.events):
         guard = watched.get(action[0])
-        if guard is not None and (pre.solver.rejected or guard[1] and pre.solver.active):
-            violations.append(GuardViolation(i, guard[0], guard[2]))
+        if guard is not None:
+            for _text, holds in guard[1]:
+                if not holds(pre, action):
+                    violations.append(GuardViolation(i, guard[0], guard[2]))
+                    break
         pre = state
     return GuardReport(guards=guards, checked=vtrace.size, violations=tuple(violations))
 
@@ -714,23 +719,15 @@ def validate(events, *, os: ObservationalSemantics | None = None,
              guards=DEFAULT_GUARDS) -> ValidationReport:
     """Replay an actual event sequence from the initial state.
 
-    The records before the first one outside ``os``'s profile replay through
-    :func:`replay_records`, the loop :func:`reconstruct` runs.  Reports the
-    first event that fails, a record outside the profile included (with the
-    rule and violated condition, a wrong record depth included); on success
-    returns the virtual trace ``os`` built and the guard-check log.
+    The records replay through :func:`replay_records`, the loop :func:`reconstruct` runs.  Reports the first
+    event that fails, with the rule and violated condition (a wrong record depth, or a kind ``os`` has no rule
+    for, included); on success returns the virtual trace ``os`` built and the guard-check log.
     """
     os = os or make_semantics()
-    events, kinds = tuple(events), os.action_kinds
-    kept = (len(events) if kinds.issuperset(map(itemgetter(0), events))  # no scan when every record is kept
-            else next(i for i, ev in enumerate(events) if ev.type not in kinds))
     start = initial_state()
     try:
-        virtual = Trace.built_by(os, start, replay_records(os, start, events[:kept]))
+        virtual = Trace.built_by(os, start, replay_records(os, start, events))
     except ReconstructionError as exc:
         return ValidationReport(False, exc.index, error=ValidationError(exc.index, exc.rule, exc.condition))
-    if kept < len(events):
-        error = ValidationError(kept, events[kept].type, "event type outside the profile")
-        return ValidationReport(False, kept, error=error)
     guard_report = check_guards(virtual, guards)
-    return ValidationReport(guard_report.ok, len(events), virtual=virtual, guard_report=guard_report)
+    return ValidationReport(guard_report.ok, virtual.size, virtual=virtual, guard_report=guard_report)

@@ -5,8 +5,9 @@ rules, and its rule table is a refinement of the generic one: ``PALM_RULES``
 is built from the table ``REFINEMENT``, whose entry for a kind is the generic
 rule of that kind, named extra conditions, and for reduce and restore the
 step's explanation table.  At most one constraint is active at a time
-(post); waking starts only from an idle state (awake, schedule); every value
-removal carries an *explanation*, the set of store constraints justifying it
+(post); waking starts only from an idle state (awake, schedule: guards g4,
+g5); a value removal is made only while nothing is rejected (guard g3) and
+carries an *explanation*, the set of store constraints justifying it
 (reduce); rejection needs an emptied domain (reject).  Search undoes
 decisions by deactivating the responsible constraint and restoring exactly
 the values whose explanations mention a relaxed constraint (restore).
@@ -16,8 +17,9 @@ in: the solver part and every tree snapshot are generic solver states, and
 snapshots need no explanations, since the machine never jumps back to one.
 A refined rule keeps the generic rule's solver and tree parts and sets only
 the table, which the map to the generic format (``map_palm_state``) empties.
-The bundle records the refinement (``refines``), so that
-``abstraction.check_simulable`` accepts the steps of a trace it built.
+The bundle records the refinement (``refines``) and the guards its
+conditions carry, so that ``abstraction.check_simulable`` accepts the steps
+of a trace it built and ``abstraction.check_generic`` evaluates no guard.
 
 The rules make every state they return hold at most one active pair and
 keep explained values out of their domains.  The one invariant no rule makes
@@ -37,7 +39,7 @@ from functools import cache
 from .constraints import ConstraintDecl
 from .errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
-from .gentra4cp import READERS, RULES, GenericEvent, check_depth, extract_event, is_initial, record_reader
+from .gentra4cp import GUARDS, READERS, RULES, GenericEvent, check_depth, extract_event, is_initial, record_reader
 from .semantics import Action, ObservationalSemantics, Refinement
 from .solver import (Problem, SolveLimits, SolveResult, _close_solution, _fresh_events, _next_alternatives,
                      _post_and_propagate, _Run)
@@ -48,7 +50,6 @@ PALM_EVENT_TYPES = (
     "newVariable", "newConstraint", "post", "newChild", "solution", "failure",
     "deactivate", "restore", "reduce", "suspend", "reject", "awake", "schedule",
 )
-PALM_KINDS = frozenset(PALM_EVENT_TYPES)
 
 
 class PalmAssertionError(GentraError):
@@ -96,25 +97,23 @@ def _reduced(full: FullState, act: Action) -> dict:
     return {**full.explanations, var: full.explanations.get(var, ()) + ((removed, explanation),)}
 
 
-_IDLE = (("a constraint is active", lambda full, act: not full.solver.active),
-         ("a constraint is rejected", lambda full, act: not full.solver.rejected))
-
 # per refined kind: the conditions tested before the generic rule, those tested after it, each a (failure
-# text, test of the pre-state and action) pair, and the step's explanation table (None: the generic rule's)
+# text, test of the pre-state and action) pair (a guard's tests cited from ``GUARDS``), and the step's
+# explanation table (None: the generic rule's)
 REFINEMENT = {
     "post": ((), (("another constraint is active", lambda full, act: not full.solver.active),), None),
     "restore": ((), (("nothing to restore", lambda full, act: not act.args[1].is_empty()),
                      ("restored values are not explained by relaxed constraints",
                       lambda full, act: act.args[1].issubset(broken_values(full, act.args[2])))), _restored),
-    "reduce": ((("a constraint is rejected", lambda full, act: not full.solver.rejected),),
+    "reduce": (GUARDS["g3"][1],
                (("nothing to remove", lambda full, act: not act.args[4].is_empty()),
                 ("explanation is not a set of store constraints",
                  lambda full, act: act.args[2] is not None and not outside_store(full.solver, act.args[2]))),
                _reduced),
     "reject": ((), (("no variable of the constraint has an empty domain", lambda full, act: any(
         full.solver.domain(v).is_empty() for v in full.solver.declaration(act.args[1]).variables)),), None),
-    "awake": (_IDLE, (), None),
-    "schedule": (_IDLE, (), None),
+    "awake": (GUARDS["g4"][1], (), None),
+    "schedule": (GUARDS["g5"][1], (), None),
 }
 
 
@@ -186,21 +185,25 @@ def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
     return _payload(Action, (kind, (cause, cid, frozenset(ev.explanation), gen, removed, var)))
 
 
-PALM_READERS = {**{kind: READERS[kind] for kind in PALM_EVENT_TYPES}, "reduce": _read_reduce}
+# a reader for every event type: a record of a kind with no palm rule reads, and the rule table refuses it
+PALM_READERS = {**READERS, "reduce": _read_reduce}
 
 
 @cache
 def make_palm_semantics() -> ObservationalSemantics:
+    # the guards REFINEMENT carries: those whose every test a refined kind's conditions make
+    carried = tuple(name for name, (kind, tests, _text) in GUARDS.items()
+                    if kind in REFINEMENT and set(tests) <= {*REFINEMENT[kind][0], *REFINEMENT[kind][1]})
     return ObservationalSemantics(
         name="palm",
-        action_kinds=PALM_KINDS,
         rules=PALM_RULES,
         extract_local=palm_extract,
         read_action=record_reader(PALM_READERS),
         is_initial=is_initial,
         is_record=GenericEvent.__instancecheck__,  # isinstance(r, GenericEvent), with no Python frame
         check_record=check_depth,
-        refines=Refinement(PALM_RULES, RULES, map_palm_state, _strip_explanation, {k: k for k in PALM_EVENT_TYPES}),
+        refines=Refinement(PALM_RULES, RULES, map_palm_state, _strip_explanation, {k: k for k in PALM_EVENT_TYPES},
+                           carried),
     )
 
 

@@ -1,10 +1,10 @@
 """Observational semantics: labelled transitions with extraction and reconstruction.
 
-A semantics bundles a state domain, a finite set of action kinds, a partial
-transition function, and the two local translation functions between virtual
-steps and actual records.  Extraction turns a virtual trace into the actual
-trace a tracer would emit; reconstruction replays an actual trace back into
-virtual steps.  A semantics is *faithful* when the two are mutually inverse
+A semantics bundles a state domain, a partial transition function given as a
+rule table (whose kinds are its action kinds), and the two local translation
+functions between virtual steps and actual records.  Extraction turns a
+virtual trace into the actual trace a tracer would emit; reconstruction
+replays an actual trace back into virtual steps.  A semantics is *faithful* when the two are mutually inverse
 on every replayable trace; this module checks that property rather than
 assuming it.
 """
@@ -12,6 +12,7 @@ assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
@@ -55,8 +56,8 @@ def _always(_: Any) -> bool:
     return True
 
 
-def _unknown_rule(state: Any, action: Action):
-    raise TransitionError(action.kind, "unknown rule")
+def _outside_the_profile(state: Any, action: Action):
+    raise TransitionError(action.kind, "event type outside the profile")
 
 
 class Refinement(NamedTuple):
@@ -68,21 +69,24 @@ class Refinement(NamedTuple):
     map_state: Callable[[Any], Any]
     map_action: Callable[[Action], Action]
     action_map: Mapping[str, str]
+    guards: tuple[str, ...] = ()  # the run-level guards whose pre-state tests ``rules`` make
 
 
 @dataclass(frozen=True)
 class ObservationalSemantics:
-    """States, action kinds, transitions, and the trace translation pair.
+    """States, transitions, and the trace translation pair.
 
-    ``rules`` is the transition function as data: kind to rule.  ``apply``
-    applies the rule of an action's kind, and a rule raises
-    :class:`TransitionError` outside its domain, which doubles as the
-    membership test for the transition relation.  ``extract_local`` maps a
+    ``rules`` is the transition function as data: kind to rule, and the one
+    statement of the action kinds (``action_kinds``).  ``apply`` applies the
+    rule of an action's kind, and a rule raises :class:`TransitionError`
+    outside its domain, which doubles as the membership test for the
+    transition relation; a kind with no rule is ``event type outside the
+    profile``.  ``extract_local`` maps a
     transition to its attribute record; ``read_action`` reads back the
     action a record encodes in a given state, raising
     :class:`ReconstructionError` when it encodes none.  Replaying a record
     is reading its action, applying it and checking the record against the
-    successor (``check_record``, :func:`replay`), so a replayed step is a
+    successor (``check_record``, :func:`replay_records`), so a replayed step is a
     transition by construction.  The static tables (``param_deps``,
     ``action_writes``, ``neutral_writes``) say which state parameters each
     update depends on and each rule writes; the projection checks use them.
@@ -90,7 +94,6 @@ class ObservationalSemantics:
     """
 
     name: str
-    action_kinds: frozenset
     rules: Mapping[str, Callable[[Any, Action], Any]]
     extract_local: Callable[[Any, Action, Any], Any]
     read_action: Callable[[Any, Any], Action]
@@ -106,9 +109,14 @@ class ObservationalSemantics:
     neutral_writes: Mapping[str, frozenset] = field(default_factory=lambda: MappingProxyType({}))
     refines: Refinement | None = None
 
+    @cached_property
+    def action_kinds(self) -> frozenset:
+        """The kinds ``rules`` has a rule for, built once per bundle."""
+        return frozenset(self.rules)
+
     def apply(self, state: Any, action: Action) -> Any:
-        """The successor of ``state`` by the rule of ``action``'s kind; a kind with no rule is an ``unknown rule``."""
-        return self.rules.get(action[0], _unknown_rule)(state, action)
+        """The successor of ``state`` by the rule of ``action``'s kind; a kind with no rule is outside the profile."""
+        return self.rules.get(action[0], _outside_the_profile)(state, action)
 
 
 def transition_holds(os: ObservationalSemantics, state: Any, action: Action, successor: Any) -> bool:
@@ -141,28 +149,11 @@ def extract(os: ObservationalSemantics, vtrace: Trace) -> Trace:
     return Trace(vtrace.initial_state, tuple(records))
 
 
-def replay(os: ObservationalSemantics, state: Any, record: Any) -> VirtualPayload:
-    """The step ``record`` encodes in ``state``: its action and the successor
-    it leads to.
-
-    A record whose action does not apply raises the rule's failure as a
-    :class:`ReconstructionError`, as ``os.check_record`` does after it.
-    """
-    action = os.read_action(state, record)
-    try:
-        new = os.apply(state, action)
-    except TransitionError as exc:
-        raise ReconstructionError(exc.rule, exc.condition) from exc
-    os.check_record(record, new)
-    return _payload(VirtualPayload, (action, new))
-
-
 def replay_records(os: ObservationalSemantics, state: Any, records: Iterable, start: int = 0) -> tuple:
-    """The steps ``records`` encode from ``state``, each :func:`replay` of a record from the state the step
-    before reached; a record that fails raises its :class:`ReconstructionError` at its index from ``start``.
-
-    The loop reads, applies and checks each record itself, as :func:`replay` does, with no call per record
-    but the reader's, the rule's (looked up in ``os.rules``) and the check's.
+    """The steps ``records`` encode from ``state``: each record's action, read in the state the step before
+    reached, and the successor its rule (looked up in ``os.rules``) leads to, checked against the record
+    (``os.check_record``).  A record that fails raises its :class:`ReconstructionError` at its index from
+    ``start``, a rule's :class:`TransitionError` included, so a kind with no rule is refused where it occurs.
     """
     name, is_record, read, rules, check = os.name, os.is_record, os.read_action, os.rules, os.check_record
     steps = []
@@ -172,7 +163,7 @@ def replay_records(os: ObservationalSemantics, state: Any, records: Iterable, st
         try:
             action = read(state, record)
             try:
-                state = rules.get(action[0], _unknown_rule)(state, action)
+                state = rules.get(action[0], _outside_the_profile)(state, action)
             except TransitionError as exc:
                 raise ReconstructionError(exc.rule, exc.condition) from exc
             check(record, state)

@@ -39,27 +39,9 @@ class Problem:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for what in ("variable", "constraint"):
-            seen = set()
-            for i, (name, _) in enumerate(getattr(self, what + "s")):
-                if name in seen:
-                    raise ProblemError(f"{what} {name!r} declared twice", entry=(what + "s", i))
-                seen.add(name)
-        declared = {v for v, _ in self.variables}
-        for i, (cid, decl) in enumerate(self.constraints):
-            undeclared = [v for v in decl.variables if v not in declared]
-            if undeclared:
-                raise ProblemError(f"constraint {cid} uses undeclared variables {undeclared}",
-                                   entry=("constraints", i))
-        for i, alts in enumerate(self.branches):
-            for decl in alts:
-                undeclared = [v for v in decl.variables if v not in declared]
-                if undeclared:
-                    raise ProblemError(f"branch constraint uses undeclared variables {undeclared}",
-                                       entry=("branches", i))
-        for i, v in enumerate(self.labels):
-            if v not in declared:
-                raise ProblemError(f"label directive names undeclared variable {v!r}", entry=("labels", i))
+        for fault in problem_faults(self.variables, self.constraints, self.branches, self.labels):
+            raise fault
+
 
     def rebased(self, index_base: int) -> "Problem":
         """The same problem with element constraints read under another index base."""
@@ -69,6 +51,32 @@ class Problem:
             branches=tuple(tuple(d.rebased(index_base) for d in alts) for alts in self.branches),
             labels=self.labels,
         )
+
+
+def problem_faults(variables, constraints, branches, labels):
+    """Every fault of a problem's entries, in the order of the checks, each a ``ProblemError`` naming
+    its entry (field, index): a second declaration of a name, then undeclared variables in a constraint,
+    a branch alternative or a label."""
+    for what, entries in (("variable", variables), ("constraint", constraints)):
+        seen = set()
+        for i, (name, _) in enumerate(entries):
+            if name in seen:
+                yield ProblemError(f"{what} {name!r} declared twice", entry=(what + "s", i))
+            seen.add(name)
+    declared = {v for v, _ in variables}
+    for i, (cid, decl) in enumerate(constraints):
+        undeclared = [v for v in decl.variables if v not in declared]
+        if undeclared:
+            yield ProblemError(f"constraint {cid} uses undeclared variables {undeclared}", entry=("constraints", i))
+    for i, alts in enumerate(branches):
+        for decl in alts:
+            undeclared = [v for v in decl.variables if v not in declared]
+            if undeclared:
+                yield ProblemError(f"branch constraint uses undeclared variables {undeclared}", entry=("branches", i))
+                break
+    for i, v in enumerate(labels):
+        if v not in declared:
+            yield ProblemError(f"label directive names undeclared variable {v!r}", entry=("labels", i))
 
 
 @dataclass
@@ -213,7 +221,7 @@ def propagate(run: _Run) -> None:
                 _filter(run, cid, event)
             skip = 0
             continue
-        if "solved" not in run.os.action_kinds:
+        if "solved" not in run.os.rules:
             return
         retired = False
         for cid in s.sleeping:

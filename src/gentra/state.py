@@ -288,11 +288,6 @@ class SearchTreeState(NamedTuple):
         return self._replace(entries=Entries((n, (update(snap), depth)) for n, (snap, depth) in self.entries))
 
 
-def initial_tree(snapshot: Any) -> SearchTreeState:
-    """A fresh tree whose root (node 0, depth 0) snapshots the initial state."""
-    return SearchTreeState(Entries(((0, (snapshot, 0)),)), current=0)
-
-
 NO_EXPLANATIONS: Mapping = MappingProxyType({})
 
 
@@ -340,7 +335,7 @@ def initial_state() -> FullState:
     """The state before any event: nothing declared, and a tree of the root node alone.
 
     Each part is built in one positional construction, and its two stores, of declarations and of nodes,
-    from their lists and index, as ``SolverState()`` and ``initial_tree`` build them with passes over pairs.
+    from their lists and index, as ``SolverState()`` and ``Entries`` build them with passes over pairs.
     """
     solver = tuple.__new__(SolverState, ((), _over(_Store([], [], {}), 0), {}, {}, (), (), (), (), (), None))
     tree = tuple.__new__(SearchTreeState, (_over(_Store([0], [(solver, 0)], {0: 0}), 1), 0))

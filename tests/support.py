@@ -29,7 +29,7 @@ from gentra.formats import parse_problem
 from gentra.errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain
 from gentra.gentra4cp import ARGS
-from gentra.semantics import Action, ObservationalSemantics, replay
+from gentra.semantics import Action, ObservationalSemantics, replay_records
 from gentra.solver import Problem
 from gentra.state import SolverState, initial_state, store
 from gentra.trace import BOTTOM_DOMAIN, PrefixSet, Trace, TraceDomain, VirtualPayload
@@ -288,7 +288,7 @@ def extraction_from_reconstruction(os: ObservationalSemantics,
         hits = []
         for record in candidates(state):
             try:
-                got_action, got_state = replay(os, state, record)
+                (got_action, got_state), = replay_records(os, state, (record,))
             except ReconstructionError:
                 continue
             if got_action == action and got_state == successor:

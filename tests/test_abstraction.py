@@ -8,6 +8,7 @@ import pytest
 
 from gentra.abstraction import (
     ParamProjection,
+    SimulationViolation,
     StateMapping,
     palm_mapping,
     audit_projection,
@@ -129,6 +130,18 @@ def test_dropping_solved_param_but_keeping_solved_action_invalid(gt):
         check_projection(gt, proj)
 
 
+def test_check_projection_refusals(gt):
+    # each projection keeps every parameter and kind but for its one fault
+    params, kinds = frozenset(gt.parameters), gt.action_kinds
+    for proj, error in ((ParamProjection("p", params | {"bogus"}, kinds), "unknown parameters ['bogus']"),
+                        (ParamProjection("k", params, kinds | {"foo"}), "unknown action kinds ['foo']"),
+                        (ParamProjection("d", params, kinds - {"post"}),
+                         "dropped action 'post' writes kept parameters ['active']")):
+        with pytest.raises(ProjectionError) as err:
+            check_projection(gt, proj)
+        assert str(err.value) == error
+
+
 def test_projected_semantics_refuses_dropped_kinds(gt, fd_run):
     projected = project(gt, palm_profile())
     jump = next(e for e in fd_run.events if e.type == "jumpTo")
@@ -143,15 +156,15 @@ def test_projected_replay_refuses_a_dropped_kind_where_its_rule_applies(gt):
     with pytest.raises(ReconstructionError) as err:
         reconstruct(project(gt, palm_profile()), atrace)
     assert atrace.events[37].record.type == "jumpTo"
-    assert (err.value.index, err.value.rule, err.value.condition) == (37, "jumpTo", "action outside projection palm")
+    assert (err.value.index, err.value.rule, err.value.condition) == (37, "jumpTo", "event type outside the profile")
 
 
 def test_projection_restricts_the_rule_table_alone(gt):
-    # a kept kind keeps its rule object, a dropped kind's rule refuses it, and
-    # a kind with no rule is an unknown rule, as in the unprojected bundle
+    # a kept kind keeps its rule object, a dropped kind has no rule, and a
+    # kind with no rule is outside the profile, as in the unprojected bundle
     projected = project(gt, palm_profile())
     assert all(projected.rules[k] is gt.rules[k] for k in projected.action_kinds)
-    for kind, text in (("solved", "action outside projection palm"), ("foo", "unknown rule")):
+    for kind, text in (("solved", "event type outside the profile"), ("foo", "event type outside the profile")):
         for os in (projected, gt) if kind == "foo" else (projected,):
             with pytest.raises(TransitionError) as err:
                 os.apply(initial_state(), Action(kind, ("c1",)))
@@ -198,6 +211,22 @@ def test_swapped_kind_map_fails_at_first_swap(gt, palm_os, palm_virtual):
     kinds = [ev.action.kind for ev in palm_virtual.events]
     expected = min(kinds.index("suspend"), kinds.index("awake"))
     assert report.violations[0].event == expected
+
+
+def test_a_kind_map_undefined_on_a_kind_is_a_structural_failure(gt, palm_os, palm_virtual):
+    # the derived table lacks post too, so that no derived kind is unreachable
+    kinds = palm_os.action_kinds - {"post"}
+    derived = dataclasses.replace(gt, rules={k: r for k, r in gt.rules.items() if k in kinds})
+    mapping = StateMapping("partial", lambda s: s, {k: k for k in kinds})
+    report = check_simulable(palm_os, derived, mapping, [palm_virtual])
+    assert report.violations == (SimulationViolation(None, None, "kind map undefined on ['post']"),)
+
+
+def test_an_initial_state_mapped_outside_the_derived_initial_states_stops_its_trace(gt, palm_os, palm_virtual):
+    mapping = StateMapping("off", lambda s: None, {k: k for k in palm_os.action_kinds})
+    report = check_simulable(palm_os, project(gt, palm_profile()), mapping, [palm_virtual])
+    assert report.violations == (SimulationViolation(0, None, "initial state does not map to a derived initial state"),)
+    assert report.transitions == 0
 
 
 def test_non_bijective_kind_map_is_structural_failure(gt, palm_os, palm_virtual):
@@ -435,6 +464,17 @@ def test_commutation_palm_pipeline(gt, palm_os, palm_virtual):
 
 def actual_sample():
     return Trace(initial_state(), (ActualPayload(GenericEvent("post", 0, constraint="c")),))
+
+
+def test_commutation_flags_two_routes_that_disagree(gt, fd_virtual):
+    # an action map that drops each schedule's witness: the records still reconstruct, with the witness
+    def no_witness(action):
+        return Action("schedule", (action.args[0], None)) if action.kind == "schedule" else action
+
+    mapping = StateMapping("no-witness", lambda s: s, {k: k for k in gt.action_kinds}, no_witness)
+    report = commutation_check(gt, gt, mapping, lambda records: records, [fd_virtual])
+    first = [ev.action.kind for ev in fd_virtual.events].index("schedule")
+    assert report.violations == (SimulationViolation(0, first, "the two routes disagree"),)
 
 
 def test_checks_of_virtual_samples_report_an_actual_one(gt, palm_os):

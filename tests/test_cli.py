@@ -8,12 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from gentra.abstraction import check_generic, palm_profile, project
 from gentra.cli import main
-from gentra.errors import GentraError
+from gentra.errors import GentraError, TransitionError
 from gentra.fdomain import EMPTY_DOMAIN
 from gentra.formats import document_for_events, parse_problem, parse_trace, serialize_trace
 from gentra.gentra4cp import GUARD_NAMES, make_semantics, validate
 from gentra.palm import make_palm_semantics, palm_solve
+from gentra.semantics import Action
 from gentra.solver import solve
+from gentra.state import initial_state
 
 from support import apply_edits, edit_scripts
 
@@ -173,6 +175,26 @@ def test_map_palm_and_compliance(runner, element_prob, tmp_path):
     )
 
 
+def test_an_out_of_profile_record_is_refused_in_one_text_on_every_route(runner, element_prob, tmp_path):
+    # the palm element trace with its first newChild line turned into a jump, which palm's rules lack
+    palm_out, jump_out = tmp_path / "palm.trace", tmp_path / "jump.trace"
+    runner.invoke(main, ["solve", element_prob, "--palm", "--trace", str(palm_out)])
+    lines = palm_out.read_text().splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if "]newChild " in line)
+    lines[n] = lines[n][:lines[n].index("newChild")] + "jumpTo node(0) node(0)\n"
+    jump_out.write_text("".join(lines))
+    i = n - sum(line.startswith("#") for line in lines)
+    compliance = runner.invoke(main, ["check-compliance", str(jump_out)])
+    assert (compliance.exit_code, compliance.output) == (
+        1, f"FAIL replay under the palm rules: jumpTo: event type outside the profile at event {i}\n")
+    validated = runner.invoke(main, ["validate", "--profile", "palm", str(jump_out)])
+    assert (validated.exit_code, validated.output) == (
+        1, f"FAIL validate event={i} rule=jumpTo event type outside the profile\nFAIL validate events={i}\n")
+    with pytest.raises(TransitionError) as err:
+        make_palm_semantics().apply(initial_state(), Action.of("jumpTo", node=0))
+    assert (err.value.rule, err.value.condition) == ("jumpTo", "event type outside the profile")
+
+
 def test_check_compliance_rejects_jump_traces(runner, element_prob, tmp_path):
     out = tmp_path / "fd.trace"
     runner.invoke(main, ["solve", element_prob, "--trace", str(out)])
@@ -295,7 +317,8 @@ def test_negative_domain_trace_round_trips(runner, tmp_path, palm):
     ("var x 0..3\nbranch (eqc(x,1) | eq(x,z))\nlabel x\n",
      "branch constraint uses undeclared variables ['z'] (line 2)"),
     ("var x 0..3\nlabel x\n\n# the labels\nlabel x,q\n", "label directive names undeclared variable 'q' (line 5)"),
-], ids=["var", "con", "descending", "con-undeclared", "branch-undeclared", "label-undeclared"])
+    ("var x 0..3\nlabel q\nvar x 0..1\n", "label directive names undeclared variable 'q' (line 2)"),
+], ids=["var", "con", "descending", "con-undeclared", "branch-undeclared", "label-undeclared", "earliest-line"])
 @pytest.mark.parametrize("palm", [False, True], ids=["fd", "palm"])
 def test_problem_file_refusals_are_parse_errors(runner, tmp_path, text, error, palm):
     # a parse error (exit 2) names the problem file's fault, where a solver failure (exit 1) would not

@@ -405,6 +405,28 @@ def test_strict_rejects_foreign_idioms():
         parse_trace("1[0]reduce c1 v1 gen{} [0] bot max", mode="strict")  # dialect extra
 
 
+@pytest.mark.parametrize("line,error", [
+    ("1[0]newConstraint", "newConstraint: missing constraint identifier (line 1)"),
+    ("1[0]jumpTo", "jumpTo: missing target node (line 1)"),
+], ids=["newConstraint", "jumpTo"])
+def test_strict_parsing_refuses_a_line_without_its_first_attribute(line, error):
+    with pytest.raises(TraceShapeError) as exc:
+        parse_trace(line, mode="strict")
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_a_bare_node_id_is_a_lenient_idiom(mode):
+    # ``newChild 3`` reads as ``newChild node(3)`` with one deviation; strict reading refuses it
+    if mode == "strict":
+        with pytest.raises(TraceSyntaxError) as exc:
+            parse_trace("1[0]newChild 3", mode=mode)
+        assert str(exc.value) == "bare node id 3 (line 1)"
+        return
+    doc = parse_trace("1[0]newChild 3", mode=mode)
+    assert (doc.events, doc.deviations) == ((GenericEvent("newChild", 0, node=3),), ("line 1: bare node id 3",))
+
+
 @pytest.mark.parametrize("text", [
     "1[0]newVariable v1 [1,]",
     "1[0]newVariable v1 [,1]",
@@ -724,7 +746,8 @@ def test_problem_undeclared_variable():
     ("var x 0..3\nvar y 0..3\nvar x 0..2\n", "variable 'x' declared twice (line 3)"),
     ("var x 0..3\ncon c1 eqc(x,1)\ncon c1 eqc(x,2)\n", "constraint 'c1' declared twice (line 3)"),
     ("var x 0..3\nvar y 5..1\n", "bad range '5..1': descending bounds 5 > 1 (line 2)"),
-], ids=["var", "con", "descending"])
+    ("var x 0..3\nlabel q\nvar x 0..1\n", "label directive names undeclared variable 'q' (line 2)"),
+], ids=["var", "con", "descending", "earliest-line"])
 def test_problem_refuses_duplicates_and_descending_ranges(text, error):
     # each is refused where the problem is read, not left to the solver or read as an empty domain
     with pytest.raises(ProblemError) as exc:

@@ -24,7 +24,7 @@ from gentra.gentra4cp import (
     shape_error,
     validate,
 )
-from gentra.semantics import Action, check_faithful, extract, reconstruct, replay
+from gentra.semantics import Action, check_faithful, extract, reconstruct, replay_records
 from gentra.solver import Problem, solve
 from gentra.state import BOTTOM, SolverEvent, SolverState, initial_state, store
 from gentra.trace import ActualPayload, Trace, VirtualPayload, all_prefixes
@@ -310,14 +310,15 @@ def test_extract_node_and_identity_records():
 
 def test_reconstruct_new_constraint_and_awake():
     full = run_actions([Action.of("newVariable", variable="x", domain=D05)])
-    action, new = replay(make_semantics(), full, GenericEvent(
-        "newConstraint", 0, constraint="c1", decl=ConstraintDecl.eqc("x", 3)))
+    (action, new), = replay_records(make_semantics(), full, (GenericEvent(
+        "newConstraint", 0, constraint="c1", decl=ConstraintDecl.eqc("x", 3)),))
     assert new.solver.is_declared("c1")
     full = run_actions([
         Action.of("post", constraint="c1"),
         Action.of("suspend", constraint="c1"),
     ], start=new)
-    action, woken = replay(make_semantics(), full, GenericEvent("awake", 0, constraint="c1", cause=BOTTOM))
+    awake = GenericEvent("awake", 0, constraint="c1", cause=BOTTOM)
+    (action, woken), = replay_records(make_semantics(), full, (awake,))
     assert woken.solver.active == (("c1", BOTTOM),)
     assert "c1" not in woken.solver.sleeping
 
@@ -325,16 +326,35 @@ def test_reconstruct_new_constraint_and_awake():
 def test_reconstruct_post_in_store_fails():
     full = apply(base_state(), Action.of("post", constraint="c1"))
     with pytest.raises(ReconstructionError):
-        replay(make_semantics(), full, GenericEvent("post", 0, constraint="c1"))
+        replay_records(make_semantics(), full, (GenericEvent("post", 0, constraint="c1"),))
+
+
+def test_reconstruct_and_replay_refusals():
+    # a start outside the initial states, a virtual trace, a record that is no GenericEvent, and a jump
+    # whose recorded origin is not the current node: each is refused with its own text
+    gt, declared = make_semantics(), base_state()
+    virtual = Trace(initial_state(), (VirtualPayload(Action.of("post", constraint="c1"), declared),))
+    cases = (
+        (lambda: reconstruct(gt, Trace(declared)), (None, "gentra4cp", "initial state not in the initial-state set")),
+        (lambda: reconstruct(gt, virtual), (0, "gentra4cp", "reconstruct expects an actual trace")),
+        (lambda: replay_records(gt, initial_state(), ("post c1",)),
+         (0, "gentra4cp", "record outside the actual-state domain")),
+        (lambda: replay_records(gt, initial_state(), (GenericEvent("jumpTo", 0, node=0, node2=5),)),
+         (0, "jumpTo", "origin node 5 is not the current node")),
+    )
+    for run, expected in cases:
+        with pytest.raises(ReconstructionError) as err:
+            run()
+        assert (err.value.index, err.value.rule, err.value.condition) == expected
 
 
 def test_reconstruct_strict_reduce_removes_pair():
     full = apply(base_state(), Action.of("post", constraint="c1"))
     record = GenericEvent("reduce", 0, constraint="c1", variable="x",
                           generated=(), domain=FiniteDomain.of([0]), cause=BOTTOM)
-    _, default = replay(make_semantics(), full, record)
+    (_, default), = replay_records(make_semantics(), full, (record,))
     assert default.solver.active
-    _, strict = replay(make_semantics(strict_reduce=True), full, record)
+    (_, strict), = replay_records(make_semantics(strict_reduce=True), full, (record,))
     assert strict.solver.active == ()
     assert strict.solver.domain("x") == parse_domain("[1-5]")
     assert strict.solver.pending == ()
@@ -481,7 +501,7 @@ def test_stepwise_extract_reconstruct_inverse(element_virtual):
     prev = initial_state()
     for stepped in element_virtual.events:
         record = extract_event(prev, stepped.action, stepped.state)
-        action, again = replay(make_semantics(), prev, record)
+        (action, again), = replay_records(make_semantics(), prev, (record,))
         assert action == stepped.action
         assert again == stepped.state
         prev = stepped.state

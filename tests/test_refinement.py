@@ -23,7 +23,7 @@ from gentra.abstraction import (SimulationViolation, StateMapping, check_generic
                                 palm_event_to_generic, palm_mapping, palm_profile, palm_to_generic, project)
 from gentra.errors import GentraError, MappingError, ReconstructionError, TransitionError
 from gentra.formats import document_for_events, parse_trace, serialize_trace
-from gentra.gentra4cp import GUARD_NAMES, RULES, check_depth, make_semantics, read_record, validate
+from gentra.gentra4cp import GUARD_NAMES, RULES, check_depth, check_guards, make_semantics, read_record, validate
 from gentra.palm import PALM_RULES, REFINEMENT, _strip_explanation, make_palm_semantics, palm_initial_state, palm_solve
 from gentra.semantics import Action, reconstruct, replay_records
 from gentra.solver import solve
@@ -336,6 +336,44 @@ def compliance_inputs() -> tuple[tuple, ...]:
             mutants += 1
     assert mutants == MUTANTS, attempts
     return tuple(inputs)
+
+
+# the guards: palm's rules carry g3-g5, so check_generic evaluates none per trace
+
+
+def test_the_guards_hold_on_every_step_the_palm_replay_accepts():
+    # on the ladders' palm runs and every compliance input, up to its first
+    # refused record: the palm rules make the guards' tests (``refines.guards``)
+    palm_os, start, steps = make_palm_semantics(), initial_state(), 0
+    assert palm_os.refines.guards == GUARD_NAMES
+    for events in (*palm_runs("ladders"), *compliance_inputs()):
+        try:
+            accepted = replay_records(palm_os, start, events)
+        except ReconstructionError as exc:
+            accepted = replay_records(palm_os, start, events[:exc.index])
+        report = check_guards(Trace(start, accepted), GUARD_NAMES)
+        assert report.ok, report.violations
+        steps += len(accepted)
+    assert steps > 100_000, steps
+
+
+def test_check_generic_refuses_a_bundle_that_does_not_carry_every_guard():
+    palm_os = make_palm_semantics()
+    lacking = dataclasses.replace(palm_os, refines=palm_os.refines._replace(guards=("g3", "g5")))
+    report = check_generic(make_semantics(), lacking, palm_runs("ladders")[0])
+    assert (report.ok, report.lines) == (False, ("FAIL compliance palm: its rules do not carry the guards g4",))
+
+
+def test_check_generic_runs_no_guard_pass_and_builds_no_trace(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a guard pass or a trace")
+
+    monkeypatch.setattr(gentra4cp, "check_guards", refuse)
+    monkeypatch.setattr(Trace, "__post_init__", refuse)
+    events = palm_runs("ladders")[0]
+    report = check_generic(make_semantics(), make_palm_semantics(), events)
+    assert report.ok
+    assert report.lines[2:] == (f"PASS guards=g3,g4,g5 events={len(events)}", "PASS compliance")
 
 
 def test_check_generic_gives_the_two_pass_verdict():

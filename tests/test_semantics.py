@@ -50,7 +50,6 @@ def _read(state, record):
 def counter_os():
     return ObservationalSemantics(
         name="counter",
-        action_kinds=frozenset({"inc", "dec"}),
         rules=COUNTER_RULES,
         extract_local=_extract,
         read_action=_read,
@@ -62,7 +61,6 @@ def lossy_counter_os():
     """Extraction drops the amount, so reconstruction cannot invert it."""
     return ObservationalSemantics(
         name="lossy-counter",
-        action_kinds=frozenset({"inc", "dec"}),
         rules=COUNTER_RULES,
         extract_local=lambda s, a, s2: (a.kind, 1 if a.kind == "inc" else -1),
         read_action=_read,
@@ -83,7 +81,6 @@ def floored_lossy_counter_os():
 
     return ObservationalSemantics(
         name="floored-lossy-counter",
-        action_kinds=frozenset({"inc", "dec"}),
         rules=COUNTER_RULES,
         extract_local=lambda s, a, s2: (a.kind, 1 if a.kind == "inc" else -1),
         read_action=read_action,

@@ -252,6 +252,13 @@ def test_problem_validation_errors():
     assert (exc.value.line, exc.value.entry) == (None, ("labels", 0))
 
 
+def test_a_problem_built_in_code_raises_its_first_fault_in_the_order_of_the_checks():
+    # the duplicate is checked first, whatever the entries' order; a problem file names the earliest line instead
+    with pytest.raises(ProblemError) as exc:
+        Problem(variables=(("x", FiniteDomain.of([1])), ("x", FiniteDomain.of([2]))), labels=("q",))
+    assert (str(exc.value), exc.value.entry) == ("variable 'x' declared twice", ("variables", 1))
+
+
 def test_determinism():
     a = solve(element_problem())
     b = solve(element_problem())
