@@ -53,7 +53,7 @@ from typing import NamedTuple
 from .constraints import ConstraintDecl
 from .errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
 from .fdomain import DEFAULT_MX, FiniteDomain, format_domain, parse_domain, parse_range
-from .gentra4cp import EVENT_TYPES, LAYOUT, GenericEvent, shape_error
+from .gentra4cp import EVENT_TYPES, LAYOUT, ORIGIN_FREE, GenericEvent, origin_free, shape_error
 from .solver import Problem, problem_faults
 from .state import BOTTOM, EVENT_KINDS, SolverEvent
 
@@ -673,23 +673,22 @@ def serialize_trace(doc: TraceDocument) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_ORIGIN = itemgetter(2)  # a solver event's originating constraint
+
+
 def strip_origins(ev: GenericEvent) -> GenericEvent:
     """Drop originating-constraint tags from solver events.
 
     The text format never records them; replay recovers each origin from the
-    state it matches the event against.  A record that carries none, and
-    each event without one, is kept as it is.
+    state it matches the event against.  A record that carries none, as every
+    record extraction builds, is kept as it is, tested field by field.
     """
-    def bare(e: SolverEvent | None):
-        return e if e is None or e.origin is None else SolverEvent(e.kind, e.variable)
-
-    if all(e is None or e.origin is None for e in (ev.cause, ev.event, *(ev.generated or ()))):
+    cause, event, generated = ev.cause, ev.event, ev.generated
+    if ((cause is None or cause[2] is None) and (event is None or event[2] is None)
+            and (generated is None or tuple(map(_ORIGIN, generated)) == (None,) * len(generated))):
         return ev
-    return ev._replace(
-        generated=None if ev.generated is None else tuple(bare(e) for e in ev.generated),
-        cause=bare(ev.cause),
-        event=bare(ev.event),
-    )
+    return ev._replace(generated=generated and origin_free(generated),
+                       cause=cause and ORIGIN_FREE[cause[:2]], event=event and ORIGIN_FREE[event[:2]])
 
 
 def document_for_events(events, dialect: str = "generic", solver: str | None = None,

@@ -371,8 +371,22 @@ STRICT_RULES = {**RULES, "reduce": lambda full, act: _step_reduce(full, act, str
 # extraction: transition -> attribute record
 
 
-def _pending_suffix(old: SolverState, new: SolverState) -> tuple[SolverEvent, ...]:
-    return new.pending[len(old.pending):]
+class _OriginFree(dict):
+    """(kind, variable) to its solver event without an origin, shared by records; a miss at 1024 entries clears it."""
+
+    def __missing__(self, key):
+        if len(self) >= 1024:
+            self.clear()
+        bare = self[key] = SolverEvent(*key)
+        return bare
+
+
+ORIGIN_FREE, _KIND_VARIABLE = _OriginFree(), itemgetter(0, 1)
+
+
+def origin_free(events: tuple[SolverEvent, ...]) -> tuple[SolverEvent, ...]:
+    """``events`` without their origins, as the text writes them."""
+    return tuple(map(ORIGIN_FREE.__getitem__, map(_KIND_VARIABLE, events)))
 
 
 _NONES = (None,) * len(GenericEvent._fields)
@@ -380,18 +394,20 @@ _NONES = (None,) * len(GenericEvent._fields)
 
 def extract_event(full: FullState, action: Action, new: FullState) -> GenericEvent:
     """Compute the attribute record of a transition from its state delta, positionally: ``fields`` are its
-    values from ``constraint`` on (variable, node, node2, domain, generated, cause, event, decl), the rest None."""
+    values from ``constraint`` on (variable, node, node2, domain, generated, cause, event, decl), the rest None.
+    Its solver events carry no origin, as in the text, so a record replay read is the one it extracts back."""
     kind, args = action
     if kind in ("post", "deactivate", "suspend", "solved"):
         fields = (args[0],)
     elif kind in ("reject", "awake"):
-        fields = (args[1], None, None, None, None, None, args[0])
+        fields = (args[1], None, None, None, None, None, ORIGIN_FREE[args[0][:2]])
     elif kind == "schedule":
-        fields = (args[1], None, None, None, None, None, None, args[0])
+        fields = (args[1], None, None, None, None, None, None, ORIGIN_FREE[args[0][:2]])
     elif kind == "reduce":
         cause, cid, _explanation, _generated, _removed, var = args
         delta = full.solver.domain(var).subtract(new.solver.domain(var))
-        fields = (cid, var, None, None, delta, _pending_suffix(full.solver, new.solver), cause)
+        generated = origin_free(new.solver.pending[len(full.solver.pending):])
+        fields = (cid, var, None, None, delta, generated, ORIGIN_FREE[cause[:2]])
     elif kind in ("newChild", "solution", "failure"):
         fields = (None, None, args[0])
     elif kind == "newVariable":
@@ -403,7 +419,7 @@ def extract_event(full: FullState, action: Action, new: FullState) -> GenericEve
     elif kind == "restore":
         var = args[2]
         removed = new.solver.domain(var).subtract(full.solver.domain(var))
-        fields = (None, var, None, None, removed, _pending_suffix(full.solver, new.solver) or None)
+        fields = (None, var, None, None, removed, origin_free(new.solver.pending[len(full.solver.pending):]) or None)
     else:
         raise TransitionError(kind, "unknown rule")
     store = new.tree.entries._store  # the rules keep the current node in the tree, as check_depth reads it
@@ -724,9 +740,9 @@ def validate(events, *, os: ObservationalSemantics | None = None,
     for, included); on success returns the virtual trace ``os`` built and the guard-check log.
     """
     os = os or make_semantics()
-    start = initial_state()
+    start, records = initial_state(), tuple(events)
     try:
-        virtual = Trace.built_by(os, start, replay_records(os, start, events))
+        virtual = Trace.built_by(os, start, replay_records(os, start, records), records)
     except ReconstructionError as exc:
         return ValidationReport(False, exc.index, error=ValidationError(exc.index, exc.rule, exc.condition))
     guard_report = check_guards(virtual, guards)

@@ -118,18 +118,20 @@ REFINEMENT = {
 
 
 def _refined(kind: str, before: tuple, after: tuple, table):
-    """The generic rule of ``kind``, read from ``RULES`` at each step, fired where ``before`` holds and
-    kept where ``after`` holds; its step keeps the generic solver and tree parts and sets only the table."""
-    def rule(full: FullState, act: Action) -> FullState:
+    """The generic rule of ``kind``, read from ``RULES`` at each step, fired where ``before`` holds and kept where
+    ``after`` holds, running only the loops of conditions it has; its step sets only the table (if any)."""
+    def fire(full: FullState, act: Action) -> FullState:
         for text, holds in before:
             if not holds(full, act):
                 raise TransitionError(kind, text)
-        new = RULES[kind](full, act)
+        return RULES[kind](full, act)
+    def rule(full: FullState, act: Action) -> FullState:
+        new = fire(full, act) if before else RULES[kind](full, act)
         for text, holds in after:
             if not holds(full, act):
                 raise TransitionError(kind, text)
         return new if table is None else _payload(FullState, (new[0], new[1], table(full, act)))
-    return rule
+    return rule if after or table is not None else fire
 
 
 PALM_RULES = {kind: _refined(kind, *REFINEMENT[kind]) if kind in REFINEMENT else RULES[kind]

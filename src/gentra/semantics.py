@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
@@ -179,8 +180,8 @@ def reconstruct(os: ObservationalSemantics, atrace: Trace) -> Trace:
         raise ReconstructionError(os.name, "initial state not in the initial-state set")
     if atrace.kind == "virtual":  # a trace has one kind, so the first event is the offending one
         raise ReconstructionError(os.name, "reconstruct expects an actual trace", index=0)
-    steps = replay_records(os, atrace.initial_state, map(itemgetter(0), atrace.events))
-    return Trace.built_by(os, atrace.initial_state, steps)
+    records = tuple(map(itemgetter(0), atrace.events))
+    return Trace.built_by(os, atrace.initial_state, replay_records(os, atrace.initial_state, records), records)
 
 
 def first_divergence(a: Trace, b: Trace) -> int | None:
@@ -226,31 +227,36 @@ class FaithfulnessReport(NamedTuple):
 
 
 def _faithful_divergence(os: ObservationalSemantics, vtrace: Trace) -> int | None:
-    """``first_divergence(vtrace, reconstruct(os, extract(os, vtrace)))`` with
-    one rule application per step, or none on a trace ``os`` built itself.
+    """``first_divergence(vtrace, reconstruct(os, extract(os, vtrace)))`` with one rule application per step,
+    or none on a trace ``os`` built itself.
 
-    ``extract`` has proven ``apply(s, a) == s'`` for every step of
-    ``vtrace`` (by applying the rule, or by ``vtrace.applied_by is os``),
-    and ``apply`` is a function of the state and the action.  So
-    while the action read back from a record equals the step's own action,
-    the replayed step equals the step, and replay goes on from its state
-    without applying the rule again.  A differing action makes the step
-    differ whatever its successor.  From there on every record is replayed
-    in full along replay's own chain, so that a rule failure is still
-    reported at its index.
+    Each step's record is extracted as ``extract`` does, which proves ``apply(s, a) == s'``.  A record equal to
+    the one ``os`` replayed the step from (``vtrace.records``) reads back as the step's own action, since a
+    reader is a function of the state and the record; any other is read back, and an action equal to the
+    step's own yields the step itself, since ``apply`` is a function of the state and the action.  From the
+    first differing action on, the records are replayed in full along replay's own chain, so that a rule
+    failure is still reported at its index.
     """
-    records = tuple(map(itemgetter(0), extract(os, vtrace).events))
-    is_record, read, state = os.is_record, os.read_action, vtrace.initial_state
-    try:
-        for i, (record, (action, successor)) in enumerate(zip(records, vtrace.events)):
-            if not is_record(record) or read(state, record) != action:
-                break
-            state = successor
-        else:
-            return None
-    except ReconstructionError:
-        pass  # a record that encodes no action fails again, at its index, in the replay below
-    replay_records(os, state, records[i:], i)
+    if not os.is_initial(vtrace.initial_state) or vtrace.kind == "actual":
+        extract(os, vtrace)  # refused as extract refuses it
+    checked = vtrace.applied_by is not os
+    sources = repeat(object()) if checked or vtrace.records is None else vtrace.records  # object(): equals no record
+    extract_local, is_record, read, state = os.extract_local, os.is_record, os.read_action, vtrace.initial_state
+    for i, (action, successor), source in zip(count(), vtrace.events, sources):
+        if checked and not transition_holds(os, state, action, successor):
+            raise TransitionError(os.name, f"step is not a {action.kind} transition", index=i)
+        record = extract_local(state, action, successor)
+        if record != source:
+            try:
+                if not is_record(record) or read(state, record) != action:
+                    break
+            except ReconstructionError:
+                break  # a record that encodes no action fails again, at its index, in the replay below
+        state = successor
+    else:
+        return None
+    # extracting again from the start, which only a failing trace pays, refuses a later non-transition first
+    replay_records(os, state, map(itemgetter(0), extract(os, vtrace).events[i:]), i)
     return i
 
 
@@ -258,13 +264,8 @@ def check_faithful(os: ObservationalSemantics, samples: Iterable[Trace]) -> Fait
     """Verify reconstruct(extract(t)) == t on each sample virtual trace.
 
     Each step of ``t`` costs one rule application (none on a trace ``os``
-    built, ``t.applied_by is os``): ``extract`` applies the rule to check
-    that the step is a transition, and the replay of its record only reads
-    the action back.  An action equal to the step's own yields the step
-    itself, since ``apply`` is a function of the state and the action, so
-    the rule is not applied again; replay goes on from ``t``'s own state.
-    Only from the first differing action on does replay apply rules along
-    its own chain.  Errors and divergence positions
+    built, ``t.applied_by is os``), and a step whose record is the one ``os``
+    replayed it from is not read back.  Errors and divergence positions
     are those of ``first_divergence(t, reconstruct(os, extract(os, t)))``.
     """
     entries = []

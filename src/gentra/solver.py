@@ -20,7 +20,7 @@ from .constraints import ConstraintDecl
 from .errors import ProblemError, SolveLimitError
 from .fdomain import FiniteDomain
 from .gentra4cp import GenericEvent, generated_events, make_semantics
-from .semantics import Action, ObservationalSemantics
+from .semantics import Action, ObservationalSemantics, _outside_the_profile
 from .state import BOTTOM, FullState, SolverEvent, initial_state, solution_state, watchers
 from .trace import _payload
 
@@ -119,7 +119,7 @@ class _Run:
     def emit(self, action: Action) -> None:
         if len(self.events) >= self.limits.max_events:
             raise SolveLimitError(f"event budget {self.limits.max_events} exceeded", self.events)
-        new = self.os.apply(self.full, action)
+        new = self.os.rules.get(action[0], _outside_the_profile)(self.full, action)
         self.events.append(self.os.extract_local(self.full, action, new))
         self.full = new
 

@@ -52,15 +52,17 @@ class Trace:
 
     initial_state: Hashable
     events: tuple[TraceEvent, ...] = ()
-    # provenance, not content: ==, hash and repr ignore it, and replace drops it
+    # provenance, not content: ==, hash and repr ignore them, and replace drops them
     applied_by: Any = field(default=None, init=False, compare=False, repr=False)
+    records: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
-    def built_by(cls, os: Any, initial_state: Hashable, events: tuple[TraceEvent, ...]) -> "Trace":
-        """A trace whose every step ``os.apply`` built (replay),
-        which ``extract`` under ``os`` need not check; prefixes keep ``applied_by``."""
+    def built_by(cls, os: Any, initial_state: Hashable, events: tuple[TraceEvent, ...], records=None) -> "Trace":
+        """A trace whose every step ``os.apply`` built (replay), which ``extract`` under ``os`` need not check,
+        with the ``records`` replay read its steps from, if any; prefixes keep both."""
         trace = cls(initial_state, events)
         object.__setattr__(trace, "applied_by", os)
+        object.__setattr__(trace, "records", records)
         return trace
 
     def __post_init__(self):
@@ -81,7 +83,7 @@ class Trace:
         """The prefix made of the first ``k`` events (k=0 keeps just the state)."""
         if not 0 <= k <= self.size:
             raise PrefixRangeError(f"prefix size {k} out of range 0..{self.size}")
-        return Trace.built_by(self.applied_by, self.initial_state, self.events[:k])
+        return Trace.built_by(self.applied_by, self.initial_state, self.events[:k], self.records and self.records[:k])
 
     def prefixes(self) -> Iterator["Trace"]:
         for k in range(self.size + 1):

@@ -346,31 +346,43 @@ def test_palm_dialect_round_trip(element_problem):
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
 def test_strict_parse_inverts_serialize_on_emitted_events(machine):
+    # the strict parse of a solver's text is the solver's own records
     run, dialect = (solve, "generic") if machine == "fd" else (palm_solve, "palm")
     problems = [ladder(4)] + [random_problem(random.Random(seed)) for seed in range(20)]
     for problem in problems:
-        doc = document_for_events(run(problem).events, dialect=dialect, solver=machine)
-        back = parse_trace(serialize_trace(doc), mode="strict")
+        events = run(problem).events
+        back = parse_trace(serialize_trace(document_for_events(events, dialect=dialect, solver=machine)), mode="strict")
         assert back.dialect == dialect
-        assert back.events == doc.events
+        assert back.events == events
         assert all(type(ev) is GenericEvent for ev in back.events)
+
+
+def _solver_events(ev):
+    return (ev.cause, ev.event, *(ev.generated or ()))
 
 
 @pytest.mark.parametrize("run", [solve, palm_solve])
 def test_records_without_origins_are_not_rebuilt(run):
-    def solver_events(ev):
-        return (ev.cause, ev.event, *(ev.generated or ()))
-
+    # extraction writes solver events without their origin, as the text does:
+    # every emitted record equals its own strict parse, and strip_origins
+    # returns it unchanged, while it still strips a hand-made record's origins
     events = run(ladder(4)).events
-    tagged = 0
+    dialect = "palm" if run is palm_solve else "generic"
+    assert parse_trace(serialize_trace(document_for_events(events, dialect=dialect)), mode="strict").events == events
+    carried = 0
     for ev in events:
-        stripped = strip_origins(ev)
-        if any(e is not None and e.origin is not None for e in solver_events(ev)):
-            tagged += 1
-            assert all(e is None or e.origin is None for e in solver_events(stripped))
-        else:
-            assert stripped is ev
-    assert 0 < tagged < len(events)
+        assert all(e is None or e.origin is None for e in _solver_events(ev)), ev
+        assert strip_origins(ev) is ev
+        carried += any(e is not None for e in _solver_events(ev))
+    assert carried > 0
+    tagged = GenericEvent("reduce", 0, constraint="c1", variable="x", domain=FiniteDomain.of([0]),
+                          generated=(SolverEvent("dom", "x", "c1"), SolverEvent("min", "x")),
+                          cause=SolverEvent("dom", "y", "c2"))
+    stripped = strip_origins(tagged)
+    assert stripped == tagged._replace(generated=(SolverEvent("dom", "x"), SolverEvent("min", "x")),
+                                       cause=SolverEvent("dom", "y"))
+    scheduled = GenericEvent("schedule", 0, event=SolverEvent("val", "x", "c1"))
+    assert strip_origins(scheduled) == scheduled._replace(event=SolverEvent("val", "x"))
 
 
 def test_strict_text_is_lenient_with_zero_deviations():

@@ -1,6 +1,7 @@
 """Rule-level and replay-level tests of the trace format semantics."""
 
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from gentra import gentra4cp, palm
 from gentra.abstraction import palm_profile, project
 from gentra.constraints import ConstraintDecl
-from gentra.errors import ReconstructionError, StateInvariantError, TransitionError
+from gentra.errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain, full_domain, parse_domain
 from gentra.formats import parse_trace
 from gentra.gentra4cp import (
@@ -21,10 +22,12 @@ from gentra.gentra4cp import (
     check_guards,
     extract_event,
     make_semantics,
+    read_record,
     shape_error,
     validate,
 )
-from gentra.semantics import Action, check_faithful, extract, reconstruct, replay_records
+from gentra.semantics import (Action, FaithfulnessEntry, FaithfulnessReport, check_faithful, extract, first_divergence,
+                              reconstruct, replay_records)
 from gentra.solver import Problem, solve
 from gentra.state import BOTTOM, SolverEvent, SolverState, initial_state, store
 from gentra.trace import ActualPayload, Trace, VirtualPayload, all_prefixes
@@ -283,17 +286,22 @@ def test_deactivate_removes_from_any_part():
 
 
 def test_extract_reduce_record_fields():
+    # the record writes its solver events without their origin, as the text
+    # does, while the state keeps them; records share the origin-free events
     full = apply(base_state(), Action.of("post", constraint="c1"))
     gen = (SolverEvent("dom", "x", "c1"),)
     act = Action.of("reduce", constraint="c1", variable="x",
                     removed=FiniteDomain.of([0]), generated=gen, cause=BOTTOM)
     new = apply(full, act)
+    assert new.solver.pending == gen
     record = extract_event(full, act, new)
     assert record.type == "reduce"
     assert record.constraint == "c1" and record.variable == "x"
-    assert record.generated == gen
+    assert record.generated == (SolverEvent("dom", "x"),)
     assert record.domain == FiniteDomain.of([0])
     assert record.cause == BOTTOM
+    assert extract_event(full, act, new).generated[0] is record.generated[0]
+    assert read_record(full, record) == act and replay_records(make_semantics(), full, (record,))[0].state == new
 
 
 def test_extract_node_and_identity_records():
@@ -532,12 +540,76 @@ def test_faithfulness_on_element_run(element_virtual):
 def test_a_parsed_trace_that_validates_can_fail_faithfulness():
     # the second reduce lists dom(x), which the first left pending: the rule
     # drops it, so extraction never writes it and the read-back differs there
-    text = ("1[0]newVariable x [0-3]\n2[0]newConstraint c1 eqc(x,1)\n3[0]post c1\n"
-            "4[0]reduce c1 x gen{dom(x)} [0] bot\n5[0]reduce c1 x gen{dom(x)} [2-3] bot\n6[0]suspend c1\n")
-    report = validate(parse_trace(text).events)
+    report = validate(parse_trace(SIX_LINE_TRACE).events)
     assert report.ok and report.guard_report.guards == ("g3",)
     assert check_faithful(make_semantics(), [report.virtual]).lines() == [
         "FAIL faithfulness trace=0 divergence=4", "FAIL faithfulness traces=1"]
+
+
+SIX_LINE_TRACE = ("1[0]newVariable x [0-3]\n2[0]newConstraint c1 eqc(x,1)\n3[0]post c1\n"
+                  "4[0]reduce c1 x gen{dom(x)} [0] bot\n5[0]reduce c1 x gen{dom(x)} [2-3] bot\n6[0]suspend c1\n")
+
+
+def _definitional_report(os, t) -> FaithfulnessReport:
+    """The faithfulness report of ``first_divergence(t, reconstruct(os, extract(os, t)))``."""
+    try:
+        pos = first_divergence(t, reconstruct(os, extract(os, t)))
+    except (TransitionError, ReconstructionError) as exc:
+        return FaithfulnessReport((FaithfulnessEntry(0, False, detail=str(exc), divergence=exc.index),))
+    return FaithfulnessReport((FaithfulnessEntry(0, pos is None, divergence=pos),))
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_faithfulness_of_replayed_traces_is_the_definitional_route(machine):
+    # on traces replay built, which carry the records they were read from, the
+    # record comparison gives the report, divergence and text the definitional
+    # route gives: the golden traces, the first 120 corpus traces (seed 7),
+    # their defect twins, the six-line trace and 3,000 one-edit mutants
+    from test_golden_traces import RUNS, emitted_text, problems
+    from test_refinement import CORPUS_SEED, _one_edit
+    from support import benchmark_corpus, benchmark_inputs
+    from gentra.formats import document_for_events, serialize_trace
+    from gentra.palm import make_palm_semantics, palm_initial_state, palm_solve
+
+    if machine == "fd":
+        runs = {"solve": make_semantics(), "strict": make_semantics(strict_reduce=True)}
+        dialect, solve_fn = "generic", solve
+    else:
+        runs, dialect, solve_fn = {"palm": make_palm_semantics()}, "palm", palm_solve
+
+    def replayed(os, text):
+        try:
+            events = parse_trace(text, dialect=dialect).events
+        except GentraError:
+            return None
+        if machine == "fd":
+            return validate(events, os=os).virtual
+        try:
+            return reconstruct(os, Trace(palm_initial_state(), tuple(map(ActualPayload, events))))
+        except ReconstructionError:
+            return None
+
+    inputs = [(os, emitted_text(name, run)[1]) for run, os in runs.items() for name in sorted(problems())]
+    os = next(iter(runs.values()))
+    corpus = [serialize_trace(document_for_events(solve_fn(p).events, dialect=dialect))
+              for p in benchmark_corpus(CORPUS_SEED, 120)]
+    rng = random.Random(CORPUS_SEED)
+    inputs += [(os, text) for text in corpus]
+    inputs += [(os, benchmark_inputs().defect_twin(text, rng)[0]) for text in corpus]
+    inputs += [(os, SIX_LINE_TRACE)]
+    inputs += [(os, _one_edit(corpus[i % len(corpus)], rng)) for i in range(3000)]
+    compared, outcomes = 0, set()
+    for i, (os, text) in enumerate(inputs):
+        t = replayed(os, text)
+        if t is None:
+            continue
+        assert t.records is not None
+        report = check_faithful(os, [t])
+        assert report == _definitional_report(os, t) and report.lines() == _definitional_report(os, t).lines(), i
+        compared += 1
+        outcomes.add(report.ok)
+    assert compared > len(corpus) + len(problems())
+    assert outcomes == ({True, False} if machine == "fd" else {True})
 
 
 def test_dual_faithfulness_on_emitted_trace(element_virtual):
