@@ -53,7 +53,7 @@ from typing import NamedTuple
 from .constraints import ConstraintDecl
 from .errors import GentraError, ProblemError, TraceShapeError, TraceSyntaxError
 from .fdomain import DEFAULT_MX, FiniteDomain, format_domain, parse_domain, parse_range
-from .gentra4cp import EVENT_TYPES, LAYOUT, ORIGIN_FREE, GenericEvent, origin_free, shape_error
+from .gentra4cp import EVENT_TYPES, LAYOUT, GenericEvent, shape_error
 from .solver import Problem, problem_faults
 from .state import BOTTOM, EVENT_KINDS, SolverEvent
 
@@ -673,24 +673,6 @@ def serialize_trace(doc: TraceDocument) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-_ORIGIN = itemgetter(2)  # a solver event's originating constraint
-
-
-def strip_origins(ev: GenericEvent) -> GenericEvent:
-    """Drop originating-constraint tags from solver events.
-
-    The text format never records them; replay recovers each origin from the
-    state it matches the event against.  A record that carries none, as every
-    record extraction builds, is kept as it is, tested field by field.
-    """
-    cause, event, generated = ev.cause, ev.event, ev.generated
-    if ((cause is None or cause[2] is None) and (event is None or event[2] is None)
-            and (generated is None or tuple(map(_ORIGIN, generated)) == (None,) * len(generated))):
-        return ev
-    return ev._replace(generated=generated and origin_free(generated),
-                       cause=cause and ORIGIN_FREE[cause[:2]], event=event and ORIGIN_FREE[event[:2]])
-
-
 def document_for_events(events, dialect: str = "generic", solver: str | None = None,
                         mx: int = DEFAULT_MX, chrono_start: int = 1) -> TraceDocument:
     """Wrap freshly emitted records as a serializable document."""
@@ -699,7 +681,7 @@ def document_for_events(events, dialect: str = "generic", solver: str | None = N
         header.append(("solver", solver))
     header.append(("dialect", dialect))
     header.append(("mx", str(mx)))
-    return TraceDocument(events=tuple(strip_origins(e) for e in events), chrono_start=chrono_start,
+    return TraceDocument(events=tuple(events), chrono_start=chrono_start,
                          dialect=dialect, header=tuple(header), mx=mx)
 
 

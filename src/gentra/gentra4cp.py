@@ -38,7 +38,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .constraints import ConstraintDecl
-from .errors import ReconstructionError, StateInvariantError, TransitionError
+from .errors import ReconstructionError, TransitionError
 from .fdomain import FiniteDomain
 from .semantics import Action, ObservationalSemantics, replay_records
 from .state import (ACTIVE, BOTTOM, CONSTRAINTS, CURRENT_EVENT, DOMAINS, INITIAL_DOMAINS, PENDING, REJECTED,
@@ -170,7 +170,7 @@ def shape_error(ev: GenericEvent, strict: bool = True) -> str | None:
     return None
 
 
-def generated_events(var: str, old: FiniteDomain, new: FiniteDomain, origin: str | None) -> tuple[SolverEvent, ...]:
+def generated_events(var: str, old: FiniteDomain, new: FiniteDomain) -> tuple[SolverEvent, ...]:
     """The solver events a domain change produces.
 
     A change always signals ``dom``; ``min``/``max`` fire when the respective
@@ -179,14 +179,14 @@ def generated_events(var: str, old: FiniteDomain, new: FiniteDomain, origin: str
     """
     if old == new:
         return ()
-    out = [SolverEvent("dom", var, origin)]
+    out = [SolverEvent("dom", var)]
     if not new.is_empty():
         if new.min_value() != old.min_value():
-            out.append(SolverEvent("min", var, origin))
+            out.append(SolverEvent("min", var))
         if new.max_value() != old.max_value():
-            out.append(SolverEvent("max", var, origin))
+            out.append(SolverEvent("max", var))
         if new.is_singleton() and not old.is_singleton():
-            out.append(SolverEvent("val", var, origin))
+            out.append(SolverEvent("val", var))
     return tuple(out)
 
 
@@ -371,43 +371,23 @@ STRICT_RULES = {**RULES, "reduce": lambda full, act: _step_reduce(full, act, str
 # extraction: transition -> attribute record
 
 
-class _OriginFree(dict):
-    """(kind, variable) to its solver event without an origin, shared by records; a miss at 1024 entries clears it."""
-
-    def __missing__(self, key):
-        if len(self) >= 1024:
-            self.clear()
-        bare = self[key] = SolverEvent(*key)
-        return bare
-
-
-ORIGIN_FREE, _KIND_VARIABLE = _OriginFree(), itemgetter(0, 1)
-
-
-def origin_free(events: tuple[SolverEvent, ...]) -> tuple[SolverEvent, ...]:
-    """``events`` without their origins, as the text writes them."""
-    return tuple(map(ORIGIN_FREE.__getitem__, map(_KIND_VARIABLE, events)))
-
-
 _NONES = (None,) * len(GenericEvent._fields)
 
 
 def extract_event(full: FullState, action: Action, new: FullState) -> GenericEvent:
     """Compute the attribute record of a transition from its state delta, positionally: ``fields`` are its
-    values from ``constraint`` on (variable, node, node2, domain, generated, cause, event, decl), the rest None.
-    Its solver events carry no origin, as in the text, so a record replay read is the one it extracts back."""
+    values from ``constraint`` on (variable, node, node2, domain, generated, cause, event, decl), the rest None."""
     kind, args = action
     if kind in ("post", "deactivate", "suspend", "solved"):
         fields = (args[0],)
     elif kind in ("reject", "awake"):
-        fields = (args[1], None, None, None, None, None, ORIGIN_FREE[args[0][:2]])
+        fields = (args[1], None, None, None, None, None, args[0])
     elif kind == "schedule":
-        fields = (args[1], None, None, None, None, None, None, ORIGIN_FREE[args[0][:2]])
+        fields = (args[1], None, None, None, None, None, None, args[0])
     elif kind == "reduce":
         cause, cid, _explanation, _generated, _removed, var = args
         delta = full.solver.domain(var).subtract(new.solver.domain(var))
-        generated = origin_free(new.solver.pending[len(full.solver.pending):])
-        fields = (cid, var, None, None, delta, generated, ORIGIN_FREE[cause[:2]])
+        fields = (cid, var, None, None, delta, new.solver.pending[len(full.solver.pending):], cause)
     elif kind in ("newChild", "solution", "failure"):
         fields = (None, None, args[0])
     elif kind == "newVariable":
@@ -419,7 +399,7 @@ def extract_event(full: FullState, action: Action, new: FullState) -> GenericEve
     elif kind == "restore":
         var = args[2]
         removed = new.solver.domain(var).subtract(full.solver.domain(var))
-        fields = (None, var, None, None, removed, origin_free(new.solver.pending[len(full.solver.pending):]) or None)
+        fields = (None, var, None, None, removed, new.solver.pending[len(full.solver.pending):] or None)
     else:
         raise TransitionError(kind, "unknown rule")
     store = new.tree.entries._store  # the rules keep the current node in the tree, as check_depth reads it
@@ -439,9 +419,17 @@ def _active_cause(full: FullState, ev: GenericEvent) -> SolverEvent:
     pair_event = full.solver.active_event(ev.constraint)
     if pair_event is None:
         _fail(ev.type, f"{ev.constraint} is not active")
-    if ev.cause is not None and pair_event[:2] != ev.cause[:2]:  # (kind, variable): records carry no origin
+    if ev.cause is not None and pair_event != ev.cause:
         _fail(ev.type, "recorded cause does not match the active pair")
     return pair_event
+
+
+def _generated(ev: GenericEvent) -> tuple[SolverEvent, ...]:
+    """The record's generated events: a domain change, so none of them is bot."""
+    generated = ev.generated or ()
+    if BOTTOM in generated:
+        _fail(ev.type, "a generated event is bot")
+    return generated
 
 
 def _read_jump(full: FullState, ev: GenericEvent) -> Action:
@@ -450,39 +438,21 @@ def _read_jump(full: FullState, ev: GenericEvent) -> Action:
     return _payload(Action, (ev.type, (ev.node,)))
 
 
-def _read_restore(full: FullState, ev: GenericEvent) -> Action:
-    gen = tuple(SolverEvent(e.kind, e.variable) for e in ev.generated or ())
-    return _payload(Action, (ev.type, (gen, ev.domain, ev.variable)))
-
-
-def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
-    cause = _active_cause(full, ev)
-    gen = tuple(SolverEvent(e.kind, e.variable, ev.constraint) for e in ev.generated or ())
-    return _payload(Action, (ev.type, (cause, ev.constraint, None, gen, ev.domain, ev.variable)))
-
-
 def _read_awake(full: FullState, ev: GenericEvent) -> Action:
-    current = full.solver.current_event
-    if ev.cause is None or ev.cause[0] == "bot":
-        cause = BOTTOM
-    elif current is not None and current[:2] == ev.cause[:2]:
-        cause = current
-    else:
+    cause = BOTTOM if ev.cause is None else ev.cause
+    if cause != BOTTOM and cause != full.solver.current_event:
         _fail(ev.type, "recorded cause is not the scheduled event")
     return _payload(Action, (ev.type, (cause, ev.constraint)))
 
 
 def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
-    key = ev.event[:2]
-    event = next((e for e in full.solver.pending if e[:2] == key), None)
-    if event is None:
+    if ev.event not in full.solver.pending:
         _fail(ev.type, f"no pending event matches {ev.event.kind} {ev.event.variable}")
-    return _payload(Action, (ev.type, (event, ev.constraint)))
+    return _payload(Action, (ev.type, (ev.event, ev.constraint)))
 
 
-# record readers: the action each record type encodes, read against the pre-state (solver events are
-# serialized without their originating constraint; the origin is recovered from the active pair for causes
-# and from the pending pool for scheduled events), each built positionally, its arguments in ``ARGS`` order
+# record readers: the action each record type encodes, read against the pre-state, each built
+# positionally, its arguments in ``ARGS`` order
 READERS = {
     "newVariable": lambda full, ev: _payload(Action, (ev.type, (ev.domain, ev.variable))),
     "newConstraint": lambda full, ev: _payload(Action, (ev.type, (ev.constraint, ev.decl))),
@@ -490,8 +460,9 @@ READERS = {
                     lambda full, ev: _payload(Action, (ev.type, (ev.constraint,)))),
     **dict.fromkeys(("newChild", "solution", "failure"), lambda full, ev: _payload(Action, (ev.type, (ev.node,)))),
     "jumpTo": _read_jump,
-    "restore": _read_restore,
-    "reduce": _read_reduce,
+    "restore": lambda full, ev: _payload(Action, (ev.type, (_generated(ev), ev.domain, ev.variable))),
+    "reduce": lambda full, ev: _payload(Action, (ev.type, (_active_cause(full, ev), ev.constraint, None,
+                                                            _generated(ev), ev.domain, ev.variable))),
     "reject": lambda full, ev: _payload(Action, (ev.type, (_active_cause(full, ev), ev.constraint))),
     "awake": _read_awake,
     "schedule": _read_schedule,
@@ -502,9 +473,7 @@ def record_reader(readers):
     """The record reader of ``readers``, which has a reader for every event type: ``read(full, ev)`` is the
     action a record encodes in ``full``, whether or not the bundle has a rule of its kind.
 
-    Reading recovers every serialized-away origin from the replayed state, so
-    replay yields structurally identical states to the original run.  A
-    record with a foreign attribute, or without one that replay reads, is
+    A record with a foreign attribute, or without one that replay reads, is
     refused with the shape check's text.
     """
     def read(full: FullState, ev: GenericEvent) -> Action:
@@ -512,10 +481,7 @@ def record_reader(readers):
         shape = _SHAPE_AT.get(kind)
         if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
             _fail(kind, shape_error(ev, strict=False))
-        try:
-            return readers[kind](full, ev)
-        except StateInvariantError as exc:  # a solver event no state can hold, such as a generated bot
-            raise ReconstructionError(kind, str(exc)) from exc
+        return readers[kind](full, ev)
 
     return read
 

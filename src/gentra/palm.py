@@ -263,7 +263,7 @@ class _PalmRun(_Run):
             if v != var:
                 for _vals, expl in self.full.explanations.get(v, ()):
                     explanation |= expl
-        generated = _fresh_events(self, var, old, new, cid) if var in self.problem_vars else ()
+        generated = _fresh_events(self, var, old, new) if var in self.problem_vars else ()
         return _payload(Action, ("reduce", (cause, cid, frozenset(explanation), generated, removed, var)))
 
 

@@ -144,13 +144,13 @@ class _Run:
 
     def reduce_action(self, cid: str, var: str, old: FiniteDomain, new: FiniteDomain,
                       removed: FiniteDomain, cause: SolverEvent) -> Action:
-        generated = _fresh_events(self, var, old, new, cid)
+        generated = _fresh_events(self, var, old, new)
         return _payload(Action, ("reduce", (cause, cid, None, generated, removed, var)))
 
 
-def _fresh_events(run: _Run, var: str, old: FiniteDomain, new: FiniteDomain, origin: str):
+def _fresh_events(run: _Run, var: str, old: FiniteDomain, new: FiniteDomain):
     """Generated events not already pending (the rule unions them in)."""
-    return tuple(e for e in generated_events(var, old, new, origin)
+    return tuple(e for e in generated_events(var, old, new)
                  if e not in run.solver.pending)
 
 

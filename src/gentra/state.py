@@ -34,11 +34,11 @@ EVENT_KINDS = ("dom", "min", "max", "val")
 class _EventFields(NamedTuple):
     kind: str
     variable: str | None = None
-    origin: str | None = None
 
 
 class SolverEvent(_EventFields):
-    """A propagation-level happening: a domain change to be propagated.
+    """A propagation-level happening: a domain change to be propagated, the
+    pair (kind, variable) that the text writes.
 
     ``bot`` is the distinguished no-event used when a constraint is activated
     directly rather than woken by a change; it carries no variable.  A named
@@ -47,13 +47,13 @@ class SolverEvent(_EventFields):
 
     __slots__ = ()
 
-    def __new__(cls, kind, variable=None, origin=None):
+    def __new__(cls, kind, variable=None):
         if kind == "bot":
-            if variable is not None or origin is not None:
-                raise StateInvariantError("the bottom event carries no variable and no origin")
+            if variable is not None:
+                raise StateInvariantError("the bottom event carries no variable")
         elif kind not in EVENT_KINDS:
             raise StateInvariantError(f"unknown solver-event kind {kind!r}")
-        return tuple.__new__(cls, (kind, variable, origin))
+        return tuple.__new__(cls, (kind, variable))
 
 
 BOTTOM = SolverEvent("bot")

@@ -168,9 +168,9 @@ def test_map_palm_and_compliance(runner, element_prob, tmp_path):
     compliance = runner.invoke(main, ["check-compliance", str(palm_out)])
     assert compliance.exit_code == 0, compliance.output
     assert compliance.output == (
-        "PASS palm replay events=122\n"
+        "PASS palm replay events=110\n"
         "PASS palm rules refine the gentra4cp rules (properties pinned in tests/test_refinement.py)\n"
-        "PASS guards=g3,g4,g5 events=122\n"
+        "PASS guards=g3,g4,g5 events=110\n"
         "PASS compliance\n"
     )
 

@@ -19,7 +19,6 @@ from gentra.formats import (
     parse_problem,
     parse_trace,
     serialize_trace,
-    strip_origins,
 )
 from gentra.gentra4cp import _SHAPES, EVENT_TYPES, LAYOUT, GenericEvent
 from gentra.palm import palm_solve
@@ -357,32 +356,17 @@ def test_strict_parse_inverts_serialize_on_emitted_events(machine):
         assert all(type(ev) is GenericEvent for ev in back.events)
 
 
-def _solver_events(ev):
-    return (ev.cause, ev.event, *(ev.generated or ()))
-
-
 @pytest.mark.parametrize("run", [solve, palm_solve])
-def test_records_without_origins_are_not_rebuilt(run):
-    # extraction writes solver events without their origin, as the text does:
-    # every emitted record equals its own strict parse, and strip_origins
-    # returns it unchanged, while it still strips a hand-made record's origins
+def test_documents_wrap_emitted_records_as_they_are(run):
+    # a record's solver events are what the text writes: a document holds the
+    # emitted records themselves, and each equals its own strict parse
     events = run(ladder(4)).events
     dialect = "palm" if run is palm_solve else "generic"
-    assert parse_trace(serialize_trace(document_for_events(events, dialect=dialect)), mode="strict").events == events
-    carried = 0
-    for ev in events:
-        assert all(e is None or e.origin is None for e in _solver_events(ev)), ev
-        assert strip_origins(ev) is ev
-        carried += any(e is not None for e in _solver_events(ev))
-    assert carried > 0
-    tagged = GenericEvent("reduce", 0, constraint="c1", variable="x", domain=FiniteDomain.of([0]),
-                          generated=(SolverEvent("dom", "x", "c1"), SolverEvent("min", "x")),
-                          cause=SolverEvent("dom", "y", "c2"))
-    stripped = strip_origins(tagged)
-    assert stripped == tagged._replace(generated=(SolverEvent("dom", "x"), SolverEvent("min", "x")),
-                                       cause=SolverEvent("dom", "y"))
-    scheduled = GenericEvent("schedule", 0, event=SolverEvent("val", "x", "c1"))
-    assert strip_origins(scheduled) == scheduled._replace(event=SolverEvent("val", "x"))
+    doc = document_for_events(events, dialect=dialect)
+    assert all(a is b for a, b in zip(doc.events, events, strict=True))
+    assert parse_trace(serialize_trace(doc), mode="strict").events == events
+    carried = [e for ev in events for e in (ev.cause, ev.event, *(ev.generated or ())) if e is not None]
+    assert carried and all(type(e) is SolverEvent and len(e) == 2 for e in carried)
 
 
 def test_strict_text_is_lenient_with_zero_deviations():

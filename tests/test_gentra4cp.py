@@ -215,7 +215,7 @@ def test_awake_and_schedule_rules():
         Action.of("post", constraint="c1"),
         Action.of("suspend", constraint="c1"),
     ], start=base_state())
-    ev = SolverEvent("dom", "x", "c9")
+    ev = SolverEvent("dom", "x")
     full = apply(full, Action.of("restore", variable="x", values=FiniteDomain(()), generated=(ev,)))
     assert ev in full.solver.pending
     with pytest.raises(TransitionError):  # not scheduled yet
@@ -286,10 +286,9 @@ def test_deactivate_removes_from_any_part():
 
 
 def test_extract_reduce_record_fields():
-    # the record writes its solver events without their origin, as the text
-    # does, while the state keeps them; records share the origin-free events
+    # the record writes the solver events the state holds, as they are
     full = apply(base_state(), Action.of("post", constraint="c1"))
-    gen = (SolverEvent("dom", "x", "c1"),)
+    gen = (SolverEvent("dom", "x"),)
     act = Action.of("reduce", constraint="c1", variable="x",
                     removed=FiniteDomain.of([0]), generated=gen, cause=BOTTOM)
     new = apply(full, act)
@@ -297,10 +296,9 @@ def test_extract_reduce_record_fields():
     record = extract_event(full, act, new)
     assert record.type == "reduce"
     assert record.constraint == "c1" and record.variable == "x"
-    assert record.generated == (SolverEvent("dom", "x"),)
+    assert record.generated == gen and record.generated[0] is new.solver.pending[0]
     assert record.domain == FiniteDomain.of([0])
-    assert record.cause == BOTTOM
-    assert extract_event(full, act, new).generated[0] is record.generated[0]
+    assert record.cause is BOTTOM
     assert read_record(full, record) == act and replay_records(make_semantics(), full, (record,))[0].state == new
 
 
@@ -418,15 +416,17 @@ def test_validate_flags_corrupted_reduce(element_run, element_virtual):
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
 def test_validate_reports_a_generated_bot_at_its_record(machine):
-    # no state can hold a bot generated by a reduce: validate reports the
-    # record, as it does any record that does not replay
+    # bot is no domain change, so no reduce or restore generates it: validate
+    # refuses the record itself, not a later one that the bot would confuse
     run, os = (solve, make_semantics()) if machine == "fd" else (palm.palm_solve, palm.make_palm_semantics())
-    events = list(run(element_problem()).events)
-    idx = next(i for i, ev in enumerate(events) if ev.type == "reduce")
-    events[idx] = events[idx]._replace(generated=(BOTTOM,))
-    report = validate(events, os=os)
-    assert not report.ok
-    assert report.error == gentra4cp.ValidationError(idx, "reduce", "the bottom event carries no variable and no origin")
+    emitted = run(element_problem()).events
+    kinds = ("reduce",) if machine == "fd" else ("reduce", "restore")
+    for kind in kinds:
+        events = list(emitted)
+        idx = next(i for i, ev in enumerate(events) if ev.type == kind)
+        events[idx] = events[idx]._replace(generated=(BOTTOM,))
+        report = validate(events, os=os)
+        assert report.error == gentra4cp.ValidationError(idx, kind, "a generated event is bot"), kind
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -564,7 +564,10 @@ def test_faithfulness_of_replayed_traces_is_the_definitional_route(machine):
     # on traces replay built, which carry the records they were read from, the
     # record comparison gives the report, divergence and text the definitional
     # route gives: the golden traces, the first 120 corpus traces (seed 7),
-    # their defect twins, the six-line trace and 3,000 one-edit mutants
+    # their defect twins, the six-line trace and 3,000 one-edit mutants. Both
+    # machines see unfaithful ones: a record that lists an event already
+    # pending, as the six-line trace does, and palm mutants 2612 and 2699,
+    # whose restores list one
     from test_golden_traces import RUNS, emitted_text, problems
     from test_refinement import CORPUS_SEED, _one_edit
     from support import benchmark_corpus, benchmark_inputs
@@ -609,7 +612,7 @@ def test_faithfulness_of_replayed_traces_is_the_definitional_route(machine):
         compared += 1
         outcomes.add(report.ok)
     assert compared > len(corpus) + len(problems())
-    assert outcomes == ({True, False} if machine == "fd" else {True})
+    assert outcomes == {True, False}
 
 
 def test_dual_faithfulness_on_emitted_trace(element_virtual):
@@ -716,7 +719,7 @@ def test_guard_g4_flags_awake_while_a_constraint_is_active():
 
 
 def test_guard_g5_flags_schedule_while_a_constraint_is_active():
-    dom_x = SolverEvent("dom", "x", "c1")
+    dom_x = SolverEvent("dom", "x")
     actions = _sleeping_c2_then_active_c1() + [
         Action.of("reduce", constraint="c1", variable="x", removed=parse_domain("[0-2,4-5]"),
                   generated=(dom_x,), cause=BOTTOM),

@@ -132,7 +132,7 @@ def test_restore_scans_broken_explanations():
 def test_awake_and_schedule_queue_discipline():
     full = run_palm([
         Action.of("reduce", constraint="c1", variable="x", removed=parse_domain("[0-1]"),
-                  generated=(SolverEvent("dom", "x", "c1"),), cause=BOTTOM,
+                  generated=(SolverEvent("dom", "x"),), cause=BOTTOM,
                   explanation=frozenset({"c1"})),
         Action.of("suspend", constraint="c1"),
     ], start=scripted_state())

@@ -25,3 +25,13 @@ def test_readme_python_example_runs(code):
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_each_format_finding_names_a_test_that_exists():
+    # every row of the README's format-findings table is pinned by a test
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("### Format findings", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ") and not line.startswith(("| finding", "| ---"))]
+    assert len(rows) >= 2
+    for row in rows:
+        path, name = re.fullmatch(r".*`(tests/\w+\.py)::(\w+)` \|", row).groups()
+        assert re.search(rf"^def {name}\(", (ROOT / path).read_text(encoding="utf-8"), re.MULTILINE), row

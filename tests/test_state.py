@@ -36,21 +36,21 @@ def test_equality_and_hash_are_the_tuple_ones(cls):
 
 
 def test_solver_event_equals_hashes_and_prints_by_its_fields():
-    event = SolverEvent("dom", "x", "c1")
-    assert event == SolverEvent("dom", "x", "c1") and hash(event) == hash(("dom", "x", "c1"))
-    assert event != SolverEvent("dom", "x") and event != SolverEvent("min", "x", "c1")
-    assert (event.kind, event.variable, event.origin) == ("dom", "x", "c1")
-    assert repr(event) == "SolverEvent(kind='dom', variable='x', origin='c1')"
-    assert repr(BOTTOM) == "SolverEvent(kind='bot', variable=None, origin=None)"
-    assert BOTTOM == SolverEvent("bot") and hash(BOTTOM) == hash(("bot", None, None))
-    # readers compare an event's (kind, variable) slice: records carry no origin
-    assert SolverEvent(kind="val", variable="y", origin="c1")[:2] == ("val", "y") and not hasattr(event, "matches")
+    # an event is the pair (kind, variable) the text writes, and nothing more
+    event = SolverEvent("dom", "x")
+    assert event == SolverEvent("dom", "x") and hash(event) == hash(("dom", "x"))
+    assert event != SolverEvent("dom", "y") and event != SolverEvent("min", "x")
+    assert (event.kind, event.variable) == tuple(event) == ("dom", "x")
+    assert repr(event) == "SolverEvent(kind='dom', variable='x')"
+    assert repr(BOTTOM) == "SolverEvent(kind='bot', variable=None)"
+    assert BOTTOM == SolverEvent("bot") and hash(BOTTOM) == hash(("bot", None))
+    assert SolverEvent._fields == ("kind", "variable") and not hasattr(event, "matches")
 
 
 @pytest.mark.parametrize("args,text", [
     (("dam", "x"), "unknown solver-event kind 'dam'"),
-    (("bot", "x"), "the bottom event carries no variable and no origin"),
-    (("bot", None, "c1"), "the bottom event carries no variable and no origin"),
+    (("bot", "x"), "the bottom event carries no variable"),
+    (("bot", ""), "the bottom event carries no variable"),  # any variable at all, even an empty one
 ])
 def test_invalid_solver_event_raises_as_before(args, text):
     with pytest.raises(StateInvariantError) as caught:
