@@ -32,7 +32,7 @@ validate foreign traces), and the run-level guard checks.
 from __future__ import annotations
 
 from functools import partial
-from itertools import filterfalse
+from itertools import compress
 from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -171,23 +171,33 @@ def shape_error(ev: GenericEvent, strict: bool = True) -> str | None:
 
 
 def generated_events(var: str, old: FiniteDomain, new: FiniteDomain) -> tuple[SolverEvent, ...]:
-    """The solver events a domain change produces.
+    """The solver events a domain change produces, one shared tuple per (kinds, variable).
 
     A change always signals ``dom``; ``min``/``max`` fire when the respective
     bound moved, ``val`` when the domain became a singleton.  An emptied
-    domain signals ``dom`` only (there is no bound left to report).
+    domain signals ``dom`` only (there is no bound left to report); a domain
+    that was empty gains both bounds, so it signals ``dom``, ``min`` and
+    ``max``, and ``val`` if it holds one value.
     """
     if old == new:
         return ()
-    out = [SolverEvent("dom", var)]
-    if not new.is_empty():
-        if new.min_value() != old.min_value():
-            out.append(SolverEvent("min", var))
-        if new.max_value() != old.max_value():
-            out.append(SolverEvent("max", var))
-        if new.is_singleton() and not old.is_singleton():
-            out.append(SolverEvent("val", var))
-    return tuple(out)
+    o, n = old.intervals, new.intervals
+    fixed = n and n[0][0] == n[-1][1]  # ascending disjoint intervals: one value
+    return (_GENERATED.get(var) or _generated_table(var))[
+        0 if not n else 3 + 4 * fixed if not o else
+        (n[0][0] != o[0][0]) + 2 * (n[-1][1] != o[-1][1]) + 4 * (fixed and o[0][0] != o[-1][1])]
+
+
+_GENERATED: dict[str, tuple] = {}  # per variable, its generated tuples by the bits of min (1), max (2) and val (4)
+
+
+def _generated_table(var: str) -> tuple[tuple[SolverEvent, ...], ...]:
+    """``var``'s eight generated tuples: ``dom``, then each of ``min``, ``max`` and ``val`` whose bit is set."""
+    if len(_GENERATED) >= 4096:  # a bounded table
+        _GENERATED.clear()
+    dom, *bounds = (SolverEvent(kind, var) for kind in ("dom", "min", "max", "val"))
+    _GENERATED[var] = table = tuple((dom, *compress(bounds, (moved & 1, moved & 2, moved & 4))) for moved in range(8))
+    return table
 
 
 # transition rules
@@ -252,10 +262,22 @@ def _step_deactivate(full: FullState, act: Action) -> FullState:
     return full.with_solver(ACTIVE, _retire(s, cid, None, "deactivate"))
 
 
-def _pushed(pending: tuple[SolverEvent, ...], events) -> tuple[SolverEvent, ...]:
-    """The pending events followed by those of ``events`` not pending yet."""
-    fresh = tuple(filterfalse(pending.__contains__, events))
-    return pending + fresh if fresh else pending
+# what reduce and restore require of the generated events they list, in this order: each is one the domain change
+# justifies (``generated_events``, by (kind, variable)), and none is pending already or listed twice
+UNJUSTIFIED = "a generated event is not justified by the domain change"
+NOT_FRESH = "a generated event is already pending or listed twice"
+
+
+def _pending_after(rule: str, s: SolverState, var: str, old: FiniteDomain, new: FiniteDomain, generated) -> tuple:
+    """The pending events once ``var``'s domain goes from ``old`` to ``new`` listing ``generated``: appended."""
+    if generated:
+        justified = generated_events(var, old, new)  # each event once
+        if generated != justified and not all(map(justified.__contains__, generated)):
+            raise TransitionError(rule, UNJUSTIFIED)
+        if generated != justified and len(set(generated)) < len(generated) or s.pending and any(
+                map(s.pending.__contains__, generated)):
+            raise TransitionError(rule, NOT_FRESH)
+    return s.pending + generated
 
 
 def _step_restore(full: FullState, act: Action) -> FullState:
@@ -265,7 +287,9 @@ def _step_restore(full: FullState, act: Action) -> FullState:
     dom = s.domain(var)
     _need(restored.disjoint(dom), "restore", "restored values are still in the domain")
     _need(restored.issubset(s.initial_domain(var)), "restore", "restored values exceed the initial domain")
-    return full.with_solver(DOMAINS, {**s.domains, var: dom.union(restored)}, PENDING, _pushed(s.pending, generated))
+    new = dom.union(restored)
+    return full.with_solver(DOMAINS, {**s.domains, var: new}, PENDING, _pending_after("restore", s, var, dom, new,
+                                                                                      generated))
 
 
 def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullState:
@@ -281,7 +305,8 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
         raise TransitionError("reduce", f"{var} is not a variable of {cid}")
     dom = s.domain(var)
     _need(removed.issubset(dom), "reduce", "removed values are not all in the domain")
-    domains, pending = {**s.domains, var: dom.subtract(removed)}, _pushed(s.pending, generated)
+    new = dom.subtract(removed)
+    domains, pending = {**s.domains, var: new}, _pending_after("reduce", s, var, dom, new, generated)
     if strict:
         return full.with_solver(DOMAINS, domains, PENDING, pending, ACTIVE, _retire(s, cid, None, "reduce"))
     return full.with_solver(DOMAINS, domains, PENDING, pending)

@@ -149,7 +149,7 @@ class _Run:
 
 
 def _fresh_events(run: _Run, var: str, old: FiniteDomain, new: FiniteDomain):
-    """Generated events not already pending (the rule unions them in)."""
+    """Generated events not already pending (the rule refuses one that is)."""
     return tuple(e for e in generated_events(var, old, new)
                  if e not in run.solver.pending)
 

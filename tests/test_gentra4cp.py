@@ -1,6 +1,7 @@
 """Rule-level and replay-level tests of the trace format semantics."""
 
 import dataclasses
+import functools
 import random
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from gentra.abstraction import palm_profile, project
 from gentra.constraints import ConstraintDecl
 from gentra.errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import FiniteDomain, full_domain, parse_domain
-from gentra.formats import parse_trace
+from gentra.formats import document_for_events, parse_trace, serialize_trace
 from gentra.gentra4cp import (
     ARG_DEFAULTS,
     ARGS,
@@ -210,13 +211,59 @@ def test_restore_conditions_and_union():
         apply(full, Action.of("restore", variable="x", values=FiniteDomain.of([9])))
 
 
+def _reduce_x(removed, *generated):
+    return Action.of("reduce", constraint="c1", variable="x", removed=FiniteDomain.of(removed), generated=generated,
+                     cause=BOTTOM)
+
+
+@pytest.mark.parametrize("first, second, text", [
+    (_reduce_x([0], SolverEvent("max", "x")), None, gentra4cp.UNJUSTIFIED),  # only x's minimum moved
+    (_reduce_x([0], SolverEvent("dom", "y")), None, gentra4cp.UNJUSTIFIED),  # another variable
+    (_reduce_x([0], SolverEvent("dom", "x"), SolverEvent("dom", "x")), None, gentra4cp.NOT_FRESH),  # listed twice
+    (_reduce_x([0], SolverEvent("dom", "x")), _reduce_x([5], SolverEvent("dom", "x")), gentra4cp.NOT_FRESH),
+    (_reduce_x([0, 1]), Action.of("restore", variable="x", values=FiniteDomain.of([1]),
+                                  generated=(SolverEvent("dom", "y"),)), gentra4cp.UNJUSTIFIED),
+    (_reduce_x([0], SolverEvent("dom", "x")), Action.of("restore", variable="x", values=FiniteDomain.of([0]),
+                                                       generated=(SolverEvent("dom", "x"),)), gentra4cp.NOT_FRESH),
+])
+def test_reduce_and_restore_list_only_fresh_justified_events(first, second, text):
+    # each listed generated event is one the domain change justifies, and none
+    # is pending already or listed twice; the step that breaks one is refused
+    full = apply(base_state(), Action.of("post", constraint="c1"))
+    with pytest.raises(TransitionError) as refused:
+        full = apply(full, first)
+        apply(full, second)
+    assert (refused.value.rule, refused.value.condition) == ((second or first).kind, text)
+
+
+def test_generated_events_out_of_an_empty_domain_and_interned():
+    empty, d13 = FiniteDomain(()), FiniteDomain.interval(1, 3)
+    dom, lo, hi, val = (SolverEvent(kind, "x") for kind in ("dom", "min", "max", "val"))
+    assert gentra4cp.generated_events("x", empty, d13) == (dom, lo, hi)
+    assert gentra4cp.generated_events("x", empty, FiniteDomain.of([2])) == (dom, lo, hi, val)
+    assert gentra4cp.generated_events("x", d13, empty) == (dom,)
+    assert gentra4cp.generated_events("x", D05, FiniteDomain.interval(0, 1)) is \
+        gentra4cp.generated_events("x", d13, FiniteDomain.interval(1, 2))  # one tuple per (kinds, variable)
+    # a restore out of a wiped-out domain lists events of the domain it brings back
+    emptied = run_actions([Action.of("post", constraint="c2"),
+                           Action.of("reduce", constraint="c2", variable="y", removed=D05, cause=BOTTOM),
+                           Action.of("reject", constraint="c2", cause=BOTTOM),
+                           Action.of("deactivate", constraint="c2")], start=base_state())
+    back = apply(emptied, Action.of("restore", variable="y", values=d13,
+                                    generated=tuple(SolverEvent(k, "y") for k in ("dom", "min", "max"))))
+    assert back.solver.domain("y") == d13 and len(back.solver.pending) == 3
+    with pytest.raises(TransitionError, match=gentra4cp.UNJUSTIFIED):
+        apply(emptied, Action.of("restore", variable="y", values=d13, generated=(SolverEvent("val", "y"),)))
+
+
 def test_awake_and_schedule_rules():
     full = run_actions([
         Action.of("post", constraint="c1"),
+        Action.of("reduce", constraint="c1", variable="x", removed=FiniteDomain.of([0]), cause=BOTTOM),
         Action.of("suspend", constraint="c1"),
     ], start=base_state())
     ev = SolverEvent("dom", "x")
-    full = apply(full, Action.of("restore", variable="x", values=FiniteDomain(()), generated=(ev,)))
+    full = apply(full, Action.of("restore", variable="x", values=FiniteDomain.of([0]), generated=(ev,)))
     assert ev in full.solver.pending
     with pytest.raises(TransitionError):  # not scheduled yet
         apply(full, Action.of("awake", constraint="c1", cause=ev))
@@ -229,9 +276,13 @@ def test_awake_and_schedule_rules():
 
 
 def test_schedule_requires_watcher():
-    full = base_state()
+    full = run_actions([
+        Action.of("post", constraint="c1"),
+        Action.of("reduce", constraint="c1", variable="x", removed=FiniteDomain.of([0]), cause=BOTTOM),
+        Action.of("deactivate", constraint="c1"),
+    ], start=base_state())
     ev = SolverEvent("dom", "x")
-    full = apply(full, Action.of("restore", variable="x", values=FiniteDomain(()), generated=(ev,)))
+    full = apply(full, Action.of("restore", variable="x", values=FiniteDomain.of([0]), generated=(ev,)))
     with pytest.raises(TransitionError):
         apply(full, Action.of("schedule", event=ev))  # nobody sleeps
 
@@ -537,17 +588,28 @@ def test_faithfulness_on_element_run(element_virtual):
     assert check_faithful(make_semantics(), [element_virtual]).ok
 
 
-def test_a_parsed_trace_that_validates_can_fail_faithfulness():
-    # the second reduce lists dom(x), which the first left pending: the rule
-    # drops it, so extraction never writes it and the read-back differs there
+def test_a_reduce_listing_a_pending_event_is_refused_by_validate():
+    # the second reduce lists dom(x), which the first left pending: refused at
+    # its own record, so no replayed trace holds a step whose extracted record
+    # would lose the event
     report = validate(parse_trace(SIX_LINE_TRACE).events)
-    assert report.ok and report.guard_report.guards == ("g3",)
-    assert check_faithful(make_semantics(), [report.virtual]).lines() == [
-        "FAIL faithfulness trace=0 divergence=4", "FAIL faithfulness traces=1"]
+    assert report.lines() == [f"FAIL validate event=4 rule=reduce {gentra4cp.NOT_FRESH}", "FAIL validate events=4"]
 
 
 SIX_LINE_TRACE = ("1[0]newVariable x [0-3]\n2[0]newConstraint c1 eqc(x,1)\n3[0]post c1\n"
                   "4[0]reduce c1 x gen{dom(x)} [0] bot\n5[0]reduce c1 x gen{dom(x)} [2-3] bot\n6[0]suspend c1\n")
+
+
+def test_a_reduce_may_list_a_subset_of_the_justified_events():
+    # the first reduce moves x's minimum and lists nothing, the second lists
+    # val(x) alone: a rule that may not demand every justified event (palm
+    # lists a proper subset) accepts both, and the trace is faithful
+    text = ("1[0]newVariable x [0-3]\n2[0]newConstraint c1 eqc(x,1)\n3[0]post c1\n"
+            "4[0]reduce c1 x gen{} [0] bot\n5[0]reduce c1 x gen{val(x)} [2-3] bot\n6[0]suspend c1\n")
+    report = validate(parse_trace(text).events)
+    assert report.ok
+    assert check_faithful(make_semantics(), [report.virtual]).ok
+    assert check_faithful(make_semantics(), [dataclasses.replace(report.virtual)]).ok  # by the compare path too
 
 
 def _definitional_report(os, t) -> FaithfulnessReport:
@@ -559,26 +621,46 @@ def _definitional_report(os, t) -> FaithfulnessReport:
     return FaithfulnessReport((FaithfulnessEntry(0, pos is None, divergence=pos),))
 
 
-@pytest.mark.parametrize("machine", ["fd", "palm"])
-def test_faithfulness_of_replayed_traces_is_the_definitional_route(machine):
-    # on traces replay built, which carry the records they were read from, the
-    # record comparison gives the report, divergence and text the definitional
-    # route gives: the golden traces, the first 120 corpus traces (seed 7),
-    # their defect twins, the six-line trace and 3,000 one-edit mutants. Both
-    # machines see unfaithful ones: a record that lists an event already
-    # pending, as the six-line trace does, and palm mutants 2612 and 2699,
-    # whose restores list one
-    from test_golden_traces import RUNS, emitted_text, problems
+_CORPUS_SIZE = 120
+
+
+@functools.cache
+def _replay_inputs(machine: str) -> tuple:
+    """The dialect, the (bundle, trace text) pairs and the index of the first one-edit mutant among them, for
+    ``machine``: the golden traces, the first 120 corpus traces (seed 7), their defect twins, the six-line
+    trace and 3,000 one-edit mutants of the corpus traces."""
+    from test_golden_traces import emitted_text, problems
     from test_refinement import CORPUS_SEED, _one_edit
     from support import benchmark_corpus, benchmark_inputs
-    from gentra.formats import document_for_events, serialize_trace
-    from gentra.palm import make_palm_semantics, palm_initial_state, palm_solve
 
     if machine == "fd":
         runs = {"solve": make_semantics(), "strict": make_semantics(strict_reduce=True)}
         dialect, solve_fn = "generic", solve
     else:
-        runs, dialect, solve_fn = {"palm": make_palm_semantics()}, "palm", palm_solve
+        runs, dialect, solve_fn = {"palm": palm.make_palm_semantics()}, "palm", palm.palm_solve
+    inputs = [(os, emitted_text(name, run)[1]) for run, os in runs.items() for name in sorted(problems())]
+    os = next(iter(runs.values()))
+    corpus = [serialize_trace(document_for_events(solve_fn(p).events, dialect=dialect))
+              for p in benchmark_corpus(CORPUS_SEED, _CORPUS_SIZE)]
+    rng = random.Random(CORPUS_SEED)
+    inputs += [(os, text) for text in corpus]
+    inputs += [(os, benchmark_inputs().defect_twin(text, rng)[0]) for text in corpus]
+    inputs += [(os, SIX_LINE_TRACE)]
+    first_mutant = len(inputs)
+    inputs += [(os, _one_edit(corpus[i % len(corpus)], rng)) for i in range(3000)]
+    return dialect, tuple(inputs), first_mutant
+
+
+@pytest.mark.parametrize("machine", ["fd", "palm"])
+def test_faithfulness_of_replayed_traces_is_the_definitional_route(machine):
+    # on traces replay built, which carry the records they were read from, the
+    # shortcut (fd) and the record comparison (palm) give the report,
+    # divergence and text the definitional route gives, on every input of
+    # ``_replay_inputs``; every trace replay accepts is faithful, since the
+    # rules refuse a generated event already pending
+    from test_golden_traces import problems
+
+    dialect, inputs, _ = _replay_inputs(machine)
 
     def replayed(os, text):
         try:
@@ -588,19 +670,10 @@ def test_faithfulness_of_replayed_traces_is_the_definitional_route(machine):
         if machine == "fd":
             return validate(events, os=os).virtual
         try:
-            return reconstruct(os, Trace(palm_initial_state(), tuple(map(ActualPayload, events))))
+            return reconstruct(os, Trace(palm.palm_initial_state(), tuple(map(ActualPayload, events))))
         except ReconstructionError:
             return None
 
-    inputs = [(os, emitted_text(name, run)[1]) for run, os in runs.items() for name in sorted(problems())]
-    os = next(iter(runs.values()))
-    corpus = [serialize_trace(document_for_events(solve_fn(p).events, dialect=dialect))
-              for p in benchmark_corpus(CORPUS_SEED, 120)]
-    rng = random.Random(CORPUS_SEED)
-    inputs += [(os, text) for text in corpus]
-    inputs += [(os, benchmark_inputs().defect_twin(text, rng)[0]) for text in corpus]
-    inputs += [(os, SIX_LINE_TRACE)]
-    inputs += [(os, _one_edit(corpus[i % len(corpus)], rng)) for i in range(3000)]
     compared, outcomes = 0, set()
     for i, (os, text) in enumerate(inputs):
         t = replayed(os, text)
@@ -611,8 +684,57 @@ def test_faithfulness_of_replayed_traces_is_the_definitional_route(machine):
         assert report == _definitional_report(os, t) and report.lines() == _definitional_report(os, t).lines(), i
         compared += 1
         outcomes.add(report.ok)
-    assert compared > len(corpus) + len(problems())
-    assert outcomes == {True, False}
+    assert compared > _CORPUS_SIZE + len(problems())
+    assert outcomes == {True}
+
+
+def test_reading_back_an_extracted_record_gives_the_action_it_was_read_from():
+    # for every record r that replay accepts in a state s, with a = read(s, r)
+    # and s' = apply(s, a): read(s, extract(s, a, s')) == a, and the extracted
+    # record passes the record check in s'. On the format's own reader and
+    # extractor this is what lets check_faithful skip a replayed trace, and it
+    # is checked on both machines' inputs, palm's read as generic records as
+    # their projected validate reads them, so that all 15 kinds are met; palm's
+    # own pair is checked on palm's inputs
+    kinds = {}
+    for machine in ("fd", "palm"):
+        dialect, inputs, _ = _replay_inputs(machine)
+        for own, text in inputs:
+            try:
+                records = parse_trace(text, dialect=dialect).events
+            except GentraError:
+                continue
+            for os in (own, make_semantics()) if machine == "palm" else (own,):
+                seen, state = kinds.setdefault((os.read_action, os.extract_local), set()), initial_state()
+                for record in records:
+                    try:
+                        action = os.read_action(state, record)
+                        successor = os.apply(state, action)
+                        os.check_record(record, successor)
+                    except (ReconstructionError, TransitionError):
+                        break
+                    extracted = os.extract_local(state, action, successor)
+                    assert os.read_action(state, extracted) == action, (text, record)
+                    os.check_record(extracted, successor)
+                    seen.add(action.kind)
+                    state = successor
+    palm_os = palm.make_palm_semantics()
+    assert kinds == {(read_record, extract_event): set(EVENT_TYPES),
+                     (palm_os.read_action, palm_os.extract_local): set(palm_os.rules)}
+    assert len(EVENT_TYPES) == 15
+
+
+def test_a_palm_restore_of_one_variable_listing_events_of_another_is_refused():
+    # palm one-edit mutant 2612 lists three events of v0, all of them pending,
+    # at a restore of v2: refused by the justification, the first condition
+    dialect, inputs, first_mutant = _replay_inputs("palm")
+    os, text = inputs[first_mutant + 2612]
+    events = parse_trace(text, dialect=dialect).events
+    assert serialize_trace(document_for_events(events[33:34], dialect=dialect)).splitlines()[-1] == \
+        "1[2]restore v2 [1] gen{dom(v0),max(v0),val(v0)}"
+    with pytest.raises(ReconstructionError) as refused:
+        reconstruct(os, Trace(palm.palm_initial_state(), tuple(map(ActualPayload, events))))
+    assert (refused.value.index, refused.value.rule, refused.value.condition) == (33, "restore", gentra4cp.UNJUSTIFIED)
 
 
 def test_dual_faithfulness_on_emitted_trace(element_virtual):

@@ -339,12 +339,13 @@ def test_strict_parse_of_emitted_traces_makes_no_token(monkeypatch, source):
 # palm replay, whose rules refine the generic ones; the projected validate
 # and check_simulable it also ran took 108) takes about 51.6 line events per
 # event, and the fd verdict (validate and check_faithful, one application)
-# about 64.4: replay reads, applies and checks each record in its own loop,
-# and check_faithful reads back no step whose extracted record is the one
-# validate read it from (75.4 while it read back every step).  A slower rule
-# step costs the same per event at every size, so only an absolute bound
-# sees it; each bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 62, "fd": 68}
+# about 49.0: replay reads, applies and checks each record in its own loop,
+# and check_faithful makes no pass over a trace validate replayed, since the
+# rules refuse a generated event already pending (64.4 while it extracted
+# every step and compared its record, 75.4 while it read back every step).
+# A slower rule step costs the same per event at every size, so only an
+# absolute bound sees it; each bound is that count plus about 5%.
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 62, "fd": 51}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -370,10 +371,12 @@ def test_verdict_rule_steps_stay_within_their_line_events(machine):
 # solve result holds only its records, so a solver that kept a state, a
 # step or an action per event shows in its bound.  Measured with Python
 # 3.11 at ladder k = 4 and 6: the palm replay holds 595 and 625 bytes per
-# event, palm_solve 223 and 221 and solve 219 and 221 (818 and 848, and 738
-# and 752, while a solve result also held the virtual trace of its run).
-# Each bound is the larger measurement plus about 15%.
-HELD_BYTES_PER_EVENT = {"palm-replay": 719, "palm-solve": 256, "fd-solve": 254}
+# event, palm_solve 215 and 217 and solve 207 and 209, since the generated
+# events a run lists are shared, one tuple per (kinds, variable) (223 and 223,
+# and 218 and 219, while each reduce made its own; 818 and 848, and 738 and
+# 752, while a solve result also held the virtual trace of its run).  Each
+# bound is the larger measurement plus about 15%.
+HELD_BYTES_PER_EVENT = {"palm-replay": 719, "palm-solve": 249, "fd-solve": 241}
 
 
 def _held_bytes(run):
