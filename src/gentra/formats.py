@@ -78,7 +78,7 @@ class _Tok(NamedTuple):
     text: str
     name: str = ""
     body: str = ""
-    at: int = 0  # a domain token's offset in the text, where strict reading refuses it
+    at: int = 0  # a domain or block token's offset in the text, where strict reading refuses it
 
 
 def _scan_balanced(text: str, i: int, open_ch: str, close_ch: str) -> int:
@@ -119,7 +119,7 @@ def _tokenize(text: str) -> list[_Tok]:
         i += len(word)
         if i < n and text[i] == "{":
             j = _scan_balanced(text, i, "{", "}")
-            toks.append(_Tok("block", word + text[i:j + 1], name=word, body=text[i + 1:j]))
+            toks.append(_Tok("block", word + text[i:j + 1], name=word, body=text[i + 1:j], at=m.start()))
             i = j + 1
         elif i < n and text[i] == "(":
             j = _scan_balanced(text, i, "(", ")")
@@ -199,12 +199,6 @@ def _parse_event_token(tok: _Tok) -> SolverEvent:
         if len(parts) == 2 and parts[1] in EVENT_KINDS:
             return SolverEvent(parts[1], parts[0])
     raise TraceSyntaxError(f"not a solver event: {tok.text!r}")
-
-
-def _render_event_token(ev: SolverEvent) -> str:
-    if ev.kind == "bot":
-        return "bot"
-    return f"{ev.kind}({ev.variable})"
 
 
 # canonical lines: per attribute, a pattern fragment whose one group captures
@@ -294,6 +288,15 @@ def _strict_domain(mx: int, text: str, at: int = 0) -> FiniteDomain:
     return dom
 
 
+def _strict_explanation(names: tuple[str, ...], at: int = 0) -> tuple[str, ...]:
+    """The names of an explanation block at offset ``at``, which the writer lists sorted, each once."""
+    canonical = ",".join(sorted(set(names)))
+    if ",".join(names) != canonical:
+        raise TraceSyntaxError(f"non-canonical explanation 'expl{{{','.join(names)}}}'; canonical form is "
+                               f"'expl{{{canonical}}}'", column=at + 1)
+    return names
+
+
 class _Canonical(dict):
     """Per parse, each event type's canonical matcher, value memos and record getter, bound at the type's
     first line; the memos, one per attribute (names, numbers and events shared), are made at the first."""
@@ -307,7 +310,8 @@ class _Canonical(dict):
             if self.read is None:
                 names, numbers, events, items = _Memo(str), _Memo(int), _Memo(_solver_event), _Memo(_items)
                 self.read = dict(constraint=names, variable=names, wake_kind=names, node=numbers, node2=numbers,
-                                 cause=events, explanation=items, domain=_Memo(partial(_strict_domain, self.mx)),
+                                 cause=events, explanation=_Memo(lambda text: _strict_explanation(items[text])),
+                                 domain=_Memo(partial(_strict_domain, self.mx)),
                                  generated=_Memo(partial(_events_of, events, items)), event=_Memo(_scheduled),
                                  decl=_Memo(partial(_declaration, self.base)))
             match, fields, at = entry
@@ -397,6 +401,8 @@ class _EventParser:
         for name, text in zip(names, texts):
             if not match[name](text):
                 raise TraceShapeError(type_name, f"expected attribute {name!r}, got {text!r}", line=line_no)
+        if ev.explanation is not None:
+            _strict_explanation(ev.explanation, toks[names.index("explanation")].at)
         return ev
 
     def _domain(self, text: str, at: int) -> FiniteDomain:
@@ -513,11 +519,8 @@ class _EventParser:
         raise TraceSyntaxError(f"unknown event type {type_name!r}", line=line_no)
 
     def _gen_events(self, tok: _Tok, line_no: int) -> tuple[SolverEvent, ...]:
-        body = tok.body.strip()
-        if not body:
-            return ()
         out = []
-        for item in _split_top(body):
+        for item in _split_top(tok.body):
             try:
                 its = _tokenize(item)
             except TraceSyntaxError:  # its column would count from the item
@@ -539,12 +542,9 @@ class _EventParser:
             elif t.kind == "block" and t.name == "gen":
                 generated = self._gen_events(t, line_no)
             elif t.kind == "block" and t.name == "expl":
-                body = t.body.strip()
-                explanation = tuple(_split_top(body)) if body else ()
-            elif t.kind in ("call", "paren"):
+                explanation = tuple(_split_top(t.body))
+            elif t.kind in ("call", "paren") or (t.kind == "word" and t.text == "bot"):
                 cause = self._event(t, line_no)
-            elif t.kind == "word" and t.text == "bot":
-                cause = BOTTOM
             elif t.kind == "word" and t.text in EVENT_KINDS + ("empty",):
                 wake = t.text
                 if self.dialect != "palm":
@@ -645,9 +645,9 @@ def parse_trace(text: str, mode: str = "strict", dialect: str = "generic",
 # per attribute, its writer; a name (a constraint, variable, wake kind, alias
 # or foreign declaration text) has none and is written as it is
 _WRITERS = dict(node=lambda v, mx: f"node({v})", node2=lambda v, mx: f"node({v})", domain=format_domain,
-                generated=lambda v, mx: "gen{" + ",".join(map(_render_event_token, v)) + "}",
-                cause=lambda v, mx: _render_event_token(v), event=lambda v, mx: f"{v.variable} {v.kind}",
-                decl=lambda v, mx: v.render(), explanation=lambda v, mx: "expl{" + ",".join(v) + "}")
+                generated=lambda v, mx: "gen{" + ",".join(map(str, v)) + "}", cause=lambda v, mx: str(v),
+                event=lambda v, mx: f"{v.variable} {v.kind}", decl=lambda v, mx: v.render(),
+                explanation=lambda v, mx: "expl{" + ",".join(v) + "}")
 _WRITE = {kind: tuple((GenericEvent._fields.index(name), _WRITERS.get(name)) for name, _ in layout)
           for kind, layout in LAYOUT.items()}
 

@@ -238,7 +238,7 @@ def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullStat
     node, = act.args
     _need(not full.tree.has_node(node), rule, f"node {node} already exists")
     _need(state_pred(full.solver), rule, f"state does not satisfy the {rule} predicate")
-    depth = full.tree.depth(full.tree.current) + 1
+    depth = full.tree.current_depth() + 1
     return _payload(FullState, (full[0], full.tree.with_node(node, full.solver, depth), full[2]))
 
 
@@ -297,7 +297,8 @@ def _step_reduce(full: FullState, act: Action, strict: bool = False) -> FullStat
     s = full.solver
     pair_event = s.active_event(cid)
     if pair_event is None or pair_event != cause:
-        raise TransitionError("reduce", f"({cid}, {cause}) is not an active pair")
+        raise TransitionError("reduce", f"{cid} is not active" if pair_event is None else
+                              f"({cid}, {cause}) is not an active pair")
     decl = s.declaration(cid)
     if decl is None:
         raise TransitionError("reduce", f"no declaration recorded for {cid}")
@@ -395,89 +396,51 @@ STRICT_RULES = {**RULES, "reduce": lambda full, act: _step_reduce(full, act, str
 
 # extraction: transition -> attribute record
 
+# the attribute each action argument is written as, where the two are named apart
+_ATTRIBUTE_OF = {"removed": "domain", "values": "domain", "witness": "constraint"}
 
-_NONES = (None,) * len(GenericEvent._fields)
+
+def _layout(kind: str) -> tuple:
+    """How a ``kind`` step is written: a getter laying ``[type, depth, *args, origin, None]`` out as its record,
+    each argument as its attribute and the origin (the node the step leaves) as ``node2``, where the layout has
+    it (jumpTo), the rest None; and the position of the one argument whose attribute is optional, left out if
+    empty (0: none)."""
+    names = ["type", "depth", *(_ATTRIBUTE_OF.get(name, name) for name in ARGS[kind]), "node2"]
+    optional, = [i for i, name in enumerate(names) if name in _SHAPES[kind][1]] or [0]
+    return itemgetter(*(names.index(f) if f in names and f not in _FOREIGN[kind] else -1
+                        for f in GenericEvent._fields)), optional
+
+
+_LAYOUTS = {kind: _layout(kind) for kind in ARGS}
 
 
 def extract_event(full: FullState, action: Action, new: FullState) -> GenericEvent:
-    """Compute the attribute record of a transition from its state delta, positionally: ``fields`` are its
-    values from ``constraint`` on (variable, node, node2, domain, generated, cause, event, decl), the rest None."""
+    """The attribute record of a transition: its action's arguments laid out as attributes (``_layout``), at the
+    depth of the node its rule reached."""
     kind, args = action
-    if kind in ("post", "deactivate", "suspend", "solved"):
-        fields = (args[0],)
-    elif kind in ("reject", "awake"):
-        fields = (args[1], None, None, None, None, None, args[0])
-    elif kind == "schedule":
-        fields = (args[1], None, None, None, None, None, None, args[0])
-    elif kind == "reduce":
-        cause, cid, _explanation, _generated, _removed, var = args
-        delta = full.solver.domain(var).subtract(new.solver.domain(var))
-        fields = (cid, var, None, None, delta, new.solver.pending[len(full.solver.pending):], cause)
-    elif kind in ("newChild", "solution", "failure"):
-        fields = (None, None, args[0])
-    elif kind == "newVariable":
-        fields = (None, args[1], None, None, new.solver.domain(args[1]))
-    elif kind == "newConstraint":
-        fields = (args[0], None, None, None, None, None, None, None, new.solver.declaration(args[0]))
-    elif kind == "jumpTo":
-        fields = (None, None, args[0], full.tree.current)
-    elif kind == "restore":
-        var = args[2]
-        removed = new.solver.domain(var).subtract(full.solver.domain(var))
-        fields = (None, var, None, None, removed, new.solver.pending[len(full.solver.pending):] or None)
-    else:
-        raise TransitionError(kind, "unknown rule")
-    store = new.tree.entries._store  # the rules keep the current node in the tree, as check_depth reads it
-    depth = store.values[store.index[new.tree.current]][1]
-    return _payload(GenericEvent, (kind, depth, *fields, *_NONES[len(fields) + 2:]))
+    lay_out, optional = _LAYOUTS[kind]
+    values = [kind, new.tree.current_depth(), *args, full.tree.current, None]
+    if optional:
+        values[optional] = values[optional] or None
+    return _payload(GenericEvent, lay_out(values))
 
 
 # reconstruction: attribute record -> transition
 
 
-def _fail(rule, text):
-    raise ReconstructionError(rule, text)
-
-
-def _active_cause(full: FullState, ev: GenericEvent) -> SolverEvent:
-    """The event of the record's active pair, checked against the recorded cause."""
-    pair_event = full.solver.active_event(ev.constraint)
-    if pair_event is None:
-        _fail(ev.type, f"{ev.constraint} is not active")
-    if ev.cause is not None and pair_event != ev.cause:
-        _fail(ev.type, "recorded cause does not match the active pair")
-    return pair_event
-
-
-def _generated(ev: GenericEvent) -> tuple[SolverEvent, ...]:
-    """The record's generated events: a domain change, so none of them is bot."""
-    generated = ev.generated or ()
-    if BOTTOM in generated:
-        _fail(ev.type, "a generated event is bot")
-    return generated
-
-
 def _read_jump(full: FullState, ev: GenericEvent) -> Action:
     if ev.node2 is not None and ev.node2 != full.tree.current:
-        _fail(ev.type, f"origin node {ev.node2} is not the current node")
+        raise ReconstructionError(ev.type, f"origin node {ev.node2} is not the current node")
     return _payload(Action, (ev.type, (ev.node,)))
 
 
-def _read_awake(full: FullState, ev: GenericEvent) -> Action:
-    cause = BOTTOM if ev.cause is None else ev.cause
-    if cause != BOTTOM and cause != full.solver.current_event:
-        _fail(ev.type, "recorded cause is not the scheduled event")
-    return _payload(Action, (ev.type, (cause, ev.constraint)))
+def _cause(full: FullState, ev: GenericEvent) -> SolverEvent | None:
+    """The recorded cause, or, where lenient text leaves it out, the event of the record's active pair, if any."""
+    return full.solver.active_event(ev.constraint) if ev.cause is None else ev.cause
 
 
-def _read_schedule(full: FullState, ev: GenericEvent) -> Action:
-    if ev.event not in full.solver.pending:
-        _fail(ev.type, f"no pending event matches {ev.event.kind} {ev.event.variable}")
-    return _payload(Action, (ev.type, (ev.event, ev.constraint)))
-
-
-# record readers: the action each record type encodes, read against the pre-state, each built
-# positionally, its arguments in ``ARGS`` order
+# record readers: the action each record type encodes, read against the pre-state, each built positionally,
+# its arguments in ``ARGS`` order; a reader fills in what lenient text may leave out, and the rules check the rest
 READERS = {
     "newVariable": lambda full, ev: _payload(Action, (ev.type, (ev.domain, ev.variable))),
     "newConstraint": lambda full, ev: _payload(Action, (ev.type, (ev.constraint, ev.decl))),
@@ -485,12 +448,12 @@ READERS = {
                     lambda full, ev: _payload(Action, (ev.type, (ev.constraint,)))),
     **dict.fromkeys(("newChild", "solution", "failure"), lambda full, ev: _payload(Action, (ev.type, (ev.node,)))),
     "jumpTo": _read_jump,
-    "restore": lambda full, ev: _payload(Action, (ev.type, (_generated(ev), ev.domain, ev.variable))),
-    "reduce": lambda full, ev: _payload(Action, (ev.type, (_active_cause(full, ev), ev.constraint, None,
-                                                            _generated(ev), ev.domain, ev.variable))),
-    "reject": lambda full, ev: _payload(Action, (ev.type, (_active_cause(full, ev), ev.constraint))),
-    "awake": _read_awake,
-    "schedule": _read_schedule,
+    "restore": lambda full, ev: _payload(Action, (ev.type, (ev.generated or (), ev.domain, ev.variable))),
+    "reduce": lambda full, ev: _payload(Action, (ev.type, (_cause(full, ev), ev.constraint, None,
+                                                            ev.generated or (), ev.domain, ev.variable))),
+    "reject": lambda full, ev: _payload(Action, (ev.type, (_cause(full, ev), ev.constraint))),
+    "awake": lambda full, ev: _payload(Action, (ev.type, (BOTTOM if ev.cause is None else ev.cause, ev.constraint))),
+    "schedule": lambda full, ev: _payload(Action, (ev.type, (ev.event, ev.constraint))),
 }
 
 
@@ -505,7 +468,7 @@ def record_reader(readers):
         kind = ev[0]
         shape = _SHAPE_AT.get(kind)
         if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
-            _fail(kind, shape_error(ev, strict=False))
+            raise ReconstructionError(kind, shape_error(ev, strict=False))
         return readers[kind](full, ev)
 
     return read
@@ -516,11 +479,9 @@ read_record = record_reader(READERS)
 
 def check_depth(ev: GenericEvent, new: FullState) -> None:
     """A replayed record must carry the depth of the node its rule reached."""
-    tree = new.tree
-    store = tree.entries._store  # the rules keep the current node in the tree: its first entry is the node's
-    depth = store.values[store.index[tree.current]][1]
+    depth = new.tree.current_depth()
     if ev.depth != depth:
-        _fail(ev.type, f"depth {ev.depth} != current node depth {depth}")
+        raise ReconstructionError(ev.type, f"depth {ev.depth} != current node depth {depth}")
 
 
 # semantics bundle and parameter tables

@@ -175,9 +175,18 @@ def palm_extract(full: FullState, action: Action, new: FullState) -> GenericEven
     ev = extract_event(full, action, new)
     if action.kind != "reduce":
         return ev
-    _cause, _cid, explanation, _generated, _removed, var = action.args
-    return ev._replace(explanation=tuple(sorted(explanation)),
-                       wake_kind=wake_kind_of(full.solver.domain(var), new.solver.domain(var)))
+    return ev._replace(explanation=tuple(sorted(ev.explanation)),
+                       wake_kind=wake_kind_of(full.solver.domain(ev.variable), new.solver.domain(ev.variable)))
+
+
+def check_palm_record(ev: GenericEvent, new: FullState) -> None:
+    """``check_depth``, and a reduce's written wake kind is its domain change's, to the successor's domain."""
+    check_depth(ev, new)
+    if ev.wake_kind is not None and ev.type == "reduce":
+        dom = new.solver.domain(ev.variable)
+        kind = wake_kind_of(dom.union(ev.domain), dom)
+        if ev.wake_kind != kind:
+            raise ReconstructionError("reduce", f"wake kind {ev.wake_kind} != domain change wake kind {kind}")
 
 
 def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
@@ -203,7 +212,7 @@ def make_palm_semantics() -> ObservationalSemantics:
         read_action=record_reader(PALM_READERS),
         is_initial=is_initial,
         is_record=GenericEvent.__instancecheck__,  # isinstance(r, GenericEvent), with no Python frame
-        check_record=check_depth,
+        check_record=check_palm_record,
         refines=Refinement(PALM_RULES, RULES, map_palm_state, _strip_explanation, {k: k for k in PALM_EVENT_TYPES},
                            carried),
     )

@@ -55,6 +55,10 @@ class SolverEvent(_EventFields):
             raise StateInvariantError(f"unknown solver-event kind {kind!r}")
         return tuple.__new__(cls, (kind, variable))
 
+    def __str__(self) -> str:
+        """The event as the text writes it: ``bot`` or ``kind(variable)``."""
+        return "bot" if self[1] is None else f"{self[0]}({self[1]})"
+
 
 BOTTOM = SolverEvent("bot")
 
@@ -276,6 +280,11 @@ class SearchTreeState(NamedTuple):
 
     def depth(self, node: int) -> int:
         return self._entry(node)[1]
+
+    def current_depth(self) -> int:
+        """The depth of the current node, which the rules keep in the tree: its entry's second part."""
+        store = self.entries._store
+        return store.values[store.index[self.current]][1]
 
     def with_node(self, node: int, snapshot: Any, depth: int) -> "SearchTreeState":
         return SearchTreeState(self.entries.with_entry(node, (snapshot, depth)), node)

@@ -17,7 +17,7 @@ from gentra.semantics import Action
 from gentra.solver import solve
 from gentra.state import initial_state
 
-from support import apply_edits, edit_scripts
+from support import apply_edits, edit_scripts, ladder
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -218,6 +218,34 @@ def test_check_compliance_replay_checks_record_depths(runner, element_prob, tmp_
     check = runner.invoke(main, ["validate", "--profile", "palm", str(mapped)])
     assert check.exit_code == 1
     assert check.output.startswith("FAIL validate event=4 rule=reduce depth 1 != current node depth 0\n")
+
+
+def _palm_ladder_trace(tmp_path, k: int, line: int, old: str, new: str) -> str:
+    """The palm trace of ladder ``k`` as ``solve --palm`` writes it, with ``old`` on text line ``line`` made ``new``."""
+    doc = document_for_events(palm_solve(ladder(k)).events, dialect="palm", solver="palm")
+    lines = serialize_trace(doc).splitlines(keepends=True)
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    path = tmp_path / f"ladder-{k}.trace"
+    path.write_text("".join(lines))
+    return str(path)
+
+
+def test_check_compliance_refuses_a_wrong_wake_kind_at_its_event(runner, tmp_path):
+    # event 12 (chrono 13) leaves x0 one value, so its wake kind is val
+    path = _palm_ladder_trace(tmp_path, 3, 16, "[1-2] bot expl{bc1} val", "[1-2] bot expl{bc1} dom")
+    result = runner.invoke(main, ["check-compliance", path])
+    assert (result.exit_code, result.output) == (1, "FAIL replay under the palm rules: reduce: wake kind dom != "
+                                                    "domain change wake kind val at event 12\n")
+
+
+def test_check_compliance_refuses_a_non_canonical_explanation_at_its_line(runner, tmp_path):
+    # an explanation is written sorted, each name once; lenient reading reads the block as a set
+    path = _palm_ladder_trace(tmp_path, 4, 26, "expl{bc1,c0}", "expl{c0,bc1,bc1}")
+    result = runner.invoke(main, ["check-compliance", path])
+    assert (result.exit_code, result.output) == (2, "parse error: non-canonical explanation 'expl{c0,bc1,bc1}'; "
+                                                    "canonical form is 'expl{bc1,c0}' (line 26, col 52)\n")
+    assert runner.invoke(main, ["check-compliance", "--lenient", path]).exit_code == 0
 
 
 def test_check_compliance_output_on_the_lenient_palm_fixture(runner):

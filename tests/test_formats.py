@@ -168,6 +168,27 @@ def test_strict_parsing_refuses_non_canonical_domain_literals(line, literal):
     assert parse_trace(text, mode="lenient").events == written.events
 
 
+# strict palm reading takes an explanation block only as the writer writes
+# it, its names sorted and each once; lenient reading takes it as a set
+NON_CANONICAL_EXPLANATIONS = {"expl{c2,c1}": "expl{c1,c2}", "expl{c1,c1}": "expl{c1}",
+                              "expl{c0,bc1,bc1}": "expl{bc1,c0}"}
+
+
+@pytest.mark.parametrize("block", sorted(NON_CANONICAL_EXPLANATIONS))
+def test_strict_palm_parsing_refuses_a_non_canonical_explanation(block):
+    canonical = NON_CANONICAL_EXPLANATIONS[block]
+    line = "1[0]reduce c1 x gen{} [0] bot expl max"
+    text = "# dialect: palm\n" + line.replace("expl", block)
+    column = line.index("expl") + 1
+    error = f"non-canonical explanation {block!r}; canonical form is {canonical!r} (line 2, col {column})"
+    # the pattern reading and the tokenizer refuse it alike
+    assert _outcome(text) == _tokenized_outcome(text) == ("TraceSyntaxError", error, 2, column)
+    written = parse_trace(text.replace(block, canonical))
+    assert serialize_trace(written) == text.replace(block, canonical) + "\n"
+    lenient, = parse_trace(text, mode="lenient").events
+    assert set(lenient.explanation) == set(written.events[0].explanation)
+
+
 # strict mode reads a number only as the writer writes it, with no leading
 # zero and no minus sign on 0: in a chrono, a depth, a node id or a
 # declaration's constant or value list
@@ -205,7 +226,7 @@ INNER_SPACING = [  # the line, its dialect, the attribute, its spaced token, and
     ("1[0]newConstraint c1 element0(x, [1,2], y)", "generic", "decl", "element0(x, [1,2], y)", "element0(x,[1,2],y)"),
     ("1[0]newChild node( 1 )", "generic", "node", "node( 1 )", "node(1)"),
     ("1[0]awake c1 dom( x )", "generic", "cause", "dom( x )", "dom(x)"),
-    ("1[0]reduce c1 x gen{} [0] bot expl{c1, c1} max", "palm", "explanation", "expl{c1, c1}", "expl{c1,c1}"),
+    ("1[0]reduce c1 x gen{} [0] bot expl{c1, c2} max", "palm", "explanation", "expl{c1, c2}", "expl{c1,c2}"),
 ]
 
 

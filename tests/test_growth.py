@@ -249,13 +249,14 @@ def test_palm_solve_work_per_event_stays_flat():
     _assert_flat(lambda k: len(palm_solve(ladder(k)).events))
 
 
-# At ladder k = 6 one solve takes about 84 line events per event and one
-# palm_solve about 87, both through the one shared propagation loop, whose
+# At ladder k = 6 one solve takes about 80 line events per event and one
+# palm_solve about 88, both through the one shared propagation loop, whose
 # filter step skips a variable its constraint leaves whole and subtracts one
-# value or one range without a walk.  A costlier loop, filter step or domain
+# value or one range without a walk, and whose records lay each action's
+# arguments out as they are.  A costlier loop, filter step or domain
 # operation costs the same per event at every size, so only an absolute
 # bound sees it; each bound is that count plus about 5%.
-SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 88, "palm": 92}
+SOLVE_LINE_EVENTS_PER_EVENT = {"fd": 84, "palm": 92}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -337,15 +338,17 @@ def test_strict_parse_of_emitted_traces_makes_no_token(monkeypatch, source):
 
 # At ladder k = 6 the palm verdict (one rule application per event, in the
 # palm replay, whose rules refine the generic ones; the projected validate
-# and check_simulable it also ran took 108) takes about 51.6 line events per
-# event, and the fd verdict (validate and check_faithful, one application)
-# about 49.0: replay reads, applies and checks each record in its own loop,
-# and check_faithful makes no pass over a trace validate replayed, since the
-# rules refuse a generated event already pending (64.4 while it extracted
-# every step and compared its record, 75.4 while it read back every step).
+# and check_simulable it also ran took 108) takes about 53.2 line events per
+# event, a reduce's wake kind check included, and the fd verdict (validate
+# and check_faithful, one application) about 47.5: replay reads, applies and
+# checks each record in its own loop, its readers only fill in what lenient
+# text leaves out, and check_faithful makes no pass over a trace validate
+# replayed, since the rules refuse a generated event already pending (64.4
+# while it extracted every step and compared its record, 75.4 while it read
+# back every step).
 # A slower rule step costs the same per event at every size, so only an
 # absolute bound sees it; each bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 62, "fd": 51}
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 56, "fd": 50}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])
@@ -370,13 +373,16 @@ def test_verdict_rule_steps_stay_within_their_line_events(machine):
 # state shows there at every size and only an absolute bound sees it; a
 # solve result holds only its records, so a solver that kept a state, a
 # step or an action per event shows in its bound.  Measured with Python
-# 3.11 at ladder k = 4 and 6: the palm replay holds 595 and 625 bytes per
-# event, palm_solve 215 and 217 and solve 207 and 209, since the generated
+# 3.11 at ladder k = 4 and 6: the palm replay holds 587 and 618 bytes per
+# event, palm_solve 207 and 209 and solve 207 and 209, since the generated
 # events a run lists are shared, one tuple per (kinds, variable) (223 and 223,
 # and 218 and 219, while each reduce made its own; 818 and 848, and 738 and
-# 752, while a solve result also held the virtual trace of its run).  Each
-# bound is the larger measurement plus about 15%.
-HELD_BYTES_PER_EVENT = {"palm-replay": 719, "palm-solve": 249, "fd-solve": 241}
+# 752, while a solve result also held the virtual trace of its run), and a
+# record holds its action's removed or restored values, whose intervals a
+# palm restore shares with the reduces that removed them (215 and 217 while
+# extraction computed them from the two states).  Each bound is the larger
+# measurement plus about 15%.
+HELD_BYTES_PER_EVENT = {"palm-replay": 711, "palm-solve": 240, "fd-solve": 241}
 
 
 def _held_bytes(run):

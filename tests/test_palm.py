@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gentra.constraints import ConstraintDecl
-from gentra.errors import StateInvariantError, TransitionError
+from gentra.errors import ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import DEFAULT_MX, EMPTY_DOMAIN, FiniteDomain, format_domain, full_domain, parse_domain
 from gentra.palm import (
     PalmAssertionError,
@@ -16,7 +16,7 @@ from gentra.palm import (
     palm_solve,
     wake_kind_of,
 )
-from gentra.semantics import Action, check_faithful
+from gentra.semantics import Action, check_faithful, replay_records
 from gentra.solver import Problem, SolveLimits
 from gentra.state import BOTTOM, FullState, SolverEvent, SolverState, solution_state
 
@@ -155,6 +155,24 @@ def test_wake_kind_annotations():
     assert wake_kind_of(d, parse_domain("[3]")) == "val"
     assert wake_kind_of(d, FiniteDomain(())) == "empty"
     assert wake_kind_of(d, parse_domain("[0-2,4-7]")) == "dom"
+
+
+def test_palm_replay_refuses_a_written_wake_kind_its_domain_change_does_not_have():
+    # ladder 3's event 12, written "... expl{bc1} val" since it leaves x0 one
+    # value, read as "dom": the replay refuses the record itself; a record that
+    # leaves the wake kind out is not checked
+    events = palm_solve(ladder(3)).events
+    assert (events[12].type, events[12].wake_kind) == ("reduce", "val")
+    os, start = make_palm_semantics(), palm_initial_state()
+
+    def edited(wake_kind):
+        return events[:12] + (events[12]._replace(wake_kind=wake_kind),) + events[13:]
+
+    assert len(replay_records(os, start, edited(None))) == len(events)
+    with pytest.raises(ReconstructionError) as exc:
+        replay_records(os, start, edited("dom"))
+    assert (exc.value.index, exc.value.rule, exc.value.condition) == (
+        12, "reduce", "wake kind dom != domain change wake kind val")
 
 
 # the worked problem, 0-based
