@@ -164,7 +164,8 @@ def reconstruct_cmd(trace, lenient, mx):
 @click.option("--lenient", is_flag=True)
 @click.option("--mx", type=int, default=DEFAULT_MX)
 def map_palm_cmd(trace, out, lenient, mx):
-    """Translate a palm-dialect trace into the plain format."""
+    """Translate a palm-dialect trace into the plain format: a relabelling, which drops explanations, wake kinds
+    and name aliases unchecked (validate --profile palm and check-compliance check the palm trace itself)."""
     doc = _parse_trace_file(trace, "lenient" if lenient else "strict", "palm", mx)
     try:
         mapped = palm_to_generic(doc.events)

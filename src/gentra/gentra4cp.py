@@ -122,7 +122,7 @@ LAYOUT = {kind: tuple((name.rstrip("?"), name.endswith("?")) for name in spec.sp
 # at their default if left out: a generic reduce has palm's explanation slot, so both share one reduce rule.
 ARGS = {kind: tuple(spec.split()) for kind, spec in {
     "newVariable": "domain variable", "newConstraint": "constraint decl", "post": "constraint",
-    "newChild": "node", "jumpTo": "node", "solution": "node", "failure": "node", "deactivate": "constraint",
+    "newChild": "node", "jumpTo": "node origin", "solution": "node", "failure": "node", "deactivate": "constraint",
     "restore": "generated values variable", "reduce": "cause constraint explanation generated removed variable",
     "suspend": "constraint", "solved": "constraint", "reject": "cause constraint", "awake": "cause constraint",
     "schedule": "event witness",
@@ -243,7 +243,8 @@ def _node_event(full: FullState, act: Action, rule: str, state_pred) -> FullStat
 
 
 def _step_jump_to(full: FullState, act: Action) -> FullState:
-    node, = act.args
+    node, origin = act.args
+    _need(origin == full.tree.current, "jumpTo", f"origin node {origin} is not the current node")
     _need(full.tree.has_node(node), "jumpTo", f"unknown node {node}")
     _need(node != full.tree.current, "jumpTo", "target is already the current node")
     snap = full.tree.snapshot(node)
@@ -397,15 +398,14 @@ STRICT_RULES = {**RULES, "reduce": lambda full, act: _step_reduce(full, act, str
 # extraction: transition -> attribute record
 
 # the attribute each action argument is written as, where the two are named apart
-_ATTRIBUTE_OF = {"removed": "domain", "values": "domain", "witness": "constraint"}
+_ATTRIBUTE_OF = {"origin": "node2", "removed": "domain", "values": "domain", "witness": "constraint"}
 
 
 def _layout(kind: str) -> tuple:
-    """How a ``kind`` step is written: a getter laying ``[type, depth, *args, origin, None]`` out as its record,
-    each argument as its attribute and the origin (the node the step leaves) as ``node2``, where the layout has
-    it (jumpTo), the rest None; and the position of the one argument whose attribute is optional, left out if
-    empty (0: none)."""
-    names = ["type", "depth", *(_ATTRIBUTE_OF.get(name, name) for name in ARGS[kind]), "node2"]
+    """How a ``kind`` step is written: a getter laying ``[type, depth, *args, None]`` out as its record, each
+    argument as its attribute, the rest None; and the position of the one argument whose attribute is optional,
+    left out if empty (0: none)."""
+    names = ["type", "depth", *(_ATTRIBUTE_OF.get(name, name) for name in ARGS[kind])]
     optional, = [i for i, name in enumerate(names) if name in _SHAPES[kind][1]] or [0]
     return itemgetter(*(names.index(f) if f in names and f not in _FOREIGN[kind] else -1
                         for f in GenericEvent._fields)), optional
@@ -419,7 +419,7 @@ def extract_event(full: FullState, action: Action, new: FullState) -> GenericEve
     depth of the node its rule reached."""
     kind, args = action
     lay_out, optional = _LAYOUTS[kind]
-    values = [kind, new.tree.current_depth(), *args, full.tree.current, None]
+    values = [kind, new.tree.current_depth(), *args, None]
     if optional:
         values[optional] = values[optional] or None
     return _payload(GenericEvent, lay_out(values))
@@ -428,60 +428,71 @@ def extract_event(full: FullState, action: Action, new: FullState) -> GenericEve
 # reconstruction: attribute record -> transition
 
 
-def _read_jump(full: FullState, ev: GenericEvent) -> Action:
-    if ev.node2 is not None and ev.node2 != full.tree.current:
-        raise ReconstructionError(ev.type, f"origin node {ev.node2} is not the current node")
-    return _payload(Action, (ev.type, (ev.node,)))
-
-
 def _cause(full: FullState, ev: GenericEvent) -> SolverEvent | None:
     """The recorded cause, or, where lenient text leaves it out, the event of the record's active pair, if any."""
     return full.solver.active_event(ev.constraint) if ev.cause is None else ev.cause
 
 
 # record readers: the action each record type encodes, read against the pre-state, each built positionally,
-# its arguments in ``ARGS`` order; a reader fills in what lenient text may leave out, and the rules check the rest
+# its arguments in ``ARGS`` order; a reader fills in what lenient text may leave out, and the rules check it all
 READERS = {
     "newVariable": lambda full, ev: _payload(Action, (ev.type, (ev.domain, ev.variable))),
     "newConstraint": lambda full, ev: _payload(Action, (ev.type, (ev.constraint, ev.decl))),
     **dict.fromkeys(("post", "deactivate", "suspend", "solved"),
                     lambda full, ev: _payload(Action, (ev.type, (ev.constraint,)))),
     **dict.fromkeys(("newChild", "solution", "failure"), lambda full, ev: _payload(Action, (ev.type, (ev.node,)))),
-    "jumpTo": _read_jump,
+    "jumpTo": lambda full, ev: _payload(Action, (ev.type, (ev.node, full.tree.current if ev.node2 is None
+                                                            else ev.node2))),
     "restore": lambda full, ev: _payload(Action, (ev.type, (ev.generated or (), ev.domain, ev.variable))),
-    "reduce": lambda full, ev: _payload(Action, (ev.type, (_cause(full, ev), ev.constraint, None,
-                                                            ev.generated or (), ev.domain, ev.variable))),
+    "reduce": lambda full, ev: _payload(Action, (ev.type, (
+        _cause(full, ev), ev.constraint, None if ev.explanation is None else frozenset(ev.explanation),
+        ev.generated or (), ev.domain, ev.variable))),
     "reject": lambda full, ev: _payload(Action, (ev.type, (_cause(full, ev), ev.constraint))),
     "awake": lambda full, ev: _payload(Action, (ev.type, (BOTTOM if ev.cause is None else ev.cause, ev.constraint))),
     "schedule": lambda full, ev: _payload(Action, (ev.type, (ev.event, ev.constraint))),
 }
 
 
-def record_reader(readers):
-    """The record reader of ``readers``, which has a reader for every event type: ``read(full, ev)`` is the
-    action a record encodes in ``full``, whether or not the bundle has a rule of its kind.
+def read_record(full: FullState, ev: GenericEvent) -> Action:
+    """The action a record encodes in ``full``, whether or not a bundle has a rule of its kind.
 
     A record with a foreign attribute, or without one that replay reads, is
-    refused with the shape check's text.
+    refused with the shape check's text; no other record is refused.
     """
-    def read(full: FullState, ev: GenericEvent) -> Action:
-        kind = ev[0]
-        shape = _SHAPE_AT.get(kind)
-        if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
-            raise ReconstructionError(kind, shape_error(ev, strict=False))
-        return readers[kind](full, ev)
-
-    return read
+    kind = ev[0]
+    shape = _SHAPE_AT.get(kind)
+    if shape is None or shape[0](ev) != shape[1] or None in shape[2](ev):
+        raise ReconstructionError(kind, shape_error(ev, strict=False))
+    return READERS[kind](full, ev)
 
 
-read_record = record_reader(READERS)
+def wake_kind_of(old: FiniteDomain, new: FiniteDomain) -> str:
+    """The dominant effect of a domain change from ``old`` to ``new``, as a reduce's wake kind writes it."""
+    if new.is_empty():
+        return "empty"
+    if new.is_singleton() and not old.is_singleton():
+        return "val"
+    min_moved = new.min_value() != old.min_value()
+    max_moved = new.max_value() != old.max_value()
+    if min_moved and not max_moved:
+        return "min"
+    if max_moved and not min_moved:
+        return "max"
+    return "dom"
 
 
-def check_depth(ev: GenericEvent, new: FullState) -> None:
-    """A replayed record must carry the depth of the node its rule reached."""
+def check_record(ev: GenericEvent, new: FullState) -> None:
+    """A replayed record must carry the depth of the node its rule reached, and a reduce's written wake kind
+    must be its domain change's, from the successor's domain plus the removed values to the successor's."""
     depth = new.tree.current_depth()
-    if ev.depth != depth:
-        raise ReconstructionError(ev.type, f"depth {ev.depth} != current node depth {depth}")
+    if ev.depth != depth or ev.wake_kind is not None:  # one test for a record without a wake kind
+        if ev.depth != depth:
+            raise ReconstructionError(ev.type, f"depth {ev.depth} != current node depth {depth}")
+        if ev.type == "reduce":
+            dom = new.solver.domain(ev.variable)
+            kind = wake_kind_of(dom.union(ev.domain), dom)
+            if ev.wake_kind != kind:
+                raise ReconstructionError("reduce", f"wake kind {ev.wake_kind} != domain change wake kind {kind}")
 
 
 # semantics bundle and parameter tables
@@ -578,7 +589,7 @@ def _build_semantics(strict_reduce: bool) -> ObservationalSemantics:
         read_action=read_record,
         is_initial=is_initial,
         is_record=GenericEvent.__instancecheck__,  # isinstance(r, GenericEvent), with no Python frame
-        check_record=check_depth,
+        check_record=check_record,
         parameters=PARAMETERS,
         param_deps=MappingProxyType({k: frozenset(v) for k, v in PARAM_DEPS.items()}),
         action_writes=MappingProxyType(writes),

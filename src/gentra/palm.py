@@ -37,9 +37,10 @@ from dataclasses import dataclass
 from functools import cache
 
 from .constraints import ConstraintDecl
-from .errors import GentraError, ReconstructionError, StateInvariantError, TransitionError
+from .errors import GentraError, StateInvariantError, TransitionError
 from .fdomain import EMPTY_DOMAIN, FiniteDomain
-from .gentra4cp import GUARDS, READERS, RULES, GenericEvent, check_depth, extract_event, is_initial, record_reader
+from .gentra4cp import (GUARDS, RULES, GenericEvent, check_record, extract_event, is_initial, read_record,
+                        wake_kind_of)
 from .semantics import Action, ObservationalSemantics, Refinement
 from .solver import (Problem, SolveLimits, SolveResult, _close_solution, _fresh_events, _next_alternatives,
                      _post_and_propagate, _Run)
@@ -100,15 +101,16 @@ def _reduced(full: FullState, act: Action) -> dict:
 # per refined kind: the conditions tested before the generic rule, those tested after it, each a (failure
 # text, test of the pre-state and action) pair (a guard's tests cited from ``GUARDS``), and the step's
 # explanation table (None: the generic rule's)
+_EXPLAINED = ("reduce record carries no explanation", lambda full, act: act.args[2] is not None)
 REFINEMENT = {
     "post": ((), (("another constraint is active", lambda full, act: not full.solver.active),), None),
     "restore": ((), (("nothing to restore", lambda full, act: not act.args[1].is_empty()),
                      ("restored values are not explained by relaxed constraints",
                       lambda full, act: act.args[1].issubset(broken_values(full, act.args[2])))), _restored),
-    "reduce": (GUARDS["g3"][1],
+    "reduce": ((_EXPLAINED, *GUARDS["g3"][1]),
                (("nothing to remove", lambda full, act: not act.args[4].is_empty()),
                 ("explanation is not a set of store constraints",
-                 lambda full, act: act.args[2] is not None and not outside_store(full.solver, act.args[2]))),
+                 lambda full, act: not outside_store(full.solver, act.args[2]))),
                _reduced),
     "reject": ((), (("no variable of the constraint has an empty domain", lambda full, act: any(
         full.solver.domain(v).is_empty() for v in full.solver.declaration(act.args[1]).variables)),), None),
@@ -153,22 +155,8 @@ def _strip_explanation(action: Action) -> Action:
     return _payload(Action, (kind, (args[0], args[1], None, *args[3:])))
 
 
-# extraction and reconstruction (the trace dialect keeps explanations and
-# annotates reduces with the dominant effect of the removal)
-
-
-def wake_kind_of(old: FiniteDomain, new: FiniteDomain) -> str:
-    if new.is_empty():
-        return "empty"
-    if new.is_singleton() and not old.is_singleton():
-        return "val"
-    min_moved = new.min_value() != old.min_value()
-    max_moved = new.max_value() != old.max_value()
-    if min_moved and not max_moved:
-        return "min"
-    if max_moved and not min_moved:
-        return "max"
-    return "dom"
+# extraction (the trace dialect keeps explanations and annotates reduces with
+# the dominant effect of the removal); the format's reader reads both
 
 
 def palm_extract(full: FullState, action: Action, new: FullState) -> GenericEvent:
@@ -177,27 +165,6 @@ def palm_extract(full: FullState, action: Action, new: FullState) -> GenericEven
         return ev
     return ev._replace(explanation=tuple(sorted(ev.explanation)),
                        wake_kind=wake_kind_of(full.solver.domain(ev.variable), new.solver.domain(ev.variable)))
-
-
-def check_palm_record(ev: GenericEvent, new: FullState) -> None:
-    """``check_depth``, and a reduce's written wake kind is its domain change's, to the successor's domain."""
-    check_depth(ev, new)
-    if ev.wake_kind is not None and ev.type == "reduce":
-        dom = new.solver.domain(ev.variable)
-        kind = wake_kind_of(dom.union(ev.domain), dom)
-        if ev.wake_kind != kind:
-            raise ReconstructionError("reduce", f"wake kind {ev.wake_kind} != domain change wake kind {kind}")
-
-
-def _read_reduce(full: FullState, ev: GenericEvent) -> Action:
-    kind, (cause, cid, _none, gen, removed, var) = READERS["reduce"](full, ev)
-    if ev.explanation is None:
-        raise ReconstructionError("reduce", "reduce record carries no explanation")
-    return _payload(Action, (kind, (cause, cid, frozenset(ev.explanation), gen, removed, var)))
-
-
-# a reader for every event type: a record of a kind with no palm rule reads, and the rule table refuses it
-PALM_READERS = {**READERS, "reduce": _read_reduce}
 
 
 @cache
@@ -209,10 +176,10 @@ def make_palm_semantics() -> ObservationalSemantics:
         name="palm",
         rules=PALM_RULES,
         extract_local=palm_extract,
-        read_action=record_reader(PALM_READERS),
+        read_action=read_record,
         is_initial=is_initial,
         is_record=GenericEvent.__instancecheck__,  # isinstance(r, GenericEvent), with no Python frame
-        check_record=check_palm_record,
+        check_record=check_record,
         refines=Refinement(PALM_RULES, RULES, map_palm_state, _strip_explanation, {k: k for k in PALM_EVENT_TYPES},
                            carried),
     )
@@ -358,8 +325,7 @@ def palm_solve(problem: Problem, limits: SolveLimits | None = None) -> SolveResu
             _emit_restores(run)
             if c_rej in problem_ids and c_rej not in repost:
                 repost.append(c_rej)
-            if not advance():
-                break
+            advance()  # some frame has an alternative left, so it enters one
             continue
         if posts:
             cid, decl = posts.pop(0)

@@ -303,7 +303,7 @@ def _search(run: _Run, strategy, solutions: list) -> None:
                 # the previous alternative ended without a leaf node; open a
                 # marker child so the jump target differs from the current node
                 run.emit(_payload(Action, ("newChild", (run.fresh_node(),))))
-            run.emit(_payload(Action, ("jumpTo", (frame.node,))))
+            run.emit(_payload(Action, ("jumpTo", (frame.node, run.full.tree.current))))
         frame.index += 1
         _post_and_propagate(run, run.fresh_branch_id(), frame.alternatives[frame.index - 1])
 

@@ -239,6 +239,30 @@ def test_check_compliance_refuses_a_wrong_wake_kind_at_its_event(runner, tmp_pat
                                                     "domain change wake kind val at event 12\n")
 
 
+def test_a_wrong_wake_kind_is_refused_by_validate_in_the_words_of_check_compliance(runner, element_prob,
+                                                                                    tmp_path):
+    # the element palm trace with its first val wake kind written as dom: one
+    # record check serves both routes, so validate --profile palm refuses it
+    # at the same event; map-palm is a relabelling that drops it unchecked
+    palm_out, wake_out, mapped_out = tmp_path / "palm.trace", tmp_path / "wake.trace", tmp_path / "mapped.trace"
+    runner.invoke(main, ["solve", element_prob, "--palm", "--trace", str(palm_out)])
+    lines = palm_out.read_text().splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if "]reduce " in line and line.endswith(" val\n"))
+    lines[n] = lines[n][:-len("val\n")] + "dom\n"
+    wake_out.write_text("".join(lines))
+    i = n - sum(line.startswith("#") for line in lines)
+    assert i == 25
+    refusal = "wake kind dom != domain change wake kind val"
+    compliance = runner.invoke(main, ["check-compliance", str(wake_out)])
+    assert (compliance.exit_code, compliance.output) == (
+        1, f"FAIL replay under the palm rules: reduce: {refusal} at event {i}\n")
+    validated = runner.invoke(main, ["validate", "--profile", "palm", str(wake_out)])
+    assert (validated.exit_code, validated.output) == (
+        1, f"FAIL validate event={i} rule=reduce {refusal}\nFAIL validate events={i}\n")
+    assert runner.invoke(main, ["map-palm", str(wake_out), "-o", str(mapped_out)]).exit_code == 0
+    assert runner.invoke(main, ["validate", "--profile", "palm", str(mapped_out)]).exit_code == 0
+
+
 def test_check_compliance_refuses_a_non_canonical_explanation_at_its_line(runner, tmp_path):
     # an explanation is written sorted, each name once; lenient reading reads the block as a set
     path = _palm_ladder_trace(tmp_path, 4, 26, "expl{bc1,c0}", "expl{c0,bc1,bc1}")

@@ -296,7 +296,7 @@ def test_node_rules_and_jump():
     with pytest.raises(TransitionError):
         apply(child, Action.of("newChild", node=1))  # node exists
     with pytest.raises(TransitionError):
-        apply(child, Action.of("jumpTo", node=1))  # already current
+        apply(child, Action.of("jumpTo", node=1, origin=1))  # already current
     # mutate the solver state, move to another node, then jump back
     moved = run_actions([
         Action.of("post", constraint="c1"),
@@ -306,11 +306,11 @@ def test_node_rules_and_jump():
         Action.of("newChild", node=2),
     ], start=child)
     assert moved.tree.current == 2
-    back = apply(moved, Action.of("jumpTo", node=1))
+    back = apply(moved, Action.of("jumpTo", node=1, origin=2))
     assert back.solver == full.solver
     assert back.tree.current == 1
     with pytest.raises(TransitionError):
-        apply(moved, Action.of("jumpTo", node=7))
+        apply(moved, Action.of("jumpTo", node=7, origin=2))
 
 
 def test_solution_failure_predicates():
@@ -547,7 +547,8 @@ def test_jump_restores_snapshot_exactly(element_virtual):
     seen = False
     for stepped in element_virtual.events:
         if stepped.action.kind == "jumpTo":
-            node, = stepped.action.args
+            node, origin = stepped.action.args
+            assert origin == prev.tree.current
             assert stepped.state.solver == prev.tree.snapshot(node)
             # every domain equals its snapshot value after the jump
             for var, dom in stepped.state.solver.domains.items():
@@ -805,6 +806,56 @@ def test_each_condition_readers_no_longer_check_refuses_at_the_same_record_under
                             "the pending scheduled event"}, refused
 
 
+def test_the_reader_refuses_no_well_shaped_record():
+    # the reader refuses nothing but a malformed record: every record of every
+    # input of ``_replay_inputs``, strict and lenient, that passes the lenient
+    # shape check reads, in the state replay reached and in the state seven
+    # records before (as ``tests/test_refinement.py``'s ``_record_steps``
+    # draws them), however its rule would then judge it
+    read = 0
+    for machine in ("fd", "palm"):
+        for mode in ("strict", "lenient"):
+            for os, records in _parsed_inputs(machine, mode):
+                pres, state = [], initial_state()
+                for i, record in enumerate(records):
+                    pres.append(state)
+                    if shape_error(record, strict=False) is None:
+                        for pre in (state, pres[i - 7]) if i >= 7 else (state,):
+                            assert os.read_action(pre, record).kind == record.type, (i, record)
+                            read += 1
+                    try:
+                        (_, state), = replay_records(os, state, (record,), i)
+                    except ReconstructionError:
+                        break
+    assert read > 100_000, read
+
+
+def test_a_jump_from_another_node_is_refused_by_its_rule_or_outside_the_palm_profile():
+    # jumpTo's origin is an argument its rule checks first: a jump the rule
+    # accepts, with its recorded origin moved off the current node, is refused
+    # at its index in the origin's words under the generic bundle, and as a
+    # kind outside the profile under the palm profile
+    projected, jumps = project(make_semantics(), palm_profile()), 0
+    for os, records in _parsed_inputs("fd"):
+        state = initial_state()
+        for i, record in enumerate(records):
+            try:
+                (_, successor), = replay_records(os, state, (record,), i)
+            except ReconstructionError:
+                break
+            if record.type == "jumpTo":
+                moved = record._replace(node2=record.node2 + 99)
+                for bundle, condition in ((os, f"origin node {moved.node2} is not the current node"),
+                                          (projected, "event type outside the profile")):
+                    with pytest.raises(ReconstructionError) as refused:
+                        replay_records(bundle, state, (moved,), i)
+                    assert (refused.value.index, refused.value.rule, refused.value.condition) == (
+                        i, "jumpTo", condition)
+                jumps += 1
+            state = successor
+    assert jumps > 1000, jumps
+
+
 def test_a_palm_restore_of_one_variable_listing_events_of_another_is_refused():
     # palm one-edit mutant 2612 lists three events of v0, all of them pending,
     # at a restore of v2: refused by the justification, the first condition
@@ -1026,9 +1077,8 @@ def test_read_record_refuses_what_lenient_shape_error_refuses(kind):
         problem = shape_error(ev, strict=False)
         try:
             gentra4cp.read_record(initial_state(), ev)
-        except ReconstructionError as exc:  # a reader may refuse a well-shaped record in the empty state
-            assert exc.condition is not None
-            assert exc.condition == problem or problem is None
+        except ReconstructionError as exc:  # the shape refusal is the reader's only one
+            assert problem is not None and exc.condition == problem
         else:
             assert problem is None
 

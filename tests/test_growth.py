@@ -338,17 +338,17 @@ def test_strict_parse_of_emitted_traces_makes_no_token(monkeypatch, source):
 
 # At ladder k = 6 the palm verdict (one rule application per event, in the
 # palm replay, whose rules refine the generic ones; the projected validate
-# and check_simulable it also ran took 108) takes about 53.2 line events per
+# and check_simulable it also ran took 108) takes about 51.3 line events per
 # event, a reduce's wake kind check included, and the fd verdict (validate
-# and check_faithful, one application) about 47.5: replay reads, applies and
-# checks each record in its own loop, its readers only fill in what lenient
-# text leaves out, and check_faithful makes no pass over a trace validate
-# replayed, since the rules refuse a generated event already pending (64.4
-# while it extracted every step and compared its record, 75.4 while it read
-# back every step).
+# and check_faithful, one application) about 47.6: replay reads, applies and
+# checks each record in its own loop, one reader and one record check for
+# both machines, the reader only fills in what lenient text leaves out, and
+# check_faithful makes no pass over a trace validate replayed, since the
+# rules refuse a generated event already pending (64.4 while it extracted
+# every step and compared its record, 75.4 while it read back every step).
 # A slower rule step costs the same per event at every size, so only an
 # absolute bound sees it; each bound is that count plus about 5%.
-VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 56, "fd": 50}
+VERDICT_LINE_EVENTS_PER_EVENT = {"palm": 54, "fd": 50}
 
 
 @pytest.mark.parametrize("machine", ["fd", "palm"])

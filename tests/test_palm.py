@@ -7,6 +7,7 @@ import pytest
 from gentra.constraints import ConstraintDecl
 from gentra.errors import ReconstructionError, StateInvariantError, TransitionError
 from gentra.fdomain import DEFAULT_MX, EMPTY_DOMAIN, FiniteDomain, format_domain, full_domain, parse_domain
+from gentra.gentra4cp import wake_kind_of
 from gentra.palm import (
     PalmAssertionError,
     broken_values,
@@ -14,7 +15,6 @@ from gentra.palm import (
     make_palm_semantics,
     palm_initial_state,
     palm_solve,
-    wake_kind_of,
 )
 from gentra.semantics import Action, check_faithful, replay_records
 from gentra.solver import Problem, SolveLimits

@@ -23,7 +23,7 @@ from gentra.abstraction import (SimulationViolation, StateMapping, check_generic
                                 palm_event_to_generic, palm_mapping, palm_profile, palm_to_generic, project)
 from gentra.errors import GentraError, MappingError, ReconstructionError, TransitionError
 from gentra.formats import document_for_events, parse_trace, serialize_trace
-from gentra.gentra4cp import GUARD_NAMES, RULES, check_depth, check_guards, make_semantics, read_record, validate
+from gentra.gentra4cp import GUARD_NAMES, RULES, check_guards, check_record, make_semantics, read_record, validate
 from gentra.palm import PALM_RULES, REFINEMENT, _strip_explanation, make_palm_semantics, palm_initial_state, palm_solve
 from gentra.semantics import Action, reconstruct, replay_records
 from gentra.solver import solve
@@ -205,7 +205,7 @@ def test_a_mapping_other_than_the_refinement_takes_the_full_check(monkeypatch):
 
 def _depth_outcome(record, successor):
     try:
-        check_depth(record, successor)
+        check_record(record, successor)
     except ReconstructionError as exc:
         return str(exc)
     return None
